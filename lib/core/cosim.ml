@@ -466,11 +466,6 @@ let run_echo_assignment ~levels ?(wrap = fun t -> t) ?budget ?(items = 16)
     bus_ops = bus_ops ();
   }
 
-let run_echo_system ~level ?(items = 16) ?(work = 8) ?(src_period = 200)
-    ?(sink_period = 120) () =
-  run_echo_assignment ~levels:(pure level) ~items ~work ~src_period
-    ~sink_period ()
-
 (* ------------------------------------------------------------------ *)
 (* Process-network execution                                           *)
 (* ------------------------------------------------------------------ *)
@@ -514,9 +509,7 @@ let hw_stmt_cycles proc =
 
 let chan_port_base = 100
 
-let run_network ?hw_engines ?sw_cpi ?(cross_cost = 0) ?until ?partition
-    (net : Pn.t) =
-  ignore sw_cpi;
+let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition (net : Pn.t) =
   let proc_names = List.map (fun (p, _) -> p.B.name) net.Pn.procs in
   let proc_name = Array.of_list proc_names in
   let proc_idx name =

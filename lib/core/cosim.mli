@@ -4,9 +4,10 @@
 
     {2 The abstraction ladder}
 
-    {!run_echo_system} simulates one fixed embedded application — a data
-    source device, a software transform running on the processor, a data
-    sink device — at each of the four Fig. 3 abstraction levels:
+    {!run_echo_assignment} on a {!pure} assignment simulates one fixed
+    embedded application — a data source device, a software transform
+    running on the processor, a data sink device — at each of the four
+    Fig. 3 abstraction levels:
 
     - {!Pin}: ISS + pin/cycle-accurate bus (wait states visible) — the
       timing reference [4];
@@ -120,8 +121,11 @@ val run_echo_assignment :
   metrics
 (** The generic pipeline: one echo system with each component at its
     assigned level.  [wrap] intercepts every transport as it is created
-    (identity by default) — the fault layer's injection hook.  Defaults
-    as {!run_echo_system}.  All assignments compute the same [checksum];
+    (identity by default) — the fault layer's injection hook.  Defaults:
+    16 items, transform work 8, source period 200, sink period 120.  The
+    sink period exceeding the bus latency makes device wait states
+    material, which is what separates {!Pin} from {!Transaction} timing.
+    All assignments compute the same [checksum];
     [events]/[activations] fall as any component moves up the ladder,
     and [bus_ops] is zero exactly when both interfaces are at
     {!Message}.
@@ -160,19 +164,6 @@ val run_echo_assignment :
     interface is not at {!Message} or has zero lookahead, or a
     partitioned run is combined with [budget]. *)
 
-val run_echo_system :
-  level:level ->
-  ?items:int ->
-  ?work:int ->
-  ?src_period:int ->
-  ?sink_period:int ->
-  unit ->
-  metrics
-(** [run_echo_assignment ~levels:(pure level)].  Defaults: 16 items,
-    transform work 8, source period 200, sink period 120.  The sink
-    period exceeding the bus latency makes device wait states material,
-    which is what separates {!Pin} from {!Transaction} timing. *)
-
 (** {2 Process networks} *)
 
 type network_outcome =
@@ -208,20 +199,19 @@ type network_result = {
 
 val run_network :
   ?hw_engines:(string * int) list ->
-  ?sw_cpi:int ->
   ?cross_cost:int ->
   ?until:int ->
   ?partition:(string * int) list ->
   Codesign_ir.Process_network.t ->
   network_result
 (** [hw_engines] assigns hardware processes to engine ids; processes on
-    the same engine serialise (default: each its own engine).
-    [sw_cpi] is unused at present (software timing is the ISS's own
-    cycle counting) and reserved.  [cross_cost] charges the sender that
-    many extra cycles per message on channels whose endpoints live on
-    different engines (software counts as one engine) — the §3.3
-    "communication" factor made physical (default 0).  [until] bounds
-    simulated time when given; without it a deadlocked network raises.
+    the same engine serialise (default: each its own engine); software
+    timing is the ISS's own cycle counting.  [cross_cost] charges the
+    sender that many extra cycles per message on channels whose
+    endpoints live on different engines (software counts as one
+    engine) — the §3.3 "communication" factor made physical (default
+    0).  [until] bounds simulated time when given; without it a
+    deadlocked network raises.
 
     [partition] maps process names to partition ids (unnamed processes
     go to partition 0); the network then runs on per-partition event

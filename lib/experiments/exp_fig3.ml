@@ -14,12 +14,16 @@ open Codesign
 
 let levels = [ Cosim.Pin; Cosim.Transaction; Cosim.Driver; Cosim.Message ]
 
+let echo_ladder ~items ~work =
+  List.map
+    (fun level ->
+      Cosim.run_echo_assignment ~levels:(Cosim.pure level) ~items ~work ())
+    levels
+
 let run ?(quick = false) () =
   let items = if quick then 8 else 32 in
   let work = if quick then 4 else 12 in
-  let ms =
-    List.map (fun level -> Cosim.run_echo_system ~level ~items ~work ()) levels
-  in
+  let ms = echo_ladder ~items ~work in
   let reference = List.hd ms in
   let rows =
     List.map
@@ -55,9 +59,7 @@ let run ?(quick = false) () =
 let shape_holds ?(quick = true) () =
   let items = if quick then 8 else 32 in
   let work = if quick then 4 else 12 in
-  let ms =
-    List.map (fun level -> Cosim.run_echo_system ~level ~items ~work ()) levels
-  in
+  let ms = echo_ladder ~items ~work in
   match ms with
   | [ pin; tlm; drv; msg ] ->
       List.for_all (fun m -> m.Cosim.outcome = Cosim.Completed) ms

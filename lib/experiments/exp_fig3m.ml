@@ -126,13 +126,14 @@ let shape_holds ?(quick = true) () =
     | a :: (b :: _ as rest) -> a >= b && non_increasing rest
     | _ -> true
   in
-  (* the pure diagonal reproduces the single-level runner exactly *)
+  (* a direct rerun of each pure-diagonal point reproduces the grid
+     exactly *)
   let pure_identical =
     List.for_all
       (fun level ->
-        let via_grid = List.assoc (Cosim.pure level) all in
-        let direct = Cosim.run_echo_system ~level ~items ~work () in
-        via_grid = direct)
+        let levels = Cosim.pure level in
+        List.assoc levels all
+        = Cosim.run_echo_assignment ~levels ~items ~work ())
       levels
   in
   completed && checksum_constant && bus_ops_consistent

@@ -362,7 +362,8 @@ let check_ladder rng =
   match
     List.map
       (fun level ->
-        Cosim.run_echo_system ~level ~items ~work ~src_period ~sink_period ())
+        Cosim.run_echo_assignment ~levels:(Cosim.pure level) ~items ~work
+          ~src_period ~sink_period ())
       [ Cosim.Pin; Cosim.Transaction; Cosim.Driver; Cosim.Message ]
   with
   | exception e ->

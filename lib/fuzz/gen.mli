@@ -23,7 +23,7 @@ val behavior : Codesign_ir.Rng.t -> Codesign_ir.Behavior.proc
 
 val echo_params : Codesign_ir.Rng.t -> int * int * int * int
 (** (items, work, src_period, sink_period) for
-    {!Codesign.Cosim.run_echo_system}, drawn from ranges around the
+    {!Codesign.Cosim.run_echo_assignment}, drawn from ranges around the
     defaults so device wait states stay material. *)
 
 val net_spec : Codesign_ir.Rng.t -> Codesign_ir.Process_network.t

@@ -5,9 +5,10 @@
    variant (and re-reading the latency table) on every executed step,
    each basic block is decoded exactly once into a flat int-array
    micro-op program — one fixed-stride record per instruction — and
-   cached keyed by its entry pc.  {!Cpu.run_blocks} then executes whole
-   blocks per dispatch with a single cycles/instret update at block
-   exit.
+   cached keyed by its entry pc.  {!Cpu.run_blocks} then executes each
+   block only whole, with a single cycles/instret update at block exit,
+   and steps instead wherever a whole block cannot run (fuel left short
+   of the block, interrupt entry, unsafe instruction).
 
    A block is a maximal straight-line run of {e pipeline-safe}
    instructions (Alu/Alui/Li/Lw/Sw/Nop) ending at the first
@@ -15,12 +16,10 @@
    terminator), at the first {e unsafe} instruction
    (In/Out/Custom/Ei/Di/Rti — environment hooks and interrupt-visible
    state, left to the precise {!Cpu.step} fallback), at the end of the
-   code array, or at {!max_block_instrs}.  Lw/Sw stay in blocks even
-   though they call the memory-mapped-I/O hooks: the executor re-checks
-   trap status and the pending-interrupt condition after each of them,
-   so a hook that traps the core or raises the request line cuts the
-   block at exactly the instruction boundary {!Cpu.step} would have
-   seen it.
+   code array, or at {!max_block_instrs}.  Lw/Sw stay in blocks: the
+   block tier only runs CPUs whose memory-mapped-I/O hooks are the
+   no-op defaults, so an access may trap but cannot otherwise perturb
+   core state; a CPU with hooks runs on the {!Cpu.step} loop instead.
 
    Cache invalidation: there is none, by construction.  The program
    array belongs to the CPU and is never mutated after {!Cpu.create}
@@ -35,9 +34,8 @@
    [op; x; y; z; lat; pc].  Operand meaning depends on [op] (see the
    executor in cpu.ml); [lat] is the precomputed base latency (the
    taken-branch +1 is added by the executor); [pc] is the instruction's
-   own index — the resume point when execution must stop {e before}
-   this record (fuel boundary), and the trap location for its memory
-   accesses. *)
+   own index — the trap location for its memory accesses, the halt pc,
+   and the base of fall-through and link addresses. *)
 let stride = 6
 
 (* Micro-opcodes: a closed int enum, densest cases first. *)
@@ -149,9 +147,8 @@ let compile_block c entry_pc =
   let rec scan pc count =
     if count >= max_block_instrs || pc >= len || needs_step_fallback code.(pc)
     then
-      (* resumption point for the dispatcher: next pc in both operand
-         and pc slots, so the fuel-boundary path needs no special
-         case *)
+      (* resumption point for the dispatcher: the next pc, in both the
+         operand and the pc slot *)
       emit uop_end pc 0 0 0 pc
     else begin
       let i = code.(pc) in

@@ -3,7 +3,8 @@
     Decodes each basic block of an {!Isa.program} exactly once into a
     flat int-array micro-op program (the fixed-stride record idiom
     {!Codesign_rtl.Logic_sim} uses for netlists) and caches it keyed by
-    entry pc.  {!Cpu.run_blocks} executes whole blocks per dispatch.
+    entry pc.  {!Cpu.run_blocks} executes each block only whole, and
+    only for CPUs without memory-mapped-I/O hooks.
 
     The cache is never invalidated: a program array is immutable after
     {!Cpu.create} (the ISA has no store-to-code path), so decoded
@@ -14,8 +15,8 @@
 val stride : int
 (** Ints per decoded record: [op; x; y; z; lat; pc].  [lat] is the
     precomputed base latency (taken-branch +1 added by the executor);
-    [pc] is the instruction's own index — resume point at a fuel
-    boundary and trap location for memory accesses. *)
+    [pc] is the instruction's own index — trap location for memory
+    accesses, halt pc, and base of fall-through and link addresses. *)
 
 (** {1 Micro-opcodes}
 
@@ -59,15 +60,15 @@ val uop_end : int
 
 val max_block_instrs : int
 (** Upper bound on instructions decoded into one block (terminator
-    included), bounding worst-case fuel overshoot checks. *)
+    included), bounding the fuel a block needs to run whole. *)
 
 type block = {
   uops : int array;  (** [n * stride] ints, records back to back *)
   n : int;  (** number of records *)
   full_instrs : int;
       (** instructions a complete untrapped walk of the block retires
-          ([n] minus the end record, if any) — the whole-block fast
-          path's instret/fuel charge *)
+          ([n] minus the end record, if any) — the executor's
+          instret/fuel charge *)
   full_cycles : int;
       (** cycles of that complete walk excluding the taken-branch +1
           (the sum of the records' lat fields) *)

@@ -25,10 +25,9 @@ type t = {
   regs : int array;
   env : env;
   plain_mem : bool;
-      (* both memory hooks are the defaults (pure no-ops), so the block
-         tier may access [mem] directly and skip the per-access
-         trap/interrupt recheck — nothing can perturb core state inside
-         a block *)
+      (* both memory hooks are the defaults (pure no-ops): the only case
+         the block tier runs, accessing [mem] directly — nothing can
+         perturb core state inside a block *)
   latency : int Isa.instr -> int;
   irq_vector : int;
   mutable pc : int;
@@ -311,16 +310,24 @@ let step t =
           t.status <- Trapped msg;
           0)
 
-let run_fast t ~fuel =
+(* A pattern match instead of [t.status = Running]: [status] carries a
+   string payload, so [=] is a generic-equality call — too expensive
+   for a per-step check. *)
+let is_running t = match t.status with Running -> true | _ -> false
+
+(* The step loop behind [run] and the block tier's fallback: up to
+   [fuel] calls to [step], stopping early on [Halted]/[Trapped].
+   Returns the fuel steps taken. *)
+let step_loop t ~fuel =
   let steps = ref 0 in
-  while t.status = Running && !steps < fuel do
+  while is_running t && !steps < fuel do
     ignore (step t);
     incr steps
   done;
   !steps
 
 let run ?(fuel = 50_000_000) t =
-  ignore (run_fast t ~fuel);
+  ignore (step_loop t ~fuel);
   if t.status = Running then t.status <- Trapped "fuel exhausted";
   t.status
 
@@ -330,252 +337,47 @@ let run ?(fuel = 50_000_000) t =
 
 module Bc = Block_compiler
 
-(* Index mappings fixed by [Block_compiler.alu_index] /
-   [Block_compiler.cond_index]; the fuzzed three-way equivalence suite
-   in test_compiled.ml pins them against the variant-based [alu]. *)
-let alu_apply idx a b =
-  match idx with
-  | 0 -> a + b
-  | 1 -> a - b
-  | 2 -> a * b
-  | 3 -> if b = 0 then 0 else a / b
-  | 4 -> if b = 0 then 0 else a mod b
-  | 5 -> a land b
-  | 6 -> a lor b
-  | 7 -> a lxor b
-  | 8 -> a lsl (b land 31)
-  | 9 -> a asr (b land 31)
-  | 10 -> if a < b then 1 else 0
-  | _ -> if a = b then 1 else 0
-
+(* Index mappings fixed by [Block_compiler.cond_index] and, inlined in
+   [exec_fast], [Block_compiler.alu_index]; the step = block
+   equivalence suite in test_compiled.ml pins them against the
+   variant-based [cond]/[alu]. *)
 let cond_apply idx a b =
   match idx with 0 -> a = b | 1 -> a <> b | 2 -> a < b | _ -> a >= b
 
-(* Execute one decoded block.  [t.pc]/[t.cycles]/[t.instret] are
-   written only at block exit; every exit path (terminator, end-record,
-   fuel boundary, trap, hook-raised IRQ) leaves [t.pc] exactly where a
-   [step] loop would have.  Returns the fuel steps consumed — retired
-   instructions plus one for a trapping memory access, matching what
-   the same instructions would have cost through [run_fast].
+(* The block executor.  [run_blocks] enters it only when memory is
+   hook-free ([plain_mem]), no retire callback is installed, and the
+   fuel left covers the block's worst case ([n] steps).  Under those premises nothing can stop the walk
+   mid-block except a trapping memory access, so there is no per-record
+   fuel check and no cycles/instret accumulator: each record is just
+   operand loads plus the operation, and the block exit charges the
+   precomputed [full_cycles]/[full_instrs] totals in one update.  Every
+   exit leaves [t.pc] exactly where a [step] loop would have.  The
+   result is the fuel consumed so far — retired instructions, plus one
+   for a trapping access — which [acc] threads through the chain.
 
-   The walk is a tail recursion over (record index, retired-so-far,
-   cycles-so-far) with every piece of state an explicit argument of a
-   top-level function: int accumulators instead of refs, and no local
-   closures, keep the hot loop allocation-free — the same discipline as
-   [Logic_sim.eval].  [steps] both counts retired instructions so far
-   and charges fuel; the two only diverge on the trapping exit, which
-   charges one extra fuel step for the access that retired nothing.
-   Reads of the uop array use [Array.unsafe_get]: every index is
-   produced by [Block_compiler.compile_block] over its own fixed-stride
-   records, never by guest data. *)
-let exec_finish t retired cy fuel_steps =
-  t.cycles <- t.cycles + cy;
-  t.instret <- t.instret + retired;
-  fuel_steps
-
-let exec_trap_mem t addr pcrec steps cy =
-  (* pc stays on the faulting instruction — same as [step]'s [Trap]
-     path *)
-  t.status <- Trapped (Printf.sprintf "mem access %d at pc %d" addr pcrec);
-  t.pc <- pcrec;
-  exec_finish t steps cy (steps + 1)
-
-let rec exec_uops t u max_steps i steps cy =
-  let base = i * 6 in
-  if steps >= max_steps then begin
-    (* fuel boundary: resume at this record's own pc *)
-    t.pc <- Array.unsafe_get u (base + 5);
-    exec_finish t steps cy steps
-  end
-  else
-    let op = Array.unsafe_get u base in
-    let regs = t.regs in
-    if op < Bc.uop_alui then begin
-      (* reg-reg ALU *)
-      let v =
-        alu_apply op
-          regs.(Array.unsafe_get u (base + 2))
-          regs.(Array.unsafe_get u (base + 3))
-      in
-      let d = Array.unsafe_get u (base + 1) in
-      if d <> 0 then regs.(d) <- v;
-      exec_uops t u max_steps (i + 1) (steps + 1)
-        (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op < Bc.uop_li then begin
-      (* reg-imm ALU *)
-      let v =
-        alu_apply (op - Bc.uop_alui)
-          regs.(Array.unsafe_get u (base + 2))
-          (Array.unsafe_get u (base + 3))
-      in
-      let d = Array.unsafe_get u (base + 1) in
-      if d <> 0 then regs.(d) <- v;
-      exec_uops t u max_steps (i + 1) (steps + 1)
-        (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op = Bc.uop_li then begin
-      let d = Array.unsafe_get u (base + 1) in
-      if d <> 0 then regs.(d) <- Array.unsafe_get u (base + 2);
-      exec_uops t u max_steps (i + 1) (steps + 1)
-        (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op = Bc.uop_lw then begin
-      let addr =
-        regs.(Array.unsafe_get u (base + 2)) + Array.unsafe_get u (base + 3)
-      in
-      let mem = t.mem in
-      if t.plain_mem then
-        if addr >= 0 && addr < Array.length mem then begin
-          let d = Array.unsafe_get u (base + 1) in
-          if d <> 0 then regs.(d) <- mem.(addr);
-          exec_uops t u max_steps (i + 1) (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-        end
-        else exec_trap_mem t addr (Array.unsafe_get u (base + 5)) steps cy
-      else
-        (* hook-backed access: complete it, then re-check trap status
-           and the pending-interrupt condition — the hook may have
-           trapped the core or raised the request line, and [step]
-           would see either at the next instruction boundary *)
-        let ok =
-          match t.env.mem_read addr with
-          | Some v ->
-              let d = Array.unsafe_get u (base + 1) in
-              if d <> 0 then regs.(d) <- v;
-              true
-          | None ->
-              if addr < 0 || addr >= Array.length mem then false
-              else begin
-                let d = Array.unsafe_get u (base + 1) in
-                if d <> 0 then regs.(d) <- mem.(addr);
-                true
-              end
-        in
-        if not ok then
-          exec_trap_mem t addr (Array.unsafe_get u (base + 5)) steps cy
-        else if
-          t.status <> Running || (t.irq_line && t.irq_enable && not t.in_isr)
-        then begin
-          t.pc <- Array.unsafe_get u (base + 5) + 1;
-          exec_finish t (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-            (steps + 1)
-        end
-        else
-          exec_uops t u max_steps (i + 1) (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op = Bc.uop_sw then begin
-      let addr =
-        regs.(Array.unsafe_get u (base + 2)) + Array.unsafe_get u (base + 3)
-      in
-      let mem = t.mem in
-      if t.plain_mem then
-        if addr >= 0 && addr < Array.length mem then begin
-          mem.(addr) <- regs.(Array.unsafe_get u (base + 1));
-          exec_uops t u max_steps (i + 1) (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-        end
-        else exec_trap_mem t addr (Array.unsafe_get u (base + 5)) steps cy
-      else
-        let ok =
-          if t.env.mem_write addr regs.(Array.unsafe_get u (base + 1)) then
-            true
-          else if addr < 0 || addr >= Array.length mem then false
-          else begin
-            mem.(addr) <- regs.(Array.unsafe_get u (base + 1));
-            true
-          end
-        in
-        if not ok then
-          exec_trap_mem t addr (Array.unsafe_get u (base + 5)) steps cy
-        else if
-          t.status <> Running || (t.irq_line && t.irq_enable && not t.in_isr)
-        then begin
-          t.pc <- Array.unsafe_get u (base + 5) + 1;
-          exec_finish t (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-            (steps + 1)
-        end
-        else
-          exec_uops t u max_steps (i + 1) (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op = Bc.uop_nop then
-      exec_uops t u max_steps (i + 1) (steps + 1)
-        (cy + Array.unsafe_get u (base + 4))
-    else if op < Bc.uop_j then begin
-      (* conditional branch: always the block terminator *)
-      let taken =
-        cond_apply (op - Bc.uop_b)
-          regs.(Array.unsafe_get u (base + 1))
-          regs.(Array.unsafe_get u (base + 2))
-      in
-      if taken then begin
-        t.pc <- Array.unsafe_get u (base + 3);
-        (* taken-branch penalty *)
-        exec_finish t (steps + 1)
-          (cy + Array.unsafe_get u (base + 4) + 1)
-          (steps + 1)
-      end
-      else begin
-        t.pc <- Array.unsafe_get u (base + 5) + 1;
-        exec_finish t (steps + 1)
-          (cy + Array.unsafe_get u (base + 4))
-          (steps + 1)
-      end
-    end
-    else if op = Bc.uop_j then begin
-      t.pc <- Array.unsafe_get u (base + 1);
-      exec_finish t (steps + 1) (cy + Array.unsafe_get u (base + 4)) (steps + 1)
-    end
-    else if op = Bc.uop_jal then begin
-      let d = Array.unsafe_get u (base + 1) in
-      if d <> 0 then regs.(d) <- Array.unsafe_get u (base + 5) + 1;
-      t.pc <- Array.unsafe_get u (base + 2);
-      exec_finish t (steps + 1) (cy + Array.unsafe_get u (base + 4)) (steps + 1)
-    end
-    else if op = Bc.uop_jr then begin
-      t.pc <- regs.(Array.unsafe_get u (base + 1));
-      exec_finish t (steps + 1) (cy + Array.unsafe_get u (base + 4)) (steps + 1)
-    end
-    else if op = Bc.uop_halt then begin
-      t.status <- Halted;
-      t.pc <- Array.unsafe_get u (base + 5);
-      exec_finish t (steps + 1) (cy + Array.unsafe_get u (base + 4)) (steps + 1)
-    end
-    else begin
-      (* uop_end: block fell off without a terminator *)
-      t.pc <- Array.unsafe_get u (base + 1);
-      exec_finish t steps cy steps
-    end
-
-(* Whole-block fast path, taken when memory is hook-free ([plain_mem])
-   and the remaining fuel covers the block's worst case ([n] steps).
-   Under those premises nothing can stop the walk mid-block except a
-   trapping memory access, so the per-record fuel check and the
-   cycles/instret accumulators disappear: each record is just operand
-   loads plus the operation, and the block exit charges the
-   precomputed [full_cycles]/[full_instrs] totals in one update.
+   The walk is a tail recursion over the record index with every piece
+   of state an explicit argument of a top-level function — no refs and
+   no local closures, so the hot loop is allocation-free, the same
+   discipline as [Logic_sim.eval].  Reads of the uop array are
+   unchecked: every index is produced by [Block_compiler.compile_block]
+   over its own fixed-stride records, never by guest data.
    Register-file accesses are unchecked as well — every register index
    was validated at decode time ([Block_compiler.regs_ok]; blocks with
    out-of-range registers never compile) — and memory accesses go
    unchecked behind their explicit bounds test.  The trap exit is the
    one slow case: it reconstructs the partial cycle sum by re-walking
-   the lat fields of the records already executed.
+   the lat fields of the records already executed, and leaves pc on the
+   faulting instruction as [step] does.
 
    Block chaining: a terminator that leaves the core Running jumps
    straight into the successor block through [exec_chain] when that
    block is already decoded and the remaining fuel covers its worst
    case, skipping the dispatcher round trip entirely (the dominant
    cost for short loop bodies).  This is sound because the dispatcher's
-   re-checks cannot change outcome mid-chain under [plain_mem]: the
-   pending-interrupt condition was false at dispatch and only unsafe
-   instructions (Ei/Di/Rti — never inside a block) or hooks (absent)
-   can make it true, and a non-Running status exits the chain by
-   construction.  [acc] threads the fuel consumed by earlier blocks of
-   the chain so every continuation is a tail call. *)
+   re-checks cannot change outcome mid-chain: the pending-interrupt
+   condition was false at dispatch and only unsafe instructions
+   (Ei/Di/Rti — never inside a block) or memory hooks (absent) can
+   make it true, and [Halt] ends the chain. *)
 let exec_fast_trap t u acc i addr =
   let cy = ref 0 in
   for k = 0 to i - 1 do
@@ -651,49 +453,28 @@ let rec exec_fast t entries fuel_left acc u fc fi i =
     else exec_fast_trap t u acc i addr
   end
   else if op = Bc.uop_nop then exec_fast t entries fuel_left acc u fc fi (i + 1)
-  else if op < Bc.uop_j then begin
-    let taken =
+  else if op < Bc.uop_j then
+    if
       cond_apply (op - Bc.uop_b)
         (Array.unsafe_get regs (Array.unsafe_get u (base + 1)))
         (Array.unsafe_get regs (Array.unsafe_get u (base + 2)))
-    in
-    let pc =
-      if taken then begin
-        t.cycles <- t.cycles + fc + 1;
-        Array.unsafe_get u (base + 3)
-      end
-      else begin
-        t.cycles <- t.cycles + fc;
-        Array.unsafe_get u (base + 5) + 1
-      end
-    in
-    t.pc <- pc;
-    t.instret <- t.instret + fi;
-    exec_chain t entries (fuel_left - fi) (acc + fi) pc
-  end
-  else if op = Bc.uop_j then begin
-    let pc = Array.unsafe_get u (base + 1) in
-    t.pc <- pc;
-    t.cycles <- t.cycles + fc;
-    t.instret <- t.instret + fi;
-    exec_chain t entries (fuel_left - fi) (acc + fi) pc
-  end
+    then
+      (* taken-branch penalty *)
+      exec_chain t entries fuel_left acc fi (fc + 1)
+        (Array.unsafe_get u (base + 3))
+    else
+      exec_chain t entries fuel_left acc fi fc
+        (Array.unsafe_get u (base + 5) + 1)
+  else if op = Bc.uop_j then
+    exec_chain t entries fuel_left acc fi fc (Array.unsafe_get u (base + 1))
   else if op = Bc.uop_jal then begin
     let d = Array.unsafe_get u (base + 1) in
     if d <> 0 then Array.unsafe_set regs d (Array.unsafe_get u (base + 5) + 1);
-    let pc = Array.unsafe_get u (base + 2) in
-    t.pc <- pc;
-    t.cycles <- t.cycles + fc;
-    t.instret <- t.instret + fi;
-    exec_chain t entries (fuel_left - fi) (acc + fi) pc
+    exec_chain t entries fuel_left acc fi fc (Array.unsafe_get u (base + 2))
   end
-  else if op = Bc.uop_jr then begin
-    let pc = Array.unsafe_get regs (Array.unsafe_get u (base + 1)) in
-    t.pc <- pc;
-    t.cycles <- t.cycles + fc;
-    t.instret <- t.instret + fi;
-    exec_chain t entries (fuel_left - fi) (acc + fi) pc
-  end
+  else if op = Bc.uop_jr then
+    exec_chain t entries fuel_left acc fi fc
+      (Array.unsafe_get regs (Array.unsafe_get u (base + 1)))
   else if op = Bc.uop_halt then begin
     t.status <- Halted;
     t.pc <- Array.unsafe_get u (base + 5);
@@ -701,83 +482,78 @@ let rec exec_fast t entries fuel_left acc u fc fi i =
     t.instret <- t.instret + fi;
     acc + fi
   end
-  else begin
-    (* uop_end *)
-    let pc = Array.unsafe_get u (base + 1) in
-    t.pc <- pc;
-    t.cycles <- t.cycles + fc;
-    t.instret <- t.instret + fi;
-    exec_chain t entries (fuel_left - fi) (acc + fi) pc
-  end
+  else
+    (* uop_end: the block fell off without a terminator *)
+    exec_chain t entries fuel_left acc fi fc (Array.unsafe_get u (base + 1))
 
-and exec_chain t entries fuel_left acc pc =
+(* Block exit: charge the block's [fi] instructions and [cy] cycles in
+   one update, then chain into the decoded successor at [pc] when the
+   fuel left covers it, or hand back to the dispatcher. *)
+and exec_chain t entries fuel_left acc fi cy pc =
+  t.pc <- pc;
+  t.cycles <- t.cycles + cy;
+  t.instret <- t.instret + fi;
+  let fuel_left = fuel_left - fi and acc = acc + fi in
   if pc >= 0 && pc < Array.length entries then
     match Array.unsafe_get entries pc with
     | Some (Bc.Block blk) when fuel_left >= blk.Bc.n ->
         exec_fast t entries fuel_left acc blk.Bc.uops blk.Bc.full_cycles
           blk.Bc.full_instrs 0
-    | _ ->
-        (* undecoded, unsafe, or not enough fuel left: back to the
-           dispatcher *)
-        acc
+    | _ -> acc
   else acc
 
-let exec_block t entries (blk : Bc.block) ~max_steps =
-  if t.plain_mem && max_steps >= blk.Bc.n then
-    exec_fast t entries max_steps 0 blk.Bc.uops blk.Bc.full_cycles
-      blk.Bc.full_instrs 0
-  else exec_uops t blk.Bc.uops max_steps 0 0 0
-
-(* A pattern match instead of [t.status = Running]: [status] carries a
-   string payload, so [=] is a generic-equality call — too expensive
-   for a per-dispatch check. *)
-let is_running t = match t.status with Running -> true | _ -> false
-
 let run_blocks t ~fuel =
-  match t.retire_cb with
-  | Some _ ->
-      (* per-instruction attribution must observe an up-to-date [cycles]
-         at every retirement, so profiled runs stay on the reference
-         tier *)
-      run_fast t ~fuel
-  | None ->
-      let cache =
-        match t.blocks with
-        | Some c -> c
+  if Option.is_some t.retire_cb || not t.plain_mem then
+    (* per-instruction attribution must observe an up-to-date [cycles]
+       at every retirement, and a memory hook may trap the core or raise
+       the request line at any access: both run on the step loop *)
+    step_loop t ~fuel
+  else begin
+    let cache =
+      match t.blocks with
+      | Some c -> c
+      | None ->
+          let c = Bc.create ~latency:t.latency t.code in
+          t.blocks <- Some c;
+          c
+    in
+    let entries = Bc.entries cache in
+    let code_len = Array.length t.code in
+    let steps = ref 0 in
+    while is_running t && !steps < fuel do
+      let pc = t.pc and left = fuel - !steps in
+      if
+        pc < 0 || pc >= code_len
+        || (t.irq_line && t.irq_enable && not t.in_isr)
+      then begin
+        (* out-of-range pc trap and interrupt entry go through [step]
+           so their semantics (and fuel charge) are identical by
+           construction *)
+        ignore (step t);
+        incr steps
+      end
+      else
+        (* hit path is a plain table load — [pc] was bounds-checked
+           above and [entries] has one slot per pc *)
+        match Array.unsafe_get entries pc with
+        | Some (Bc.Block blk) when left >= blk.Bc.n ->
+            steps :=
+              !steps
+              + exec_fast t entries left 0 blk.Bc.uops blk.Bc.full_cycles
+                  blk.Bc.full_instrs 0
+        | Some (Bc.Block _) ->
+            (* the fuel left ends inside this block: spend it on the
+               step loop *)
+            steps := !steps + step_loop t ~fuel:left
+        | Some Bc.Unsafe ->
+            ignore (step t);
+            incr steps
         | None ->
-            let c = Bc.create ~latency:t.latency t.code in
-            t.blocks <- Some c;
-            c
-      in
-      let entries = Bc.entries cache in
-      let code_len = Array.length t.code in
-      let steps = ref 0 in
-      while is_running t && !steps < fuel do
-        if
-          t.pc < 0 || t.pc >= code_len
-          || (t.irq_line && t.irq_enable && not t.in_isr)
-        then begin
-          (* out-of-range pc trap and interrupt entry go through [step]
-             so their semantics (and fuel charge) are identical by
-             construction *)
-          ignore (step t);
-          incr steps
-        end
-        else begin
-          (* hit path is a plain table load — [t.pc] was bounds-checked
-             above and [entries] has one slot per pc *)
-          match Array.unsafe_get entries t.pc with
-          | Some (Bc.Block blk) ->
-              steps := !steps + exec_block t entries blk ~max_steps:(fuel - !steps)
-          | Some Bc.Unsafe ->
-              ignore (step t);
-              incr steps
-          | None ->
-              (* decode on first touch, then let the loop re-dispatch *)
-              ignore (Bc.get cache ~pc:t.pc)
-        end
-      done;
-      !steps
+            (* decode on first touch, then let the loop re-dispatch *)
+            ignore (Bc.get cache ~pc)
+    done;
+    !steps
+  end
 
 let blocks_compiled t =
   match t.blocks with None -> 0 | Some c -> Bc.blocks_compiled c

@@ -91,16 +91,12 @@ val step : t -> int
     cycles the step consumed (0 when already halted/trapped).  Status
     may change as a side effect. *)
 
-val run_fast : t -> fuel:int -> int
-(** The inner dispatch loop of {!run}: execute up to [fuel] steps
-    without per-step bookkeeping beyond {!step} itself, stopping early
-    on [Halted]/[Trapped].  Returns the number of steps executed;
-    unlike {!run} it does not turn fuel exhaustion into a trap, so
-    slicing callers (budget supervisors, fuzzing oracles) can
-    interleave bounded bursts with their own checks.  Semantically
-    identical to calling {!step} in a loop.
+val run : ?fuel:int -> t -> status
+(** Step until [Halted] or [Trapped]; [fuel] bounds the step count
+    (default 50 million) and exhaustion traps.  Semantically identical
+    to calling {!step} in a loop.
 
-    {b Fuel contract} (shared with {!run_blocks} and
+    {b Fuel contract} (shared with {!run_blocks}, {!run_compiled} and
     {!Codesign_resil.Budget.run_cpu}): one fuel step is one retired
     instruction, {e or} one interrupt entry, {e or} one trapping memory
     access — every call to {!step} that did work.  {!instret} counts
@@ -108,28 +104,32 @@ val run_fast : t -> fuel:int -> int
     [steps > instret] by exactly the number of interrupt entries (plus
     one if the run ended in a trap). *)
 
-val run : ?fuel:int -> t -> status
-(** Step until [Halted] or [Trapped]; [fuel] bounds the step count
-    (default 50 million, counted per the fuel contract of {!run_fast})
-    and exhaustion traps.  Implemented on {!run_fast}. *)
-
 val run_blocks : t -> fuel:int -> int
-(** The block-compiled tier: same observable semantics and same fuel
-    contract as {!run_fast}, typically several times faster.  Basic
-    blocks are decoded once (lazily, via {!Block_compiler}) into flat
-    micro-op records and executed whole per dispatch, with
-    cycles/instret updated once at block exit.  Interrupts are polled
-    at block boundaries and after every [Lw]/[Sw] (the only in-block
-    instructions whose hooks can raise the request line), so interrupt
-    entry points, port traces and trap locations are identical to the
-    step tier.  Instructions with environment-visible or
-    interrupt-visible work ([In]/[Out]/[Custom]/[Ei]/[Di]/[Rti]) and
-    interrupt entries fall back to {!step}.  When an {!on_retire}
-    callback is installed the whole run falls back to {!run_fast} so
-    per-instruction attribution observes an up-to-date cycle counter.
-    The decoded-block cache lives on the CPU, is built on first
-    dispatch, survives {!reset} and is never invalidated (the program
-    is immutable). *)
+(** The block-compiled tier: execute up to [fuel] steps (per the fuel
+    contract of {!run}), stopping early on [Halted]/[Trapped], and
+    return the steps executed.  Unlike {!run} it does not turn fuel
+    exhaustion into a trap, so slicing callers (budget supervisors,
+    co-simulation quanta) can interleave bounded bursts with their own
+    checks.  Observably identical to a {!step} loop of the same fuel,
+    typically several times faster.
+
+    Basic blocks are decoded once (lazily, via {!Block_compiler}) into
+    flat micro-op records and executed whole per dispatch, with
+    cycles/instret updated once at block exit.  A block runs only
+    whole: when the fuel left ends inside it, the rest of the call is
+    stepped.  Interrupts are polled at block boundaries (no instruction
+    inside a block can raise the request line or change the enable),
+    so interrupt entry points and trap locations are identical to the
+    step loop.  Instructions with environment-visible or
+    interrupt-visible work ([In]/[Out]/[Custom]/[Ei]/[Di]/[Rti]),
+    interrupt entries and out-of-range pcs go through {!step}.  A CPU
+    with memory-mapped I/O hooks ([env.mem_read]/[env.mem_write]) or an
+    {!on_retire} callback runs the whole call on the step loop: a hook
+    may trap the core or raise the request line at any access, and
+    per-instruction attribution must observe an up-to-date cycle
+    counter.  The decoded-block cache lives on the CPU, is built on
+    first dispatch, survives {!reset} and is never invalidated (the
+    program is immutable). *)
 
 val run_compiled : ?fuel:int -> t -> status
 (** {!run} on the block-compiled tier: step until [Halted]/[Trapped]

@@ -112,11 +112,22 @@ let parse s =
     end
     else error ("expected " ^ word)
   in
+  (* exactly four hex digits — no sign, no digit separator *)
   let parse_hex4 () =
     if !pos + 4 > n then error "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
-    pos := !pos + 4;
-    v
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      let d =
+        match s.[!pos] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> error "bad \\u escape"
+      in
+      v := (!v * 16) + d;
+      advance ()
+    done;
+    !v
   in
   let parse_string () =
     expect '"';

@@ -16,9 +16,9 @@ module P = Codesign_sim.Partition
    order at the next barrier is fixed by the (lane, seq) keys, not by
    which worker posted first. *)
 
-let run ?until ?expect_quiescent ?check_deadlock plan =
+let run ?until ?expect_quiescent plan =
   let n = P.partitions plan in
-  if n <= 1 then P.run_serial ?until ?expect_quiescent ?check_deadlock plan
+  if n <= 1 then P.run_serial ?until ?expect_quiescent plan
   else begin
     let limit = match until with Some u -> u | None -> max_int in
     let m = Mutex.create () in
@@ -87,5 +87,5 @@ let run ?until ?expect_quiescent ?check_deadlock plan =
     List.iter (fun d -> K.merge_domain_totals (Domain.join d)) helpers;
     (match !finishing with Some e -> raise e | None -> ());
     (match !failed with Some e -> raise e | None -> ());
-    P.finish ?until ?expect_quiescent ?check_deadlock plan
+    P.finish ?until ?expect_quiescent plan
   end

@@ -23,7 +23,6 @@
 val run :
   ?until:int ->
   ?expect_quiescent:bool ->
-  ?check_deadlock:bool ->
   Codesign_sim.Partition.t ->
   Codesign_sim.Kernel.stats
 (** Run the LBTS loop to completion (or [until]); same optional

@@ -71,11 +71,11 @@ let stop_poll t =
           past_deadline t
         end
 
-let run_kernel t ?(expect_quiescent = false) ?(check_deadlock = false) k =
+let run_kernel t ?(expect_quiescent = false) k =
   let until = Option.map (fun f -> K.now k + f) t.fuel in
   let stop = match t.deadline_ns with None -> None | Some _ -> Some (stop_poll t) in
   let before = K.now k in
-  let stats = K.run ?until ?stop ~expect_quiescent ~check_deadlock k in
+  let stats = K.run ?until ?stop ~expect_quiescent k in
   spend t (K.now k - before);
   if K.has_pending_events k then
     (* Bounded runs coast the clock to [until], so reaching the fuel
@@ -105,7 +105,7 @@ let run_cpu t cpu =
               | Some f -> min cpu_slice f
             in
             (* the block-compiled tier charges fuel under the same
-               contract as run_fast (one step per retired instruction,
+               contract as Cpu.run (one step per retired instruction,
                interrupt entry or trapping access), so budget outcomes
                are tier-independent *)
             let ran = Cpu.run_blocks cpu ~fuel:slice in

@@ -67,7 +67,6 @@ val stop_poll : t -> unit -> bool
 val run_kernel :
   t ->
   ?expect_quiescent:bool ->
-  ?check_deadlock:bool ->
   Codesign_sim.Kernel.t ->
   Codesign_sim.Kernel.stats outcome
 (** Run the kernel for at most [fuel] simulated time units (window

@@ -181,7 +181,7 @@ let blocked_non_daemon k =
     (fun _ (n, daemon) acc -> if daemon then acc else n :: acc)
     k.blocked []
 
-let run ?until ?stop ?(expect_quiescent = false) ?(check_deadlock = false) k =
+let run ?until ?stop ?(expect_quiescent = false) k =
   let events0 = k.events
   and activations0 = k.activations
   and scheduled0 = Event_queue.pushed_total k.q in
@@ -225,16 +225,14 @@ let run ?until ?stop ?(expect_quiescent = false) ?(check_deadlock = false) k =
   totals.c_activations <- totals.c_activations + (k.activations - activations0);
   totals.c_scheduled <-
     totals.c_scheduled + (Event_queue.pushed_total k.q - scheduled0);
-  let stuck = blocked_non_daemon k in
   if
-    (not stopped)
+    (not stopped) && until = None && (not expect_quiescent)
     && Event_queue.is_empty k.q
-    && stuck <> []
-    && (not expect_quiescent)
-    && (until = None || check_deadlock)
   then begin
-    let names = List.sort_uniq compare stuck |> String.concat ", " in
-    raise (Deadlock names)
+    match blocked_non_daemon k with
+    | [] -> ()
+    | stuck ->
+        raise (Deadlock (List.sort_uniq compare stuck |> String.concat ", "))
   end;
   stats k
 

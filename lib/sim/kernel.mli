@@ -74,7 +74,6 @@ val run :
   ?until:int ->
   ?stop:(unit -> bool) ->
   ?expect_quiescent:bool ->
-  ?check_deadlock:bool ->
   t ->
   stats
 (** Dispatch events until the queue is empty or simulated time would
@@ -90,18 +89,15 @@ val run :
     {!has_pending_events} to distinguish "stopped early" from "drained".
     The predicate costs one call per event, paid only when supplied —
     the [stop]-less dispatch loop is unchanged.
-    {!Codesign_resil.Budget} uses this to impose wall-clock deadlines.  If non-daemon processes remain
-    blocked at quiescence and [expect_quiescent] is [false] (the
-    default) and no [until] was given, raises {!Deadlock}; with
-    [expect_quiescent:true] (or an [until] bound) blocked processes are
-    abandoned silently.  [check_deadlock:true] (default [false]) extends
-    deadlock detection to bounded runs: if the event queue drained
-    completely before the bound and non-daemon processes are still
-    blocked, the run raises {!Deadlock} instead of silently coasting to
-    [until] — the audit co-simulation and fault campaigns use on
-    bounded runs ({!blocked_non_daemon} is the non-raising query).
-    Returns run statistics.  [run] may be called again after adding
-    more work. *)
+    {!Codesign_resil.Budget} uses this to impose wall-clock deadlines.
+
+    If non-daemon processes remain blocked at quiescence and
+    [expect_quiescent] is [false] (the default) and no [until] was
+    given, raises {!Deadlock}; with [expect_quiescent:true] (or an
+    [until] bound) blocked processes are abandoned silently.  After a
+    bounded run, {!blocked_non_daemon} and {!has_pending_events} tell a
+    deadlock apart from a run that was cut off.  Returns run
+    statistics.  [run] may be called again after adding more work. *)
 
 val has_pending_events : t -> bool
 (** [true] iff undispatched events remain queued — after a bounded or
@@ -132,7 +128,7 @@ val blocked_non_daemon : t -> string list
     (unsorted, one entry per blocked process).  Empty for a quiescent or
     deadlock-free kernel; after a bounded {!run}, a non-empty result
     with an empty event queue means the simulation can never make
-    progress again — the condition [check_deadlock] turns into
+    progress again — the condition an unbounded {!run} reports as
     {!Deadlock}. *)
 
 val stats : t -> stats

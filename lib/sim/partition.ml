@@ -112,23 +112,18 @@ let run_round t i ~bound = K.run_horizon t.kernels.(i) ~horizon:bound
 (* Post-loop settlement shared by the serial and domain-parallel
    drivers: coast everyone to the bound, run the collective deadlock
    check, and merge per-partition statistics. *)
-let finish ?until ?(expect_quiescent = false) ?(check_deadlock = false) t =
+let finish ?until ?(expect_quiescent = false) t =
   (match until with
   | Some u -> Array.iter (fun k -> K.coast k ~time:u) t.kernels
   | None -> ());
-  let drained =
-    Array.for_all (fun k -> not (K.has_pending_events k)) t.kernels
-  in
-  let stuck =
-    Array.to_list t.kernels |> List.concat_map K.blocked_non_daemon
-  in
   if
-    drained && stuck <> []
-    && (not expect_quiescent)
-    && (until = None || check_deadlock)
+    until = None && (not expect_quiescent)
+    && Array.for_all (fun k -> not (K.has_pending_events k)) t.kernels
   then begin
-    let names = List.sort_uniq compare stuck |> String.concat ", " in
-    raise (K.Deadlock names)
+    match Array.to_list t.kernels |> List.concat_map K.blocked_non_daemon with
+    | [] -> ()
+    | stuck ->
+        raise (K.Deadlock (List.sort_uniq compare stuck |> String.concat ", "))
   end;
   Array.fold_left
     (fun acc k ->
@@ -143,7 +138,7 @@ let finish ?until ?(expect_quiescent = false) ?(check_deadlock = false) t =
     { K.events = 0; scheduled = 0; activations = 0; spawned = 0; end_time = 0 }
     t.kernels
 
-let run_serial ?until ?expect_quiescent ?check_deadlock t =
+let run_serial ?until ?expect_quiescent t =
   let limit = match until with Some u -> u | None -> max_int in
   let continue_ = ref true in
   while !continue_ do
@@ -154,4 +149,4 @@ let run_serial ?until ?expect_quiescent ?check_deadlock t =
           run_round t i ~bound
         done
   done;
-  finish ?until ?expect_quiescent ?check_deadlock t
+  finish ?until ?expect_quiescent t

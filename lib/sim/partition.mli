@@ -68,7 +68,6 @@ val run_round : t -> int -> bound:int -> unit
 val finish :
   ?until:int ->
   ?expect_quiescent:bool ->
-  ?check_deadlock:bool ->
   t ->
   Kernel.stats
 (** After the loop: coast every partition to [until] (when given), run
@@ -80,7 +79,6 @@ val finish :
 val run_serial :
   ?until:int ->
   ?expect_quiescent:bool ->
-  ?check_deadlock:bool ->
   t ->
   Kernel.stats
 (** The reference driver: the full LBTS loop on the calling domain,

@@ -1,11 +1,11 @@
 (* Old-vs-new equivalence property tests for the compiled simulation hot
    paths: random netlists through the interpreted vs compiled
    {!Logic_sim} backends, and random fuzz behaviours through a manual
-   [Cpu.step] loop vs [Cpu.run_fast] vs the block-compiled tier
-   [Cpu.run_blocks] — all must be observationally identical (outputs,
-   cycle counts, architectural state), including at fuel boundaries
-   that land mid-block, on branches into the middle of decoded blocks,
-   and on interrupts raised by memory hooks mid-block.  The temporally
+   [Cpu.step] loop vs the block-compiled tier [Cpu.run_blocks] — both
+   must be observationally identical (outputs, cycle counts,
+   architectural state), including at fuel boundaries that land
+   mid-block, on branches into the middle of decoded blocks, and on
+   interrupts raised by memory hooks mid-block.  The temporally
    decoupled co-simulation quantum rides on the block tier, so its
    invariants (quantum 1 byte-identical, larger quanta
    checksum-preserving) are pinned here too. *)
@@ -105,7 +105,7 @@ let test_logic_sim_eval_equivalence () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* step loop vs run_fast vs run_blocks                                 *)
+(* step loop vs run_blocks                                            *)
 (* ------------------------------------------------------------------ *)
 
 let status_eq a b =
@@ -157,7 +157,7 @@ let step_loop cpu ~fuel =
   done;
   !steps
 
-let test_iss_three_way_equivalence () =
+let test_iss_step_block_equivalence () =
   let mem_words = 65536 in
   let fuel = 200_000 in
   let n_checked = ref 0 in
@@ -182,24 +182,14 @@ let test_iss_three_way_equivalence () =
               (Cpu.create ~mem_words ~env img.Asm.code, out)
             in
             let cpu_step, trace_step = trace_of () in
-            let cpu_fast, trace_fast = trace_of () in
             let cpu_blocks, trace_blocks = trace_of () in
             ignore (step_loop cpu_step ~fuel);
-            ignore (Cpu.run_fast cpu_fast ~fuel);
             ignore (Cpu.run_blocks cpu_blocks ~fuel);
             blocks_seen := !blocks_seen + Cpu.blocks_compiled cpu_blocks;
-            let where_fast what =
-              Printf.sprintf "seed %d (run_fast): %s" seed what
-            in
-            let where_blocks what =
-              Printf.sprintf "seed %d (run_blocks): %s" seed what
-            in
-            compare_cpus ~where:where_fast ~mem_words cpu_step cpu_fast;
-            compare_cpus ~where:where_blocks ~mem_words cpu_step cpu_blocks;
-            if !trace_step <> !trace_fast then
-              fail (where_fast "port traces differ");
+            let where what = Printf.sprintf "seed %d: %s" seed what in
+            compare_cpus ~where ~mem_words cpu_step cpu_blocks;
             if !trace_step <> !trace_blocks then
-              fail (where_blocks "port traces differ"))
+              fail (where "port traces differ"))
   done;
   check Alcotest.bool
     (Printf.sprintf "most behaviours compiled (%d/100)" !n_checked)
@@ -302,10 +292,11 @@ mid:
     (Cpu.blocks_compiled cpu_blocks >= 2)
 
 (* An interrupt raised by a memory-mapped read in the middle of a
-   block: the hook drives the request line high, so the block tier must
-   cut the block at that instruction boundary and vector exactly where
-   the interpreter does.  The ISR acknowledges through a second
-   memory-mapped read that drives the line low again. *)
+   block: the hook drives the request line high, so the block tier (which
+   runs a hooked CPU on the step loop) must vector at that instruction
+   boundary exactly as the interpreter does.  The ISR acknowledges
+   through a second memory-mapped read that drives the line low
+   again. *)
 let test_iss_irq_mid_block () =
   let mem_words = 4096 in
   let src =
@@ -359,7 +350,9 @@ main:
   compare_cpus ~where ~mem_words cpu_step cpu_blocks;
   check Alcotest.int (where "ISR ran") 1 (Cpu.reg cpu_blocks 5);
   check Alcotest.int (where "mmio value read") 7 (Cpu.reg cpu_blocks 3);
-  check Alcotest.int (where "post-irq code ran") 12 (Cpu.reg cpu_blocks 4)
+  check Alcotest.int (where "post-irq code ran") 12 (Cpu.reg cpu_blocks 4);
+  check Alcotest.int (where "hooked CPU stays on the step loop") 0
+    (Cpu.blocks_compiled cpu_blocks)
 
 (* ------------------------------------------------------------------ *)
 (* temporally decoupled co-simulation quantum                          *)
@@ -450,9 +443,8 @@ let () =
         ] );
       ( "iss",
         [
-          Alcotest.test_case
-            "step loop = run_fast = run_blocks on fuzz behaviours" `Quick
-            test_iss_three_way_equivalence;
+          Alcotest.test_case "step loop = run_blocks on fuzz behaviours"
+            `Quick test_iss_step_block_equivalence;
           Alcotest.test_case "fuel slices land mid-block identically" `Quick
             test_iss_block_fuel_slices;
           Alcotest.test_case "straight-line fuel sweep" `Quick

@@ -118,7 +118,8 @@ let test_asip_reconfig_cost_flips_winner () =
 
 let ladder () =
   List.map
-    (fun level -> Cosim.run_echo_system ~level ~items:8 ~work:4 ())
+    (fun level ->
+      Cosim.run_echo_assignment ~levels:(Cosim.pure level) ~items:8 ~work:4 ())
     [ Cosim.Pin; Cosim.Transaction; Cosim.Driver; Cosim.Message ]
 
 let test_cosim_functional_equivalence () =

@@ -430,15 +430,23 @@ let test_cpu_halt_pc () =
 
 (* One fuel step = one retired instruction OR one interrupt entry: a
    budget that exhausts exactly at the entry boundary performs the
-   entry alone — 2 cycles, nothing retired, pc at the vector — under
-   both tiers. *)
+   entry alone — 2 cycles, nothing retired, pc at the vector — on the
+   step loop and on the block tier. *)
+let step_loop cpu ~fuel =
+  let steps = ref 0 in
+  while Cpu.status cpu = Cpu.Running && !steps < fuel do
+    ignore (Cpu.step cpu);
+    incr steps
+  done;
+  !steps
+
 let test_cpu_fuel_at_irq_boundary () =
   let with_tier runner =
     let img = Asm.assemble (Asm.parse irq_src) in
     let cpu = Cpu.create img.Asm.code in
     Cpu.set_irq cpu true;
     (* j + ei: two instructions, line already high but masked *)
-    ignore (Cpu.run_fast cpu ~fuel:2);
+    ignore (step_loop cpu ~fuel:2);
     check Alcotest.int "prelude retired" 2 (Cpu.instret cpu);
     let cycles_before = Cpu.cycles cpu in
     let consumed = runner cpu 1 in
@@ -448,7 +456,7 @@ let test_cpu_fuel_at_irq_boundary () =
     check Alcotest.int "nothing retired by the entry" 2 (Cpu.instret cpu);
     check Alcotest.int "vectored" 1 (Cpu.pc cpu)
   in
-  with_tier (fun cpu fuel -> Cpu.run_fast cpu ~fuel);
+  with_tier (fun cpu fuel -> step_loop cpu ~fuel);
   with_tier (fun cpu fuel -> Cpu.run_blocks cpu ~fuel)
 
 (* ------------------------------------------------------------------ *)

@@ -67,10 +67,25 @@ let test_json_parse_numbers () =
   | Ok _ -> fail "expected overflow error"
 
 let test_json_parse_escapes () =
-  match Json.parse "\"a\\u0041\\n\\\\\"" with
+  (match Json.parse "\"a\\u0041\\n\\\\\"" with
   | Ok (Json.Str s) -> check Alcotest.string "unescaped" "aA\n\\" s
   | Ok _ -> fail "not a string"
-  | Error e -> fail e
+  | Error e -> fail e);
+  (* a \u escape takes exactly four hex digits — no sign, no digit
+     separator — and anything else is an Error naming the offset of the
+     offending character, never an exception *)
+  List.iter
+    (fun (input, expect) ->
+      match Json.parse input with
+      | Error e -> check Alcotest.string input expect e
+      | Ok _ -> fail ("accepted malformed escape: " ^ input)
+      | exception ex -> fail (input ^ " raised " ^ Printexc.to_string ex))
+    [
+      ({|"\uZZZZ"|}, "bad \\u escape at offset 3");
+      ({|"\u+123"|}, "bad \\u escape at offset 3");
+      ({|"\u-123"|}, "bad \\u escape at offset 3");
+      ({|"\u1_23"|}, "bad \\u escape at offset 4");
+    ]
 
 let test_json_parse_errors () =
   let bad s =
@@ -205,6 +220,49 @@ let test_report_rejects_bad () =
               fields))
         "experiment with wrong field type"
   | _ -> fail "report did not serialise to an object")
+
+(* Regression: a tables-only harness run ([bench/main.exe tables]) used
+   to rewrite the artifact with an empty microbenchmark list.  Run the
+   real harness in tables mode in a fresh directory, over a report
+   holding one entry and over an unreadable file: the entry must
+   survive, and the unreadable file gives way to a report with none. *)
+let test_report_tables_run_keeps_micros () =
+  let exe = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
+  let tables_run seed_file =
+    let dir = Filename.temp_dir "bench_tables" "" in
+    let path = Filename.concat dir "BENCH_results.json" in
+    Fun.protect
+      ~finally:(fun () ->
+        if Sys.file_exists path then Sys.remove path;
+        Sys.rmdir dir)
+      (fun () ->
+        seed_file path;
+        let rc =
+          Sys.command
+            (Printf.sprintf "cd %s && %s quick tables -j 1 > /dev/null"
+               (Filename.quote dir) (Filename.quote exe))
+        in
+        check Alcotest.int "harness exit code" 0 rc;
+        match Obs.Bench_report.read ~path with
+        | Error e -> fail ("rewritten artifact does not parse: " ^ e)
+        | Ok r ->
+            check Alcotest.int "experiments rewritten"
+              (List.length Registry.ids)
+              (List.length r.Obs.Bench_report.experiments);
+            r.Obs.Bench_report.microbenchmarks)
+  in
+  let recorded = (sample_report ()).Obs.Bench_report.microbenchmarks in
+  let kept =
+    tables_run (fun path -> Obs.Bench_report.write ~path (sample_report ()))
+  in
+  check Alcotest.bool "the recorded microbenchmark survives" true
+    (kept = recorded);
+  let fresh =
+    tables_run (fun path ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc "not json"))
+  in
+  check Alcotest.int "unreadable file: no entries" 0 (List.length fresh)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz_report: the fuzz --json schema                                 *)
@@ -507,6 +565,8 @@ let () =
           Alcotest.test_case "golden file: parses, names all fourteen" `Quick
             test_report_golden_file;
           Alcotest.test_case "rejects invalid" `Quick test_report_rejects_bad;
+          Alcotest.test_case "tables run keeps microbenchmarks" `Quick
+            test_report_tables_run_keeps_micros;
           Alcotest.test_case "registry shape" `Quick test_registry_shape;
         ] );
       ( "fuzz_report",

@@ -79,30 +79,17 @@ let test_pure_levels_reproduce_goldens () =
             (tag ^ " " ^ Cosim.level_name level ^ " completed")
             true
             (m.Cosim.outcome = Cosim.Completed);
+          check Alcotest.bool
+            (tag ^ " " ^ Cosim.level_name level ^ " assignment recorded")
+            true
+            (m.Cosim.assignment = Cosim.pure level
+            && Cosim.is_pure m.Cosim.assignment);
           check quint
             (tag ^ " " ^ Cosim.level_name level ^ " metrics")
             (nest expect)
             (nest (metrics_tuple m)))
         rows)
     goldens
-
-let test_run_echo_system_is_pure_assignment () =
-  List.iter
-    (fun level ->
-      let direct = Cosim.run_echo_system ~level ~items:8 ~work:4 () in
-      let via =
-        Cosim.run_echo_assignment ~levels:(Cosim.pure level) ~items:8
-          ~work:4 ()
-      in
-      check Alcotest.bool
-        (Cosim.level_name level ^ " identical via either entry point")
-        true (direct = via);
-      check Alcotest.bool
-        (Cosim.level_name level ^ " assignment recorded")
-        true
-        (direct.Cosim.assignment = Cosim.pure level
-        && Cosim.is_pure direct.Cosim.assignment))
-    Cosim.all_levels
 
 (* ------------------------------------------------------------------ *)
 (* mixed-assignment properties                                         *)
@@ -427,8 +414,6 @@ let () =
         [
           Alcotest.test_case "pure assignments reproduce golden metrics"
             `Quick test_pure_levels_reproduce_goldens;
-          Alcotest.test_case "run_echo_system = pure run_echo_assignment"
-            `Quick test_run_echo_system_is_pure_assignment;
         ] );
       ( "mixed grid",
         [
