@@ -286,8 +286,9 @@ let bench_fuzz_parallel () =
    Kernel.run and by Budget.run_kernel with generous fuel and a wall
    deadline (so the ?stop polling path is exercised but never fires).
    The pair quotes the whole price of supervision on the kernel hot
-   path — kept near zero by polling the wall clock only every 256
-   events and leaving the stop-free dispatch loop untouched. *)
+   path: the wall clock is read only every 256 events, but a run with
+   a deadline queues every wait, so it never advances the clock in
+   place as the raw run can. *)
 module Budget = Codesign_resil.Budget
 
 let budget_net () =

@@ -518,7 +518,7 @@ let fuzz_cmd =
     Arg.(
       value & opt int 42
       & info [ "seed" ] ~docv:"N"
-          ~doc:"Base seed; case $(i) runs from seed $(docv)+$(i).")
+          ~doc:"Base seed; case $(i,k) runs from seed $(docv)+$(i,k).")
   in
   let fault =
     Arg.(

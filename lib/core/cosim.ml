@@ -608,12 +608,6 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition (net : Pn.t) =
     List.mapi (fun i (c : Pn.channel) -> (c.Pn.cname, chan_port_base + i))
       net.Pn.channels
   in
-  let chan_of_port p =
-    let name, _ =
-      List.find (fun (_, port) -> port = p) chan_ports
-    in
-    List.assoc name channels
-  in
   (* Observables are recorded per partition (each array cell is touched
      only by the domain running that partition) and tagged with
      (time, declaration index, per-process sequence); merging is a
@@ -632,17 +626,25 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition (net : Pn.t) =
         | None -> Hashtbl.hash name)
     | None -> -1
   in
-  let send_cost_of_chan =
-    List.map
-      (fun (c : Pn.channel) ->
-        let crossing = engine_id_of_proc c.Pn.src <> engine_id_of_proc c.Pn.dst in
-        (c.Pn.cname, if crossing then cross_cost else 0))
-      net.Pn.channels
+  (* Channel names and ports are resolved once per network: name ->
+     (channel, send cost), first declaration first as with [List.assoc],
+     and one slot per channel port.  A name or port that matches no
+     channel raises [Not_found] when a process uses it. *)
+  let by_name = Hashtbl.create 16 in
+  List.iter2
+    (fun (c : Pn.channel) (name, ch) ->
+      let crossing = engine_id_of_proc c.Pn.src <> engine_id_of_proc c.Pn.dst in
+      if not (Hashtbl.mem by_name name) then
+        Hashtbl.add by_name name (ch, if crossing then cross_cost else 0))
+    net.Pn.channels channels;
+  let chan_named name = Hashtbl.find by_name name in
+  let by_port =
+    Array.of_list (List.map (fun (name, _) -> chan_named name) chan_ports)
   in
-  let chan_send_cost name = List.assoc name send_cost_of_chan in
-  let port_send_cost p =
-    let name, _ = List.find (fun (_, port) -> port = p) chan_ports in
-    chan_send_cost name
+  let chan_at_port p =
+    let i = p - chan_port_base in
+    if i < 0 || i >= Array.length by_port then raise Not_found
+    else by_port.(i)
   in
   let cpu_token = Mutex.create () in
   let engine_tokens : (int, Mutex.t) Hashtbl.t = Hashtbl.create 4 in
@@ -683,7 +685,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition (net : Pn.t) =
                 (fun p ->
                   if p >= chan_port_base then begin
                     Mutex.release cpu_token;
-                    let v = Ch.recv (chan_of_port p) in
+                    let v = Ch.recv (fst (chan_at_port p)) in
                     Mutex.acquire cpu_token;
                     v
                   end
@@ -691,10 +693,10 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition (net : Pn.t) =
               port_out =
                 (fun p v ->
                   if p >= chan_port_base then begin
-                    let cost = port_send_cost p in
+                    let ch, cost = chan_at_port p in
                     if cost > 0 then K.wait cost;
                     Mutex.release cpu_token;
-                    Ch.send (chan_of_port p) v;
+                    Ch.send ch v;
                     Mutex.acquire cpu_token
                   end
                   else record_port p v);
@@ -748,17 +750,17 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition (net : Pn.t) =
             {
               B.null_io with
               B.recv =
-                (fun ch ->
+                (fun name ->
                   Mutex.release token;
-                  let v = Ch.recv (List.assoc ch channels) in
+                  let v = Ch.recv (fst (chan_named name)) in
                   Mutex.acquire token;
                   v);
               send =
-                (fun ch v ->
-                  let cost = chan_send_cost ch in
+                (fun name v ->
+                  let ch, cost = chan_named name in
                   if cost > 0 then K.wait cost;
                   Mutex.release token;
-                  Ch.send (List.assoc ch channels) v;
+                  Ch.send ch v;
                   Mutex.acquire token);
               port_out = (fun p v -> record_port p v);
             }

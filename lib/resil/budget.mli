@@ -62,7 +62,10 @@ val stop_poll : t -> unit -> bool
 (** A predicate for {!Codesign_sim.Kernel.run}'s [?stop]: true once the
     deadline passes.  Reads the wall clock only every 256th call so the
     per-event cost is a decrement.  (Fuel is enforced via [until], not
-    via this predicate.) *)
+    via this predicate.)  A run with [stop] queues every
+    {!Codesign_sim.Kernel.wait}, so deadline-bounded runs never advance
+    the clock in place: they pay a queue push and pop per wait where a
+    fuel-only run would not. *)
 
 val run_kernel :
   t ->

@@ -78,6 +78,10 @@ let remove_top t =
   sift_down t;
   top
 
+let count_push t =
+  t.next_seq <- t.next_seq + 1;
+  t.pushed <- t.pushed + 1
+
 let pop t =
   if t.len = 0 then None
   else begin

@@ -32,6 +32,12 @@ val push_keyed : t -> time:int -> key:int -> seq:int -> (unit -> unit) -> unit
     per-channel send counter).  @raise Invalid_argument on negative time
     or a key outside [0, max_int). *)
 
+val count_push : t -> unit
+(** Count an ordinary event that is dispatched at once instead of
+    queued: advances the push total and the insertion sequence exactly
+    as {!push} would, so counters and snapshots cannot tell the two
+    apart.  {!Kernel.wait} uses it when it advances the clock in place. *)
+
 val pop : t -> (int * (unit -> unit)) option
 (** Remove and return the earliest event (ties broken by insertion
     order), or [None] when empty. *)

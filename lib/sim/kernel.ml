@@ -22,6 +22,12 @@ type t = {
   blocked : (int, string * bool) Hashtbl.t;  (** id -> (name, daemon) *)
   mutable tracer : (int -> string -> unit) option;
   mutable next_lane : int;  (** arrival-lane key allocator *)
+  mutable running : bool;
+      (** a process resumed by this kernel's dispatch is executing: set by
+          every resume thunk, cleared when that process blocks or ends *)
+  mutable bound : int;
+      (** bound of the stop-less dispatch loop in progress ([run] without
+          [stop], or [run_horizon]); -1 when there is none *)
 }
 
 (* Cumulative per-domain counters across every kernel run in this domain.
@@ -88,6 +94,8 @@ let create () =
     blocked = Hashtbl.create 16;
     tracer = None;
     next_lane = 0;
+    running = false;
+    bound = -1;
   }
 
 let now k = k.now
@@ -110,12 +118,27 @@ let alloc_lane k =
   k.next_lane <- l + 1;
   l
 
+(* A [wait n] (n >= 0) of the running process wakes before the next
+   queued event and within the loop's bound: it is the very event the
+   loop would dispatch next, so the process advances the clock and
+   carries on in place.  Both tests are gaps, so [now + n] is never
+   formed where it could overflow, and the strict one lets equal-time
+   events run first in schedule order. *)
+let wakes_next k n =
+  n < Event_queue.min_time k.q - k.now && n <= k.bound - k.now
+
 let spawn ?(name = "proc") ?(daemon = false) k fn =
   k.spawned <- k.spawned + 1;
+  (* Every resume thunk below sets [running] just before its tail-call
+     [continue].  They are written out rather than shared through a
+     partially applied helper, which cost a few ns per queued wait. *)
   let handler : (unit, unit) handler =
     {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
+      retc = (fun () -> k.running <- false);
+      exnc =
+        (fun e ->
+          k.running <- false;
+          raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -125,19 +148,33 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
                   if n < 0 then
                     discontinue cont
                       (Invalid_argument "Kernel.wait: negative delay")
-                  else
+                  else if k.running && wakes_next k n then begin
+                    (* Exactly what a push, a pop and a dispatch count. *)
+                    k.now <- k.now + n;
+                    k.events <- k.events + 1;
+                    k.activations <- k.activations + 1;
+                    Event_queue.count_push k.q;
+                    continue cont ()
+                  end
+                  else begin
+                    k.running <- false;
                     at k ~time:(k.now + n) (fun () ->
                         k.activations <- k.activations + 1;
-                        continue cont ()))
+                        k.running <- true;
+                        continue cont ())
+                  end)
           | Yield ->
               Some
                 (fun (cont : (a, unit) continuation) ->
+                  k.running <- false;
                   at k ~time:k.now (fun () ->
                       k.activations <- k.activations + 1;
+                      k.running <- true;
                       continue cont ()))
           | Suspend register ->
               Some
                 (fun (cont : (a, unit) continuation) ->
+                  k.running <- false;
                   let id = k.next_block_id in
                   k.next_block_id <- id + 1;
                   Hashtbl.replace k.blocked id (name, daemon);
@@ -150,6 +187,7 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
                       Hashtbl.remove k.blocked id;
                       at k ~time:k.now (fun () ->
                           k.activations <- k.activations + 1;
+                          k.running <- true;
                           continue cont ())))
           | Whoami ->
               Some (fun (cont : (a, unit) continuation) -> continue cont name)
@@ -158,6 +196,7 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
   in
   at k ~time:k.now (fun () ->
       k.activations <- k.activations + 1;
+      k.running <- true;
       match_with fn () handler)
 
 let in_process f = try f () with Effect.Unhandled _ -> raise Not_in_process
@@ -181,35 +220,56 @@ let blocked_non_daemon k =
     (fun _ (n, daemon) acc -> if daemon then acc else n :: acc)
     k.blocked []
 
+(* Run [loop] as a dispatch loop of [k]: publish its bound ([-1] for a
+   loop that must queue every wait), start with no process of [k]
+   running, and put back the enclosing loop's state however [loop]
+   ends. *)
+let dispatching k ~bound loop =
+  let bound0 = k.bound and running0 = k.running in
+  k.bound <- bound;
+  k.running <- false;
+  Fun.protect loop ~finally:(fun () ->
+      k.bound <- bound0;
+      k.running <- running0)
+
+(* The stop-less dispatch loop of [run] and [run_horizon]: no
+   per-event predicate call, and a wait that wakes next advances the
+   clock in place.  One reused slot keeps the steady-state loop
+   allocation-free: pop_into merges the peek / bound-compare / pop into
+   a single heap operation per event. *)
+let drain k ~limit =
+  let slot = Event_queue.slot () in
+  dispatching k ~bound:limit (fun () ->
+      while Event_queue.pop_into k.q ~limit slot do
+        k.now <- slot.Event_queue.s_time;
+        k.events <- k.events + 1;
+        slot.Event_queue.s_thunk ()
+      done)
+
 let run ?until ?stop ?(expect_quiescent = false) k =
   let events0 = k.events
   and activations0 = k.activations
   and scheduled0 = Event_queue.pushed_total k.q in
-  (* One reused slot keeps the steady-state dispatch loop allocation-free:
-     pop_into merges the peek / bound-compare / pop of the old loop into a
-     single heap operation per event. *)
   let limit = match until with Some u -> u | None -> max_int in
-  let slot = Event_queue.slot () in
   let stopped =
     match stop with
     | None ->
-        (* Hot path: no per-event predicate call. *)
-        while Event_queue.pop_into k.q ~limit slot do
-          k.now <- slot.Event_queue.s_time;
-          k.events <- k.events + 1;
-          slot.Event_queue.s_thunk ()
-        done;
+        drain k ~limit;
         false
     | Some stop ->
+        (* [stop] is polled once per dispatched event, so every wait is
+           queued and dispatched here. *)
+        let slot = Event_queue.slot () in
         let halted = ref false in
-        while (not !halted) && not (stop ()) do
-          if Event_queue.pop_into k.q ~limit slot then begin
-            k.now <- slot.Event_queue.s_time;
-            k.events <- k.events + 1;
-            slot.Event_queue.s_thunk ()
-          end
-          else halted := true
-        done;
+        dispatching k ~bound:(-1) (fun () ->
+            while (not !halted) && not (stop ()) do
+              if Event_queue.pop_into k.q ~limit slot then begin
+                k.now <- slot.Event_queue.s_time;
+                k.events <- k.events + 1;
+                slot.Event_queue.s_thunk ()
+              end
+              else halted := true
+            done);
         not !halted
   in
   (* With a bound, simulated time always advances to the bound — even
@@ -250,12 +310,7 @@ let run_horizon k ~horizon =
   let events0 = k.events
   and activations0 = k.activations
   and scheduled0 = Event_queue.pushed_total k.q in
-  let slot = Event_queue.slot () in
-  while Event_queue.pop_into k.q ~limit:horizon slot do
-    k.now <- slot.Event_queue.s_time;
-    k.events <- k.events + 1;
-    slot.Event_queue.s_thunk ()
-  done;
+  drain k ~limit:horizon;
   let totals = Domain.DLS.get totals_key in
   totals.c_events <- totals.c_events + (k.events - events0);
   totals.c_activations <- totals.c_activations + (k.activations - activations0);

@@ -87,9 +87,12 @@ val run :
     the last dispatched event (no coasting to [until]) and no deadlock
     check — an interrupted run is not a completed window.  Use
     {!has_pending_events} to distinguish "stopped early" from "drained".
-    The predicate costs one call per event, paid only when supplied —
-    the [stop]-less dispatch loop is unchanged.
-    {!Codesign_resil.Budget} uses this to impose wall-clock deadlines.
+    The predicate costs one call per event, paid only when supplied.  A
+    run with [stop] queues every {!wait}, so the predicate is polled
+    before each wake-up too; only the [stop]-less loop lets a waiting
+    process that is the next event advance the clock in place (see
+    {!wait}).  {!Codesign_resil.Budget} uses [stop] to impose wall-clock
+    deadlines.
 
     If non-daemon processes remain blocked at quiescence and
     [expect_quiescent] is [false] (the default) and no [until] was
@@ -171,7 +174,25 @@ val merge_domain_totals : domain_totals -> unit
 (** {2 Blocking primitives (call only inside a process)} *)
 
 val wait : int -> unit
-(** Advance this process's time by a non-negative delta. *)
+(** Advance this process's time by a non-negative delta [n].
+
+    When the wake-up is the very next event the dispatch loop would run,
+    the process advances the clock in place instead of through the
+    event queue.  That takes four things: the process was resumed by a
+    [stop]-less loop of its kernel ({!run} without [stop], or
+    {!run_horizon}) and is still the one running; [n >= 0]; [n] is
+    smaller than the gap to the earliest queued event, so events at the
+    wake-up time still run first in schedule order; and [n] fits in the
+    gap to the loop's bound ([until], or the round's [horizon]), so a
+    wake-up past the bound stays queued.  An in-place wait counts one
+    event, one activation and one scheduled push and takes one
+    insertion sequence number, exactly as a queued one does, so
+    {!stats}, {!domain_totals}, snapshots and every observable are the
+    same on both paths.  Every other wait is queued.
+
+    A negative [n] raises [Invalid_argument] inside the process; an [n]
+    whose wake-up time overflows makes the run raise
+    [Invalid_argument]. *)
 
 val yield : unit -> unit
 (** Reschedule after events already pending at the current time — a

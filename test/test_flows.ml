@@ -246,6 +246,33 @@ let test_network_cross_cost_charged () =
   check Alcotest.bool "crossing traffic costs time" true
     (split.Cosim.end_time > colocated.Cosim.end_time)
 
+let test_network_unknown_channel () =
+  (* channel names and ports resolve when a process uses them: a network
+     naming no such channel builds and runs, and raises Not_found only
+     once a process sends on it *)
+  let net mapping body =
+    {
+      Pn.name = "ghosts";
+      procs =
+        [ ({ B.name = "p"; params = []; arrays = []; results = []; body }, mapping) ];
+      channels = [];
+    }
+  in
+  let raises net =
+    match Cosim.run_network net with
+    | _ -> false
+    | exception Not_found -> true
+  in
+  let ghost = B.Send ("ghost", B.Int 1) in
+  check Alcotest.bool "unused name runs" false
+    (raises (net Pn.Hw [ B.If (B.Int 0, [ ghost ], []) ]));
+  check Alcotest.bool "used name raises" true (raises (net Pn.Hw [ ghost ]));
+  (* software reaches channels through ports 100, 101, ... *)
+  check Alcotest.bool "unused port runs" false
+    (raises (net Pn.Sw [ B.If (B.Int 0, [ B.PortOut (100, B.Int 1) ], []) ]));
+  check Alcotest.bool "used port raises" true
+    (raises (net Pn.Sw [ B.PortOut (100, B.Int 1) ]))
+
 let test_hw_stmt_cycles_sane () =
   let _, fir, _ = List.find (fun (n, _, _) -> n = "fir") Kernels.all in
   let c = Cosim.hw_stmt_cycles fir in
@@ -360,6 +387,8 @@ let () =
             test_network_engine_serialisation;
           Alcotest.test_case "cross cost charged" `Quick
             test_network_cross_cost_charged;
+          Alcotest.test_case "unknown channel raises on use" `Quick
+            test_network_unknown_channel;
           Alcotest.test_case "hw stmt cycles" `Quick
             test_hw_stmt_cycles_sane;
         ] );

@@ -444,6 +444,69 @@ let prop_shared_bus_never_faster =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* CLI help                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let cli = Filename.concat (Sys.getcwd ()) "../bin/codesign_cli.exe"
+
+(* Exit code, stdout and stderr of one CLI run. *)
+let run_cli args =
+  let out = Filename.temp_file "cli" ".out"
+  and err = Filename.temp_file "cli" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args
+             (Filename.quote out) (Filename.quote err))
+      in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      (rc, read out, read err))
+
+(* The commands the top-level help lists: the first word of each entry
+   line (indented seven spaces) in its COMMANDS section. *)
+let listed_commands help =
+  let rec after_header = function
+    | "COMMANDS" :: rest -> rest
+    | _ :: rest -> after_header rest
+    | [] -> []
+  in
+  let rec section = function
+    | l :: rest when l = "" || l.[0] = ' ' -> l :: section rest
+    | _ -> []
+  in
+  section (after_header (String.split_on_char '\n' help))
+  |> List.filter_map (fun l ->
+         if String.length l > 7 && String.sub l 0 7 = "       " && l.[7] <> ' '
+         then Some (List.hd (String.split_on_char ' ' (String.trim l)))
+         else None)
+
+(* Regression: a doc string with a malformed cmdliner markup variable
+   made [fuzz --help] print "cmdliner error" twice on stderr.  Every
+   subcommand's help must render cleanly. *)
+let test_cli_help_renders () =
+  let rc, help, err = run_cli "--help=plain" in
+  check Alcotest.int "top-level help exit code" 0 rc;
+  check Alcotest.string "top-level help stderr" "" err;
+  let commands = listed_commands help in
+  check
+    (Alcotest.list Alcotest.string)
+    "every subcommand is listed"
+    [ "asip"; "cosim"; "cosynth"; "disasm"; "experiments"; "fault"; "fuzz";
+      "kernels"; "partition" ]
+    commands;
+  List.iter
+    (fun c ->
+      let rc, out, err = run_cli (c ^ " --help=plain") in
+      check Alcotest.int (c ^ " --help exit code") 0 rc;
+      check Alcotest.string (c ^ " --help stderr") "" err;
+      check Alcotest.bool (c ^ " --help prints help") true (out <> ""))
+    commands
+
 let () =
   Alcotest.run "codesign_robustness"
     [
@@ -487,6 +550,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_rng_bounds;
           QCheck_alcotest.to_alcotest prop_rng_int_in;
         ] );
+      ( "cli",
+        [ Alcotest.test_case "help renders" `Quick test_cli_help_renders ] );
       ( "cost_properties",
         [
           QCheck_alcotest.to_alcotest prop_comm_cost_monotone;

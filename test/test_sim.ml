@@ -453,6 +453,242 @@ let prop_kernel_endtime =
       st.K.end_time = expect)
 
 (* ------------------------------------------------------------------ *)
+(* In-place waits: a stop-less run advances the clock in place when a   *)
+(* waiting process is the next event; a run with [stop] queues every   *)
+(* wait.  The two must be indistinguishable.                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A never-firing [stop] makes [run] queue every wait. *)
+let run_path ~queued ?until k =
+  if queued then K.run ?until ~stop:(fun () -> false) k else K.run ?until k
+
+let stats_t =
+  Alcotest.testable
+    (fun ppf (s : K.stats) ->
+      Format.fprintf ppf
+        "{events=%d; scheduled=%d; activations=%d; spawned=%d; end_time=%d}"
+        s.K.events s.K.scheduled s.K.activations s.K.spawned s.K.end_time)
+    ( = )
+
+type action = Wait of int | Yield | At of int | Send of int | Recv
+
+let show_action = function
+  | Wait d -> Printf.sprintf "wait %d" d
+  | Yield -> "yield"
+  | At d -> Printf.sprintf "at +%d" d
+  | Send v -> Printf.sprintf "send %d" v
+  | Recv -> "recv"
+
+(* Process scripts, an optional [until], and the latency of the one
+   depth-2 channel every process shares (0: a bounded FIFO whose sends
+   can block; 1-2: a delay line delivering through the arrival lane). *)
+let arb_world =
+  let open QCheck in
+  let action =
+    Gen.frequency
+      [
+        (5, Gen.map (fun d -> Wait d) (Gen.int_range 0 5));
+        (1, Gen.return Yield);
+        (1, Gen.map (fun d -> At d) (Gen.int_range 0 5));
+        (1, Gen.map (fun v -> Send v) (Gen.int_range 0 99));
+        (1, Gen.return Recv);
+      ]
+  in
+  let gen =
+    Gen.triple
+      (Gen.list_size (Gen.int_range 1 4)
+         (Gen.list_size (Gen.int_range 0 10) action))
+      (Gen.opt (Gen.int_range 0 40))
+      (Gen.int_range 0 2)
+  in
+  let print (procs, until, latency) =
+    Printf.sprintf "until=%s latency=%d\n%s"
+      (match until with None -> "-" | Some u -> string_of_int u)
+      latency
+      (String.concat "\n"
+         (List.mapi
+            (fun i script ->
+              Printf.sprintf "p%d: %s" i
+                (String.concat "; " (List.map show_action script)))
+            procs))
+  in
+  make ~print gen
+
+(* Run a world and observe everything: every action with its time, the
+   run's outcome, the kernel's stats, its clock and the domain totals. *)
+let run_world ~queued (procs, until, latency) =
+  let k = K.create () in
+  let ch = Channel.create ~depth:2 ~latency k () in
+  let log = ref [] in
+  let note tag = log := (K.now k, tag) :: !log in
+  List.iteri
+    (fun i script ->
+      K.spawn ~name:(Printf.sprintf "p%d" i) k (fun () ->
+          List.iteri
+            (fun j a ->
+              let tag = Printf.sprintf "p%d.%d" i j in
+              match a with
+              | Wait d ->
+                  K.wait d;
+                  note tag
+              | Yield ->
+                  K.yield ();
+                  note tag
+              | At d -> K.at k ~time:(K.now k + d) (fun () -> note (tag ^ "@"))
+              | Send v ->
+                  Channel.send ch v;
+                  note tag
+              | Recv -> note (Printf.sprintf "%s<%d" tag (Channel.recv ch)))
+            script))
+    procs;
+  let before = K.domain_totals () in
+  let outcome =
+    match run_path ~queued ?until k with
+    | _ -> "drained"
+    | exception K.Deadlock names -> "deadlock " ^ names
+  in
+  let totals = K.diff_totals ~after:(K.domain_totals ()) ~before in
+  (List.rev !log, outcome, K.stats k, K.now k, totals)
+
+let prop_in_place_equals_queued =
+  QCheck.Test.make ~name:"in-place waits = queued waits" ~count:300 arb_world
+    (fun world -> run_world ~queued:false world = run_world ~queued:true world)
+
+let log_t = Alcotest.(list (pair int string))
+
+let test_in_place_tie () =
+  (* a wake that ties with a queued event still runs after it, in
+     schedule order *)
+  let go ~queued =
+    let k = K.create () in
+    let log = ref [] in
+    let note tag = log := (K.now k, tag) :: !log in
+    K.spawn ~name:"early" k (fun () ->
+        K.wait 3;
+        note "early");
+    K.spawn ~name:"late" k (fun () ->
+        K.at k ~time:5 (fun () -> note "at");
+        K.wait 3;
+        note "late";
+        K.wait 2;
+        note "late again");
+    let st = run_path ~queued k in
+    (List.rev !log, st)
+  in
+  let log, st = go ~queued:false in
+  check log_t "tied events run in schedule order"
+    [ (3, "early"); (3, "late"); (5, "at"); (5, "late again") ]
+    log;
+  check stats_t "same stats as the queued path" (snd (go ~queued:true)) st
+
+let test_in_place_past_until () =
+  (* a wake past [until] stays queued and the clock coasts to the bound *)
+  let k = K.create () in
+  let woke = ref (-1) in
+  K.spawn k (fun () ->
+      K.wait 2;
+      K.wait 5;
+      woke := K.now k);
+  let st = K.run ~until:4 k in
+  check Alcotest.int "clock at the bound" 4 st.K.end_time;
+  check Alcotest.bool "wake still queued" true (K.has_pending_events k);
+  check Alcotest.int "not woken yet" (-1) !woke;
+  check Alcotest.int "next event is the wake" 7 (K.next_event_time k);
+  ignore (K.run k);
+  check Alcotest.int "woke on time" 7 !woke
+
+let test_in_place_at_callback () =
+  (* [wait] in an [at] callback is still refused while a process of the
+     same kernel advances in place around it *)
+  let k = K.create () in
+  let refused = ref false in
+  K.spawn k (fun () ->
+      for _ = 1 to 10 do
+        K.wait 1
+      done);
+  K.at k ~time:4 (fun () ->
+      try K.wait 1 with K.Not_in_process -> refused := true);
+  let st = K.run k in
+  check Alcotest.bool "Not_in_process" true !refused;
+  check Alcotest.int "the process still finished" 10 st.K.end_time
+
+let test_in_place_bad_delays () =
+  (* a negative delay is raised inside the process; a delay whose wake
+     time overflows fails the run with Invalid_argument — on both paths *)
+  List.iter
+    (fun queued ->
+      let k = K.create () in
+      let saw = ref false in
+      K.spawn k (fun () ->
+          K.wait 1;
+          try K.wait (-1) with Invalid_argument _ -> saw := true);
+      ignore (run_path ~queued k);
+      check Alcotest.bool "negative delay raised inside process" true !saw;
+      let k = K.create () in
+      K.spawn k (fun () ->
+          K.wait 5;
+          K.wait max_int);
+      match run_path ~queued k with
+      | _ -> fail "expected Invalid_argument for an overflowing wake"
+      | exception Invalid_argument _ ->
+          check Alcotest.int "clock left before the overflow" 5 (K.now k))
+    [ false; true ]
+
+let test_in_place_stats_in_process () =
+  (* [stats] read inside a process counts the in-place events *)
+  let go ~queued =
+    let k = K.create () in
+    let seen = ref [] in
+    K.spawn k (fun () ->
+        for _ = 1 to 3 do
+          K.wait 1;
+          seen := K.stats k :: !seen
+        done);
+    ignore (run_path ~queued k);
+    List.rev !seen
+  in
+  let seen = go ~queued:false in
+  check
+    Alcotest.(list (triple int int int))
+    "events, activations, scheduled after each wait"
+    [ (2, 2, 2); (3, 3, 3); (4, 4, 4) ]
+    (List.map (fun s -> (s.K.events, s.K.activations, s.K.scheduled)) seen);
+  check (Alcotest.list stats_t) "same as the queued path" (go ~queued:true)
+    seen
+
+let test_in_place_nested_kernel () =
+  (* a process that runs a second kernel to completion and then waits
+     again leaves both kernels as the queued path does *)
+  let go ~queued =
+    let run k = run_path ~queued k in
+    let outer = K.create () and inner = K.create () in
+    let log = ref [] in
+    K.spawn ~name:"host" outer (fun () ->
+        K.wait 2;
+        K.spawn ~name:"guest" inner (fun () ->
+            K.wait 4;
+            K.wait 1;
+            log := ("guest", K.now inner) :: !log);
+        ignore (run inner);
+        K.wait 3;
+        log := ("host", K.now outer) :: !log);
+    K.spawn ~name:"peer" outer (fun () ->
+        K.wait 4;
+        log := ("peer", K.now outer) :: !log);
+    let st = run outer in
+    (List.rev !log, st, K.stats inner)
+  in
+  let log, outer, inner = go ~queued:false in
+  check
+    Alcotest.(list (pair string int))
+    "timeline"
+    [ ("guest", 5); ("peer", 4); ("host", 5) ]
+    log;
+  let _, outer', inner' = go ~queued:true in
+  check stats_t "outer kernel" outer' outer;
+  check stats_t "inner kernel" inner' inner
+
+(* ------------------------------------------------------------------ *)
 (* Signal                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -724,6 +960,22 @@ let () =
           Alcotest.test_case "daemon mixed deadlock" `Quick
             test_kernel_daemon_mixed_deadlock;
           QCheck_alcotest.to_alcotest prop_kernel_endtime;
+        ] );
+      ( "in-place wait",
+        [
+          Alcotest.test_case "tie runs after queued event" `Quick
+            test_in_place_tie;
+          Alcotest.test_case "wake past until stays queued" `Quick
+            test_in_place_past_until;
+          Alcotest.test_case "at callback not in process" `Quick
+            test_in_place_at_callback;
+          Alcotest.test_case "negative and overflowing delays" `Quick
+            test_in_place_bad_delays;
+          Alcotest.test_case "stats inside a process" `Quick
+            test_in_place_stats_in_process;
+          Alcotest.test_case "nested kernel run" `Quick
+            test_in_place_nested_kernel;
+          QCheck_alcotest.to_alcotest prop_in_place_equals_queued;
         ] );
       ( "signal",
         [
