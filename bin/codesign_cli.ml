@@ -59,6 +59,20 @@ let json_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
 
+(* An integer flag with a floor: a smaller value is a parse error (one
+   line on stderr, exit 2), never an exception or a silently empty run
+   inside the library. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | None ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+    | Some n when n < lo ->
+        Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
+    | Some n -> Ok n
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* Shared by fuzz / fault / experiments: every parallel path merges
    results by task index on the Domain_pool, so output is byte-identical
    at any job count — N only changes wall time. *)
@@ -85,7 +99,8 @@ let max_retries_arg =
 
 let deadline_arg =
   Arg.(
-    value & opt (some int) None
+    value
+    & opt (some (int_at_least 1)) None
     & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:
           "Wall-clock deadline for the whole run; work not started when \
@@ -378,7 +393,10 @@ let cosim_cmd =
              (e.g. pin:tlm:message).  Overrides $(b,--level).")
   in
   let items =
-    Arg.(value & opt int 16 & info [ "items" ] ~docv:"N" ~doc:"Stream length.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 16
+      & info [ "items" ] ~docv:"N" ~doc:"Stream length.")
   in
   let quantum =
     Arg.(
@@ -511,7 +529,8 @@ let cosim_cmd =
 let fuzz_cmd =
   let count =
     Arg.(
-      value & opt int 200
+      value
+      & opt (int_at_least 0) 200
       & info [ "count" ] ~docv:"N" ~doc:"Number of fuzz cases to run.")
   in
   let seed =
@@ -592,7 +611,8 @@ let fault_cmd =
   in
   let ops =
     Arg.(
-      value & opt (some int) None
+      value
+      & opt (some (int_at_least 1)) None
       & info [ "ops" ] ~docv:"N"
           ~doc:"Transfer operations per sweep cell (default 240; 96 quick).")
   in

@@ -23,10 +23,15 @@ type t = {
 
 let low24 i64 = Int64.to_int (Int64.logand i64 0xFFFFFFL)
 
+(* The tagged bytes are "seq:idx:v:last" and "ack:seq", built by
+   concatenation rather than a per-frame [Printf.sprintf]. *)
 let tag_of ~seq ~idx ~v ~last =
-  low24 (Checksum.fnv1a64 (Printf.sprintf "%d:%d:%d:%b" seq idx v last))
+  low24
+    (Checksum.fnv1a64
+       (string_of_int seq ^ ":" ^ string_of_int idx ^ ":" ^ string_of_int v
+      ^ ":" ^ string_of_bool last))
 
-let ack_tag seq = low24 (Checksum.fnv1a64 (Printf.sprintf "ack:%d" seq))
+let ack_tag seq = low24 (Checksum.fnv1a64 ("ack:" ^ string_of_int seq))
 
 let create ?(retries = 8) ?(end_retries = 20) ?(ack_timeout = 40) ?(poll = 4)
     ?(link_delay = 2) k inj () =

@@ -1,91 +1,141 @@
 module K = Codesign_sim.Kernel
 module P = Codesign_sim.Partition
 
-(* Domain-parallel driver for a Partition plan: one domain per
-   partition, synchronized with a coordinator-published round counter.
+(* Domain-parallel driver for a Partition plan: [d] domains, at most one
+   per core, each serving the partitions [i] with [i mod d] equal to its
+   index, synchronized by a coordinator-published round counter.
 
-   Round protocol: the coordinator computes the next safe bound
-   (Partition.next_bound — the only place cross-partition mailboxes are
-   drained, so it must run while every worker is parked), publishes
-   (round, bound) under the mutex, runs partition 0 itself, and waits
-   for the n-1 workers to check in.  Workers dispatch their own wheel
-   only — all cross-wheel traffic travels through the latency-channel
-   mailboxes — so no two domains ever touch the same kernel
-   concurrently.  Determinism does not depend on domain scheduling:
-   within a round the partitions share no mutable state, and injection
-   order at the next barrier is fixed by the (lane, seq) keys, not by
-   which worker posted first. *)
+   Round protocol: the coordinator (domain 0) computes the next safe
+   bound (Partition.next_bound — the only place cross-partition
+   mailboxes are drained, so it must run while every helper is idle),
+   stores it, resets [pending] to the helper count and bumps [round].
+   It then runs its own partitions and waits for [pending] to reach 0.
+   Helpers dispatch their own wheels only — all cross-wheel traffic
+   travels through the latency-channel mailboxes — so no two domains
+   ever touch the same kernel concurrently.  Determinism does not depend
+   on domain scheduling: within a round the partitions share no mutable
+   state, and injection order at the next barrier is fixed by the
+   (lane, seq) keys, not by which helper posted first.
+
+   A round is short (the mesh workload's 4-cycle lookahead gives about
+   two dozen events per partition), so each wait first spins and only
+   then parks on the mutex/condition pair.  Spinning is only cheap
+   while every domain has a core of its own, which is why [d] never
+   exceeds [Domain.recommended_domain_count]. *)
+
+(* Domain.cpu_relax iterations a waiting domain spins before it parks.
+   Measured on a 2-core Xeon host, where one cpu_relax takes about 27 ns,
+   with the perfbench cosim mesh (4x8, 512 items, 2 partitions, ~8,100
+   rounds; serial wheel 110-175 ms).  Three interleaved sweeps gave these
+   partitioned medians: 248-294 ms with no spinning (about 15 us of
+   park-and-wake per round), 132-187 ms at 128 spins, 88-144 ms at 512,
+   119-128 ms at 1,024, and no further gain at 4,096 (118-144 ms) or
+   16,384 (108-140 ms).  The 3x4 4-partition bench mesh flattened at the
+   same point (about 2 ms from 512 spins on, 2.6-3.5 ms with none).
+   1,024 spins last about 28 us, twice a park-and-wake, so a domain that
+   waits longer loses at most that much to spinning. *)
+let spin_limit = 1024
+
+type sync = {
+  round : int Atomic.t;  (** published round; -1 stops the helpers *)
+  bound : int Atomic.t;  (** the published round's dispatch bound *)
+  pending : int Atomic.t;  (** helpers still dispatching this round *)
+  sleepers : int Atomic.t;  (** domains parked, or about to park, on [cv] *)
+  m : Mutex.t;
+  cv : Condition.t;
+}
+
+(* Wait until [ready ()] holds: spin, then park.  A parker counts itself
+   in [sleepers] before its last check of [ready], and [wake] reads
+   [sleepers] after publishing, so (all four accesses being atomic) one
+   of them sees the other: either the parker finds [ready] true or the
+   publisher broadcasts — under [m], which the parker holds until it is
+   inside [Condition.wait]. *)
+let await s ready =
+  let spins = ref spin_limit in
+  while !spins > 0 && not (ready ()) do
+    Domain.cpu_relax ();
+    decr spins
+  done;
+  if not (ready ()) then begin
+    Mutex.lock s.m;
+    Atomic.incr s.sleepers;
+    while not (ready ()) do
+      Condition.wait s.cv s.m
+    done;
+    Atomic.decr s.sleepers;
+    Mutex.unlock s.m
+  end
+
+let wake s =
+  if Atomic.get s.sleepers > 0 then begin
+    Mutex.lock s.m;
+    Condition.broadcast s.cv;
+    Mutex.unlock s.m
+  end
 
 let run ?until ?expect_quiescent plan =
   let n = P.partitions plan in
-  if n <= 1 then P.run_serial ?until ?expect_quiescent plan
+  let d = min n (Domain.recommended_domain_count ()) in
+  if d <= 1 then P.run_serial ?until ?expect_quiescent plan
   else begin
     let limit = match until with Some u -> u | None -> max_int in
-    let m = Mutex.create () in
-    let cv = Condition.create () in
-    (* -1 terminates the workers; rounds count up from 1. *)
-    let round = ref 0 in
-    let bound = ref 0 in
-    let done_count = ref 0 in
-    let failed : exn option ref = ref None in
-    let worker i () =
+    let s =
+      {
+        round = Atomic.make 0;
+        bound = Atomic.make 0;
+        pending = Atomic.make 0;
+        sleepers = Atomic.make 0;
+        m = Mutex.create ();
+        cv = Condition.create ();
+      }
+    in
+    let failed : exn option Atomic.t = Atomic.make None in
+    (* Domain [j] serves partitions j, j + d, j + 2d, ... in index order. *)
+    let serve j ~bound =
+      let i = ref j in
+      while !i < n do
+        P.run_round plan !i ~bound;
+        i := !i + d
+      done
+    in
+    let helper j () =
       let before = K.domain_totals () in
       let last = ref 0 in
       let running = ref true in
       while !running do
-        Mutex.lock m;
-        while !round <> -1 && !round = !last do
-          Condition.wait cv m
-        done;
-        if !round = -1 then begin
-          running := false;
-          Mutex.unlock m
-        end
+        await s (fun () -> Atomic.get s.round <> !last);
+        let r = Atomic.get s.round in
+        if r < 0 then running := false
         else begin
-          last := !round;
-          let b = !bound in
-          Mutex.unlock m;
-          (try P.run_round plan i ~bound:b
-           with e ->
-             Mutex.lock m;
-             if !failed = None then failed := Some e;
-             Mutex.unlock m);
-          Mutex.lock m;
-          incr done_count;
-          Condition.broadcast cv;
-          Mutex.unlock m
+          last := r;
+          (try serve j ~bound:(Atomic.get s.bound)
+           with e -> ignore (Atomic.compare_and_set failed None (Some e)));
+          if Atomic.fetch_and_add s.pending (-1) = 1 then wake s
         end
       done;
       K.diff_totals ~after:(K.domain_totals ()) ~before
     in
-    let helpers = List.init (n - 1) (fun j -> Domain.spawn (worker (j + 1))) in
+    let helpers = List.init (d - 1) (fun j -> Domain.spawn (helper (j + 1))) in
     let finishing = ref None in
     (try
        let continue_ = ref true in
-       while !continue_ && !failed = None do
+       while !continue_ && Atomic.get failed = None do
          match P.next_bound plan ~limit with
          | None -> continue_ := false
          | Some b ->
-             Mutex.lock m;
-             bound := b;
-             done_count := 0;
-             incr round;
-             Condition.broadcast cv;
-             Mutex.unlock m;
-             P.run_round plan 0 ~bound:b;
-             Mutex.lock m;
-             while !done_count < n - 1 do
-               Condition.wait cv m
-             done;
-             Mutex.unlock m
+             Atomic.set s.bound b;
+             Atomic.set s.pending (d - 1);
+             Atomic.incr s.round;
+             wake s;
+             serve 0 ~bound:b;
+             await s (fun () -> Atomic.get s.pending = 0)
        done
-     with e -> if !finishing = None then finishing := Some e);
-    Mutex.lock m;
-    round := -1;
-    Condition.broadcast cv;
-    Mutex.unlock m;
-    List.iter (fun d -> K.merge_domain_totals (Domain.join d)) helpers;
+     with e -> finishing := Some e);
+    Atomic.set s.round (-1);
+    wake s;
+    List.iter (fun h -> K.merge_domain_totals (Domain.join h)) helpers;
     (match !finishing with Some e -> raise e | None -> ());
-    (match !failed with Some e -> raise e | None -> ());
+    (match Atomic.get failed with Some e -> raise e | None -> ());
     P.finish ?until ?expect_quiescent plan
   end

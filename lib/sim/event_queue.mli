@@ -14,7 +14,13 @@
     than of when it was physically inserted into this particular wheel.
     That is what lets a cross-partition arrival — injected at a barrier,
     long after local events at the same timestamp were pushed — fire in
-    exactly the place it would have occupied on a single serial wheel. *)
+    exactly the place it would have occupied on a single serial wheel.
+
+    The queue is a binary min-heap kept as a structure of arrays: the
+    times, keys and sequence numbers live in unboxed [int] arrays and
+    the thunks in one array, so ordering reads no heap blocks and a push
+    allocates nothing once the arrays have grown.  Sifts move a hole
+    rather than swapping entries. *)
 
 type t
 
@@ -73,8 +79,9 @@ val pushed_total : t -> int
 
 (** {2 Snapshot / restore}
 
-    A snapshot copies the heap structure (times, sequence numbers,
-    push counter) but shares the event {e thunks} with the live queue:
+    A snapshot copies the heap arrays (times, keys, sequence numbers,
+    insertion counter and push total) and the thunk array, but the
+    thunks themselves are shared with the live queue:
     closures cannot be deep-copied.  Restoring therefore re-arms the
     same thunks, which is only sound when every pending thunk is
     re-entrant — bare {!Kernel.at} callbacks and process-start events

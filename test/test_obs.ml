@@ -123,7 +123,11 @@ let test_checksum_vectors () =
   check Alcotest.string "empty" "cbf29ce484222325" (Obs.Checksum.of_string "");
   check Alcotest.string "a" "af63dc4c8601ec8c" (Obs.Checksum.of_string "a");
   check Alcotest.string "foobar" "85944171f73967e8"
-    (Obs.Checksum.of_string "foobar")
+    (Obs.Checksum.of_string "foobar");
+  (* 1000 bytes covering 0x00-0xff, so bytes >= 0x80 are folded too *)
+  check Alcotest.string "long, high bytes" "215b69a99ce7eea5"
+    (Obs.Checksum.of_string
+       (String.init 1000 (fun i -> Char.chr (((i * 37) + 11) land 0xff))))
 
 let test_checksum_distinguishes () =
   check Alcotest.bool "different tables differ" false

@@ -150,69 +150,112 @@ let test_pn_latency_validation () =
 (* Hand-built two-partition network vs the single-wheel reference      *)
 (* ------------------------------------------------------------------ *)
 
-(* One producer streaming over a latency-2 channel and a latency-3
-   status signal to a consumer partition that also hosts a VCD recorder.
-   The exact same construction runs on one wheel, on a 2-partition plan
-   driven serially, and on a 2-partition plan driven by domains; the
-   received (time, value) log, the VCD dump and the merged kernel stats
-   must match byte for byte. *)
+(* A chain over [stages] >= 2 partitions: a producer on partition 0
+   streams over latency-2 channels, through a relay on each middle
+   partition, to a consumer on the last one, which also hosts a VCD
+   recorder of a latency-3 status signal the producer writes.  The exact
+   same construction runs on one wheel, on a plan driven serially, and
+   on a plan driven by domains; the received (time, value) log, the VCD
+   dump and the merged kernel stats must match byte for byte.  Three and
+   five partitions outnumber the cores of a small host, so one domain
+   serves several partitions. *)
 
-let spawn_hand_procs ~kp ~kc c s log =
-  K.spawn kp ~name:"prod" (fun () ->
+let build_hand_chain ~stages ~kern ~plan =
+  let last = stages - 1 in
+  let links =
+    Array.init last (fun i ->
+        Ch.create ~latency:2 ~name:(Printf.sprintf "x%d" i) (kern (i + 1)) ())
+  in
+  let s = Signal.create ~latency:3 ~name:"st" (kern last) 0 in
+  let vcd = Vcd.create (kern last) in
+  Vcd.watch vcd ~width:16 s;
+  Option.iter
+    (fun plan ->
+      Array.iteri (fun i c -> P.route_channel plan ~src:i ~dst:(i + 1) c) links;
+      P.route_signal plan ~src:0 ~dst:last s)
+    plan;
+  let log = ref [] in
+  K.spawn (kern 0) ~name:"prod" (fun () ->
       for i = 0 to 7 do
-        Ch.send c (i * i);
+        Ch.send links.(0) (i * i);
         Signal.write s i;
         K.wait 3
       done);
-  K.spawn kc ~name:"cons" (fun () ->
+  for r = 1 to last - 1 do
+    K.spawn (kern r) ~name:(Printf.sprintf "relay%d" r) (fun () ->
+        for _ = 0 to 7 do
+          Ch.send links.(r) (Ch.recv links.(r - 1) + r)
+        done)
+  done;
+  K.spawn (kern last) ~name:"cons" (fun () ->
       for _ = 0 to 7 do
-        let v = Ch.recv c in
-        log := (K.now kc, v) :: !log
-      done)
+        let v = Ch.recv links.(last - 1) in
+        log := (K.now (kern last), v) :: !log
+      done);
+  (log, vcd)
 
-let run_hand_serial () =
+let run_hand_serial ~stages =
   let k = K.create () in
-  let c = Ch.create ~latency:2 ~name:"x" k () in
-  let s = Signal.create ~latency:3 ~name:"st" k 0 in
-  let vcd = Vcd.create k in
-  Vcd.watch vcd ~width:16 s;
-  let log = ref [] in
-  spawn_hand_procs ~kp:k ~kc:k c s log;
+  let log, vcd = build_hand_chain ~stages ~kern:(fun _ -> k) ~plan:None in
   let stats = K.run k in
   (List.rev !log, Vcd.dump vcd, stats)
 
-let run_hand_partitioned drive =
-  let plan = P.create ~partitions:2 in
-  let kp = P.kernel plan 0 and kc = P.kernel plan 1 in
-  let c = Ch.create ~latency:2 ~name:"x" kc () in
-  let s = Signal.create ~latency:3 ~name:"st" kc 0 in
-  let vcd = Vcd.create kc in
-  Vcd.watch vcd ~width:16 s;
-  P.route_channel plan ~src:0 ~dst:1 c;
-  P.route_signal plan ~src:0 ~dst:1 s;
-  let log = ref [] in
-  spawn_hand_procs ~kp ~kc c s log;
+let run_hand_partitioned ~stages drive =
+  let plan = P.create ~partitions:stages in
+  let log, vcd =
+    build_hand_chain ~stages ~kern:(P.kernel plan) ~plan:(Some plan)
+  in
   let stats = drive plan in
   (List.rev !log, Vcd.dump vcd, stats)
 
 let test_hand_network () =
-  let log0, vcd0, st0 = run_hand_serial () in
-  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "serial reference log"
-    [ (2, 0); (5, 1); (8, 4); (11, 9); (14, 16); (17, 25); (20, 36);
-      (23, 49) ]
-    log0;
   List.iter
-    (fun (tag, drive) ->
-      let log, vcd, st = run_hand_partitioned drive in
-      check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-        (tag ^ ": received log") log0 log;
-      check Alcotest.string (tag ^ ": vcd dump") vcd0 vcd;
-      check Alcotest.bool (tag ^ ": merged stats") true (st = st0))
-    [
-      ("run_serial", fun plan -> P.run_serial plan);
-      ("pdes", fun plan -> Pdes.run plan);
-    ]
+    (fun stages ->
+      let log0, vcd0, st0 = run_hand_serial ~stages in
+      if stages = 2 then
+        check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+          "serial reference log"
+          [ (2, 0); (5, 1); (8, 4); (11, 9); (14, 16); (17, 25); (20, 36);
+            (23, 49) ]
+          log0;
+      List.iter
+        (fun (tag, drive) ->
+          let tag = Printf.sprintf "%s p=%d" tag stages in
+          let log, vcd, st = run_hand_partitioned ~stages drive in
+          check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+            (tag ^ ": received log") log0 log;
+          check Alcotest.string (tag ^ ": vcd dump") vcd0 vcd;
+          check Alcotest.bool (tag ^ ": merged stats") true (st = st0))
+        [
+          ("run_serial", fun plan -> P.run_serial plan);
+          ("pdes", fun plan -> Pdes.run plan);
+        ])
+    [ 2; 3; 5 ]
+
+(* A process that raises on partition 1 — a helper domain's partition
+   whenever the host has two cores — surfaces from [Pdes.run] after the
+   join.  Two hundred runs would exhaust the runtime's domain limit if a
+   failed run leaked its helpers. *)
+let test_pdes_reraises () =
+  for i = 1 to 200 do
+    let plan = P.create ~partitions:3 in
+    let c = Ch.create ~latency:2 ~name:"x" (P.kernel plan 1) () in
+    P.route_channel plan ~src:0 ~dst:1 c;
+    K.spawn (P.kernel plan 0) ~name:"prod" (fun () ->
+        for v = 0 to 9 do
+          Ch.send c v;
+          K.wait 1
+        done);
+    K.spawn (P.kernel plan 1) ~name:"cons" (fun () ->
+        while Ch.recv c < 5 do
+          ()
+        done;
+        failwith "boom");
+    K.spawn (P.kernel plan 2) ~name:"idle" (fun () -> K.wait 50);
+    match Pdes.run plan with
+    | _ -> fail (Printf.sprintf "run %d: the raise was lost" i)
+    | exception Failure msg -> check Alcotest.string "re-raised" "boom" msg
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Whole-network byte-identity: mesh, echo, fuzzed feed-forward nets   *)
@@ -227,9 +270,12 @@ let check_same_result tag (a : Cosim.network_result)
   check Alcotest.bool (tag ^ ": full result (ports, results, stats)") true
     (a = b)
 
+(* [Cosim.run_network] drives every plan through [Pdes.run]; with 3 and
+   5 partitions, one domain serves several of them on a small host. *)
 let test_mesh_partition_maps () =
-  let stages = 3 and lanes = 4 in
-  let net = Apps.mesh ~stages ~lanes ~count:10 ~work:4 () in
+  let stages = 3 in
+  let mesh lanes = Apps.mesh ~stages ~lanes ~count:10 ~work:4 () in
+  let net = mesh 4 in
   let serial = Cosim.run_network net in
   let scatter =
     (* an arbitrary non-lane-aligned map: every channel still has
@@ -242,10 +288,16 @@ let test_mesh_partition_maps () =
     (fun (tag, map) ->
       check_same_result tag serial (Cosim.run_network ~partition:map net))
     [
-      ("mesh p=2", Apps.mesh_partition ~stages ~lanes ~partitions:2 ());
-      ("mesh p=4", Apps.mesh_partition ~stages ~lanes ~partitions:4 ());
+      ("mesh p=2", Apps.mesh_partition ~stages ~lanes:4 ~partitions:2 ());
+      ("mesh p=3", Apps.mesh_partition ~stages ~lanes:4 ~partitions:3 ());
+      ("mesh p=4", Apps.mesh_partition ~stages ~lanes:4 ~partitions:4 ());
       ("mesh scatter", scatter);
-    ]
+    ];
+  let net5 = mesh 5 in
+  check_same_result "mesh p=5" (Cosim.run_network net5)
+    (Cosim.run_network
+       ~partition:(Apps.mesh_partition ~stages ~lanes:5 ~partitions:5 ())
+       net5)
 
 let test_echo_partitioned () =
   let run ~partitions =
@@ -304,5 +356,7 @@ let () =
           Alcotest.test_case "echo" `Quick test_echo_partitioned;
           Alcotest.test_case "fuzzed feed-forward nets" `Quick
             test_net_spec_sweep;
+          Alcotest.test_case "helper raise re-raised after join" `Quick
+            test_pdes_reraises;
         ] );
     ]

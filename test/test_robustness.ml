@@ -507,6 +507,42 @@ let test_cli_help_renders () =
       check Alcotest.bool (c ^ " --help prints help") true (out <> ""))
     commands
 
+(* Integer flags have floors: below one, the CLI exits 2 with a parse
+   error naming the flag, instead of dying on an uncaught library
+   exception (exit 125) or running an empty workload (exit 0).  The
+   floors themselves are valid. *)
+let test_cli_int_floors () =
+  List.iter
+    (fun args ->
+      let rc, _, err = run_cli args in
+      check Alcotest.int (args ^ ": exit code") 0 rc;
+      check Alcotest.string (args ^ ": stderr") "" err)
+    [
+      "fault --quick --ops 1 --deadline-ms 60000";
+      "fuzz --count 0 --deadline-ms 60000";
+      "experiments -q --deadline-ms 60000 EXP-P";
+      "cosim --items 1";
+    ];
+  List.iter
+    (fun (args, flag) ->
+      let rc, out, err = run_cli args in
+      check Alcotest.int (args ^ ": exit code") 2 rc;
+      check Alcotest.string (args ^ ": stdout") "" out;
+      let first = List.hd (String.split_on_char '\n' err) in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %S names %s" args first flag)
+        true
+        (String.starts_with ~prefix:("codesign: option '" ^ flag ^ "'") first))
+    [
+      ("fault --deadline-ms 0", "--deadline-ms");
+      ("fuzz --deadline-ms=-1", "--deadline-ms");
+      ("experiments --deadline-ms 0", "--deadline-ms");
+      ("fuzz --count=-1", "--count");
+      ("fault --ops 0", "--ops");
+      ("fault --ops=-5", "--ops");
+      ("cosim --items=-3", "--items");
+    ]
+
 let () =
   Alcotest.run "codesign_robustness"
     [
@@ -551,7 +587,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_rng_int_in;
         ] );
       ( "cli",
-        [ Alcotest.test_case "help renders" `Quick test_cli_help_renders ] );
+        [
+          Alcotest.test_case "help renders" `Quick test_cli_help_renders;
+          Alcotest.test_case "integer flag floors" `Quick test_cli_int_floors;
+        ] );
       ( "cost_properties",
         [
           QCheck_alcotest.to_alcotest prop_comm_cost_monotone;

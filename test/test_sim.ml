@@ -137,50 +137,143 @@ let prop_q_sorted_fifo =
       in
       List.length l = List.length times && ok l)
 
-(* 10k pseudo-random interleaved pushes and pops against a sorted-list
-   model: the pop order is (time, insertion sequence) even while the
-   queue is mutating, not just after a bulk load *)
+(* Two snapshots are the same when they are structurally equal and
+   their thunks are physically shared: [compare] takes physically equal
+   values as equal without looking inside, and raises on two distinct
+   closures. *)
+let same_snapshot a b = try compare a b = 0 with Invalid_argument _ -> false
+
+(* 10k pseudo-random operations against a sorted-list model of the
+   (time, key, seq) order and against a twin queue: ordinary and keyed
+   pushes colliding on few timestamps, [count_push], [pop_into] with
+   random limits and [pop], over a backlog that outgrows the initial
+   64 slots.  Now and then [q] alone is snapshotted, perturbed and
+   restored; the twin never is.  The twin mirrors each [count_push] as
+   a push and pop of an event that precedes every queued one, which by
+   the contract no snapshot can tell apart (and which leaves the heap
+   layout as it was). *)
 let test_q_interleaved_model () =
-  let q = Q.create () in
+  let q = Q.create () and twin = Q.create () in
   let seed = ref 77 in
   let next bound =
     seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
     !seed mod bound
   in
-  let model = ref [] (* (time, seq), sorted with stable ties *) in
-  let insert time s =
+  (* (time, key, seq, tag), sorted by (time, key, seq) *)
+  let model = ref [] in
+  let insert ((t, k, s, _) as e) =
     let rec go = function
-      | (t, s') :: rest when t < time || (t = time && s' < s) ->
-          (t, s') :: go rest
-      | l -> (time, s) :: l
+      | ((t', k', s', _) as x) :: rest
+        when t' < t || (t' = t && (k' < k || (k' = k && s' < s))) ->
+          x :: go rest
+      | l -> e :: l
     in
     model := go !model
   in
-  let last = ref (-1, -1) in
-  let seq = ref 0 in
+  let fired = ref 0 in
+  let tags = ref 0 and seq = ref 0 and keyed = ref 0 and peak = ref 0 in
+  let fresh_thunk () =
+    incr tags;
+    let tag = !tags in
+    (tag, fun () -> fired := tag)
+  in
+  let same what =
+    check Alcotest.bool what true (same_snapshot (Q.snapshot q) (Q.snapshot twin))
+  in
+  let slot = Q.slot () and twin_slot = Q.slot () in
+  (* pop the model's head from both queues, through [pop_into] or [pop] *)
+  let expect_pop ~via (mt, _, _, tag) =
+    let t =
+      match via with
+      | `Pop_into limit ->
+          check Alcotest.bool "pop_into twin" true (Q.pop_into twin ~limit twin_slot);
+          twin_slot.Q.s_thunk ();
+          check Alcotest.int "twin fires the model's event" tag !fired;
+          check Alcotest.bool "pop_into" true (Q.pop_into q ~limit slot);
+          slot.Q.s_thunk ();
+          slot.Q.s_time
+      | `Pop -> (
+          (match Q.pop twin with
+          | Some (_, f) -> f ()
+          | None -> fail "twin empty but model is not");
+          check Alcotest.int "twin fires the model's event" tag !fired;
+          match Q.pop q with
+          | Some (t, f) ->
+              f ();
+              t
+          | None -> fail "queue empty but model is not")
+    in
+    check Alcotest.int "pop fires the model's event" tag !fired;
+    check Alcotest.int "reported pop time" mt t
+  in
+  let perturb () =
+    for _ = 0 to next 40 do
+      match next 4 with
+      | 0 -> Q.push q ~time:(next 60) (fun () -> fired := -1)
+      | 1 ->
+          Q.push_keyed q ~time:(next 60) ~key:(next 4) ~seq:(20_000 + next 1000)
+            (fun () -> fired := -1)
+      | 2 -> Q.count_push q
+      | _ -> ignore (Q.pop q)
+    done
+  in
   for _ = 1 to 10_000 do
-    if next 5 < 3 then begin
-      (* biased towards pushes so the queue keeps a deep backlog *)
-      let time = next 50 in
-      let s = !seq in
-      incr seq;
-      insert time s;
-      Q.push q ~time (fun () -> last := (time, s))
-    end
-    else
-      match (Q.pop q, !model) with
-      | None, [] -> ()
-      | Some (t, f), (mt, ms) :: rest ->
-          model := rest;
-          f ();
-          check
-            (Alcotest.pair Alcotest.int Alcotest.int)
-            "pop matches model" (mt, ms) !last;
-          check Alcotest.int "reported pop time" mt t
-      | Some _, [] -> fail "queue popped but model is empty"
-      | None, _ :: _ -> fail "queue empty but model is not"
+    (match next 20 with
+    | n when n < 7 ->
+        let time = 1 + next 50 in
+        let tag, f = fresh_thunk () in
+        insert (time, max_int, !seq, tag);
+        incr seq;
+        Q.push q ~time f;
+        Q.push twin ~time f
+    | n when n < 10 ->
+        (* keyed seqs are unique and unrelated to insertion order *)
+        let time = 1 + next 50 and key = next 4 in
+        let s = !keyed * 7919 mod 10007 in
+        incr keyed;
+        let tag, f = fresh_thunk () in
+        insert (time, key, s, tag);
+        Q.push_keyed q ~time ~key ~seq:s f;
+        Q.push_keyed twin ~time ~key ~seq:s f
+    | 10 ->
+        incr seq;
+        Q.count_push q;
+        Q.push twin ~time:0 ignore;
+        ignore (Q.pop twin);
+        same "count_push = push and pop of the next event"
+    | n when n < 15 -> (
+        let limit = next 60 in
+        match !model with
+        | ((mt, _, _, _) as e) :: rest when mt <= limit ->
+            model := rest;
+            expect_pop ~via:(`Pop_into limit) e
+        | _ ->
+            let before = Q.snapshot q in
+            check Alcotest.bool "pop_into past the limit" false
+              (Q.pop_into q ~limit slot);
+            check Alcotest.bool "a false pop_into leaves the queue as it was"
+              true
+              (same_snapshot before (Q.snapshot q));
+            check Alcotest.bool "twin agrees" false
+              (Q.pop_into twin ~limit twin_slot))
+    | n when n < 19 -> (
+        match !model with
+        | e :: rest ->
+            model := rest;
+            expect_pop ~via:`Pop e
+        | [] ->
+            check Alcotest.bool "empty pop" true (Q.pop q = None && Q.pop twin = None))
+    | _ ->
+        let snap = Q.snapshot q in
+        perturb ();
+        Q.restore q snap;
+        same "restore rewinds to the snapshot");
+    peak := max !peak (Q.size q)
   done;
-  check Alcotest.int "sizes agree" (List.length !model) (Q.size q)
+  check Alcotest.bool "backlog outgrew the initial 64 slots" true (!peak > 64);
+  List.iter (expect_pop ~via:`Pop) !model;
+  check Alcotest.bool "both drained" true (Q.is_empty q && Q.is_empty twin);
+  check Alcotest.int "pushed totals agree" (Q.pushed_total twin) (Q.pushed_total q)
 
 let test_q_negative () =
   let q = Q.create () in
