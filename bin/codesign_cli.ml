@@ -59,19 +59,23 @@ let json_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
 
-(* An integer flag with a floor: a smaller value is a parse error (one
-   line on stderr, exit 2), never an exception or a silently empty run
-   inside the library. *)
-let int_at_least lo =
+(* An integer flag with a range: a value outside it is a parse error
+   (one line on stderr, exit 2), never an exception or a silently empty
+   run inside the library. *)
+let int_in lo hi =
   let parse s =
     match int_of_string_opt s with
     | None ->
         Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
     | Some n when n < lo ->
         Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
+    | Some n when n > hi ->
+        Error (`Msg (Printf.sprintf "%d is above the maximum %d" n hi))
     | Some n -> Ok n
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let int_at_least lo = int_in lo max_int
 
 (* Shared by fuzz / fault / experiments: every parallel path merges
    results by task index on the Domain_pool, so output is byte-identical
@@ -90,7 +94,8 @@ let jobs_arg =
    and then recorded as degraded while the run completes. *)
 let max_retries_arg =
   Arg.(
-    value & opt (some int) None
+    value
+    & opt (some (int_at_least 0)) None
     & info [ "max-retries" ] ~docv:"N"
         ~doc:
           "Retry a failing unit of work (fuzz case, sweep cell, \
@@ -113,9 +118,11 @@ let policy_of_retries =
   Option.map (fun n ->
       Resil.Policy.create ~max_retries:n ~backoff:Resil.Policy.No_backoff ())
 
+(* Every layer of the generated task graph needs a task. *)
 let tasks_arg =
   Arg.(
-    value & opt int 12
+    value
+    & opt (int_at_least Tgff.default_spec.Tgff.layers) 12
     & info [ "tasks" ] ~docv:"N" ~doc:"Number of tasks in the workload.")
 
 let kernel_arg =
@@ -258,6 +265,13 @@ let partition_cmd =
           ~doc:"Algorithm: greedy | kl | sa | gclp | exhaustive.")
   in
   let run seed tasks budget algo =
+    if algo = `Exhaustive && tasks > Partition.exhaustive_max_tasks then begin
+      Printf.eprintf
+        "codesign: option '--tasks': %d is above the maximum %d of --algo \
+         exhaustive\n"
+        tasks Partition.exhaustive_max_tasks;
+      exit 2
+    end;
     let g =
       Tgff.generate { Tgff.default_spec with Tgff.seed; n_tasks = tasks }
     in
@@ -342,7 +356,8 @@ let cosynth_cmd =
 let asip_cmd =
   let budget =
     Arg.(
-      value & opt int 800
+      value
+      & opt (int_at_least 0) 800
       & info [ "budget" ] ~docv:"AREA" ~doc:"Extension area budget.")
   in
   let run (name, proc, binds) budget =
@@ -401,7 +416,7 @@ let cosim_cmd =
   let quantum =
     Arg.(
       value
-      & opt int 1
+      & opt (int_at_least 1) 1
       & info [ "quantum" ] ~docv:"N"
           ~doc:
             "Temporal-decoupling quantum: let the software component \
@@ -413,7 +428,7 @@ let cosim_cmd =
   let partitions =
     Arg.(
       value
-      & opt int 1
+      & opt (int_in 1 3) 1
       & info [ "partitions" ] ~docv:"N"
           ~doc:
             "Run the system on a conservatively synchronised \
@@ -427,7 +442,7 @@ let cosim_cmd =
   let link_latency =
     Arg.(
       value
-      & opt int 0
+      & opt (int_at_least 0) 0
       & info [ "link-latency" ] ~docv:"CYCLES"
           ~doc:
             "Delivery latency of the message-level channels (applied \
@@ -443,18 +458,6 @@ let cosim_cmd =
     match assignment with
     | Error e -> prerr_endline ("cosim: " ^ e); exit 2
     | Ok levels ->
-    if quantum < 1 then begin
-      prerr_endline "cosim: --quantum must be >= 1";
-      exit 2
-    end;
-    if partitions < 1 || partitions > 3 then begin
-      prerr_endline "cosim: --partitions must be in 1..3";
-      exit 2
-    end;
-    if link_latency < 0 then begin
-      prerr_endline "cosim: --link-latency must be >= 0";
-      exit 2
-    end;
     if partitions > 1 && link_latency < 1 then begin
       prerr_endline
         "cosim: --partitions > 1 needs --link-latency >= 1 (a cut \
@@ -637,7 +640,8 @@ let fault_cmd =
   in
   let warmup =
     Arg.(
-      value & opt (some int) None
+      value
+      & opt (some (int_at_least 0)) None
       & info [ "warmup" ] ~docv:"N"
           ~doc:
             "Fault-free warm-up transfers before each cell's injection \
@@ -667,7 +671,8 @@ let fault_cmd =
   in
   let cell_fuel =
     Arg.(
-      value & opt (some int) None
+      value
+      & opt (some (int_at_least 1)) None
       & info [ "cell-fuel" ] ~docv:"UNITS"
           ~doc:
             "Simulated-time budget per sweep-cell attempt (default 200M \

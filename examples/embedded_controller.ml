@@ -123,7 +123,7 @@ let () =
         let cy = Cpu.step cpu in
         if cy > 0 then K.wait cy
       done);
-  let stats = K.run ~expect_quiescent:true k in
+  let stats = K.run ~bound:K.Quiesce k in
   Printf.printf "Co-simulation: %d kernel events, finished at t=%d, CPU \
                  retired %d instructions.\n"
     stats.K.events stats.K.end_time (Cpu.instret cpu);

@@ -3,9 +3,9 @@
    wave viewer ($dumpvars initial values included) can load.
 
    Also demonstrates bounded simulation: the same system is advanced in
-   fixed time slices with [run ~until], the co-simulation equivalent of
-   a debugger's "run for N cycles" — the kernel clock lands exactly on
-   each bound even while future events stay queued.
+   fixed time slices with [run ~bound:(Until t)], the co-simulation
+   equivalent of a debugger's "run for N cycles" — the kernel clock
+   lands exactly on each bound even while future events stay queued.
 
      dune exec examples/vcd_trace.exe                                   *)
 
@@ -38,7 +38,7 @@ let () =
      when the remaining work (the idle bus slave) stays queued *)
   for i = 1 to 5 do
     let t = 40 * i in
-    let stats = K.run ~until:t k in
+    let stats = K.run ~bound:(K.Until t) k in
     Printf.printf "after run ~until:%-4d  clock=%-4d  events=%d\n" t
       stats.K.end_time stats.K.events;
     assert (stats.K.end_time = t)

@@ -109,10 +109,11 @@ module Tlm = struct
 end
 
 module Pin = struct
+  let setup_cycles = 1
+
   type t = {
     kernel : K.t;
     map : Memory_map.t;
-    setup_cycles : int;
     arb : Arbiter.t;
     addr : int S.t;
     wdata_rdata : int S.t;  (** shared data bus *)
@@ -133,7 +134,7 @@ module Pin = struct
           ignore (S.await t.req (fun v -> v = 1));
           let a = S.read t.addr in
           let ws = Memory_map.wait_states t.map a in
-          K.wait (t.setup_cycles + ws);
+          K.wait (setup_cycles + ws);
           if S.read t.we = 1 then
             Memory_map.write t.map a (S.read t.wdata_rdata)
           else S.write t.wdata_rdata (Memory_map.read t.map a);
@@ -146,12 +147,11 @@ module Pin = struct
         in
         serve ())
 
-  let create ?(setup_cycles = 1) kernel map =
+  let create kernel map =
     let t =
       {
         kernel;
         map;
-        setup_cycles;
         arb = Arbiter.create ();
         addr = S.create ~name:"bus.addr" kernel 0;
         wdata_rdata = S.create ~name:"bus.data" kernel 0;

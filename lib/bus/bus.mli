@@ -58,11 +58,13 @@ end
 module Pin : sig
   type t
 
-  val create :
-    ?setup_cycles:int -> Codesign_sim.Kernel.t -> Memory_map.t -> t
-  (** [setup_cycles] (default 1) models address/turnaround phases added
-      to every transfer on top of device wait states.  The model drives
-      its own bus clock with period 1 kernel tick per cycle. *)
+  val setup_cycles : int
+  (** Address/turnaround cycles (1) added to every transfer on top of
+      device wait states. *)
+
+  val create : Codesign_sim.Kernel.t -> Memory_map.t -> t
+  (** The model drives its own bus clock with period 1 kernel tick per
+      cycle. *)
 
   val read : t -> int -> int
   val write : t -> int -> int -> unit
@@ -77,7 +79,8 @@ module Pin : sig
       cannot be forked.  {!restore} rewinds the wires (dropping all
       waiters, which abandons the current slave process) and spawns a
       fresh slave for the forked timeline; the abandoned slave stays
-      blocked forever and is invisible to [expect_quiescent] runs. *)
+      blocked forever and is invisible to
+      {!Codesign_sim.Kernel.Quiesce} runs. *)
 
   type snap
 

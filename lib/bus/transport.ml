@@ -72,8 +72,10 @@ let restore t s =
 (* bus-backed rungs                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let of_bus_iface ~level ?(lookahead = 0) ?(poll_interval = 8) ?save
-    (iface : Bus.iface) =
+(* Cycles between two status reads of a bus or driver [wait_ready]. *)
+let poll_interval = 8
+
+let of_bus_iface ~level ?(lookahead = 0) ?save (iface : Bus.iface) =
   {
     level;
     lookahead;
@@ -102,25 +104,24 @@ let of_bus_iface ~level ?(lookahead = 0) ?(poll_interval = 8) ?save
     save;
   }
 
-let pin ?setup_cycles ?poll_interval kernel map =
-  let b = Bus.Pin.create ?setup_cycles kernel map in
+let pin kernel map =
+  let b = Bus.Pin.create kernel map in
   (* Every pin access costs at least the setup handshake, so that is the
      rung's guaranteed lookahead. *)
-  let lookahead = match setup_cycles with Some c -> c | None -> 1 in
-  of_bus_iface ~level:Pin ~lookahead ?poll_interval
+  of_bus_iface ~level:Pin ~lookahead:Bus.Pin.setup_cycles
     ~save:(fun () ->
       let s = Bus.Pin.snapshot b in
       fun () -> Bus.Pin.restore b s)
     (Bus.pin_iface b)
 
-let tlm ?read_latency ?write_latency ?poll_interval kernel map =
+let tlm ?read_latency ?write_latency kernel map =
   let b = Bus.Tlm.create ?read_latency ?write_latency kernel map in
   let lookahead =
     min
       (match read_latency with Some c -> c | None -> 2)
       (match write_latency with Some c -> c | None -> 2)
   in
-  of_bus_iface ~level:Transaction ~lookahead ?poll_interval
+  of_bus_iface ~level:Transaction ~lookahead
     ~save:(fun () ->
       let s = Bus.Tlm.snapshot b in
       fun () -> Bus.Tlm.restore b s)
@@ -130,7 +131,7 @@ let tlm ?read_latency ?write_latency ?poll_interval kernel map =
 (* driver-call rung                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let driver ?(call_cost = 6) ?(poll_interval = 8) map =
+let driver ?(call_cost = 6) map =
   let reads = ref 0 and writes = ref 0 in
   {
     level = Driver;

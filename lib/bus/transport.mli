@@ -84,7 +84,8 @@ type t = {
           access and its earliest remote effect — the lookahead a
           conservative partitioned run ({!Codesign_sim.Partition}) can
           claim when this transport is the only traffic crossing a
-          partition boundary.  Per rung: {!pin} its [setup_cycles],
+          partition boundary.  Per rung: {!pin}
+          {!Bus.Pin.setup_cycles},
           {!tlm} [min read_latency write_latency], {!driver} its
           [call_cost], {!message} the minimum declared channel latency
           over its endpoints (0 when any endpoint is an immediate
@@ -126,32 +127,26 @@ val restore : t -> snap -> unit
 
 (** {1 Backends} *)
 
-val pin :
-  ?setup_cycles:int ->
-  ?poll_interval:int ->
-  Kernel.t ->
-  Memory_map.t ->
-  t
+val pin : Kernel.t -> Memory_map.t -> t
 (** Pin-accurate: wraps a fresh {!Bus.Pin} over the map (this spawns
     the bus-slave decoder process).  [wait_ready] status spins are real
-    bus handshakes, [poll_interval] (default 8) cycles apart. *)
+    bus handshakes, 8 cycles apart. *)
 
 val tlm :
   ?read_latency:int ->
   ?write_latency:int ->
-  ?poll_interval:int ->
   Kernel.t ->
   Memory_map.t ->
   t
 (** Transaction-level: wraps a fresh {!Bus.Tlm} over the map.  Status
     spins are timed bus transfers. *)
 
-val driver : ?call_cost:int -> ?poll_interval:int -> Memory_map.t -> t
+val driver : ?call_cost:int -> Memory_map.t -> t
 (** Driver-call: [read]/[write] charge [call_cost] (default 6) cycles
     and then access the map directly — one lumped driver entry, no
     individual bus events.  [wait_ready] polls the map functionally
-    (free reads, [poll_interval] cycles apart): device readiness is
-    observed, not transacted. *)
+    (free reads, 8 cycles apart): device readiness is observed, not
+    transacted. *)
 
 val message :
   ?recv:(int * int Channel.t) list ->
@@ -172,15 +167,15 @@ val message :
 val of_bus_iface :
   level:level ->
   ?lookahead:int ->
-  ?poll_interval:int ->
   ?save:(unit -> unit -> unit) ->
   Bus.iface ->
   t
-(** Adopt a legacy {!Bus.iface} (or any read/write/stats triple — the
-    fault layer's wrapped media enter here) as a transport at the given
-    rung.  [lookahead] defaults to 0 (no partition-boundary guarantee);
-    [save] (default absent) supplies the snapshot capability for
-    whatever state hides behind the iface closures. *)
+(** Adopt a legacy {!Bus.iface} (or any read/write/stats triple) as a
+    transport at the given rung; [wait_ready] reads the status register
+    through the iface every 8 cycles.  [lookahead] defaults to 0 (no
+    partition-boundary guarantee); [save] (default absent) supplies the
+    snapshot capability for whatever state hides behind the iface
+    closures. *)
 
 (** {1 Transactors} *)
 

@@ -196,6 +196,7 @@ let occurrences proc =
     patterns
 
 let select ~budget occs =
+  if budget < 0 then invalid_arg "Asip.select: negative budget";
   (* 0/1 knapsack over patterns: value = cycles saved, weight = area *)
   let items =
     List.map

@@ -53,7 +53,8 @@ val rewrite :
 val select :
   budget:int -> (pattern * int) list -> pattern list
 (** Knapsack selection maximising estimated savings
-    [occurrences * (sw_cycles - latency)] under the area budget. *)
+    [occurrences * (sw_cycles - latency)] under the area budget.
+    @raise Invalid_argument on a negative budget. *)
 
 val ext_evaluator : pattern list -> int -> int -> int -> int -> int
 (** Combined semantics dispatcher for {!Codesign_ir.Behavior.run}'s

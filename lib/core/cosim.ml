@@ -1,6 +1,5 @@
 module B = Codesign_ir.Behavior
 module Pn = Codesign_ir.Process_network
-module Budget = Codesign_resil.Budget
 module K = Codesign_sim.Kernel
 module Ch = Codesign_sim.Channel
 module Partition = Codesign_sim.Partition
@@ -131,9 +130,9 @@ let message_sw_stmt_cycles = 8
    deliberately mirror them: source-side component, sink-side component,
    message endpoint processes, memory map, transports (a shared one when
    both interfaces sit on the same bus rung), software last. *)
-let run_echo_assignment ~levels ?(wrap = fun t -> t) ?budget ?(items = 16)
-    ?(work = 8) ?(src_period = 200) ?(sink_period = 120) ?(quantum = 1)
-    ?(partitions = 1) ?(link_latency = 0) () =
+let run_echo_assignment ~levels ?(items = 16) ?(work = 8) ?(src_period = 200)
+    ?(sink_period = 120) ?(quantum = 1) ?(partitions = 1) ?(link_latency = 0)
+    () =
   if quantum < 1 then
     invalid_arg "Cosim.run_echo_assignment: quantum must be >= 1";
   if partitions < 1 || partitions > 3 then
@@ -142,10 +141,6 @@ let run_echo_assignment ~levels ?(wrap = fun t -> t) ?budget ?(items = 16)
        (src+cpu | sink) or 3 (src | cpu | sink)";
   if link_latency < 0 then
     invalid_arg "Cosim.run_echo_assignment: negative link_latency";
-  if partitions > 1 && budget <> None then
-    invalid_arg
-      "Cosim.run_echo_assignment: a partitioned run cannot be budgeted \
-       (Budget drives a single kernel)";
   let { src = src_lvl; cpu = cpu_lvl; sink = sink_lvl } = levels in
   if partitions >= 2 && sink_lvl <> Message then
     invalid_arg
@@ -237,24 +232,23 @@ let run_echo_assignment ~levels ?(wrap = fun t -> t) ?budget ?(items = 16)
     | None ->
         let m = Option.get map in
         let t =
-          wrap
-            (match lvl with
-            | Pin -> T.pin k m
-            | Transaction -> T.tlm k m
-            | Driver -> T.driver m
-            | Message -> assert false)
+          match lvl with
+          | Pin -> T.pin k m
+          | Transaction -> T.tlm k m
+          | Driver -> T.driver m
+          | Message -> assert false
         in
         made := !made @ [ (lvl, t) ];
         t
   in
   let tr_src =
     match (src_lvl, c_in) with
-    | Message, Some c -> wrap (T.message ~recv:[ (src_base, c) ] ())
+    | Message, Some c -> T.message ~recv:[ (src_base, c) ] ()
     | _ -> bus_transport src_lvl
   in
   let tr_sink =
     match (sink_lvl, c_out) with
-    | Message, Some c -> wrap (T.message ~send:[ (sink_base, c) ] ())
+    | Message, Some c -> T.message ~send:[ (sink_base, c) ] ()
     | _ -> bus_transport sink_lvl
   in
   let transports =
@@ -395,48 +389,25 @@ let run_echo_assignment ~levels ?(wrap = fun t -> t) ?budget ?(items = 16)
   let pure_message =
     src_lvl = Message && cpu_lvl = Message && sink_lvl = Message
   in
-  (* Without a budget this is the historic path, byte for byte.  With
-     one, the run is additionally bounded by the budget's fuel (capped
-     at the historic 50M for bus-coupled assignments) and wall
-     deadline; exhaustion surfaces as [Exhausted], kernel intact. *)
-  let st, exhausted =
-    match budget with
-    | None ->
-        let st =
-          if pure_message then Pdes.run plan
-          else Pdes.run ~until:50_000_000 ~expect_quiescent:true plan
-        in
-        (st, None)
-    | Some b -> (
-        let b =
-          if pure_message then b
-          else
-            let fuel =
-              match Budget.fuel_left b with
-              | Some f -> min f 50_000_000
-              | None -> 50_000_000
-            in
-            Budget.with_fuel b ~fuel
-        in
-        match Budget.run_kernel b ~expect_quiescent:(not pure_message) k with
-        | Budget.Done st -> (st, None)
-        | Budget.Exhausted e -> (K.stats k, Some e))
+  (* A bus-coupled run stops at a 50M-cycle bound, where a CPU still
+     running is reported as [Not_halted]; a pure message pipeline
+     drains, and one left blocked raises [Deadlock]. *)
+  let st =
+    Pdes.run
+      ~bound:(if pure_message then K.Drain else K.Until 50_000_000)
+      plan
   in
   let outcome =
-    match exhausted with
-    | Some e -> Exhausted ("budget exhausted: " ^ Budget.exhausted_name e)
-    | None -> (
-        match iss with
-        | Some (cpu, _) -> (
-            match Cpu.status cpu with
-            | Cpu.Halted -> Completed
-            | Cpu.Running ->
-                Not_halted "timeout: CPU still running at simulation bound"
-            | Cpu.Trapped m -> Not_halted ("trapped: " ^ m))
-        | None ->
-            if pure_message || !sw_done then Completed
-            else
-              Not_halted "timeout: software still running at simulation bound")
+    match iss with
+    | Some (cpu, _) -> (
+        match Cpu.status cpu with
+        | Cpu.Halted -> Completed
+        | Cpu.Running ->
+            Not_halted "timeout: CPU still running at simulation bound"
+        | Cpu.Trapped m -> Not_halted ("trapped: " ^ m))
+    | None ->
+        if pure_message || !sw_done then Completed
+        else Not_halted "timeout: software still running at simulation bound"
   in
   let checksum =
     match sink_dev with
@@ -509,7 +480,7 @@ let hw_stmt_cycles proc =
 
 let chan_port_base = 100
 
-let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition (net : Pn.t) =
+let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
   let proc_names = List.map (fun (p, _) -> p.B.name) net.Pn.procs in
   let proc_name = Array.of_list proc_names in
   let proc_idx name =
@@ -772,11 +743,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition (net : Pn.t) =
               Mutex.release token;
               if K.now my_k > !my_end then my_end := K.now my_k))
     net.Pn.procs;
-  let st =
-    match until with
-    | Some u -> Pdes.run ~until:u ~expect_quiescent:true plan
-    | None -> Pdes.run plan
-  in
+  let st = Pdes.run plan in
   let merge cells =
     Array.to_list cells
     |> List.concat_map (fun r -> List.rev !r)

@@ -87,9 +87,8 @@ type outcome =
           structured outcome rather than an exception so fault-injected
           and adversarial runs can observe the anomaly as data. *)
   | Exhausted of string
-      (** a caller-supplied {!Codesign_resil.Budget} ran out (fuel or
-          wall deadline — the string says which) before the run
-          finished; only produced when [?budget] is passed *)
+      (** never produced by {!run_echo_assignment}; kept so that
+          existing matches on {!outcome} stay exhaustive *)
 
 type metrics = {
   level : level;
@@ -108,8 +107,6 @@ type metrics = {
 
 val run_echo_assignment :
   levels:assignment ->
-  ?wrap:(Codesign_bus.Transport.t -> Codesign_bus.Transport.t) ->
-  ?budget:Codesign_resil.Budget.t ->
   ?items:int ->
   ?work:int ->
   ?src_period:int ->
@@ -120,15 +117,13 @@ val run_echo_assignment :
   unit ->
   metrics
 (** The generic pipeline: one echo system with each component at its
-    assigned level.  [wrap] intercepts every transport as it is created
-    (identity by default) — the fault layer's injection hook.  Defaults:
-    16 items, transform work 8, source period 200, sink period 120.  The
-    sink period exceeding the bus latency makes device wait states
-    material, which is what separates {!Pin} from {!Transaction} timing.
-    All assignments compute the same [checksum];
-    [events]/[activations] fall as any component moves up the ladder,
-    and [bus_ops] is zero exactly when both interfaces are at
-    {!Message}.
+    assigned level.  Defaults: 16 items, transform work 8, source period
+    200, sink period 120.  The sink period exceeding the bus latency
+    makes device wait states material, which is what separates {!Pin}
+    from {!Transaction} timing.  All assignments compute the same
+    [checksum]; [events]/[activations] fall as any component moves up
+    the ladder, and [bus_ops] is zero exactly when both interfaces are
+    at {!Message}.
 
     [quantum] (default 1) enables temporally decoupled execution of the
     software component: it runs up to [quantum] cycles ahead of the
@@ -142,12 +137,9 @@ val run_echo_assignment :
     exact interleaving) for speed.
     @raise Invalid_argument if [quantum < 1].
 
-    [budget] bounds the run in simulated fuel and/or wall time
-    ({!Codesign_resil.Budget}); when it runs out the metrics come back
-    with [outcome = Exhausted _] and best-effort partial counters, the
-    kernel state intact behind them.  Without [budget] the historic
-    bounds apply unchanged (bus-coupled assignments stop at 50M cycles
-    with [Not_halted], pure-message runs are unbounded).
+    Bus-coupled assignments stop at 50M cycles, with [Not_halted] if
+    the software is still running there; pure-message runs are
+    unbounded.
 
     [partitions] (default 1) runs the system on a conservatively
     synchronised partitioned kernel ({!Codesign_sim.Partition}, one
@@ -160,9 +152,8 @@ val run_echo_assignment :
     is compared against the serial run at the same [link_latency]; the
     two are byte-identical in all metrics.  [partitions = 1] with
     [link_latency = 0] is exactly the historic serial system.
-    @raise Invalid_argument when [partitions] is outside 1..3, a cut
-    interface is not at {!Message} or has zero lookahead, or a
-    partitioned run is combined with [budget]. *)
+    @raise Invalid_argument when [partitions] is outside 1..3, or a cut
+    interface is not at {!Message} or has zero lookahead. *)
 
 (** {2 Process networks} *)
 
@@ -200,7 +191,6 @@ type network_result = {
 val run_network :
   ?hw_engines:(string * int) list ->
   ?cross_cost:int ->
-  ?until:int ->
   ?partition:(string * int) list ->
   Codesign_ir.Process_network.t ->
   network_result
@@ -210,8 +200,7 @@ val run_network :
     sender that many extra cycles per message on channels whose
     endpoints live on different engines (software counts as one
     engine) — the §3.3 "communication" factor made physical (default
-    0).  [until] bounds simulated time when given; without it a
-    deadlocked network raises.
+    0).  The network runs until no event is left.
 
     [partition] maps process names to partition ids (unnamed processes
     go to partition 0); the network then runs on per-partition event

@@ -241,11 +241,14 @@ let gclp ?(params = Cost.default_params) ?(weights = Cost.default_weights)
 (* Exhaustive reference                                                *)
 (* ------------------------------------------------------------------ *)
 
+let exhaustive_max_tasks = 20
+
 let exhaustive ?(params = Cost.default_params)
     ?(weights = Cost.default_weights) ?max_area g =
   let ctx = Ctx.make g params weights max_area in
   let n = T.n_tasks g in
-  if n > 20 then invalid_arg "Partition.exhaustive: too many tasks";
+  if n > exhaustive_max_tasks then
+    invalid_arg "Partition.exhaustive: too many tasks";
   let best_p = Array.make n false in
   let best = ref (Ctx.score ctx best_p) in
   let p = Array.make n false in

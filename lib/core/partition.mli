@@ -75,6 +75,9 @@ val exhaustive :
   Codesign_ir.Task_graph.t ->
   result
 (** Exact optimum by enumeration — for validating the heuristics.
-    @raise Invalid_argument above 20 tasks. *)
+    @raise Invalid_argument above {!exhaustive_max_tasks} tasks. *)
+
+val exhaustive_max_tasks : int
+(** 20: {!exhaustive} scores all 2{^n} partitions. *)
 
 val respects_budget : ?params:Cost.params -> max_area:int option -> Codesign_ir.Task_graph.t -> Cost.partition -> bool

@@ -117,7 +117,7 @@ let run_mode ~irq_mode ~items =
         if cy > 0 then K.wait cy
       done;
       done_at := K.now k);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   (if Cpu.status cpu <> Cpu.Halted then
      let status =
        match Cpu.status cpu with

@@ -124,7 +124,7 @@ let make_world ?chaos ~warmup ~ops mechanism : world =
   let fb_tlm =
     if uses_tlm then Some (Faulty_bus.create k inj (T.tlm k map)) else None
   in
-  let rel = if uses_token then Some (Faulty_chan.create k inj ()) else None in
+  let rel = if uses_token then Some (Faulty_chan.create k inj) else None in
   let wd = Watchdog.create k ~timeout:800 ~on_bite:(fun _ -> ()) in
   { k; inj; map; mechanism; fb_pin; fb_tlm; rel; wd; warmup; total; chaos }
 
@@ -329,41 +329,17 @@ let with_overhead ~baseline (c : FR.cell) =
 (* the two engines                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Reference engine: build the world from scratch and run warm-up +
-   window straight through.  One construction and one warm-up per
-   cell. *)
-let rerun_cell ~seed ~warmup ~ops ~rate mechanism : FR.cell =
-  let w = make_world ~warmup ~ops mechanism in
+(* Start one cell on [w] from transfer [lo]: reseed the injector (both
+   engines draw the same fault stream, and a retry redraws it), take
+   fresh per-cell accounting, then spawn the sink and the master.  Sink
+   before master, as in a straight-through run: same-time start events
+   keep the same relative order on both engines. *)
+let start_cell (w : world) ~seed ~rate ~lo =
   Injector.reinit w.inj ~rate ~seed;
   let st = fresh_state w in
   spawn_sink w;
-  spawn_master w st ~lo:0 ~hi:w.total ~finish:true;
-  ignore (K.run ~until:default_cell_fuel ~expect_quiescent:true w.k);
-  audit w st ~rate
-
-(* One supervised rerun-engine attempt: each attempt rebuilds the world
-   from scratch (restart-from-zero is the rerun engine's notion of
-   restore), bounded by a fresh fuel window under the sweep deadline.
-   [elapsed] records simulated time at the failure point for the
-   degraded record. *)
-let rerun_attempt ?chaos ~seed ~warmup ~ops ~rate ~budget ~cell_fuel ~elapsed
-    mechanism =
-  let w = make_world ?chaos ~warmup ~ops mechanism in
-  Injector.reinit w.inj ~rate ~seed;
-  let st = fresh_state w in
-  spawn_sink w;
-  spawn_master w st ~lo:0 ~hi:w.total ~finish:true;
-  match
-    Budget.run_kernel (Budget.with_fuel budget ~fuel:cell_fuel)
-      ~expect_quiescent:true w.k
-  with
-  | Budget.Done _ -> Ok (audit w st ~rate)
-  | Budget.Exhausted e ->
-      elapsed := K.now w.k;
-      Error ("budget exhausted: " ^ Budget.exhausted_name e)
-  | exception e ->
-      elapsed := K.now w.k;
-      Error (Printexc.to_string e)
+  spawn_master w st ~lo ~hi:w.total ~finish:true;
+  st
 
 (* Everything the fork engine rewinds between cells.  The injector is
    not part of the checkpoint: it is reinitialised per cell (exactly as
@@ -405,73 +381,70 @@ let restore_world (w : world) (s : world_snap) =
   M.restore w.map s.ws_map;
   Watchdog.restore w.wd s.ws_wd
 
-(* Fork engine: build the world once, run the fault-free warm-up to
-   quiescence (empty event heap), checkpoint, then rewind + re-spawn
-   per cell.  The inactive injector draws nothing during warm-up, so
-   the faults landed in each window are a pure function of (seed, rate,
-   window ops) — byte-identical to the rerun engine's.
-
-   Each cell runs under a {!Supervisor}: a trapped or fuel-exhausted
-   attempt rewinds to the warm-up checkpoint and retries per [policy]
-   (the injector is reinitialised inside the attempt, so a retry draws
-   the identical fault stream); a cell that exhausts its restart
-   intensity becomes a [degraded] row instead of aborting the sweep. *)
-let fork_cells ?chaos ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel
-    ~label mechanism : FR.cell list =
+(* The fork engine's checkpoint: build the world once and run the
+   fault-free warm-up to quiescence (empty event heap).  The inactive
+   injector draws nothing during warm-up, so the faults landed in each
+   forked window are a pure function of (seed, rate, window ops) —
+   byte-identical to the rerun engine's. *)
+let warmed_up ?chaos ~warmup ~ops ~budget mechanism =
   let w = make_world ?chaos ~warmup ~ops mechanism in
   spawn_sink w;
   spawn_master w (fresh_state w) ~lo:0 ~hi:w.warmup ~finish:false;
   (* deadline-only bound on the warm-up: no fuel, so a drained warm-up
      leaves the clock exactly where an unbounded run would (the
      checkpoint time is part of the byte-identity contract) *)
-  (match Budget.run_kernel budget ~expect_quiescent:true w.k with
+  (match Budget.run_kernel budget w.k with
   | Budget.Done _ -> ()
   | Budget.Exhausted e ->
       failwith ("warmup budget exhausted: " ^ Budget.exhausted_name e));
-  let checkpoint = snapshot_world w in
-  let restore () = restore_world w checkpoint in
-  let fork rate =
-    if Budget.past_deadline budget then
-      degraded_cell ~label ~rate ~ops ~error:"deadline exceeded" ~attempts:0
-        ~elapsed:0
-    else begin
-      let elapsed = ref 0 in
-      let attempt ~attempt:_ =
-        restore ();
-        Injector.reinit w.inj ~rate ~seed;
-        let st = fresh_state w in
-        (* sink before master, as in [make_world]-then-run: same-time
-           start events keep the same relative order on both engines *)
-        spawn_sink w;
-        spawn_master w st ~lo:w.warmup ~hi:w.total ~finish:true;
-        match
-          Budget.run_kernel (Budget.with_fuel budget ~fuel:cell_fuel)
-            ~expect_quiescent:true w.k
-        with
-        | Budget.Done _ -> Ok (audit w st ~rate)
-        | Budget.Exhausted e ->
-            elapsed := K.now w.k;
-            Error ("budget exhausted: " ^ Budget.exhausted_name e)
-        | exception e ->
-            elapsed := K.now w.k;
-            Error (Printexc.to_string e)
-      in
-      match Supervisor.run ~policy ~restore attempt with
-      | Supervisor.Completed { value; _ } -> value
-      | Supervisor.Gave_up { attempts; errors } ->
-          let error =
-            match List.rev errors with last :: _ -> last | [] -> "unknown"
-          in
-          degraded_cell ~label ~rate ~ops ~error ~attempts ~elapsed:!elapsed
-    end
-  in
-  let baseline = fork 0.0 in
-  baseline :: List.map (fun rate -> with_overhead ~baseline (fork rate)) rates
+  w
 
+(* One supervised sweep cell.  Every attempt takes its world from
+   [prepare ()], starts the cell at transfer [lo] and runs it in a fresh
+   [cell_fuel] window under the sweep deadline; a trapped or exhausted
+   attempt is rolled back with [restore] and retried per [policy].  A
+   cell that spends its restart intensity becomes a [degraded] row,
+   whose [elapsed] is the simulated time at the last failure. *)
+let supervised_cell ~seed ~ops ~policy ~budget ~cell_fuel ~label
+    (prepare, restore, lo) rate =
+  if Budget.past_deadline budget then
+    degraded_cell ~label ~rate ~ops ~error:"deadline exceeded" ~attempts:0
+      ~elapsed:0
+  else begin
+    let elapsed = ref 0 in
+    let attempt ~attempt:_ =
+      let w = prepare () in
+      let st = start_cell w ~seed ~rate ~lo in
+      match Budget.run_kernel (Budget.with_fuel budget ~fuel:cell_fuel) w.k with
+      | Budget.Done _ -> Ok (audit w st ~rate)
+      | Budget.Exhausted e ->
+          elapsed := K.now w.k;
+          Error ("budget exhausted: " ^ Budget.exhausted_name e)
+      | exception e ->
+          elapsed := K.now w.k;
+          Error (Printexc.to_string e)
+    in
+    match Supervisor.run ~policy ~restore attempt with
+    | Supervisor.Completed { value; _ } -> value
+    | Supervisor.Gave_up { attempts; errors } ->
+        let error =
+          match List.rev errors with last :: _ -> last | [] -> "unknown"
+        in
+        degraded_cell ~label ~rate ~ops ~error ~attempts ~elapsed:!elapsed
+  end
+
+(* The fuzz oracle's unsupervised reference: each point on a fresh
+   world, warm-up and window straight through. *)
 let run_cell ~seed ~ops ?warmup ~rate mechanism =
   let warmup = match warmup with Some n -> n | None -> default_warmup ops in
-  let baseline = rerun_cell ~seed ~warmup ~ops ~rate:0.0 mechanism in
-  with_overhead ~baseline (rerun_cell ~seed ~warmup ~ops ~rate mechanism)
+  let cell rate =
+    let w = make_world ~warmup ~ops mechanism in
+    let st = start_cell w ~seed ~rate ~lo:0 in
+    ignore (K.run ~bound:(K.Until default_cell_fuel) w.k);
+    audit w st ~rate
+  in
+  let baseline = cell 0.0 in
+  with_overhead ~baseline (cell rate)
 
 (* ------------------------------------------------------------------ *)
 (* drills                                                              *)
@@ -567,7 +540,7 @@ let drill_irq ~seed : FR.drill list =
         then loop ()
       in
       loop ());
-  ignore (K.run ~until:(events * period * 4) ~expect_quiescent:true k);
+  ignore (K.run ~bound:(K.Until (events * period * 4)) k);
   let injected = Injector.injected inj in
   [
     {
@@ -681,38 +654,6 @@ let drill_rtl () : FR.drill list =
 
 (* ------------------------------------------------------------------ *)
 
-(* All the cells of one sweep task, in report order: the rate-0
-   baseline first, then each rate.  Self-contained — builds its own
-   world(s) from [seed] and touches nothing shared — so tasks are the
-   unit of domain-parallelism: each pool worker constructs, warms up
-   and (on the fork engine) checkpoints/rewinds its own private
-   snapshot copy. *)
-let rerun_cells ?chaos ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel
-    ~label mechanism : FR.cell list =
-  let cell rate =
-    if Budget.past_deadline budget then
-      degraded_cell ~label ~rate ~ops ~error:"deadline exceeded" ~attempts:0
-        ~elapsed:0
-    else begin
-      let elapsed = ref 0 in
-      let attempt ~attempt:_ =
-        rerun_attempt ?chaos ~seed ~warmup ~ops ~rate ~budget ~cell_fuel
-          ~elapsed mechanism
-      in
-      (* restart-from-zero: every attempt rebuilds the world, so there
-         is nothing to rewind between attempts *)
-      match Supervisor.run ~policy ~restore:(fun () -> ()) attempt with
-      | Supervisor.Completed { value; _ } -> value
-      | Supervisor.Gave_up { attempts; errors } ->
-          let error =
-            match List.rev errors with last :: _ -> last | [] -> "unknown"
-          in
-          degraded_cell ~label ~rate ~ops ~error ~attempts ~elapsed:!elapsed
-    end
-  in
-  let baseline = cell 0.0 in
-  baseline :: List.map (fun rate -> with_overhead ~baseline (cell rate)) rates
-
 (* A sweep task: one of the four mechanisms, or an injected chaos
    harness fault (a pin-level world whose master is sabotaged). *)
 type task = T_mech of mechanism | T_chaos of chaos
@@ -721,6 +662,14 @@ let task_label = function
   | T_mech m -> mechanism_name m
   | T_chaos c -> chaos_label c
 
+(* All the cells of one sweep task, in report order: the rate-0
+   baseline first, then each rate.  Self-contained — builds its own
+   world(s) from [seed] and touches nothing shared — so tasks are the
+   unit of domain-parallelism: each pool worker constructs, warms up
+   and (on the fork engine) checkpoints/rewinds its own private
+   snapshot copy.  The engines differ only in how an attempt gets its
+   world: rerun rebuilds it from zero (so there is nothing to rewind
+   between attempts), fork rewinds it to the warm-up checkpoint. *)
 let task_cells ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel engine task
     : FR.cell list =
   let chaos, mechanism =
@@ -728,14 +677,22 @@ let task_cells ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel engine task
     | T_mech m -> (None, m)
     | T_chaos c -> (Some c, Pin)
   in
-  let label = task_label task in
-  match engine with
-  | Fork ->
-      fork_cells ?chaos ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel
-        ~label mechanism
-  | Rerun ->
-      rerun_cells ?chaos ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel
-        ~label mechanism
+  let world =
+    match engine with
+    | Rerun ->
+        ((fun () -> make_world ?chaos ~warmup ~ops mechanism), ignore, 0)
+    | Fork ->
+        let w = warmed_up ?chaos ~warmup ~ops ~budget mechanism in
+        let checkpoint = snapshot_world w in
+        let restore () = restore_world w checkpoint in
+        ((fun () -> restore (); w), restore, warmup)
+  in
+  let cell =
+    supervised_cell ~seed ~ops ~policy ~budget ~cell_fuel
+      ~label:(task_label task) world
+  in
+  let baseline = cell 0.0 in
+  baseline :: List.map (fun rate -> with_overhead ~baseline (cell rate)) rates
 
 let sweep ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
     ?(jobs = 1) ?(policy = default_policy) ?(cell_fuel = default_cell_fuel)

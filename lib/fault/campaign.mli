@@ -42,11 +42,12 @@
     every stateful substrate (kernel, memory map, faulty buses, ARQ
     channel, watchdog) and rewinds that checkpoint once per rate; the
     {!Rerun} engine rebuilds the world and repeats the warm-up for
-    every cell.  Because the inactive injector consumes no Rng draws
-    during warm-up, and the per-fork re-spawns preserve same-time event
-    order, both engines produce byte-identical reports — Rerun is kept
-    as the reference the fork path is checked against (in CI and in the
-    property tests).
+    every cell.  Both run every cell through the same supervised cell
+    loop and differ only in how an attempt gets its world.  Because the
+    inactive injector consumes no Rng draws during warm-up, and the
+    per-fork re-spawns preserve same-time event order, both engines
+    produce byte-identical reports — Rerun is kept as the reference the
+    fork path is checked against (in CI and in the property tests).
 
     {b Supervision.}  Every cell runs under a
     {!Codesign_resil.Supervisor}: an attempt that traps, deadlocks or

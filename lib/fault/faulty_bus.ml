@@ -10,7 +10,6 @@ type t = {
   k : K.t;
   inj : Injector.t;
   tr : T.t;
-  hang : int;
   timeout : int;
   stuck_cycles : int;
   mutable stuck_until : int;
@@ -18,12 +17,15 @@ type t = {
   mutable stuck_val : int;
 }
 
-let create ?(hang = 2000) ?(timeout = 64) ?(stuck_cycles = 600) k inj tr =
+(* Cycles a raw master hangs on a dropped response before the line
+   floats to 0. *)
+let hang = 2000
+
+let create ?(timeout = 64) ?(stuck_cycles = 600) k inj tr =
   {
     k;
     inj;
     tr;
-    hang;
     timeout;
     stuck_cycles;
     stuck_until = 0;
@@ -103,7 +105,7 @@ let raw_read t a =
       v lxor (1 lsl b)
   | Some Drop ->
       inj t;
-      K.wait t.hang;
+      K.wait hang;
       0
   | Some Stuck -> apply_stuck t v
 
@@ -116,7 +118,7 @@ let raw_write t a v =
       t.tr.T.write a (v lxor (1 lsl b))
   | Some Drop ->
       inj t;
-      K.wait t.hang
+      K.wait hang
   | Some Stuck -> t.tr.T.write a (apply_stuck t v)
 
 (* ------------------------------------------------------------------ *)
@@ -186,24 +188,3 @@ let read_retry t ~policy ?rng ?on_retry a =
 
 let write_retry t ~policy ?rng ?on_retry a v =
   retry_op ~policy ?rng ?on_retry (fun () -> write t a v)
-
-(* ------------------------------------------------------------------ *)
-(* the faulty medium as a transport                                    *)
-(* ------------------------------------------------------------------ *)
-
-let raw_transport t =
-  {
-    t.tr with
-    T.read = raw_read t;
-    write = raw_write t;
-    wait_ready =
-      (fun addr ->
-        let rec poll () =
-          if raw_read t addr > 0 then ()
-          else begin
-            K.wait 8;
-            poll ()
-          end
-        in
-        poll ());
-  }

@@ -4,7 +4,7 @@
 
     {b Raw (pin-level)} [raw_read]/[raw_write]: what a pin-accurate
     master sees.  Corruption is silent (the flipped word is simply what
-    arrives), and a dropped response hangs the master for [hang] cycles
+    arrives), and a dropped response hangs the master for 2000 cycles
     before the line floats to 0 — only an external watchdog notices.
 
     {b Checked (bus-transaction level)} [read]/[write]: transfers carry
@@ -30,14 +30,13 @@ type error =
 type t
 
 val create :
-  ?hang:int ->
   ?timeout:int ->
   ?stuck_cycles:int ->
   Codesign_sim.Kernel.t ->
   Injector.t ->
   Codesign_bus.Transport.t ->
   t
-(** Defaults: [hang = 2000], [timeout = 64], [stuck_cycles = 600].
+(** Defaults: [timeout = 64], [stuck_cycles = 600].
     Any transport backend can be made faulty — the injector perturbs
     whatever medium is behind it. *)
 
@@ -78,13 +77,6 @@ val write_retry :
   int ->
   int ->
   (unit, error Codesign_resil.Policy.exhausted) result
-
-val raw_transport : t -> Codesign_bus.Transport.t
-(** The faulty medium itself as a transport (raw, pin-style view):
-    reads and writes pass through the injector, [wait_ready] polls
-    through faulty reads.  This is what plugs into
-    {!Codesign.Cosim.run_echo_assignment}'s [wrap] hook to fault an
-    arbitrary level assignment. *)
 
 (** {2 Snapshot / restore}
 

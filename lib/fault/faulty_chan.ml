@@ -11,15 +11,18 @@ type t = {
   inj : Injector.t;
   data : frame Ch.t;
   ack : (int * int) Ch.t;  (* (seq, ack tag) *)
-  retries : int;
-  end_retries : int;
-  ack_timeout : int;
-  poll : int;
-  link_delay : int;
   mutable next_seq : int;
   mutable expected : int;
   mutable retrans : int;
 }
+
+(* ARQ timing in simulated cycles, and the retransmission budgets of
+   data frames and of END (see [close]). *)
+let retries = 8
+let end_retries = 20
+let ack_timeout = 40
+let poll = 4
+let link_delay = 2
 
 let low24 i64 = Int64.to_int (Int64.logand i64 0xFFFFFFL)
 
@@ -33,8 +36,7 @@ let tag_of ~seq ~idx ~v ~last =
 
 let ack_tag seq = low24 (Checksum.fnv1a64 ("ack:" ^ string_of_int seq))
 
-let create ?(retries = 8) ?(end_retries = 20) ?(ack_timeout = 40) ?(poll = 4)
-    ?(link_delay = 2) k inj () =
+let create k inj =
   {
     k;
     inj;
@@ -44,11 +46,6 @@ let create ?(retries = 8) ?(end_retries = 20) ?(ack_timeout = 40) ?(poll = 4)
        on two full channels *)
     data = Ch.create ~depth:64 ~name:"fault.data" k ();
     ack = Ch.create ~depth:64 ~name:"fault.ack" k ();
-    retries;
-    end_retries;
-    ack_timeout;
-    poll;
-    link_delay;
     next_seq = 0;
     expected = 0;
     retrans = 0;
@@ -84,7 +81,7 @@ let det_event t = Injector.detected_event t.inj Injector.Chan ~time:(K.now t.k)
 
 (* The faulty medium, data direction: drop / duplicate / corrupt. *)
 let link_send_data t f =
-  K.wait t.link_delay;
+  K.wait link_delay;
   if not (Injector.fires t.inj) then Ch.send t.data f
   else begin
     inj_event t;
@@ -114,7 +111,7 @@ let send_frame t ~seq ~idx ~v ~last ~budget ~count_detect =
   let f = { seq; idx; v; last; tag } in
   let transmit_once ~attempt:_ =
     link_send_data t f;
-    let deadline = K.now t.k + t.ack_timeout in
+    let deadline = K.now t.k + ack_timeout in
     let rec await () =
       match Ch.try_recv t.ack with
       | Some (aseq, atag) ->
@@ -128,7 +125,7 @@ let send_frame t ~seq ~idx ~v ~last ~budget ~count_detect =
       | None ->
           if K.now t.k >= deadline then false
           else begin
-            K.wait t.poll;
+            K.wait poll;
             await ()
           end
     in
@@ -151,7 +148,7 @@ let send_frame t ~seq ~idx ~v ~last ~budget ~count_detect =
 let send t ~idx v =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  send_frame t ~seq ~idx ~v ~last:false ~budget:t.retries ~count_detect:true
+  send_frame t ~seq ~idx ~v ~last:false ~budget:retries ~count_detect:true
 
 let close t =
   let seq = t.next_seq in
@@ -159,7 +156,7 @@ let close t =
   (* a larger budget than data frames: losing END leaves the receiver
      blocked (harmless at quiescence) but we try hard to end cleanly *)
   ignore
-    (send_frame t ~seq ~idx:(-1) ~v:0 ~last:true ~budget:t.end_retries
+    (send_frame t ~seq ~idx:(-1) ~v:0 ~last:true ~budget:end_retries
        ~count_detect:false)
 
 let rec recv t =

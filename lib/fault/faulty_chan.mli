@@ -17,22 +17,13 @@
 
 type t
 
-val create :
-  ?retries:int ->
-  ?end_retries:int ->
-  ?ack_timeout:int ->
-  ?poll:int ->
-  ?link_delay:int ->
-  Codesign_sim.Kernel.t ->
-  Injector.t ->
-  unit ->
-  t
-(** Defaults: [retries = 8] retransmissions per data frame,
-    [end_retries = 20] for the end-of-stream frame (losing END leaves
-    the receiver blocked, so {!close} tries harder), [ack_timeout =
-    40], [poll = 4], [link_delay = 2].  Retransmission loops are
-    {!Codesign_resil.Policy} retries with [No_backoff] — the ack
-    timeout is the pacing. *)
+val create : Codesign_sim.Kernel.t -> Injector.t -> t
+(** A fresh link.  The ARQ allows 8 retransmissions per data frame and
+    20 for the end-of-stream frame (losing END leaves the receiver
+    blocked, so {!close} tries harder), times an ack out after 40
+    cycles while polling every 4, and the medium delays each data frame
+    by 2.  Retransmission loops are {!Codesign_resil.Policy} retries
+    with [No_backoff] — the ack timeout is the pacing. *)
 
 val send : t -> idx:int -> int -> bool
 (** Send one [(idx, value)] item reliably; blocks (inside a kernel

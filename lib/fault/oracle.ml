@@ -66,7 +66,7 @@ let check_transport ~seed (p : B.proc) =
       let rate = Rng.pick rng [ 0.02; 0.08; 0.15 ] in
       let k = K.create () in
       let inj = Injector.create ~rate ~seed:(Rng.int rng 1_000_000) () in
-      let rel = Faulty_chan.create k inj () in
+      let rel = Faulty_chan.create k inj in
       let received = ref [] in
       let sent = ref 0 in
       K.spawn ~name:"transport.rx" k (fun () ->
@@ -86,7 +86,7 @@ let check_transport ~seed (p : B.proc) =
               if Faulty_chan.send rel ~idx:((2 * j) + 1) v then incr sent)
             reference;
           Faulty_chan.close rel);
-      ignore (K.run ~until:50_000_000 ~expect_quiescent:true k);
+      ignore (K.run ~bound:(K.Until 50_000_000) k);
       let flat =
         List.concat_map (fun (port, v) -> [ port; v ]) reference
       in

@@ -74,12 +74,12 @@ let wake s =
     Mutex.unlock s.m
   end
 
-let run ?until ?expect_quiescent plan =
+let run ?(bound = K.Drain) plan =
   let n = P.partitions plan in
   let d = min n (Domain.recommended_domain_count ()) in
-  if d <= 1 then P.run_serial ?until ?expect_quiescent plan
+  if d <= 1 then P.run_serial ~bound plan
   else begin
-    let limit = match until with Some u -> u | None -> max_int in
+    let limit = match bound with K.Until u -> u | _ -> max_int in
     let s =
       {
         round = Atomic.make 0;
@@ -137,5 +137,5 @@ let run ?until ?expect_quiescent plan =
     List.iter (fun h -> K.merge_domain_totals (Domain.join h)) helpers;
     (match !finishing with Some e -> raise e | None -> ());
     (match Atomic.get failed with Some e -> raise e | None -> ());
-    P.finish ?until ?expect_quiescent plan
+    P.finish ~bound plan
   end

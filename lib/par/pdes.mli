@@ -31,12 +31,12 @@
     [run_serial] without spawning domains. *)
 
 val run :
-  ?until:int ->
-  ?expect_quiescent:bool ->
+  ?bound:Codesign_sim.Kernel.bound ->
   Codesign_sim.Partition.t ->
   Codesign_sim.Kernel.stats
-(** Run the LBTS loop to completion (or [until]); same optional
-    arguments and {!Codesign_sim.Kernel.Deadlock} behaviour as
-    [Kernel.run], applied collectively across partitions.  An exception
-    raised inside any partition's processes is re-raised here after all
-    domains are joined. *)
+(** Run the LBTS loop up to [bound] (default
+    {!Codesign_sim.Kernel.Drain}), with {!Codesign_sim.Kernel.run}'s
+    meaning of each bound applied collectively across partitions
+    ({!Codesign_sim.Partition.finish}).  An exception raised inside any
+    partition's processes is re-raised here after all domains are
+    joined. *)

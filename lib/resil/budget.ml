@@ -1,6 +1,5 @@
 module K = Codesign_sim.Kernel
 module Cpu = Codesign_isa.Cpu
-module Logic_sim = Codesign_rtl.Logic_sim
 module Clock = Codesign_obs.Clock
 
 type exhausted = Fuel | Deadline
@@ -34,13 +33,9 @@ let create ?fuel ?deadline_ms () =
   in
   { fuel; deadline_ns; poll_countdown = poll_period }
 
-let unlimited () = { fuel = None; deadline_ns = None; poll_countdown = poll_period }
-
 let with_fuel t ~fuel =
   if fuel <= 0 then invalid_arg "Budget.with_fuel: non-positive fuel";
   { fuel = Some fuel; deadline_ns = t.deadline_ns; poll_countdown = poll_period }
-
-let is_unlimited t = t.fuel = None && t.deadline_ns = None
 
 let spend t n =
   match t.fuel with
@@ -71,25 +66,26 @@ let stop_poll t =
           past_deadline t
         end
 
-let run_kernel t ?(expect_quiescent = false) k =
-  let until = Option.map (fun f -> K.now k + f) t.fuel in
+let run_kernel t k =
+  let bound =
+    match t.fuel with Some f -> K.Until (K.now k + f) | None -> K.Quiesce
+  in
   let stop = match t.deadline_ns with None -> None | Some _ -> Some (stop_poll t) in
   let before = K.now k in
-  let stats = K.run ?until ?stop ~expect_quiescent k in
+  let stats = K.run ~bound ?stop k in
   spend t (K.now k - before);
   if K.has_pending_events k then
-    (* Bounded runs coast the clock to [until], so reaching the fuel
+    (* Bounded runs coast the clock to the bound, so reaching the fuel
        bound and being deadline-stopped are distinguished by whether the
        clock made it there. *)
-    match until with
-    | Some u when K.now k >= u -> Exhausted Fuel
+    match bound with
+    | K.Until u when K.now k >= u -> Exhausted Fuel
     | _ -> Exhausted Deadline
   else Done stats (* drained: finished even if the deadline just passed *)
 
-(* Slice sizes: big enough that the per-slice deadline read is noise,
-   small enough that a deadline cuts a spinning model off promptly. *)
+(* Big enough that the per-slice deadline read is noise, small enough
+   that a deadline cuts a spinning model off promptly. *)
 let cpu_slice = 4096
-let logic_chunk = 1024
 
 let run_cpu t cpu =
   let rec go () =
@@ -116,23 +112,3 @@ let run_cpu t cpu =
             else go ())
   in
   go ()
-
-let run_logic t sim ~cycles =
-  let rec go remaining ran =
-    if remaining = 0 then Done ran
-    else
-      match check t with
-      | Error e -> Exhausted e
-      | Ok () ->
-          let chunk =
-            let c = min logic_chunk remaining in
-            match t.fuel with None -> c | Some f -> min c f
-          in
-          for _ = 1 to chunk do
-            Logic_sim.clock_cycle sim
-          done;
-          spend t chunk;
-          go (remaining - chunk) (ran + chunk)
-  in
-  if cycles < 0 then invalid_arg "Budget.run_logic: negative cycles"
-  else go cycles 0

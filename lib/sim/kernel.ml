@@ -4,6 +4,8 @@ open Effect.Deep
 exception Not_in_process
 exception Deadlock of string
 
+type bound = Drain | Quiesce | Until of int
+
 type stats = {
   events : int;
   scheduled : int;
@@ -246,11 +248,11 @@ let drain k ~limit =
         slot.Event_queue.s_thunk ()
       done)
 
-let run ?until ?stop ?(expect_quiescent = false) k =
+let run ?(bound = Drain) ?stop k =
   let events0 = k.events
   and activations0 = k.activations
   and scheduled0 = Event_queue.pushed_total k.q in
-  let limit = match until with Some u -> u | None -> max_int in
+  let limit = match bound with Until u -> u | Drain | Quiesce -> max_int in
   let stopped =
     match stop with
     | None ->
@@ -272,28 +274,30 @@ let run ?until ?stop ?(expect_quiescent = false) k =
             done);
         not !halted
   in
-  (* With a bound, simulated time always advances to the bound — even
-     when future events remain queued past it — so that repeated bounded
-     runs keep a consistent clock for subsequent [at]/[wait] calls.  A
-     [stop]ped run is an interruption, not a completed window: the clock
-     stays wherever dispatch was cut off so a restore/resume sees a
-     consistent timeline. *)
-  (if not stopped then
-     match until with Some u when u > k.now -> k.now <- u | _ -> ());
   let totals = Domain.DLS.get totals_key in
   totals.c_events <- totals.c_events + (k.events - events0);
   totals.c_activations <- totals.c_activations + (k.activations - activations0);
   totals.c_scheduled <-
     totals.c_scheduled + (Event_queue.pushed_total k.q - scheduled0);
-  if
-    (not stopped) && until = None && (not expect_quiescent)
-    && Event_queue.is_empty k.q
-  then begin
-    match blocked_non_daemon k with
-    | [] -> ()
-    | stuck ->
-        raise (Deadlock (List.sort_uniq compare stuck |> String.concat ", "))
-  end;
+  (* A [stop]ped run is an interruption, not a completed window: the
+     clock stays wherever dispatch was cut off so a restore/resume sees
+     a consistent timeline, and nothing is checked. *)
+  (if not stopped then
+     match bound with
+     | Until u ->
+         (* Simulated time always advances to the bound — even when
+            future events remain queued past it — so that repeated
+            bounded runs keep a consistent clock for subsequent
+            [at]/[wait] calls. *)
+         if u > k.now then k.now <- u
+     | Quiesce -> ()
+     | Drain -> (
+         if Event_queue.is_empty k.q then
+           match blocked_non_daemon k with
+           | [] -> ()
+           | stuck ->
+               let names = List.sort_uniq compare stuck in
+               raise (Deadlock (String.concat ", " names))));
   stats k
 
 let has_pending_events k = not (Event_queue.is_empty k.q)

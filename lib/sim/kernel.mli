@@ -22,10 +22,29 @@ exception Not_in_process
 (** Raised when {!wait} etc. are performed outside a kernel process. *)
 
 exception Deadlock of string
-(** Raised by {!run} when [expect_quiescent] is false and every
-    non-daemon process is blocked with no pending events (the string
-    lists blocked process names).  Daemon processes (see {!spawn}) never
-    count towards deadlock. *)
+(** Raised by a {!Drain} {!run} when every non-daemon process is
+    blocked with no pending events (the string lists the blocked
+    process names, sorted).  Daemon processes (see {!spawn}) never count
+    towards deadlock. *)
+
+(** How a run ends — the one run contract shared by {!run},
+    {!Partition.run_serial}, {!Partition.finish} and
+    [Codesign_par.Pdes.run]. *)
+type bound =
+  | Drain
+      (** dispatch until the queue is empty; if non-daemon processes are
+          then still blocked, raise {!Deadlock} *)
+  | Quiesce
+      (** dispatch until the queue is empty and abandon any blocked
+          processes silently *)
+  | Until of int
+      (** dispatch every event up to time [t], then set the clock to
+          [max now t] — even if undispatched events remain queued past
+          the bound — so repeated bounded runs keep a consistent clock
+          for subsequent {!at}/{!wait} calls.  Blocked processes are
+          never reported: {!blocked_non_daemon} and
+          {!has_pending_events} tell a deadlock apart from a run that
+          was cut off. *)
 
 type stats = {
   events : int;  (** events dispatched by the wheel *)
@@ -70,37 +89,22 @@ val alloc_lane : t -> int
     they were created on one shared wheel or spread over per-partition
     wheels in the same overall order. *)
 
-val run :
-  ?until:int ->
-  ?stop:(unit -> bool) ->
-  ?expect_quiescent:bool ->
-  t ->
-  stats
-(** Dispatch events until the queue is empty or simulated time would
-    exceed [until].  When [until] is given, simulated time always ends
-    at [max now until] — even if undispatched events remain queued past
-    the bound — so repeated bounded runs keep a consistent clock for
-    subsequent {!at}/{!wait} calls.
+val run : ?bound:bound -> ?stop:(unit -> bool) -> t -> stats
+(** Dispatch events until [bound] (default {!Drain}) says the run is
+    over, and return the run statistics.  [run] may be called again
+    after adding more work.
 
     [stop] is polled before each dispatch; when it returns [true] the
     run returns immediately with events still queued, the clock left at
-    the last dispatched event (no coasting to [until]) and no deadlock
-    check — an interrupted run is not a completed window.  Use
+    the last dispatched event (no coasting to an [Until] bound) and no
+    deadlock check — an interrupted run is not a completed window.  Use
     {!has_pending_events} to distinguish "stopped early" from "drained".
     The predicate costs one call per event, paid only when supplied.  A
     run with [stop] queues every {!wait}, so the predicate is polled
     before each wake-up too; only the [stop]-less loop lets a waiting
     process that is the next event advance the clock in place (see
     {!wait}).  {!Codesign_resil.Budget} uses [stop] to impose wall-clock
-    deadlines.
-
-    If non-daemon processes remain blocked at quiescence and
-    [expect_quiescent] is [false] (the default) and no [until] was
-    given, raises {!Deadlock}; with [expect_quiescent:true] (or an
-    [until] bound) blocked processes are abandoned silently.  After a
-    bounded run, {!blocked_non_daemon} and {!has_pending_events} tell a
-    deadlock apart from a run that was cut off.  Returns run
-    statistics.  [run] may be called again after adding more work. *)
+    deadlines. *)
 
 val has_pending_events : t -> bool
 (** [true] iff undispatched events remain queued — after a bounded or
@@ -183,12 +187,12 @@ val wait : int -> unit
     {!run_horizon}) and is still the one running; [n >= 0]; [n] is
     smaller than the gap to the earliest queued event, so events at the
     wake-up time still run first in schedule order; and [n] fits in the
-    gap to the loop's bound ([until], or the round's [horizon]), so a
-    wake-up past the bound stays queued.  An in-place wait counts one
-    event, one activation and one scheduled push and takes one
-    insertion sequence number, exactly as a queued one does, so
-    {!stats}, {!domain_totals}, snapshots and every observable are the
-    same on both paths.  Every other wait is queued.
+    gap to the loop's bound (an [Until] time, or the round's
+    [horizon]), so a wake-up past the bound stays queued.  An in-place
+    wait counts one event, one activation and one scheduled push and
+    takes one insertion sequence number, exactly as a queued one does,
+    so {!stats}, {!domain_totals}, snapshots and every observable are
+    the same on both paths.  Every other wait is queued.
 
     A negative [n] raises [Invalid_argument] inside the process; an [n]
     whose wake-up time overflows makes the run raise
@@ -223,7 +227,7 @@ val self_name : unit -> string
     instances of whatever processes the forked world needs, abandoning
     the old blocked ones (their {!Signal}/{!Channel} wait-queue entries
     are dropped by the corresponding restores, and their [blocked]
-    entries were part of the snapshot, so [expect_quiescent] runs are
+    entries were part of the snapshot, so {!Quiesce} runs are
     unaffected). *)
 
 type snap

@@ -110,21 +110,21 @@ let next_bound t ~limit =
 let run_round t i ~bound = K.run_horizon t.kernels.(i) ~horizon:bound
 
 (* Post-loop settlement shared by the serial and domain-parallel
-   drivers: coast everyone to the bound, run the collective deadlock
-   check, and merge per-partition statistics. *)
-let finish ?until ?(expect_quiescent = false) t =
-  (match until with
-  | Some u -> Array.iter (fun k -> K.coast k ~time:u) t.kernels
-  | None -> ());
-  if
-    until = None && (not expect_quiescent)
-    && Array.for_all (fun k -> not (K.has_pending_events k)) t.kernels
-  then begin
-    match Array.to_list t.kernels |> List.concat_map K.blocked_non_daemon with
-    | [] -> ()
-    | stuck ->
-        raise (K.Deadlock (List.sort_uniq compare stuck |> String.concat ", "))
-  end;
+   drivers: apply [bound] collectively (coast everyone to an [Until]
+   time, or check for deadlock across every wheel), then merge
+   per-partition statistics. *)
+let finish ?(bound = K.Drain) t =
+  (match bound with
+  | K.Until u -> Array.iter (fun k -> K.coast k ~time:u) t.kernels
+  | K.Quiesce -> ()
+  | K.Drain -> (
+      let kernels = Array.to_list t.kernels in
+      if List.for_all (fun k -> not (K.has_pending_events k)) kernels then
+        match List.concat_map K.blocked_non_daemon kernels with
+        | [] -> ()
+        | stuck ->
+            let names = List.sort_uniq compare stuck in
+            raise (K.Deadlock (String.concat ", " names))));
   Array.fold_left
     (fun acc k ->
       let s = K.stats k in
@@ -138,15 +138,15 @@ let finish ?until ?(expect_quiescent = false) t =
     { K.events = 0; scheduled = 0; activations = 0; spawned = 0; end_time = 0 }
     t.kernels
 
-let run_serial ?until ?expect_quiescent t =
-  let limit = match until with Some u -> u | None -> max_int in
+let run_serial ?(bound = K.Drain) t =
+  let limit = match bound with K.Until u -> u | _ -> max_int in
   let continue_ = ref true in
   while !continue_ do
     match next_bound t ~limit with
     | None -> continue_ := false
-    | Some bound ->
+    | Some b ->
         for i = 0 to Array.length t.kernels - 1 do
-          run_round t i ~bound
+          run_round t i ~bound:b
         done
   done;
-  finish ?until ?expect_quiescent t
+  finish ~bound t

@@ -65,22 +65,17 @@ val run_round : t -> int -> bound:int -> unit
     distinct domains; within a round no partition may start before
     {!next_bound} returned. *)
 
-val finish :
-  ?until:int ->
-  ?expect_quiescent:bool ->
-  t ->
-  Kernel.stats
-(** After the loop: coast every partition to [until] (when given), run
-    the collective deadlock check with {!Kernel.run}'s semantics
-    (raises {!Kernel.Deadlock} with the sorted blocked-process names),
-    and return the merged statistics — counter sums, [end_time] the
-    maximum over partitions. *)
+val finish : ?bound:Kernel.bound -> t -> Kernel.stats
+(** After the loop: apply [bound] (default {!Kernel.Drain})
+    collectively — [Until t] coasts every partition to [t], [Drain]
+    raises {!Kernel.Deadlock} with the sorted names of the non-daemon
+    processes blocked on every wheel once all of them are empty — and
+    return the merged statistics: counter sums, [end_time] the maximum
+    over partitions. *)
 
-val run_serial :
-  ?until:int ->
-  ?expect_quiescent:bool ->
-  t ->
-  Kernel.stats
+val run_serial : ?bound:Kernel.bound -> t -> Kernel.stats
 (** The reference driver: the full LBTS loop on the calling domain,
-    partitions dispatched in index order each round.  Byte-identical in
-    every observable to [Codesign_par.Pdes.run] on the same plan. *)
+    partitions dispatched in index order each round, up to [bound]
+    (default {!Kernel.Drain}; an [Until t] bound is the loop's
+    [limit]), then {!finish}.  Byte-identical in every observable to
+    [Codesign_par.Pdes.run] on the same plan. *)

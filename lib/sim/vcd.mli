@@ -5,7 +5,7 @@
     any number of integer signals; every value change is timestamped
     with kernel time.  Watchers are daemon processes (see
     {!Kernel.spawn}), so a simulation that ends with only watchers
-    blocked is quiescent — no [expect_quiescent:true] needed.
+    blocked is quiescent — a {!Kernel.Drain} run needs no [Quiesce].
 
     Typical use:
 

@@ -114,7 +114,7 @@ let test_pin_matches_tlm_functionally () =
   K.spawn k (fun () ->
       Bus.Pin.write pin 7 123;
       got := Bus.Pin.read pin 7);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check Alcotest.int "value" 123 !got;
   let s = Bus.Pin.stats pin in
   check Alcotest.int "reads" 1 s.Bus.reads;
@@ -143,7 +143,7 @@ let test_pin_sees_wait_states_tlm_does_not () =
   K.spawn k2 (fun () ->
       ignore (Bus.Pin.read pin 0);
       t_pin := K.now k2);
-  ignore (K.run ~expect_quiescent:true k2);
+  ignore (K.run ~bound:K.Quiesce k2);
   check Alcotest.bool "pin slower than tlm" true (!t_pin > !t_tlm);
   check Alcotest.bool "pin >= wait states" true (!t_pin >= 10)
 
@@ -157,7 +157,7 @@ let test_pin_generates_more_events () =
           iface.Bus.bus_write i i;
           ignore (iface.Bus.bus_read i)
         done);
-    let st = K.run ~expect_quiescent:true k in
+    let st = K.run ~bound:K.Quiesce k in
     st.K.scheduled
   in
   let ev_tlm = run_with (fun k m -> Bus.tlm_iface (Bus.Tlm.create k m)) in
@@ -326,7 +326,7 @@ let test_stream_sink () =
       K.wait 20;
       check Alcotest.int "ready again" 1 (M.read m 0);
       M.write m 1 22);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check (Alcotest.list Alcotest.int) "words" [ 11; 22 ]
     (Device.Stream_sink.accepted s)
 
@@ -346,7 +346,7 @@ let test_dma_transfer () =
   K.spawn k (fun () ->
       check Alcotest.bool "started" true
         (Dma.start dma ~src:16 ~dst:64 ~len:8 = Dma.Started));
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   for i = 0 to 7 do
     check Alcotest.int (Printf.sprintf "moved %d" i) (100 + i)
       (M.read m (64 + i))
@@ -387,7 +387,7 @@ let test_dma_register_window () =
       check Alcotest.int "done flag" 1 (M.read m 1004);
       M.write m 1004 0;
       check Alcotest.int "cleared" 0 (M.read m 1004));
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check Alcotest.int "moved" 42 (M.read m 20)
 
 let test_dma_busy_queues () =
@@ -420,7 +420,7 @@ let test_dma_busy_queues () =
       done;
       check Alcotest.bool "queue eventually fills" true !rejected;
       check Alcotest.bool "some descriptors queued" true (!accepted >= 4));
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   (* every accepted descriptor — started or queued — completes *)
   check Alcotest.int "transfers" !accepted (Dma.transfers_completed dma);
   check Alcotest.int "words" (8 * !accepted) (Dma.words_moved dma);
@@ -488,7 +488,7 @@ let run_embedded ?(irq_mode = false) ~entry () =
         decr fuel;
         if cy > 0 then K.wait cy
       done);
-  let stats = K.run ~expect_quiescent:true k in
+  let stats = K.run ~bound:K.Quiesce k in
   (cpu, sink, src, stats)
 
 let echo_spec ~irq_mode =

@@ -60,7 +60,7 @@ let test_watchdog_one_bite_per_hang () =
       (* hang 2 *)
       K.wait 900;
       F.Watchdog.stop wd);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   (* one bite per hang, however long each hang lasted *)
   check
     Alcotest.(list int)
@@ -77,7 +77,7 @@ let test_watchdog_kick_defers_bite () =
         K.wait 10
       done;
       F.Watchdog.stop wd);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check Alcotest.int "a live workload is never bitten" 0 (F.Watchdog.bites wd)
 
 (* ------------------------------------------------------------------ *)
@@ -163,7 +163,7 @@ let test_retry_recovers_transient_bus_faults () =
         retried := !retried + w + r;
         check Alcotest.int (Printf.sprintf "word %d survives" i) (i * 3) v
       done);
-  ignore (K.run ~until:2_000_000 ~expect_quiescent:true k);
+  ignore (K.run ~bound:(K.Until 2_000_000) k);
   check Alcotest.bool "faults were actually injected" true
     (F.Injector.injected inj > 0);
   check Alcotest.bool "recovery exercised the retry path" true (!retried > 0)
@@ -175,7 +175,7 @@ let test_retry_recovers_transient_bus_faults () =
 let test_transport_delivers_in_order () =
   let k = K.create () in
   let inj = F.Injector.create ~rate:0.12 ~seed:11 () in
-  let ch = F.Faulty_chan.create k inj () in
+  let ch = F.Faulty_chan.create k inj in
   let sent = List.init 40 (fun i -> (i, (i * 7) + 1)) in
   let got = ref [] in
   K.spawn ~name:"rx" k (fun () ->
@@ -194,7 +194,7 @@ let test_transport_delivers_in_order () =
             fail (Printf.sprintf "frame %d exceeded its retry budget" idx))
         sent;
       F.Faulty_chan.close ch);
-  ignore (K.run ~until:10_000_000 ~expect_quiescent:true k);
+  ignore (K.run ~bound:(K.Until 10_000_000) k);
   check
     Alcotest.(list (pair int int))
     "stream delivered intact and in order" sent (List.rev !got);

@@ -80,7 +80,10 @@ let test_asip_knapsack_respects_budget () =
   let sel = Asip.select ~budget:400 occs in
   let area = List.fold_left (fun a p -> a + p.Asip.area) 0 sel in
   check Alcotest.bool "within budget" true (area <= 400);
-  check Alcotest.bool "non-empty" true (sel <> [])
+  check Alcotest.bool "non-empty" true (sel <> []);
+  Alcotest.check_raises "negative budget"
+    (Invalid_argument "Asip.select: negative budget") (fun () ->
+      ignore (Asip.select ~budget:(-1) occs))
 
 let test_asip_reconfig () =
   (* two apps with disjoint hot patterns: a MAC-heavy one and a

@@ -232,6 +232,118 @@ let test_hand_network () =
         ])
     [ 2; 3; 5 ]
 
+(* A chain deadlocked across [stages] partitions: the producer on
+   partition 0 sends [sent] items over latency-2 channels, a relay on
+   each middle partition forwards forever, and the consumer on the last
+   partition waits for one item more than was sent.  Every relay and
+   the consumer end blocked on drained wheels (a daemon watcher on the
+   last partition must never be named), so the collective checks in
+   [Partition.finish] must read every partition, not just one. *)
+let build_stuck_chain ~stages ~kern ~plan =
+  let last = stages - 1 and sent = 4 in
+  let links =
+    Array.init last (fun i ->
+        Ch.create ~latency:2 ~name:(Printf.sprintf "x%d" i) (kern (i + 1)) ())
+  in
+  Option.iter
+    (fun plan ->
+      Array.iteri (fun i c -> P.route_channel plan ~src:i ~dst:(i + 1) c) links)
+    plan;
+  K.spawn (kern 0) ~name:"prod" (fun () ->
+      for v = 1 to sent do
+        Ch.send links.(0) v;
+        K.wait 3
+      done);
+  for r = 1 to last - 1 do
+    K.spawn (kern r) ~name:(Printf.sprintf "relay%d" r) (fun () ->
+        while true do
+          Ch.send links.(r) (Ch.recv links.(r - 1))
+        done)
+  done;
+  K.spawn (kern last) ~name:"cons" (fun () ->
+      for _ = 0 to sent do
+        ignore (Ch.recv links.(last - 1))
+      done);
+  K.spawn (kern last) ~name:"watch" ~daemon:true (fun () ->
+      K.suspend ~register:(fun _ -> ()))
+
+(* The three bounds on the single wheel and on both partitioned
+   drivers, at 2 and 3 partitions: [Drain] raises [Deadlock] naming the
+   same sorted processes; [Quiesce] returns with each stuck process
+   listed by its own partition; [Until t] leaves every clock at [t],
+   whether [t] falls mid-run or after the deadlock. *)
+let test_collective_deadlock () =
+  let sorted l = List.sort compare l in
+  let deadlock tag run =
+    match run () with
+    | _ -> fail (tag ^ ": expected Deadlock")
+    | exception K.Deadlock names -> names
+  in
+  List.iter
+    (fun stages ->
+      let single bound =
+        let k = K.create () in
+        build_stuck_chain ~stages ~kern:(fun _ -> k) ~plan:None;
+        (k, fun () -> K.run ~bound k)
+      in
+      let stuck =
+        sorted
+          ("cons"
+          :: List.init (stages - 2) (fun r -> Printf.sprintf "relay%d" (r + 1)))
+      in
+      let names = deadlock "single wheel" (snd (single K.Drain)) in
+      check Alcotest.string
+        (Printf.sprintf "single wheel p=%d: Drain names" stages)
+        (String.concat ", " stuck) names;
+      let k, run = single K.Quiesce in
+      ignore (run ());
+      check Alcotest.(list string) "single wheel: Quiesce leaves them blocked"
+        stuck
+        (sorted (K.blocked_non_daemon k));
+      List.iter
+        (fun t ->
+          let k, run = single (K.Until t) in
+          ignore (run ());
+          check Alcotest.int (Printf.sprintf "single wheel: Until %d" t) t
+            (K.now k))
+        [ 5; 200 ];
+      List.iter
+        (fun (driver, drive) ->
+          let tag = Printf.sprintf "%s p=%d" driver stages in
+          let partitioned bound =
+            let plan = P.create ~partitions:stages in
+            build_stuck_chain ~stages ~kern:(P.kernel plan) ~plan:(Some plan);
+            (plan, fun () -> drive ~bound plan)
+          in
+          check Alcotest.string (tag ^ ": Drain names") names
+            (deadlock tag (snd (partitioned K.Drain)));
+          let plan, run = partitioned K.Quiesce in
+          ignore (run ());
+          for i = 0 to stages - 1 do
+            check Alcotest.(list string)
+              (Printf.sprintf "%s: Quiesce, partition %d blocked" tag i)
+              (if i = 0 then []
+               else if i = stages - 1 then [ "cons" ]
+               else [ Printf.sprintf "relay%d" i ])
+              (sorted (K.blocked_non_daemon (P.kernel plan i)))
+          done;
+          List.iter
+            (fun t ->
+              let plan, run = partitioned (K.Until t) in
+              ignore (run ());
+              for i = 0 to stages - 1 do
+                check Alcotest.int
+                  (Printf.sprintf "%s: Until %d, partition %d clock" tag t i)
+                  t
+                  (K.now (P.kernel plan i))
+              done)
+            [ 5; 200 ])
+        [
+          ("run_serial", fun ~bound plan -> P.run_serial ~bound plan);
+          ("pdes", fun ~bound plan -> Pdes.run ~bound plan);
+        ])
+    [ 2; 3 ]
+
 (* A process that raises on partition 1 — a helper domain's partition
    whenever the host has two cores — surfaces from [Pdes.run] after the
    join.  Two hundred runs would exhaust the runtime's domain limit if a
@@ -358,5 +470,10 @@ let () =
             test_net_spec_sweep;
           Alcotest.test_case "helper raise re-raised after join" `Quick
             test_pdes_reraises;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "collective deadlock across partitions" `Quick
+            test_collective_deadlock;
         ] );
     ]

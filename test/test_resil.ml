@@ -121,11 +121,11 @@ let test_budget_kernel_restorable () =
   (* twin without a budget *)
   let k', hits', _, spawn' = build () in
   spawn' ();
-  ignore (K.run ~expect_quiescent:true k');
+  ignore (K.run ~bound:K.Quiesce k');
   (* budgeted run: exhausts at the fuel bound with events pending *)
   let k, hits, snap, spawn_work = build () in
   spawn_work ();
-  (match Budget.run_kernel (Budget.create ~fuel:300 ()) ~expect_quiescent:true k with
+  (match Budget.run_kernel (Budget.create ~fuel:300 ()) k with
   | Budget.Exhausted Budget.Fuel -> ()
   | Budget.Exhausted Budget.Deadline -> fail "expected fuel, not deadline"
   | Budget.Done _ -> fail "expected exhaustion");
@@ -136,7 +136,7 @@ let test_budget_kernel_restorable () =
   K.restore k snap;
   hits := 0;
   spawn_work ();
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check Alcotest.int "restored rerun reaches the twin's clock" (K.now k')
     (K.now k);
   check Alcotest.int "restored rerun reaches the twin's state" !hits' !hits
@@ -144,7 +144,7 @@ let test_budget_kernel_restorable () =
 let test_budget_kernel_done_inside_fuel () =
   let k = K.create () in
   K.spawn k (fun () -> K.wait 50);
-  match Budget.run_kernel (Budget.create ~fuel:1000 ()) ~expect_quiescent:true k with
+  match Budget.run_kernel (Budget.create ~fuel:1000 ()) k with
   | Budget.Done _ ->
       check Alcotest.bool "queue drained" false (K.has_pending_events k)
   | Budget.Exhausted _ -> fail "fits comfortably in the budget"
@@ -210,36 +210,54 @@ let test_supervisor_recovers () =
 (* degraded campaigns                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let quick_chaos_report ~jobs chaos =
-  Campaign.run ~seed:42 ~ops:Campaign.quick_ops ~jobs ?chaos ()
+let quick_chaos_report ?(engine = Campaign.Fork) ~jobs chaos =
+  Campaign.run ~seed:42 ~ops:Campaign.quick_ops ~engine ~jobs ?chaos ()
+
+let engines = [ Campaign.Fork; Campaign.Rerun ]
 
 let is_chaos (c : FR.cell) = contains ~needle:"chaos-" c.FR.mechanism
 
 (* The chaos task traps on every attempt, so its cells come back
    degraded — and the report is still byte-identical at every job
-   count, degraded cells included. *)
+   count, degraded cells included, and on both engines. *)
 let test_chaos_campaign_degrades_and_is_jobs_invariant () =
-  let r1 = quick_chaos_report ~jobs:1 (Some Campaign.Chaos_trap) in
-  let chaos_cells = List.filter is_chaos r1.FR.cells in
-  check Alcotest.bool "chaos cells present" true (chaos_cells <> []);
-  List.iter
-    (fun (c : FR.cell) ->
-      match c.FR.degraded with
-      | None -> fail "chaos cell must be degraded"
-      | Some d ->
-          check Alcotest.bool "error names the injected trap" true
-            (contains ~needle:"chaos: injected trap" d.Codesign_obs.Degraded.error);
-          check Alcotest.int "default policy: 2 restarts = 3 attempts" 3
-            d.Codesign_obs.Degraded.attempts)
-    chaos_cells;
   let bytes r = Json.to_string (FR.to_json r) in
-  List.iter
-    (fun jobs ->
-      check Alcotest.string
-        (Printf.sprintf "report bytes identical at jobs:%d" jobs)
-        (bytes r1)
-        (bytes (quick_chaos_report ~jobs (Some Campaign.Chaos_trap))))
-    [ 2; 4 ]
+  let reports =
+    List.map
+      (fun engine ->
+        let name = Campaign.engine_name engine in
+        let r1 =
+          quick_chaos_report ~engine ~jobs:1 (Some Campaign.Chaos_trap)
+        in
+        let chaos_cells = List.filter is_chaos r1.FR.cells in
+        check Alcotest.bool (name ^ ": chaos cells present") true
+          (chaos_cells <> []);
+        List.iter
+          (fun (c : FR.cell) ->
+            match c.FR.degraded with
+            | None -> fail (name ^ ": chaos cell must be degraded")
+            | Some d ->
+                check Alcotest.bool (name ^ ": error names the injected trap")
+                  true
+                  (contains ~needle:"chaos: injected trap"
+                     d.Codesign_obs.Degraded.error);
+                check Alcotest.int
+                  (name ^ ": default policy: 2 restarts = 3 attempts") 3
+                  d.Codesign_obs.Degraded.attempts)
+          chaos_cells;
+        List.iter
+          (fun jobs ->
+            check Alcotest.string
+              (Printf.sprintf "%s: report bytes identical at jobs:%d" name jobs)
+              (bytes r1)
+              (bytes
+                 (quick_chaos_report ~engine ~jobs (Some Campaign.Chaos_trap))))
+          [ 2; 4 ];
+        bytes r1)
+      engines
+  in
+  check Alcotest.string "rerun report bytes = fork report bytes"
+    (List.nth reports 0) (List.nth reports 1)
 
 (* Sabotage is contained: every non-chaos cell is byte-identical to the
    same campaign run without --chaos. *)
@@ -257,27 +275,70 @@ let test_chaos_leaves_other_cells_untouched () =
        (List.filter (fun c -> not (is_chaos c)) with_chaos.FR.cells))
 
 (* A hanging cell exhausts its (deterministic, simulated) fuel window
-   and degrades with a fuel error instead of wedging the sweep. *)
+   and degrades with a fuel error instead of wedging the sweep, on both
+   engines.  The two sweeps agree except in a hang cell's [elapsed]: the
+   rerun engine's window starts at zero, the fork engine's at the
+   warm-up checkpoint, so they differ by that one checkpoint time. *)
 let test_chaos_hang_exhausts_fuel () =
-  let cells =
-    Campaign.sweep ~seed:42 ~ops:Campaign.quick_ops ~cell_fuel:5_000_000
-      ~chaos:Campaign.Chaos_hang Campaign.Fork
+  let cell_fuel = 5_000_000 in
+  let sweeps =
+    List.map
+      (fun engine ->
+        let name = Campaign.engine_name engine in
+        let cells =
+          Campaign.sweep ~seed:42 ~ops:Campaign.quick_ops ~cell_fuel
+            ~chaos:Campaign.Chaos_hang engine
+        in
+        let hung = List.filter is_chaos cells in
+        check Alcotest.bool (name ^ ": hang cells present") true (hung <> []);
+        List.iter
+          (fun (c : FR.cell) ->
+            match c.FR.degraded with
+            | Some d ->
+                check Alcotest.bool (name ^ ": fuel exhaustion reported") true
+                  (contains ~needle:"fuel" d.Codesign_obs.Degraded.error);
+                check Alcotest.int (name ^ ": 3 attempts") 3
+                  d.Codesign_obs.Degraded.attempts
+            | None -> fail (name ^ ": hang cell must be degraded"))
+          hung;
+        List.iter
+          (fun (c : FR.cell) ->
+            check Alcotest.bool
+              (name ^ ": healthy cells complete within the fuel window") true
+              (c.FR.degraded = None))
+          (List.filter (fun c -> not (is_chaos c)) cells);
+        cells)
+      engines
   in
-  let hung = List.filter is_chaos cells in
-  check Alcotest.bool "hang cells present" true (hung <> []);
+  let elapsed (c : FR.cell) =
+    match c.FR.degraded with
+    | Some d -> d.Codesign_obs.Degraded.elapsed
+    | None -> 0
+  in
+  let without_elapsed (c : FR.cell) =
+    match c.FR.degraded with
+    | Some d ->
+        let d = { d with Codesign_obs.Degraded.elapsed = 0 } in
+        { c with FR.degraded = Some d }
+    | None -> c
+  in
+  let fork = List.nth sweeps 0 and rerun = List.nth sweeps 1 in
+  check Alcotest.bool "engines agree on every cell but elapsed" true
+    (List.map without_elapsed fork = List.map without_elapsed rerun);
+  let hung_fork = List.filter is_chaos fork
+  and hung_rerun = List.filter is_chaos rerun in
   List.iter
-    (fun (c : FR.cell) ->
-      match c.FR.degraded with
-      | Some d ->
-          check Alcotest.bool "fuel exhaustion reported" true
-            (contains ~needle:"fuel" d.Codesign_obs.Degraded.error)
-      | None -> fail "hang cell must be degraded")
-    hung;
-  List.iter
-    (fun (c : FR.cell) ->
-      check Alcotest.bool "healthy cells complete within the fuel window" true
-        (c.FR.degraded = None))
-    (List.filter (fun c -> not (is_chaos c)) cells)
+    (fun c ->
+      check Alcotest.int "rerun: a fuel window from zero" cell_fuel (elapsed c))
+    hung_rerun;
+  match
+    List.sort_uniq compare
+      (List.map2 (fun f r -> elapsed f - elapsed r) hung_fork hung_rerun)
+  with
+  | [ checkpoint ] ->
+      check Alcotest.bool "fork: the window starts at the checkpoint" true
+        (checkpoint > 0)
+  | _ -> fail "fork and rerun elapsed differ by more than one checkpoint time"
 
 (* ------------------------------------------------------------------ *)
 (* degraded fuzzing                                                    *)

@@ -37,7 +37,7 @@ let test_vcd_records_changes () =
       S.write s 3;
       K.wait 5;
       S.write s 255);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check
     (Alcotest.list
        (Alcotest.triple Alcotest.int Alcotest.string Alcotest.int))
@@ -58,7 +58,7 @@ let test_vcd_dump_format () =
       S.write req 1;
       K.wait 3;
       S.write req 0);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   let doc = Vcd.dump vcd in
   check Alcotest.bool "header" true (contains doc "$timescale 1ns $end");
   check Alcotest.bool "var req" true (contains doc "$var wire 1 ! req $end");
@@ -89,7 +89,7 @@ let test_vcd_on_pin_bus () =
   K.spawn k (fun () ->
       Codesign_bus.Bus.Pin.write bus 3 7;
       ignore (Codesign_bus.Bus.Pin.read bus 3));
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   let doc = Vcd.dump vcd in
   (* two transfers: req rises twice, ack rises twice *)
   let rises code =
@@ -103,7 +103,7 @@ let test_vcd_on_pin_bus () =
 let test_vcd_watcher_quiescent_no_deadlock () =
   (* regression: VCD watchers are daemons, so a simulation that ends
      quiescent with watchers still blocked must not raise Deadlock even
-     without ~expect_quiescent:true *)
+     under the default Drain bound *)
   let k = K.create () in
   let s = S.create ~name:"data" k 0 in
   let vcd = Vcd.create k in
@@ -507,10 +507,10 @@ let test_cli_help_renders () =
       check Alcotest.bool (c ^ " --help prints help") true (out <> ""))
     commands
 
-(* Integer flags have floors: below one, the CLI exits 2 with a parse
+(* Integer flags have ranges: outside one, the CLI exits 2 with a parse
    error naming the flag, instead of dying on an uncaught library
    exception (exit 125) or running an empty workload (exit 0).  The
-   floors themselves are valid. *)
+   bounds themselves are valid. *)
 let test_cli_int_floors () =
   List.iter
     (fun args ->
@@ -522,6 +522,15 @@ let test_cli_int_floors () =
       "fuzz --count 0 --deadline-ms 60000";
       "experiments -q --deadline-ms 60000 EXP-P";
       "cosim --items 1";
+      "fault --quick --ops 1 --max-retries 0 --cell-fuel 1 --warmup 0";
+      "fuzz --count 0 --max-retries 0";
+      "experiments -q --max-retries 0 EXP-P";
+      "partition --tasks 4";
+      "partition --algo exhaustive --tasks 4";
+      "cosynth --tasks 4";
+      "asip fir --budget 0";
+      "cosim --level message --quantum 1 --partitions 3 --link-latency 1";
+      "cosim --partitions 1 --link-latency 0";
     ];
   List.iter
     (fun (args, flag) ->
@@ -541,7 +550,26 @@ let test_cli_int_floors () =
       ("fault --ops 0", "--ops");
       ("fault --ops=-5", "--ops");
       ("cosim --items=-3", "--items");
-    ]
+      ("fault --max-retries=-1", "--max-retries");
+      ("fuzz --max-retries=-1", "--max-retries");
+      ("experiments --max-retries=-1", "--max-retries");
+      ("partition --tasks 3", "--tasks");
+      ("cosynth --tasks=0", "--tasks");
+      ("partition --algo exhaustive --tasks 21", "--tasks");
+      ("asip fir --budget=-1", "--budget");
+      ("fault --cell-fuel 0", "--cell-fuel");
+      ("fault --warmup=-3", "--warmup");
+      ("cosim --quantum 0", "--quantum");
+      ("cosim --partitions 0", "--partitions");
+      ("cosim --partitions 4", "--partitions");
+      ("cosim --link-latency=-1", "--link-latency");
+    ];
+  (* the one cross-flag rule: a cut needs a link latency for lookahead *)
+  let rc, _, err = run_cli "cosim --partitions 2" in
+  check Alcotest.int "cosim --partitions 2: exit code" 2 rc;
+  check Alcotest.bool "cosim --partitions 2: names --link-latency" true
+    (String.starts_with ~prefix:"cosim: --partitions > 1 needs --link-latency"
+       err)
 
 let () =
   Alcotest.run "codesign_robustness"

@@ -373,11 +373,11 @@ let test_kernel_until () =
         K.wait 10;
         if K.now k > 1000 then continue_ := false
       done);
-  let st = K.run ~until:95 k in
+  let st = K.run ~bound:(K.Until 95) k in
   check Alcotest.int "activations bounded" 10 !count;
   check Alcotest.bool "time <= until" true (st.K.end_time <= 95);
   (* resuming continues where we left off *)
-  let st2 = K.run ~until:205 k in
+  let st2 = K.run ~bound:(K.Until 205) k in
   check Alcotest.int "more activations" 21 !count;
   check Alcotest.bool "time advanced" true (st2.K.end_time > st.K.end_time)
 
@@ -390,11 +390,11 @@ let test_kernel_deadlock () =
      fail "expected Deadlock"
    with K.Deadlock names ->
      check Alcotest.string "names" "stuck" names);
-  (* with expect_quiescent the same situation is fine *)
+  (* a Quiesce run accepts the same situation *)
   let k2 = K.create () in
   K.spawn ~name:"stuck" k2 (fun () ->
       K.suspend ~register:(fun _resume -> ()));
-  ignore (K.run ~expect_quiescent:true k2)
+  ignore (K.run ~bound:K.Quiesce k2)
 
 let test_kernel_bounded_deadlock_audit () =
   (* a bounded run never raises, but the blocked processes are
@@ -405,7 +405,7 @@ let test_kernel_bounded_deadlock_audit () =
       K.suspend ~register:(fun _resume -> ()));
   K.spawn ~name:"watcher" ~daemon:true k (fun () ->
       K.suspend ~register:(fun _resume -> ()));
-  let st = K.run ~until:50 k in
+  let st = K.run ~bound:(K.Until 50) k in
   check Alcotest.int "clock coasted to bound" 50 st.K.end_time;
   check Alcotest.bool "queue drained" false (K.has_pending_events k);
   check
@@ -480,10 +480,10 @@ let test_kernel_trace () =
     (List.rev !log)
 
 let test_kernel_until_idle_time () =
-  (* run ~until advances time to the bound when the queue drains early *)
+  (* an Until run advances time to the bound when the queue drains early *)
   let k = K.create () in
   K.spawn k (fun () -> K.wait 3);
-  let st = K.run ~until:50 k in
+  let st = K.run ~bound:(K.Until 50) k in
   check Alcotest.int "advanced to until" 50 st.K.end_time
 
 let test_kernel_until_pending_clock () =
@@ -492,17 +492,17 @@ let test_kernel_until_pending_clock () =
      bounded runs is timed from the bound, not from the last event *)
   let k = K.create () in
   K.spawn k (fun () -> K.wait 100);
-  let st = K.run ~until:30 k in
+  let st = K.run ~bound:(K.Until 30) k in
   check Alcotest.int "clock at bound despite queued future" 30 st.K.end_time;
   check Alcotest.int "now agrees" 30 (K.now k);
   let fired = ref (-1) in
   K.spawn k (fun () ->
       K.wait 5;
       fired := K.now k);
-  ignore (K.run ~until:60 k);
+  ignore (K.run ~bound:(K.Until 60) k);
   check Alcotest.int "subsequent wait timed from the bound" 35 !fired;
   (* the original process still completes at its own schedule *)
-  let st3 = K.run ~until:200 k in
+  let st3 = K.run ~bound:(K.Until 200) k in
   check Alcotest.int "original event fired on time" 200 st3.K.end_time
 
 let test_kernel_daemon_quiescent () =
@@ -552,8 +552,8 @@ let prop_kernel_endtime =
 (* ------------------------------------------------------------------ *)
 
 (* A never-firing [stop] makes [run] queue every wait. *)
-let run_path ~queued ?until k =
-  if queued then K.run ?until ~stop:(fun () -> false) k else K.run ?until k
+let run_path ~queued ?bound k =
+  if queued then K.run ?bound ~stop:(fun () -> false) k else K.run ?bound k
 
 let stats_t =
   Alcotest.testable
@@ -572,7 +572,7 @@ let show_action = function
   | Send v -> Printf.sprintf "send %d" v
   | Recv -> "recv"
 
-(* Process scripts, an optional [until], and the latency of the one
+(* Process scripts, an optional [Until] time, and the latency of the one
    depth-2 channel every process shares (0: a bounded FIFO whose sends
    can block; 1-2: a delay line delivering through the arrival lane). *)
 let arb_world =
@@ -636,7 +636,7 @@ let run_world ~queued (procs, until, latency) =
     procs;
   let before = K.domain_totals () in
   let outcome =
-    match run_path ~queued ?until k with
+    match run_path ~queued ?bound:(Option.map (fun u -> K.Until u) until) k with
     | _ -> "drained"
     | exception K.Deadlock names -> "deadlock " ^ names
   in
@@ -675,14 +675,14 @@ let test_in_place_tie () =
   check stats_t "same stats as the queued path" (snd (go ~queued:true)) st
 
 let test_in_place_past_until () =
-  (* a wake past [until] stays queued and the clock coasts to the bound *)
+  (* a wake past an [Until] bound stays queued and the clock coasts to it *)
   let k = K.create () in
   let woke = ref (-1) in
   K.spawn k (fun () ->
       K.wait 2;
       K.wait 5;
       woke := K.now k);
-  let st = K.run ~until:4 k in
+  let st = K.run ~bound:(K.Until 4) k in
   check Alcotest.int "clock at the bound" 4 st.K.end_time;
   check Alcotest.bool "wake still queued" true (K.has_pending_events k);
   check Alcotest.int "not woken yet" (-1) !woke;
@@ -815,7 +815,7 @@ let test_signal_await_predicate () =
         K.wait 1;
         Signal.write s i
       done);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check Alcotest.int "first satisfying value" 3 !hit
 
 let test_signal_await_immediate () =
@@ -842,7 +842,7 @@ let test_signal_posedge () =
         K.wait 5;
         Signal.write clk 0
       done);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check (Alcotest.list Alcotest.int) "posedges" [ 5; 15; 25 ]
     (List.rev !edges)
 
@@ -899,7 +899,7 @@ let test_chan_buffered_nonblocking () =
       for i = 1 to 4 do
         Channel.send c i
       done);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   let stats = Channel.stats c in
   check Alcotest.int "no blocks" 0 stats.Channel.blocked_sends;
   check Alcotest.int "occupancy" 4 (Channel.occupancy c)

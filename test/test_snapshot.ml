@@ -257,7 +257,7 @@ let test_kernel_fork_discipline () =
       emit "w1";
       K.wait 5;
       emit "w2");
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check Alcotest.int "quiescent at 15" 15 (K.now k);
   let snap = K.snapshot k in
   let fork tag =
@@ -267,7 +267,7 @@ let test_kernel_fork_discipline () =
         emit (tag ^ ".start");
         K.wait 7;
         emit (tag ^ ".end"));
-    ignore (K.run ~expect_quiescent:true k);
+    ignore (K.run ~bound:K.Quiesce k);
     (K.now k, List.rev_map snd !trace, List.rev_map fst !trace)
   in
   let t1, tags1, times1 = fork "f" in
@@ -280,9 +280,9 @@ let test_kernel_fork_discipline () =
   K.restore k snap;
   K.spawn ~name:"blocked-forever" k (fun () ->
       K.suspend ~register:(fun _ -> ()));
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   K.restore k snap;
-  let st = K.run ~expect_quiescent:true k in
+  let st = K.run ~bound:K.Quiesce k in
   check Alcotest.int "restored world is quiescent" 15 st.K.end_time
 
 let test_channel_snapshot_restore () =
@@ -292,12 +292,12 @@ let test_channel_snapshot_restore () =
       Ch.send c 1;
       Ch.send c 2;
       Ch.send c 3);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   let snap = Ch.snapshot c in
   K.spawn k (fun () ->
       check Alcotest.int "recv 1" 1 (Ch.recv c);
       Ch.send c 99);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   Ch.restore c snap;
   let got = ref [] in
   K.spawn k (fun () ->
@@ -305,7 +305,7 @@ let test_channel_snapshot_restore () =
       let y = Ch.recv c in
       let z = Ch.recv c in
       got := [ x; y; z ]);
-  ignore (K.run ~expect_quiescent:true k);
+  ignore (K.run ~bound:K.Quiesce k);
   check (Alcotest.list Alcotest.int) "restored buffer contents" [ 1; 2; 3 ]
     !got;
   check Alcotest.int "occupancy rewound" 0 (Ch.occupancy c)
