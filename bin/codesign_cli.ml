@@ -20,8 +20,9 @@
    fuzz, fault and experiments take --jobs N: the work shards over the
    shared Domain_pool and merges by task index, so reports and tables
    are byte-identical at every N.  They also take --max-retries N and
-   --deadline-ms MS: failing units of work are retried per policy and
-   then recorded as degraded while the run completes (lib/resil).
+   --deadline-ms MS: each unit of work runs under Resil.Supervisor, so a
+   failing one is retried and then recorded as degraded while the run
+   completes.
    Unknown subcommands or flags exit 2 with usage on stderr.             *)
 
 open Cmdliner
@@ -112,12 +113,6 @@ let deadline_arg =
            it passes is recorded as degraded (\"deadline exceeded\") \
            instead of run.  Default: none.")
 
-(* --max-retries N as a restart policy: N immediate retries.  [None]
-   keeps each subsystem's own default. *)
-let policy_of_retries =
-  Option.map (fun n ->
-      Resil.Policy.create ~max_retries:n ~backoff:Resil.Policy.No_backoff ())
-
 (* Every layer of the generated task graph needs a task. *)
 let tasks_arg =
   Arg.(
@@ -140,28 +135,22 @@ let kernel_arg =
 
 (* An experiment past the wall deadline, or still raising after its
    retries, degrades (skipped / recorded) instead of aborting the run. *)
-let run_experiment_guarded ~budget ~policy ~quick ~jobs (e : Registry.entry) =
-  if Resil.Budget.past_deadline budget then Error "deadline exceeded"
-  else
-    match
-      Resil.Policy.retry policy (fun ~attempt:_ ->
-          match e.Registry.run ~quick ~jobs () with
-          | table -> Ok table
-          | exception exn -> Error (Printexc.to_string exn))
-    with
-    | Ok table -> Ok table
-    | Error { Resil.Policy.attempts; last_error } ->
-        Error (Printf.sprintf "%s (after %d attempts)" last_error attempts)
+let run_experiment ~budget ~max_retries ~quick ~jobs (e : Registry.entry) =
+  Resil.Supervisor.run ~max_retries ~budget ~restore:ignore (fun () ->
+      Ok (e.Registry.run ~quick ~jobs ()))
+  |> Result.map_error (fun { Obs.Degraded.error; attempts; _ } ->
+         if attempts = 0 then error
+         else Printf.sprintf "%s (after %d attempts)" error attempts)
 
-(* One experiment run with the same measurement wrapper the bench
-   harness uses, so CLI JSON records match BENCH_results.json entries.
-   A degraded experiment's record carries a ["degraded"] member instead
-   of the table. *)
-let measure_experiment ~budget ~policy ~quick ~jobs (e : Registry.entry) =
+(* One experiment's JSON record, with the same measurement wrapper the
+   bench harness uses, so CLI JSON records match BENCH_results.json
+   entries.  A degraded experiment's record carries a ["degraded"]
+   member instead of the table. *)
+let measure_experiment ~budget ~max_retries ~quick ~jobs (e : Registry.entry) =
   let module K = Codesign_sim.Kernel in
   let before = K.domain_totals () in
   let t0 = Obs.Clock.now_ns () in
-  let outcome = run_experiment_guarded ~budget ~policy ~quick ~jobs e in
+  let outcome = run_experiment ~budget ~max_retries ~quick ~jobs e in
   let wall_s = Obs.Clock.elapsed_s ~since:t0 in
   let after = K.domain_totals () in
   let base =
@@ -175,74 +164,72 @@ let measure_experiment ~budget ~policy ~quick ~jobs (e : Registry.entry) =
       ("kernels", Obs.Json.Int (after.K.d_kernels - before.K.d_kernels));
     ]
   in
-  ( outcome,
-    Obs.Json.Obj
-      (base
-      @
-      match outcome with
-      | Ok table ->
-          [
-            ("table_checksum", Obs.Json.Str (Obs.Checksum.of_string table));
-            ("table", Obs.Json.Str table);
-          ]
-      | Error msg -> [ ("degraded", Obs.Json.Str msg) ]) )
+  Obs.Json.Obj
+    (base
+    @
+    match outcome with
+    | Ok table ->
+        [
+          ("table_checksum", Obs.Json.Str (Obs.Checksum.of_string table));
+          ("table", Obs.Json.Str table);
+        ]
+    | Error msg -> [ ("degraded", Obs.Json.Str msg) ])
 
 let experiments_cmd =
   let quick =
     Arg.(value & flag & info [ "q"; "quick" ] ~doc:"Small problem sizes.")
   in
   let names =
+    let name_conv =
+      Arg.enum
+        (List.concat_map
+           (fun (e : Registry.entry) ->
+             [ (e.Registry.cli_name, e); (e.Registry.exp_id, e) ])
+           Registry.all)
+    in
     Arg.(
-      value & pos_all string []
-      & info [] ~docv:"NAME" ~doc:"Experiment names (exp1..exp10, expA).")
+      value & pos_all name_conv []
+      & info [] ~docv:"NAME"
+          ~doc:
+            (Printf.sprintf
+               "Experiments to run (default all): %s.  Each also answers to \
+                its paper id, e.g. EXP-3M."
+               (String.concat ", "
+                  (List.map (fun (e : Registry.entry) -> e.Registry.cli_name)
+                     Registry.all))))
   in
   let run quick jobs json max_retries deadline_ms names =
     let selected =
-      if names = [] then Registry.all
-      else
-        List.filter
-          (fun (e : Registry.entry) ->
-            List.mem e.Registry.cli_name names
-            || List.mem e.Registry.exp_id names)
-          Registry.all
+      match names with
+      | [] -> Registry.all
+      | _ -> List.filter (fun e -> List.memq e names) Registry.all
     in
     let budget = Resil.Budget.create ?deadline_ms () in
-    let policy =
-      Option.value (policy_of_retries max_retries)
-        ~default:Resil.Policy.no_retry
-    in
-    if selected = [] then
-      Error
-        (`Msg
-          "no matching experiments (try exp1..exp10, exp3m, expA, expF, expP)")
-    else if json then begin
+    let max_retries = Option.value max_retries ~default:0 in
+    if json then begin
       let records =
         List.map
-          (fun e -> snd (measure_experiment ~budget ~policy ~quick ~jobs e))
+          (measure_experiment ~budget ~max_retries ~quick ~jobs)
           selected
       in
-      print_endline (Obs.Json.to_string ~pretty:true (Obs.Json.List records));
-      Ok ()
+      print_endline (Obs.Json.to_string ~pretty:true (Obs.Json.List records))
     end
-    else begin
+    else
       List.iter
         (fun (e : Registry.entry) ->
-          match run_experiment_guarded ~budget ~policy ~quick ~jobs e with
+          match run_experiment ~budget ~max_retries ~quick ~jobs e with
           | Ok table -> print_endline table
           | Error msg ->
               Printf.eprintf "codesign: experiment %s degraded: %s\n%!"
                 e.Registry.exp_id msg)
-        selected;
-      Ok ()
-    end
+        selected
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Print reproduction experiment tables.")
     Term.(
-      term_result
-        (started
-           (const run $ quick $ jobs_arg $ json_arg $ max_retries_arg
-          $ deadline_arg $ names)))
+      started
+        (const run $ quick $ jobs_arg $ json_arg $ max_retries_arg
+       $ deadline_arg $ names))
 
 (* ------------------------------------------------------------------ *)
 (* partition                                                           *)
@@ -251,7 +238,8 @@ let experiments_cmd =
 let partition_cmd =
   let budget =
     Arg.(
-      value & opt (some int) None
+      value
+      & opt (some (int_at_least 0)) None
       & info [ "budget" ] ~docv:"AREA" ~doc:"Hardware area budget.")
   in
   let algo =
@@ -552,8 +540,8 @@ let fuzz_cmd =
   in
   let run seed count fault jobs max_retries deadline_ms json =
     let r =
-      Codesign_fuzz.Fuzz.run ~seed ~count ~fault ~jobs
-        ?policy:(policy_of_retries max_retries) ?deadline_ms ()
+      Codesign_fuzz.Fuzz.run ~seed ~count ~fault ~jobs ?max_retries
+        ?deadline_ms ()
     in
     let module R = Obs.Fuzz_report in
     if json then
@@ -686,30 +674,40 @@ let fault_cmd =
       | None -> if quick then Campaign.quick_ops else Campaign.default_ops
     in
     let r =
-      Campaign.run ~seed ~ops ?warmup ~engine ~jobs
-        ?policy:(policy_of_retries max_retries) ?cell_fuel ?deadline_ms
-        ?chaos ()
+      Campaign.run ~seed ~ops ?warmup ~engine ~jobs ?max_retries ?cell_fuel
+        ?deadline_ms ?chaos ()
     in
-    (match out with
-    | None -> ()
-    | Some file ->
-        FR.write ~path:file r;
-        (match FR.read ~path:file with
-        | Error e ->
-            failwith
-              (Printf.sprintf "fault report in %s failed to parse: %s" file e)
-        | Ok back ->
-            (* compare serialized forms: floats are printed at %.12g, so
-               the parsed tree can differ in bits the printer drops while
-               the canonical text stays identical *)
-            if
-              Obs.Json.to_string (FR.to_json back)
-              <> Obs.Json.to_string (FR.to_json r)
-            then failwith ("fault report did not round-trip through " ^ file)));
-    if json then
-      print_endline (Obs.Json.to_string ~pretty:true (FR.to_json r))
-    else print_string (Codesign_experiments.Exp_fault.render r);
-    Ok ()
+    (* Write and re-read the report before printing anything, so a bad
+       --out path fails with one line on stderr and nothing on stdout. *)
+    let checked =
+      match out with
+      | None -> Ok ()
+      | Some file ->
+          let ( let* ) = Result.bind in
+          let fail fmt = Printf.ksprintf (fun m -> Error (`Msg m)) fmt in
+          let* () =
+            try Ok (FR.write ~path:file r)
+            with Sys_error e -> fail "cannot write the fault report: %s" e
+          in
+          let* back =
+            match FR.read ~path:file with
+            | Ok back -> Ok back
+            | Error e -> fail "fault report in %s failed to parse: %s" file e
+          in
+          (* compare serialized forms: floats are printed at %.12g, so
+             the parsed tree can differ in bits the printer drops while
+             the canonical text stays identical *)
+          if
+            Obs.Json.to_string (FR.to_json back)
+            <> Obs.Json.to_string (FR.to_json r)
+          then fail "fault report did not round-trip through %s" file
+          else Ok ()
+    in
+    if Result.is_ok checked then
+      if json then
+        print_endline (Obs.Json.to_string ~pretty:true (FR.to_json r))
+      else print_string (Codesign_experiments.Exp_fault.render r);
+    checked
   in
   Cmd.v
     (Cmd.info "fault"

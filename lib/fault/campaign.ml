@@ -57,10 +57,8 @@ let chaos_of_string s =
       Error
         (Printf.sprintf "unknown chaos mode %S (expected trap | hang)" other)
 
-(* Cell supervision defaults: two restarts from the checkpoint, no
-   backoff (each attempt is deterministic, so pacing buys nothing), and
-   a fuel window matching the historic hard K.run bound. *)
-let default_policy = Policy.create ~max_retries:2 ~backoff:Policy.No_backoff ()
+(* The per-attempt fuel window of a supervised cell: the historic hard
+   K.run bound. *)
 let default_cell_fuel = 200_000_000
 
 (* ------------------------------------------------------------------ *)
@@ -158,7 +156,7 @@ let pin_op fb i =
    with the historic linear [backoff * (attempt + 1)] ramp — the exact
    schedule (8, 16, 24) the old hand-rolled loops spent. *)
 let tlm_policy =
-  Policy.create ~max_retries:retry_budget ~backoff:(Policy.Linear backoff) ()
+  Policy.create ~max_retries:retry_budget ~backoff:(Policy.Linear backoff)
 
 let tlm_op st fb i =
   let on_retry ~attempt:_ ~delay:_ = st.retries <- st.retries + 1 in
@@ -292,7 +290,7 @@ let audit (w : world) (st : cell_state) ~rate : FR.cell =
    zeroed placeholders, the [degraded] record carries what is actually
    known (last error, attempts spent, simulated time at the final
    failure). *)
-let degraded_cell ~label ~rate ~ops ~error ~attempts ~elapsed : FR.cell =
+let degraded_cell ~label ~rate ~ops d : FR.cell =
   {
     FR.mechanism = label;
     rate;
@@ -310,7 +308,7 @@ let degraded_cell ~label ~rate ~ops ~error ~attempts ~elapsed : FR.cell =
     recovery_rate = 0.0;
     mean_detect_latency = 0.0;
     checksum_ok = false;
-    degraded = Some { Degraded.error; attempts; elapsed };
+    degraded = Some d;
   }
 
 let is_degraded (c : FR.cell) = c.FR.degraded <> None
@@ -402,36 +400,29 @@ let warmed_up ?chaos ~warmup ~ops ~budget mechanism =
 (* One supervised sweep cell.  Every attempt takes its world from
    [prepare ()], starts the cell at transfer [lo] and runs it in a fresh
    [cell_fuel] window under the sweep deadline; a trapped or exhausted
-   attempt is rolled back with [restore] and retried per [policy].  A
-   cell that spends its restart intensity becomes a [degraded] row,
-   whose [elapsed] is the simulated time at the last failure. *)
-let supervised_cell ~seed ~ops ~policy ~budget ~cell_fuel ~label
+   attempt is rolled back with [restore] and retried up to
+   [max_retries] times.  A cell that spends its restart intensity
+   becomes a [degraded] row, whose [elapsed] is the simulated time at
+   the last failure. *)
+let supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel ~label
     (prepare, restore, lo) rate =
-  if Budget.past_deadline budget then
-    degraded_cell ~label ~rate ~ops ~error:"deadline exceeded" ~attempts:0
-      ~elapsed:0
-  else begin
-    let elapsed = ref 0 in
-    let attempt ~attempt:_ =
-      let w = prepare () in
-      let st = start_cell w ~seed ~rate ~lo in
-      match Budget.run_kernel (Budget.with_fuel budget ~fuel:cell_fuel) w.k with
-      | Budget.Done _ -> Ok (audit w st ~rate)
-      | Budget.Exhausted e ->
-          elapsed := K.now w.k;
-          Error ("budget exhausted: " ^ Budget.exhausted_name e)
-      | exception e ->
-          elapsed := K.now w.k;
-          Error (Printexc.to_string e)
-    in
-    match Supervisor.run ~policy ~restore attempt with
-    | Supervisor.Completed { value; _ } -> value
-    | Supervisor.Gave_up { attempts; errors } ->
-        let error =
-          match List.rev errors with last :: _ -> last | [] -> "unknown"
-        in
-        degraded_cell ~label ~rate ~ops ~error ~attempts ~elapsed:!elapsed
-  end
+  let elapsed = ref 0 in
+  let attempt () =
+    let w = prepare () in
+    let st = start_cell w ~seed ~rate ~lo in
+    let window = Budget.with_fuel budget ~fuel:cell_fuel in
+    Fun.protect
+      ~finally:(fun () -> elapsed := K.now w.k)
+      (fun () ->
+        match Budget.run_kernel window w.k with
+        | Budget.Done _ -> Ok (audit w st ~rate)
+        | Budget.Exhausted e ->
+            Error ("budget exhausted: " ^ Budget.exhausted_name e))
+  in
+  match Supervisor.run ~max_retries ~budget ~restore attempt with
+  | Ok cell -> cell
+  | Error d ->
+      degraded_cell ~label ~rate ~ops { d with Degraded.elapsed = !elapsed }
 
 (* The fuzz oracle's unsupervised reference: each point on a fresh
    world, warm-up and window straight through. *)
@@ -670,7 +661,8 @@ let task_label = function
    snapshot copy.  The engines differ only in how an attempt gets its
    world: rerun rebuilds it from zero (so there is nothing to rewind
    between attempts), fork rewinds it to the warm-up checkpoint. *)
-let task_cells ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel engine task
+let task_cells ~seed ~warmup ~ops ~rates ~max_retries ~budget ~cell_fuel engine
+    task
     : FR.cell list =
   let chaos, mechanism =
     match task with
@@ -688,14 +680,14 @@ let task_cells ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel engine task
         ((fun () -> restore (); w), restore, warmup)
   in
   let cell =
-    supervised_cell ~seed ~ops ~policy ~budget ~cell_fuel
+    supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel
       ~label:(task_label task) world
   in
   let baseline = cell 0.0 in
   baseline :: List.map (fun rate -> with_overhead ~baseline (cell rate)) rates
 
 let sweep ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
-    ?(jobs = 1) ?(policy = default_policy) ?(cell_fuel = default_cell_fuel)
+    ?(jobs = 1) ?(max_retries = 2) ?(cell_fuel = default_cell_fuel)
     ?deadline_ms ?chaos engine : FR.cell list =
   let warmup = match warmup with Some n -> n | None -> default_warmup ops in
   (* One wall deadline over the whole sweep (no sweep-level fuel); each
@@ -708,27 +700,28 @@ let sweep ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
   in
   Codesign_par.Domain_pool.map_result ~jobs
     ~name:(fun i -> task_label tasks.(i))
-    (task_cells ~seed ~warmup ~ops ~rates ~policy ~budget ~cell_fuel engine)
+    (task_cells ~seed ~warmup ~ops ~rates ~max_retries ~budget ~cell_fuel
+       engine)
     tasks
   |> Array.to_list
   |> List.concat_map (function
        | Ok cells -> cells
-       | Error { Codesign_par.Domain_pool.task; message; attempts; _ } ->
+       | Error { Codesign_par.Domain_pool.task; message; _ } ->
            (* the whole task died outside cell supervision (e.g. its
               warm-up): emit its full expected grid as degraded rows so
               the report keeps its shape *)
            List.map
              (fun rate ->
-               degraded_cell ~label:task ~rate ~ops ~error:message ~attempts
-                 ~elapsed:0)
+               degraded_cell ~label:task ~rate ~ops
+                 { Degraded.error = message; attempts = 1; elapsed = 0 })
              (0.0 :: rates))
 
 let run ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
-    ?(engine = Fork) ?(jobs = 1) ?(policy = default_policy)
-    ?(cell_fuel = default_cell_fuel) ?deadline_ms ?chaos () : FR.t =
+    ?(engine = Fork) ?(jobs = 1) ?max_retries ?cell_fuel ?deadline_ms ?chaos
+    () : FR.t =
   let warmup = match warmup with Some n -> n | None -> default_warmup ops in
   let cells =
-    sweep ~seed ~ops ~warmup ~rates ~jobs ~policy ~cell_fuel ?deadline_ms
+    sweep ~seed ~ops ~warmup ~rates ~jobs ?max_retries ?cell_fuel ?deadline_ms
       ?chaos engine
   in
   let drills =

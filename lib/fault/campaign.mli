@@ -53,8 +53,8 @@
     {!Codesign_resil.Supervisor}: an attempt that traps, deadlocks or
     exhausts its [cell_fuel] window is rolled back (fork engine: rewind
     to the warm-up checkpoint; rerun engine: rebuild from zero) and
-    retried per [policy]; a cell that spends its restart intensity is
-    emitted as a zeroed row carrying a
+    retried up to [max_retries] times; a cell that spends its restart
+    intensity is emitted as a zeroed row carrying a
     {!Codesign_obs.Degraded.t} record — the sweep {e completes} with
     partial results instead of aborting.  [deadline_ms] adds a wall
     deadline over the whole sweep: cells not yet started when it passes
@@ -97,10 +97,6 @@ val default_rates : float list
 val default_ops : int
 val quick_ops : int
 
-val default_policy : Codesign_resil.Policy.t
-(** Per-cell restart policy when [?policy] is omitted: 2 restarts, no
-    backoff. *)
-
 val default_cell_fuel : int
 (** Simulated-time window per cell attempt when [?cell_fuel] is
     omitted (the historic hard run bound, 200M units). *)
@@ -117,7 +113,7 @@ val run_cell :
 
 val sweep :
   ?seed:int -> ?ops:int -> ?warmup:int -> ?rates:float list -> ?jobs:int ->
-  ?policy:Codesign_resil.Policy.t -> ?cell_fuel:int -> ?deadline_ms:int ->
+  ?max_retries:int -> ?cell_fuel:int -> ?deadline_ms:int ->
   ?chaos:chaos -> engine -> Codesign_obs.Fault_report.cell list
 (** The transfer sweep alone (no drills), on the given engine — what
     the fork-vs-rerun microbenchmarks and identity checks exercise.
@@ -128,25 +124,25 @@ val sweep :
     {!Codesign_par.Domain_pool} with one task per mechanism; each worker
     domain builds, warms up and (on {!Fork}) checkpoints its own private
     world, and results merge back in ladder order.  Every cell is a pure
-    function of [(seed, rate, ops, warmup, mechanism, policy,
+    function of [(seed, rate, ops, warmup, mechanism, max_retries,
     cell_fuel)] — wall deadlines aside — so the cell list — and hence
     the report JSON — is byte-identical at every [jobs] (enforced by
     [test/test_parallel.ml], [test/test_resil.ml] and the CI [cmp]
     step), degraded cells included.
 
-    [policy] (default {!default_policy}) caps per-cell restarts,
+    [max_retries] (default 2) caps per-cell restarts,
     [cell_fuel] (default {!default_cell_fuel}) bounds each attempt in
     simulated time, [deadline_ms] bounds the whole sweep in wall time,
     [chaos] injects a deliberately failing task (see the header). *)
 
 val run :
   ?seed:int -> ?ops:int -> ?warmup:int -> ?rates:float list ->
-  ?engine:engine -> ?jobs:int -> ?policy:Codesign_resil.Policy.t ->
+  ?engine:engine -> ?jobs:int -> ?max_retries:int ->
   ?cell_fuel:int -> ?deadline_ms:int -> ?chaos:chaos -> unit ->
   Codesign_obs.Fault_report.t
 (** The full campaign.  Defaults: [seed = 42], [ops = default_ops],
     [warmup = default_warmup ops], [rates = default_rates],
-    [engine = Fork], [jobs = 1], [policy = default_policy],
+    [engine = Fork], [jobs = 1], [max_retries = 2],
     [cell_fuel = default_cell_fuel], no deadline, no chaos.  [jobs]
     parallelises the sweep exactly as in {!sweep}; the drills always
     run serially on the calling domain (and are not supervised — they

@@ -180,11 +180,11 @@ module Policy = Codesign_resil.Policy
 
 let error_name = function Corrupt -> "corrupt" | Timeout -> "timeout"
 
-let retry_op ~policy ?rng ?(on_retry = fun ~attempt:_ ~delay:_ -> ()) op =
-  Policy.retry policy ?rng ~wait:K.wait ~on_retry (fun ~attempt:_ -> op ())
+let retry_op ~policy ?on_retry op =
+  Policy.retry policy ~wait:K.wait ?on_retry (fun ~attempt:_ -> op ())
 
-let read_retry t ~policy ?rng ?on_retry a =
-  retry_op ~policy ?rng ?on_retry (fun () -> read t a)
+let read_retry t ~policy ?on_retry a =
+  retry_op ~policy ?on_retry (fun () -> read t a)
 
-let write_retry t ~policy ?rng ?on_retry a v =
-  retry_op ~policy ?rng ?on_retry (fun () -> write t a v)
+let write_retry t ~policy ?on_retry a v =
+  retry_op ~policy ?on_retry (fun () -> write t a v)

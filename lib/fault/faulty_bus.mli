@@ -56,15 +56,14 @@ val error_name : error -> string
     The bounded-retry idiom the checked view exists for, packaged: the
     transfer is re-attempted per {!Codesign_resil.Policy}, backoff
     spent as {e simulated} time ({!Codesign_sim.Kernel.wait} — call
-    from inside a process), jitter drawn from the caller's [rng].  On
-    exhaustion the typed error of the last attempt comes back wrapped
-    in {!Codesign_resil.Policy.exhausted} with the attempt count —
-    what the campaign's tlm mechanism records as [retries]/[lost]. *)
+    from inside a process).  On exhaustion the typed error of the last
+    attempt comes back wrapped in {!Codesign_resil.Policy.exhausted}
+    with the attempt count — what the campaign's tlm mechanism records
+    as [retries]/[lost]. *)
 
 val read_retry :
   t ->
   policy:Codesign_resil.Policy.t ->
-  ?rng:Codesign_ir.Rng.t ->
   ?on_retry:(attempt:int -> delay:int -> unit) ->
   int ->
   (int, error Codesign_resil.Policy.exhausted) result
@@ -72,7 +71,6 @@ val read_retry :
 val write_retry :
   t ->
   policy:Codesign_resil.Policy.t ->
-  ?rng:Codesign_ir.Rng.t ->
   ?on_retry:(attempt:int -> delay:int -> unit) ->
   int ->
   int ->

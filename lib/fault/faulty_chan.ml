@@ -139,7 +139,7 @@ let send_frame t ~seq ~idx ~v ~last ~budget ~count_detect =
   (* Stop-and-wait retransmission as a retry policy: the budget caps
      retransmits (total transmissions = budget + 1), back-to-back — the
      ack timeout already spent the simulated time, so no extra backoff. *)
-  let policy = Policy.create ~max_retries:budget ~backoff:Policy.No_backoff () in
+  let policy = Policy.create ~max_retries:budget ~backoff:Policy.No_backoff in
   let on_retry ~attempt:_ ~delay:_ = t.retrans <- t.retrans + 1 in
   match Policy.retry policy ~on_retry transmit_once with
   | Ok () -> true

@@ -1,7 +1,6 @@
 module B = Codesign_ir.Behavior
 module Rng = Codesign_ir.Rng
 module Fuzz_report = Codesign_obs.Fuzz_report
-module Degraded = Codesign_obs.Degraded
 module Clock = Codesign_obs.Clock
 
 let pp_program p = Format.asprintf "%a" B.pp p
@@ -124,37 +123,29 @@ let run_case ?transform_asm ~fault case_seed =
   | _ -> behavior_case ?transform_asm ~case_seed rng
 
 let run ?(seed = 42) ?(count = 200) ?(fault = false) ?(jobs = 1)
-    ?(policy = Codesign_resil.Policy.no_retry) ?deadline_ms ?transform_asm () =
+    ?(max_retries = 0) ?deadline_ms ?transform_asm () =
   let t0 = Clock.now_ns () in
   let budget = Codesign_resil.Budget.create ?deadline_ms () in
   let cases = Array.init count (fun i -> seed + i) in
-  (* Degradation instead of abort: a case whose harness raises is
-     retried in place per [policy]; still failing (or queued past the
-     wall deadline) it becomes a [degraded] report entry keyed by its
-     case seed, and the campaign completes.  [Budget.past_deadline] is
-     a pure monotonic-clock read, safe from any worker domain. *)
-  let attempt case_seed =
-    if Codesign_resil.Budget.past_deadline budget then
-      Error (case_seed, { Degraded.error = "deadline exceeded"; attempts = 0; elapsed = 0 })
-    else Ok (run_case ?transform_asm ~fault case_seed)
-  in
+  (* Degradation instead of abort: each case runs under the supervisor,
+     so one whose harness raises on every attempt (or is queued past
+     the wall deadline) becomes a [degraded] report entry keyed by its
+     case seed, and the campaign completes. *)
   let outcomes =
-    Codesign_par.Domain_pool.map_result ~jobs
-      ~name:(fun i -> Printf.sprintf "fuzz case seed %d" cases.(i))
-      ~retries:policy.Codesign_resil.Policy.max_retries attempt cases
+    Array.to_list
+      (Codesign_par.Domain_pool.map ~jobs
+         (fun case_seed ->
+           ( case_seed,
+             Codesign_resil.Supervisor.run ~max_retries ~budget
+               ~restore:ignore (fun () ->
+                 Ok (run_case ?transform_asm ~fault case_seed)) ))
+         cases)
   in
-  let results =
-    Array.to_list outcomes
-    |> List.filter_map (function Ok (Ok r) -> Some r | _ -> None)
-  in
+  let results = List.filter_map (fun (_, o) -> Result.to_option o) outcomes in
   let degraded =
-    Array.to_list outcomes
-    |> List.filter_map (function
-         | Ok (Ok _) -> None
-         | Ok (Error cut_off) -> Some cut_off
-         | Error { Codesign_par.Domain_pool.index; message; attempts; _ } ->
-             Some
-               (cases.(index), { Degraded.error = message; attempts; elapsed = 0 }))
+    List.filter_map
+      (function case_seed, Error d -> Some (case_seed, d) | _, Ok _ -> None)
+      outcomes
   in
   let count_cat c =
     List.fold_left

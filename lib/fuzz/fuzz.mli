@@ -31,17 +31,18 @@
     elapsed time).  Enforced by [test/test_parallel.ml] and the CI
     [cmp] step.
 
-    [policy] and [deadline_ms] make the run degrade instead of abort: a
-    case whose harness {e raises} is retried in place up to
-    [policy.max_retries] times on the worker that claimed it, and a
-    case still failing — or not yet started when the wall deadline
-    passes — is recorded in the report's [degraded] list (keyed by case
-    seed, with the error and attempt count) while the campaign
-    completes.  The category counters count completed cases only.
-    With the default {!Codesign_resil.Policy.no_retry} and no deadline,
-    a raising harness degrades after one attempt.  Degraded entries are
-    jobs-invariant; deadline cut-offs are inherently wall-dependent and
-    meant as a CI safety net, not for byte-compared runs.
+    [max_retries] and [deadline_ms] make the run degrade instead of
+    abort: every case runs under {!Codesign_resil.Supervisor.run}, so a
+    case whose harness {e raises} is retried up to [max_retries] times
+    on the worker that claimed it, and a case still failing — or not
+    yet started when the wall deadline passes — is recorded in the
+    report's [degraded] list (keyed by case seed, with the error and
+    attempt count) while the campaign completes.  The category counters
+    count completed cases only.  With the default [max_retries = 0] and
+    no deadline, a raising harness degrades after one attempt.
+    Degraded entries are jobs-invariant; deadline cut-offs are
+    inherently wall-dependent and meant as a CI safety net, not for
+    byte-compared runs.
 
     [transform_asm] is threaded through to {!Diff.check_behavior} for
     bug-injection tests. *)
@@ -51,11 +52,11 @@ val run :
   ?count:int ->
   ?fault:bool ->
   ?jobs:int ->
-  ?policy:Codesign_resil.Policy.t ->
+  ?max_retries:int ->
   ?deadline_ms:int ->
   ?transform_asm:
     (Codesign_isa.Asm.item list -> Codesign_isa.Asm.item list) ->
   unit ->
   Codesign_obs.Fuzz_report.t
 (** Defaults: [seed = 42], [count = 200], [fault = false], [jobs = 1],
-    [policy = Codesign_resil.Policy.no_retry], no deadline. *)
+    [max_retries = 0], no deadline. *)

@@ -96,10 +96,10 @@ val run : ?fuel:int -> t -> status
     (default 50 million) and exhaustion traps.  Semantically identical
     to calling {!step} in a loop.
 
-    {b Fuel contract} (shared with {!run_blocks}, {!run_compiled} and
-    {!Codesign_resil.Budget.run_cpu}): one fuel step is one retired
-    instruction, {e or} one interrupt entry, {e or} one trapping memory
-    access — every call to {!step} that did work.  {!instret} counts
+    {b Fuel contract} (shared with {!run_blocks} and {!run_compiled}):
+    one fuel step is one retired instruction, {e or} one interrupt
+    entry, {e or} one trapping memory access — every call to {!step}
+    that did work.  {!instret} counts
     only retired instructions, so after an IRQ-heavy run
     [steps > instret] by exactly the number of interrupt entries (plus
     one if the run ended in a trap). *)

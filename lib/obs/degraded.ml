@@ -10,16 +10,8 @@ let to_json d =
 
 let ( let* ) = Result.bind
 
-let field name conv j =
-  match Json.member name j with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-
 let of_json j =
-  let* error = field "error" Json.to_str j in
-  let* attempts = field "attempts" Json.to_int j in
-  let* elapsed = field "elapsed" Json.to_int j in
+  let* error = Json.field "error" Json.to_str j in
+  let* attempts = Json.field "attempts" Json.to_int j in
+  let* elapsed = Json.field "elapsed" Json.to_int j in
   Ok { error; attempts; elapsed }

@@ -41,8 +41,8 @@ type cell = {
           charged the end-of-run audit time *)
   checksum_ok : bool;  (** FNV-1a over the sink matches the expected *)
   degraded : Degraded.t option;
-      (** schema v3: present iff the cell's supervised run exhausted
-          its retry/budget policy and was declared dead — counters
+      (** schema v3: present iff the cell's supervised run spent its
+          retries and fuel and was declared dead — counters
           above are then zeroed placeholders, not measurements *)
 }
 

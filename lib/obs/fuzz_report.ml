@@ -69,22 +69,9 @@ let to_json (r : t) =
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
-
-let field name conv j =
-  match Json.member name j with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-
-let opt_field name conv j =
-  match Json.member name j with
-  | None -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+let field = Json.field
+let all_of = Json.all_of
+let opt_field = Json.opt_field
 
 let failure_of_json j =
   let* f_category = field "category" Json.to_str j in
@@ -93,14 +80,6 @@ let failure_of_json j =
   let* f_program = opt_field "program" Json.to_str j in
   let* f_shrunk_stmts = opt_field "shrunk_stmts" Json.to_int j in
   Ok { f_category; f_seed; f_detail; f_program; f_shrunk_stmts }
-
-let all_of conv items =
-  List.fold_right
-    (fun item acc ->
-      let* tail = acc in
-      let* head = conv item in
-      Ok (head :: tail))
-    items (Ok [])
 
 let degraded_of_json j =
   let* case_seed = field "case_seed" Json.to_int j in
@@ -153,23 +132,5 @@ let of_json j =
 
 (* ------------------------------------------------------------------ *)
 
-let write ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string ~pretty:true (to_json r));
-      output_char oc '\n')
-
-let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> (
-      match Json.parse text with
-      | Error e -> Error e
-      | Ok j -> of_json j)
+let write ~path r = Json.write_file ~path (to_json r)
+let read ~path = Json.read_file ~path of_json

@@ -32,8 +32,8 @@ type t = {
   wall_s : float;
   failures : failure list;
   degraded : (int * Degraded.t) list;
-      (** schema v2: cases whose harness died after its retry policy or
-          was cut off by the wall deadline, keyed by case seed — the
+      (** schema v2: cases whose harness died after its retries or was
+          cut off by the wall deadline, keyed by case seed — the
           category counters above count only completed cases.
           [Degraded.elapsed] is 0 (no simulated clock spans a fuzz
           case). *)

@@ -279,3 +279,37 @@ let to_float = function
 let to_bool = function Bool b -> Some b | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List l -> Some l | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* validating readers and files                                        *)
+(* ------------------------------------------------------------------ *)
+
+let field name conv j =
+  match member name j with
+  | None -> Error (Printf.sprintf "missing field %S" name)
+  | Some v -> (
+      match conv v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+
+let opt_field name conv j =
+  match member name j with
+  | None -> Ok None
+  | Some _ -> Result.map Option.some (field name conv j)
+
+let all_of conv items =
+  List.fold_right
+    (fun item acc ->
+      Result.bind acc (fun tail ->
+          Result.map (fun head -> head :: tail) (conv item)))
+    items (Ok [])
+
+let write_file ~path j =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string ~pretty:true j);
+      output_char oc '\n')
+
+let read_file ~path of_json =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> Result.bind (parse text) of_json

@@ -38,3 +38,32 @@ val to_bool : t -> bool option
 
 val to_str : t -> string option
 val to_list : t -> t list option
+
+(** {2 Validating readers} — the shared vocabulary of the report
+    schemas' [of_json] functions. *)
+
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+(** [field name conv j]: the converted member [name] of [j].  Errors
+    are ["missing field \"name\""] and
+    ["field \"name\" has the wrong type"]. *)
+
+val opt_field :
+  string -> (t -> 'a option) -> t -> ('a option, string) result
+(** Like {!field}, but a missing member is [Ok None]. *)
+
+val all_of :
+  ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** Convert every item, in order; on failure, the error of the last
+    failing item. *)
+
+(** {2 Files} *)
+
+val write_file : path:string -> t -> unit
+(** Write the pretty-printed document and a trailing newline.
+    @raise Sys_error when [path] cannot be opened for writing. *)
+
+val read_file :
+  path:string -> (t -> ('a, string) result) -> ('a, string) result
+(** Read, parse and convert a whole file; an unreadable file, a parse
+    error and a conversion error all come back as [Error] (for an
+    unreadable file, the [Sys_error] text). *)

@@ -1,18 +1,16 @@
 module K = Codesign_sim.Kernel
 
-type failure = { index : int; task : string; message : string; attempts : int }
+type failure = { index : int; task : string; message : string }
 
 exception Worker_error of failure list
 
 let () =
   Printexc.register_printer (function
     | Worker_error failures ->
-        let one { index; task; message; attempts } =
-          Printf.sprintf "task %d%s: %s%s" index
+        let one { index; task; message } =
+          Printf.sprintf "task %d%s: %s" index
             (if task = "" then "" else Printf.sprintf " %S" task)
             message
-            (if attempts > 1 then Printf.sprintf " (after %d attempts)" attempts
-             else "")
         in
         Some
           (Printf.sprintf "Domain_pool.Worker_error(%s)"
@@ -21,39 +19,32 @@ let () =
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(* Run one task, retrying in place on the claiming worker.  Retrying on
-   the same worker (rather than re-queueing) keeps the result array's
-   write pattern — and hence the observable outcome — independent of
-   worker scheduling. *)
-let attempt_task ~retries f x =
-  let rec go attempt =
-    match f x with
-    | r -> Ok r
-    | exception e ->
-        if attempt >= retries then Error (Printexc.to_string e, attempt + 1)
-        else go (attempt + 1)
-  in
-  go 0
-
-let run_pool ?jobs ~retries f tasks =
+let map_result ?jobs ?(name = fun _ -> "") f tasks =
   let n = Array.length tasks in
   let jobs =
     min (max 1 (match jobs with Some j -> j | None -> default_jobs ())) (max 1 n)
   in
   let results = Array.make n None in
+  let run i =
+    results.(i) <-
+      Some
+        (match f tasks.(i) with
+        | r -> Ok r
+        | exception e ->
+            Error { index = i; task = name i; message = Printexc.to_string e })
+  in
   if jobs <= 1 then
-    Array.iteri (fun i x -> results.(i) <- Some (attempt_task ~retries f x)) tasks
+    for i = 0 to n - 1 do
+      run i
+    done
   else begin
     let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (attempt_task ~retries f tasks.(i));
-          loop ()
-        end
-      in
-      loop ()
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        run i;
+        worker ()
+      end
     in
     (* Helpers return the kernel-counter delta their tasks contributed;
        the caller folds each one into its own domain totals after the
@@ -67,28 +58,13 @@ let run_pool ?jobs ~retries f tasks =
     worker ();
     List.iter (fun d -> K.merge_domain_totals (Domain.join d)) helpers
   end;
-  Array.map (function Some r -> r | None -> assert false) results
+  Array.map Option.get results
 
-let map_result ?jobs ?(name = fun _ -> "") ?(retries = 0) f tasks =
-  let outcomes = run_pool ?jobs ~retries f tasks in
-  Array.mapi
-    (fun i outcome ->
-      match outcome with
-      | Ok r -> Ok r
-      | Error (message, attempts) ->
-          Error { index = i; task = name i; message; attempts })
-    outcomes
-
-let map ?jobs ?(name = fun _ -> "") f tasks =
-  let outcomes = run_pool ?jobs ~retries:0 f tasks in
+let map ?jobs ?name f tasks =
+  let outcomes = map_result ?jobs ?name f tasks in
   let failures =
     Array.to_list outcomes
-    |> List.mapi (fun i outcome ->
-           match outcome with
-           | Ok _ -> None
-           | Error (message, attempts) ->
-               Some { index = i; task = name i; message; attempts })
-    |> List.filter_map Fun.id
+    |> List.filter_map (function Ok _ -> None | Error f -> Some f)
   in
   if failures <> [] then raise (Worker_error failures);
   Array.map (function Ok r -> r | Error _ -> assert false) outcomes

@@ -31,15 +31,15 @@
       {e every} failure is re-raised as one {!Worker_error} carrying
       the index-ordered failure list.  The serial path wraps exceptions
       identically, so error behaviour does not depend on [jobs] either.
-      {!map_result} is the non-raising variant: per-task [result]s with
-      optional in-place retries, the building block for graceful
-      degradation ({!Codesign_fault.Campaign}, {!Codesign_fuzz}). *)
+      {!map_result} is the non-raising variant: per-task [result]s, so
+      a caller can degrade instead of die ({!Codesign_fault.Campaign}).
+      The pool never retries: retrying a unit of work is
+      {!Codesign_resil.Supervisor}'s job, inside the task. *)
 
 type failure = {
   index : int;  (** index of the failing task in the input array *)
   task : string;  (** caller-supplied label ([""] when unnamed) *)
-  message : string;  (** [Printexc.to_string] of the last exception *)
-  attempts : int;  (** attempts made, >= 1 (1 unless [retries] > 0) *)
+  message : string;  (** [Printexc.to_string] of the exception *)
 }
 
 exception Worker_error of failure list
@@ -63,14 +63,9 @@ val map : ?jobs:int -> ?name:(int -> string) -> ('a -> 'b) -> 'a array -> 'b arr
 val map_result :
   ?jobs:int ->
   ?name:(int -> string) ->
-  ?retries:int ->
   ('a -> 'b) ->
   'a array ->
   ('b, failure) result array
 (** Like {!map} but failures come back as data instead of an exception:
-    task [i]'s slot is [Error failure] after [f tasks.(i)] raised on
-    every attempt.  [retries] (default 0) re-runs a raising task up to
-    that many extra times {e on the worker that claimed it} — in-place
-    retry keeps the outcome independent of worker scheduling, so the
-    jobs-invariance contract above extends to retried and failed tasks
-    ([failure.attempts] included). *)
+    task [i]'s slot is [Error failure] when [f tasks.(i)] raised.  The
+    jobs-invariance contract above extends to failed tasks. *)

@@ -1,13 +1,13 @@
-(** Execution budgets: bound any run in simulated fuel {e and} wall
-    time, and get a structured outcome instead of a hang or a raise.
+(** Execution budgets: bound a kernel run in simulated fuel {e and}
+    wall time, and get a structured outcome instead of a hang or a
+    raise.
 
-    A budget pairs an optional fuel allowance (simulated time units for
-    a kernel, instruction steps for a CPU) with an optional absolute
-    wall-clock deadline.  The runners below ({!run_kernel},
-    {!run_cpu}) consume it and return {!outcome}: [Done] when the
-    workload finished inside the budget, [Exhausted] when a bound was
-    hit with work remaining — the caller decides whether that means
-    retry from a snapshot ({!Supervisor}), a degraded report cell
+    A budget pairs an optional fuel window (simulated time units) with
+    an optional absolute wall-clock deadline.  {!run_kernel} consumes
+    it and returns {!outcome}: [Done] when the workload finished inside
+    the budget, [Exhausted] when a bound was hit with work remaining —
+    the caller decides whether that means retry from a snapshot
+    ({!Supervisor}), a degraded report cell
     ({!Codesign_obs.Degraded}), or an error.
 
     Determinism: fuel bounds are in simulated units, so fuel-exhausted
@@ -17,7 +17,7 @@
     as part of a byte-compared report. *)
 
 type exhausted =
-  | Fuel  (** the simulated-units allowance ran out *)
+  | Fuel  (** the simulated-time window ran out *)
   | Deadline  (** the wall-clock deadline passed *)
 
 val exhausted_name : exhausted -> string
@@ -28,50 +28,34 @@ type 'a outcome = Done of 'a | Exhausted of exhausted
 type t
 
 val create : ?fuel:int -> ?deadline_ms:int -> unit -> t
-(** [fuel] is an allowance of simulated units (unbounded when absent);
+(** [fuel] is the simulated-time window of each {!run_kernel}
+    (unbounded when absent; a run does not use it up);
     [deadline_ms] fixes an absolute deadline [deadline_ms] milliseconds
     from now on the monotonic clock (none when absent).
     @raise Invalid_argument on a non-positive fuel or deadline. *)
 
 val with_fuel : t -> fuel:int -> t
-(** A fresh fuel allowance sharing [t]'s absolute deadline — the
-    campaign shape: one wall deadline over the whole sweep, a fuel
-    window per cell. *)
-
-val spend : t -> int -> unit
-(** Consume fuel (clamped at zero). *)
-
-val fuel_left : t -> int option
+(** A fuel window sharing [t]'s absolute deadline — the campaign shape:
+    one wall deadline over the whole sweep, a fuel window per cell. *)
 
 val past_deadline : t -> bool
 (** Has the wall deadline passed?  A pure read of the monotonic clock —
-    safe from any domain, used by {!Codesign_fuzz} to cut off queued
-    cases. *)
-
-val check : t -> (unit, exhausted) result
-(** [Error Fuel] when the allowance is spent, else [Error Deadline]
-    when the deadline has passed, else [Ok ()]. *)
+    safe from any domain, used by {!Supervisor.run} to cut off work not
+    yet started. *)
 
 val run_kernel :
   t -> Codesign_sim.Kernel.t -> Codesign_sim.Kernel.stats outcome
 (** Run the kernel under the budget: to
-    [Codesign_sim.Kernel.Until (now + fuel)] when a fuel allowance is
+    [Codesign_sim.Kernel.Until (now + fuel)] when a fuel window is
     set (the window starts at the kernel's current clock), to
     [Codesign_sim.Kernel.Quiesce] when none is, and interrupted at the
     wall deadline through the run's [stop] predicate (which reads the
     clock only every 256th event).  [Done stats] iff the event queue
-    drained inside both bounds.  On [Exhausted Fuel] the full fuel
-    window is charged (the kernel clock coasts to the bound, per the
-    [Until] contract); on [Exhausted Deadline] the clock stays at the
-    interruption point.  Either way the kernel is intact — state can be
-    inspected, snapshot or restored.  A run with a deadline queues
+    drained inside both bounds.  On [Exhausted Fuel] the kernel clock
+    has coasted to the end of the window (per the [Until] contract); on
+    [Exhausted Deadline] it stays at the interruption point.  Either way
+    the kernel is intact — state can be inspected, snapshot or
+    restored.  A run with a deadline queues
     every {!Codesign_sim.Kernel.wait}, so deadline-bounded runs never
     advance the clock in place: they pay a queue push and pop per wait
     where a fuel-only run would not. *)
-
-val run_cpu : t -> Codesign_isa.Cpu.t -> Codesign_isa.Cpu.status outcome
-(** Run the ISS until it halts/traps or the budget runs out, on the
-    block-compiled tier ({!Codesign_isa.Cpu.run_blocks}; fuel = steps
-    per that function's contract — retired instructions, interrupt
-    entries and trapping accesses; the deadline is checked between
-    4096-step slices).  [Done status] is never [Running]. *)

@@ -1,69 +1,32 @@
-(* Bounded retry with deterministic backoff.  See policy.mli for the
-   timing contract; the short version is that a jitter-free policy
-   performs no Rng draws and a zero delay performs no wait, so the
-   rebased retry loops in lib/fault reproduce their historic schedules
-   exactly. *)
+(* Bounded retry with a deterministic backoff.  See policy.mli for the
+   timing contract; the short version is that a zero delay performs no
+   wait, so the rebased retry loops in lib/fault reproduce their
+   historic schedules exactly. *)
 
-module Rng = Codesign_ir.Rng
+type backoff = No_backoff | Linear of int
+type t = { max_retries : int; backoff : backoff }
 
-type backoff =
-  | No_backoff
-  | Constant of int
-  | Linear of int
-  | Exponential of { base : int; factor : int; cap : int }
+let create ~max_retries ~backoff =
+  if max_retries < 0 then invalid_arg "Policy.create: negative max_retries";
+  (match backoff with
+  | Linear d when d < 0 -> invalid_arg "Policy.create: negative backoff delay"
+  | _ -> ());
+  { max_retries; backoff }
 
-type t = { max_retries : int; backoff : backoff; jitter : int }
-
-let validate t =
-  if t.max_retries < 0 then invalid_arg "Policy.create: negative max_retries";
-  if t.jitter < 0 then invalid_arg "Policy.create: negative jitter";
-  (match t.backoff with
-  | No_backoff -> ()
-  | Constant d | Linear d ->
-      if d < 0 then invalid_arg "Policy.create: negative backoff delay"
-  | Exponential { base; factor; cap } ->
-      if base <= 0 || factor <= 0 || cap < 0 then
-        invalid_arg "Policy.create: exponential base/factor must be positive");
-  t
-
-let create ?(max_retries = 3)
-    ?(backoff = Exponential { base = 8; factor = 2; cap = 512 }) ?(jitter = 0)
-    () =
-  validate { max_retries; backoff; jitter }
-
-let no_retry = { max_retries = 0; backoff = No_backoff; jitter = 0 }
-let default = create ()
-
-let base_delay t ~attempt =
-  match t.backoff with
-  | No_backoff -> 0
-  | Constant d -> d
-  | Linear base -> base * (attempt + 1)
-  | Exponential { base; factor; cap } ->
-      (* Iterate rather than exponentiate: caps long before overflow. *)
-      let rec grow d n = if n <= 0 || d >= cap then min d cap else grow (d * factor) (n - 1) in
-      grow base attempt
-
-let delay ?rng t ~attempt =
-  let d = base_delay t ~attempt in
-  match rng with
-  | Some rng when t.jitter > 0 -> d + Rng.int rng (t.jitter + 1)
-  | _ -> d
-
-let schedule t ?rng () =
-  List.init t.max_retries (fun attempt -> delay ?rng t ~attempt)
+let delay t ~attempt =
+  match t.backoff with No_backoff -> 0 | Linear base -> base * (attempt + 1)
 
 type 'e exhausted = { attempts : int; last_error : 'e }
 
-let retry t ?rng ?(wait = fun _ -> ()) ?(on_retry = fun ~attempt:_ ~delay:_ -> ())
-    f =
+let retry t ?(wait = fun _ -> ()) ?(on_retry = fun ~attempt:_ ~delay:_ -> ()) f
+    =
   let rec go attempt =
     match f ~attempt with
     | Ok _ as ok -> ok
     | Error e when attempt >= t.max_retries ->
         Error { attempts = attempt + 1; last_error = e }
     | Error _ ->
-        let d = delay ?rng t ~attempt in
+        let d = delay t ~attempt in
         on_retry ~attempt ~delay:d;
         if d > 0 then wait d;
         go (attempt + 1)

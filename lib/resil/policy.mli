@@ -5,53 +5,26 @@
     sweep cell retried bus transfers with a literal budget and a
     [backoff * (n + 1)] wait, the ARQ channel retransmitted with a
     literal frame budget, the campaign supervisor re-ran trapped cells
-    ad hoc.  A {!t} names the whole family: how many retries, what
-    delay grows between them, and how much deterministic jitter (drawn
-    from a caller-supplied {!Codesign_ir.Rng} — usually the campaign
-    stream, so the schedule is a pure function of the seed) is added on
-    top.
+    ad hoc.  A {!t} names the whole family: how many retries, and what
+    delay grows between them.
 
-    Timing contract: {!delay} with [jitter = 0] performs {e no} Rng
-    draw, so a policy without jitter never perturbs a seeded stream —
-    which is how the rebased {!Codesign_fault.Faulty_chan} and tlm
-    retry loops reproduce their pre-policy behaviour byte for byte. *)
+    Timing contract: a zero delay performs {e no} wait, so a
+    [No_backoff] policy adds nothing to simulated time — which is how
+    the rebased {!Codesign_fault.Faulty_chan} and tlm retry loops
+    reproduce their pre-policy behaviour byte for byte. *)
 
 type backoff =
   | No_backoff  (** retry immediately *)
-  | Constant of int  (** the same delay before every retry *)
   | Linear of int  (** [base * (attempt + 1)]: the historic tlm ramp *)
-  | Exponential of { base : int; factor : int; cap : int }
-      (** [min cap (base * factor^attempt)] *)
 
 type t = {
   max_retries : int;
       (** retries after the first attempt; total attempts = max_retries + 1 *)
   backoff : backoff;
-  jitter : int;
-      (** max extra delay per retry, drawn uniformly from [0, jitter]
-          when an Rng is supplied; 0 = deterministic schedule, no draw *)
 }
 
-val create : ?max_retries:int -> ?backoff:backoff -> ?jitter:int -> unit -> t
-(** Defaults: [max_retries = 3],
-    [backoff = Exponential {base = 8; factor = 2; cap = 512}],
-    [jitter = 0].
-    @raise Invalid_argument on a negative count/delay or a
-    non-positive exponential base/factor. *)
-
-val no_retry : t
-(** One attempt, no delays. *)
-
-val default : t
-(** [create ()]. *)
-
-val delay : ?rng:Codesign_ir.Rng.t -> t -> attempt:int -> int
-(** Delay before retry [attempt] (0-based retry index).  Draws exactly
-    one Rng value iff [jitter > 0] and [rng] is supplied, so equal
-    seeds give equal schedules. *)
-
-val schedule : t -> ?rng:Codesign_ir.Rng.t -> unit -> int list
-(** The full backoff schedule, [max_retries] delays in attempt order. *)
+val create : max_retries:int -> backoff:backoff -> t
+(** @raise Invalid_argument on a negative count or delay. *)
 
 type 'e exhausted = { attempts : int; last_error : 'e }
 (** The budget ran out: [attempts] were made (>= 1), the last one
@@ -59,17 +32,17 @@ type 'e exhausted = { attempts : int; last_error : 'e }
 
 val retry :
   t ->
-  ?rng:Codesign_ir.Rng.t ->
   ?wait:(int -> unit) ->
   ?on_retry:(attempt:int -> delay:int -> unit) ->
   (attempt:int -> ('a, 'e) result) ->
   ('a, 'e exhausted) result
 (** [retry p f] runs [f ~attempt:0], and on [Error _] retries up to
     [p.max_retries] times, calling [on_retry] then [wait delay] (only
-    when the delay is positive — a zero delay performs no wait, so
-    [No_backoff] policies add nothing to simulated time) before each
-    retry.  [wait] defaults to ignoring the delay (harness-level
-    retries); pass {!Codesign_sim.Kernel.wait} from inside a process
-    for simulated-time backoff.  [f] is expected to return [Error];
-    exceptions propagate to the caller ({!Supervisor} is the layer that
-    converts exceptions into retries). *)
+    when the delay is positive — a zero delay performs no wait) before
+    each retry.  The delay before retry [attempt] (0-based) is 0 under
+    [No_backoff] and [base * (attempt + 1)] under [Linear base].
+    [wait] defaults to ignoring the delay (harness-level retries); pass
+    {!Codesign_sim.Kernel.wait} from inside a process for simulated-time
+    backoff.  [f] is expected to return [Error]; exceptions propagate to
+    the caller ({!Supervisor} is the layer that converts exceptions into
+    retries). *)

@@ -1,24 +1,20 @@
-type 'a outcome =
-  | Completed of { value : 'a; attempts : int }
-  | Gave_up of { attempts : int; errors : string list }
+module Degraded = Codesign_obs.Degraded
 
-let run ?(policy = Policy.default) ?rng ?wait ~restore body =
-  let errors = ref [] in
-  let attempt_once ~attempt =
-    let result =
-      match body ~attempt with
-      | Ok _ as ok -> ok
-      | Error e -> Error e
-      | exception exn -> Error (Printexc.to_string exn)
+let run ~max_retries ~budget ~restore body =
+  let policy = Policy.create ~max_retries ~backoff:Policy.No_backoff in
+  if Budget.past_deadline budget then
+    Error { Degraded.error = "deadline exceeded"; attempts = 0; elapsed = 0 }
+  else
+    let attempt ~attempt:_ =
+      let result =
+        match body () with
+        | r -> r
+        | exception exn -> Error (Printexc.to_string exn)
+      in
+      if Result.is_error result then restore ();
+      result
     in
-    (match result with
-    | Ok _ -> ()
-    | Error e ->
-        errors := e :: !errors;
-        restore ());
-    result
-  in
-  match Policy.retry policy ?rng ?wait attempt_once with
-  | Ok value -> Completed { value; attempts = List.length !errors + 1 }
-  | Error { Policy.attempts; _ } ->
-      Gave_up { attempts; errors = List.rev !errors }
+    match Policy.retry policy attempt with
+    | Ok value -> Ok value
+    | Error { Policy.attempts; last_error } ->
+        Error { Degraded.error = last_error; attempts; elapsed = 0 }

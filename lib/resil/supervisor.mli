@@ -1,38 +1,33 @@
-(** Restart-from-snapshot supervision.
+(** Restart-from-snapshot supervision: the one deadline / retry /
+    degrade loop of the framework.
 
-    A supervisor runs a body against a checkpointed world (a kernel
-    snapshot plus whatever model state rides along — see the fork
-    discipline in {!Codesign_sim.Kernel}).  When the body fails — by
-    returning [Error], or by raising, which is how a trapped CPU or a
+    Every unit of work that must degrade instead of abort — a fault
+    campaign's sweep cell, a fuzz case, an experiment table — runs
+    through {!run}.  The body runs against a checkpointed world (a
+    kernel snapshot plus whatever model state rides along — see the
+    fork discipline in {!Codesign_sim.Kernel}), or against nothing at
+    all when it builds its own.  When the body fails — by returning
+    [Error], or by raising, which is how a trapped CPU or a
     {!Codesign_sim.Kernel.Deadlock} surfaces — the supervisor calls
-    [restore] to rewind the world to its checkpoint and retries under a
-    {!Policy}.  The policy's [max_retries] is the restart-intensity
-    cap: once total attempts exceed it the supervisor gives up and
-    reports every error it saw, newest last, leaving the world restored
-    to the checkpoint (so the caller can still reuse it for the next
-    cell).
-
-    Each attempt receives its 0-based index so the body can
-    re-deterministize per attempt (e.g. [Injector.reinit] before
-    re-spawning processes), keeping retried runs byte-identical to
-    first runs. *)
-
-type 'a outcome =
-  | Completed of { value : 'a; attempts : int }  (** attempts >= 1 *)
-  | Gave_up of { attempts : int; errors : string list }
-      (** every attempt's error, in attempt order *)
+    [restore] to rewind the world to its checkpoint and retries at once
+    (harness retries are deterministic, so pacing buys nothing).
+    [max_retries] is the restart-intensity cap: once it is spent the
+    supervisor gives up with a {!Codesign_obs.Degraded.t} record,
+    leaving the world restored to the checkpoint (so the caller can
+    still reuse it for the next cell). *)
 
 val run :
-  ?policy:Policy.t ->
-  ?rng:Codesign_ir.Rng.t ->
-  ?wait:(int -> unit) ->
+  max_retries:int ->
+  budget:Budget.t ->
   restore:(unit -> unit) ->
-  (attempt:int -> ('a, string) result) ->
-  'a outcome
-(** [run ~restore body] runs [body ~attempt:0]; on failure restores and
-    retries per [policy] (default {!Policy.default}).  Exceptions from
-    [body] are caught and recorded as [Printexc.to_string]; [restore]
-    runs after {e every} failed attempt, including the last, so a
-    [Gave_up] world is back at its checkpoint.  [wait] receives the
-    policy backoff delay before each retry (default: none — supervision
-    is a harness-level loop, not simulated time). *)
+  (unit -> ('a, string) result) ->
+  ('a, Codesign_obs.Degraded.t) result
+(** [run ~max_retries ~budget ~restore body]: when [budget]'s wall
+    deadline has passed, [Error] with ["deadline exceeded"] and 0
+    attempts, without running [body].  Otherwise runs [body ()], up to
+    [max_retries + 1] times until it returns [Ok].  An exception from
+    [body] becomes the error [Printexc.to_string exn]; [restore] runs
+    after {e every} failed attempt, including the last.  After the last
+    failure, [Error] carries the last error and the attempt count.  The
+    record's [elapsed] is 0: simulated time is the caller's to fill in.
+    @raise Invalid_argument on a negative [max_retries]. *)

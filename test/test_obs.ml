@@ -523,6 +523,86 @@ let test_fault_report_rejects_bad () =
         "cell with wrong field type"
   | _ -> fail "fault report did not serialise to an object"
 
+(* ------------------------------------------------------------------ *)
+(* readers never raise                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Every report reader returns [Error] on bad input and never raises.
+   Each case starts from the three sample reports, compact and pretty,
+   and damages them two ways: text edits (truncation, a byte replaced by
+   a JSON-significant one, a span deleted) that mostly break the parse,
+   and tree edits (a member dropped, a value swapped for one of another
+   type) that parse but break the schema.  Whatever parses goes through
+   all three [of_json] readers. *)
+let report_trees () =
+  [
+    Obs.Bench_report.to_json (sample_report ());
+    Obs.Fuzz_report.to_json (sample_fuzz_report ());
+    Obs.Fault_report.to_json (sample_fault_report ());
+  ]
+
+let read_all j =
+  ignore (Obs.Bench_report.of_json j);
+  ignore (Obs.Fuzz_report.of_json j);
+  ignore (Obs.Fault_report.of_json j)
+
+let junk =
+  [| Json.Null; Json.Bool true; Json.Int (-1); Json.Float 0.5; Json.Str "";
+     Json.List []; Json.Obj [] |]
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+(* Walk down a random path and drop or replace the node it ends at. *)
+let rec mutate_tree st j =
+  let at items f =
+    let i = Random.State.int st (List.length items) in
+    List.concat (List.mapi (fun k x -> if k <> i then [ x ] else f x) items)
+  in
+  let drop_or f x = if Random.State.int st 3 = 0 then [] else [ f x ] in
+  match j with
+  | Json.Obj (_ :: _ as fields) when Random.State.int st 4 > 0 ->
+      Json.Obj (at fields (drop_or (fun (name, v) -> (name, mutate_tree st v))))
+  | Json.List (_ :: _ as items) when Random.State.int st 4 > 0 ->
+      Json.List (at items (drop_or (mutate_tree st)))
+  | _ -> junk.(Random.State.int st (Array.length junk))
+
+let mutate_text st s =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    match Random.State.int st 3 with
+    | 0 -> String.sub s 0 (Random.State.int st n)
+    | 1 ->
+        let b = Bytes.of_string s in
+        Bytes.set b (Random.State.int st n)
+          (pick st
+             [ '{'; '}'; '['; ']'; '"'; ','; ':'; '-'; '0'; 'e'; '.'; '\\' ]);
+        Bytes.to_string b
+    | _ ->
+        let i = Random.State.int st n in
+        let len = Random.State.int st (n - i + 1) in
+        String.sub s 0 i ^ String.sub s (i + len) (n - i - len)
+
+let prop_readers_never_raise =
+  QCheck.Test.make ~count:500
+    ~name:"report readers never raise on damaged input" QCheck.int
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      List.iter
+        (fun tree ->
+          let damaged = ref tree in
+          for _ = 0 to Random.State.int st 3 do
+            damaged := mutate_tree st !damaged
+          done;
+          read_all !damaged;
+          let text = ref (Json.to_string ~pretty:(Random.State.bool st) tree) in
+          for _ = 0 to Random.State.int st 2 do
+            text := mutate_text st !text
+          done;
+          match Json.parse !text with Ok j -> read_all j | Error _ -> ())
+        (report_trees ());
+      true)
+
 (* The registry itself: fourteen entries, unique ids, resolvable by both
    spellings. *)
 let test_registry_shape () =
@@ -593,4 +673,5 @@ let () =
           Alcotest.test_case "reads schema 2 artifacts" `Quick
             test_fault_report_reads_v2;
         ] );
+      ("readers", [ QCheck_alcotest.to_alcotest prop_readers_never_raise ]);
     ]

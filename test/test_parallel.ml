@@ -77,8 +77,7 @@ let test_pool_worker_error_surfaces () =
       List.iter
         (fun (f : Pool.failure) ->
           check Alcotest.bool "message carries the original exception" true
-            (contains ~needle:"boom" f.Pool.message);
-          check Alcotest.int "no retries by default" 1 f.Pool.attempts)
+            (contains ~needle:"boom" f.Pool.message))
         failures
 
 (* Same surfacing contract on the serial path, so error behaviour does
@@ -90,45 +89,47 @@ let test_pool_worker_error_serial () =
       [| 0; 1; 2; 3 |]
   with
   | _ -> Alcotest.fail "expected Worker_error"
-  | exception Pool.Worker_error [ { Pool.index; task; message; attempts } ] ->
+  | exception Pool.Worker_error [ { Pool.index; task; message } ] ->
       check Alcotest.int "failing index" 2 index;
       check Alcotest.string "unnamed task" "" task;
       check Alcotest.bool "message names the exception" true
-        (contains ~needle:"Exit" message);
-      check Alcotest.int "single attempt" 1 attempts
+        (contains ~needle:"Exit" message)
   | exception Pool.Worker_error _ ->
       Alcotest.fail "expected exactly one failure"
 
 (* map_result keeps every outcome: successes in place, failures as
-   structured records, with in-place retries counted. *)
-let test_pool_map_result_retries () =
-  let tries = Array.make 4 0 in
-  let f i =
-    tries.(i) <- tries.(i) + 1;
-    if i = 1 && tries.(i) <= 2 then failwith "flaky"
-    else if i = 3 then failwith "always"
-    else i * 10
-  in
-  let out =
-    Pool.map_result ~jobs:1 ~retries:2
-      ~name:(fun i -> Printf.sprintf "t%d" i)
-      f
-      (Array.init 4 (fun i -> i))
-  in
-  (match out.(0) with
-  | Ok 0 -> ()
-  | _ -> Alcotest.fail "task 0 should succeed");
-  (match out.(1) with
-  | Ok 10 -> check Alcotest.int "task 1 succeeded on 3rd attempt" 3 tries.(1)
-  | _ -> Alcotest.fail "task 1 should succeed after retries");
-  (match out.(3) with
-  | Error { Pool.index; task; message; attempts } ->
-      check Alcotest.int "failure index" 3 index;
-      check Alcotest.string "failure task" "t3" task;
-      check Alcotest.bool "failure message" true
-        (contains ~needle:"always" message);
-      check Alcotest.int "all attempts used" 3 attempts
-  | Ok _ -> Alcotest.fail "task 3 should fail")
+   structured records, the same at every job count.  The pool never
+   retries: each task runs exactly once. *)
+let test_pool_map_result_keeps_failures () =
+  List.iter
+    (fun jobs ->
+      let tries = Array.init 4 (fun _ -> Atomic.make 0) in
+      let f i =
+        Atomic.incr tries.(i);
+        if i = 3 then failwith "always" else i * 10
+      in
+      let out =
+        Pool.map_result ~jobs
+          ~name:(fun i -> Printf.sprintf "t%d" i)
+          f
+          (Array.init 4 (fun i -> i))
+      in
+      Array.iteri
+        (fun i t ->
+          check Alcotest.int (Printf.sprintf "jobs %d: task %d ran once" jobs i)
+            1 (Atomic.get t))
+        tries;
+      (match out.(1) with
+      | Ok 10 -> ()
+      | _ -> Alcotest.fail "task 1 should succeed");
+      match out.(3) with
+      | Error { Pool.index; task; message } ->
+          check Alcotest.int "failure index" 3 index;
+          check Alcotest.string "failure task" "t3" task;
+          check Alcotest.bool "failure message" true
+            (contains ~needle:"always" message)
+      | Ok _ -> Alcotest.fail "task 3 should fail")
+    [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* per-domain kernel-counter merge                                     *)
@@ -283,8 +284,8 @@ let () =
             test_pool_worker_error_surfaces;
           Alcotest.test_case "serial path wraps errors identically" `Quick
             test_pool_worker_error_serial;
-          Alcotest.test_case "map_result retries in place, keeps failures"
-            `Quick test_pool_map_result_retries;
+          Alcotest.test_case "map_result keeps failures in place" `Quick
+            test_pool_map_result_keeps_failures;
         ] );
       ( "kernel-counters",
         [

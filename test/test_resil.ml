@@ -1,24 +1,22 @@
 (* lib/resil: retry policies, execution budgets, restart supervision,
    and the graceful-degradation path through the fault campaign and the
    fuzz driver.  The central claims under test: backoff schedules are
-   pure functions of the seed; a budget-exhausted run leaves its world
-   intact and restorable; a supervisor gives up at its restart-intensity
-   cap with the world back at the checkpoint; and a campaign with a
-   sabotaged (chaos) task completes with that task degraded while every
-   other cell — and the whole report at any job count — stays
-   byte-identical. *)
+   the historic ones; a budget-exhausted run leaves its world intact and
+   restorable; a supervisor gives up at its restart-intensity cap with
+   the world back at the checkpoint, and runs nothing past its deadline;
+   and a campaign with a sabotaged (chaos) task completes with that task
+   degraded while every other cell — and the whole report at any job
+   count — stays byte-identical. *)
 
 module Policy = Codesign_resil.Policy
 module Budget = Codesign_resil.Budget
 module Supervisor = Codesign_resil.Supervisor
 module K = Codesign_sim.Kernel
-module Cpu = Codesign_isa.Cpu
-module Isa = Codesign_isa.Isa
-module Rng = Codesign_ir.Rng
 module Campaign = Codesign_fault.Campaign
 module FR = Codesign_obs.Fault_report
 module FzR = Codesign_obs.Fuzz_report
 module Json = Codesign_obs.Json
+module Degraded = Codesign_obs.Degraded
 module Fuzz = Codesign_fuzz.Fuzz
 
 let check = Alcotest.check
@@ -33,47 +31,28 @@ let contains ~needle hay =
 (* Policy                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The delays [retry] waits before each retry, for a body that always
+   fails. *)
+let waits_of p =
+  let waits = ref [] in
+  ignore
+    (Policy.retry p ~wait:(fun d -> waits := d :: !waits) (fun ~attempt:_ ->
+         Error ()));
+  List.rev !waits
+
 let test_policy_schedules () =
-  let p = Policy.create ~max_retries:3 ~backoff:(Policy.Linear 8) () in
   check
     Alcotest.(list int)
     "linear ramp is the historic tlm schedule" [ 8; 16; 24 ]
-    (Policy.schedule p ());
-  let p =
-    Policy.create ~max_retries:4
-      ~backoff:(Policy.Exponential { base = 8; factor = 2; cap = 20 })
-      ()
-  in
+    (waits_of (Policy.create ~max_retries:3 ~backoff:(Policy.Linear 8)));
   check
     Alcotest.(list int)
-    "exponential growth saturates at the cap" [ 8; 16; 20; 20 ]
-    (Policy.schedule p ());
-  check
-    Alcotest.(list int)
-    "no_backoff never waits" [ 0; 0 ]
-    (Policy.schedule (Policy.create ~max_retries:2 ~backoff:Policy.No_backoff ()) ())
-
-let test_policy_jitter_deterministic () =
-  let p =
-    Policy.create ~max_retries:6
-      ~backoff:(Policy.Exponential { base = 8; factor = 2; cap = 512 })
-      ~jitter:7 ()
-  in
-  let sched seed = Policy.schedule p ~rng:(Rng.create seed) () in
-  check
-    Alcotest.(list int)
-    "same seed, same jittered schedule" (sched 42) (sched 42);
-  List.iter2
-    (fun jittered base ->
-      Alcotest.(check bool)
-        "jitter adds at most [jitter] on top of the base delay" true
-        (jittered >= base && jittered <= base + 7))
-    (sched 42)
-    (Policy.schedule { p with Policy.jitter = 0 } ())
+    "no_backoff never waits" []
+    (waits_of (Policy.create ~max_retries:2 ~backoff:Policy.No_backoff))
 
 let test_policy_retry_waits_and_counts () =
   let waits = ref [] and retries = ref 0 in
-  let p = Policy.create ~max_retries:3 ~backoff:(Policy.Linear 10) () in
+  let p = Policy.create ~max_retries:3 ~backoff:(Policy.Linear 10) in
   let body ~attempt = if attempt < 2 then Error "flaky" else Ok attempt in
   match
     Policy.retry p
@@ -90,7 +69,7 @@ let test_policy_retry_waits_and_counts () =
         "waited the linear delays, in order" [ 10; 20 ] (List.rev !waits)
 
 let test_policy_retry_exhausts () =
-  let p = Policy.create ~max_retries:2 ~backoff:Policy.No_backoff () in
+  let p = Policy.create ~max_retries:2 ~backoff:Policy.No_backoff in
   match Policy.retry p (fun ~attempt -> Error attempt) with
   | Ok _ -> fail "expected exhaustion"
   | Error { Policy.attempts; last_error } ->
@@ -149,62 +128,84 @@ let test_budget_kernel_done_inside_fuel () =
       check Alcotest.bool "queue drained" false (K.has_pending_events k)
   | Budget.Exhausted _ -> fail "fits comfortably in the budget"
 
-let test_budget_cpu () =
-  let spin = [| Isa.J 0 |] in
-  (match Budget.run_cpu (Budget.create ~fuel:10_000 ()) (Cpu.create spin) with
-  | Budget.Exhausted Budget.Fuel -> ()
-  | _ -> fail "an infinite loop must exhaust its fuel");
-  let halts = [| Isa.Li (1, 5); Isa.Halt |] in
-  match Budget.run_cpu (Budget.create ~fuel:10_000 ()) (Cpu.create halts) with
-  | Budget.Done Cpu.Halted -> ()
-  | _ -> fail "a halting program finishes inside the budget"
-
+(* Fuel is the window of one run, counted from the kernel's clock:
+   [with_fuel] gives the next run a window of its own. *)
 let test_budget_with_fuel_shares_deadline () =
-  let b = Budget.create ~fuel:10 () in
-  Budget.spend b 10;
-  (match Budget.check b with
-  | Error Budget.Fuel -> ()
-  | _ -> fail "spent budget must report Fuel");
-  let fresh = Budget.with_fuel b ~fuel:5 in
-  match Budget.check fresh with
-  | Ok () -> check Alcotest.bool "fresh allowance" true (Budget.fuel_left fresh = Some 5)
-  | Error _ -> fail "with_fuel must grant a fresh allowance"
+  let k = K.create () in
+  K.spawn k (fun () ->
+      while true do
+        K.wait 1
+      done);
+  let b = Budget.create ~fuel:10 ~deadline_ms:60_000 () in
+  (match Budget.run_kernel b k with
+  | Budget.Exhausted Budget.Fuel -> ()
+  | _ -> fail "a spinning process must exhaust its fuel");
+  check Alcotest.int "first window" 10 (K.now k);
+  (match Budget.run_kernel (Budget.with_fuel b ~fuel:5) k with
+  | Budget.Exhausted Budget.Fuel -> ()
+  | _ -> fail "the fresh window must run out too");
+  check Alcotest.int "a fresh 5-unit window from the clock" 15 (K.now k)
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let no_deadline = Budget.create ()
+
 let test_supervisor_gives_up_at_cap () =
-  let restores = ref 0 in
-  let policy = Policy.create ~max_retries:2 ~backoff:Policy.No_backoff () in
+  let restores = ref 0 and attempt = ref 0 in
   match
-    Supervisor.run ~policy
+    Supervisor.run ~max_retries:2 ~budget:no_deadline
       ~restore:(fun () -> incr restores)
-      (fun ~attempt -> failwith (Printf.sprintf "trap %d" attempt))
+      (fun () ->
+        incr attempt;
+        failwith (Printf.sprintf "trap %d" !attempt))
   with
-  | Supervisor.Completed _ -> fail "expected Gave_up"
-  | Supervisor.Gave_up { attempts; errors } ->
-      check Alcotest.int "restart-intensity cap honoured" 3 attempts;
-      check Alcotest.int "every error reported" 3 (List.length errors);
-      check Alcotest.bool "errors in attempt order" true
-        (List.map (fun e -> contains ~needle:"trap 0" e) errors
-        = [ true; false; false ]);
+  | Ok () -> fail "expected to give up"
+  | Error d ->
+      check Alcotest.int "restart-intensity cap honoured" 3 d.Degraded.attempts;
+      check Alcotest.bool "the last attempt's error" true
+        (contains ~needle:"trap 3" d.Degraded.error);
+      check Alcotest.int "elapsed is the caller's to fill in" 0
+        d.Degraded.elapsed;
       check Alcotest.int "restored after every failure, world at checkpoint" 3
         !restores
 
 let test_supervisor_recovers () =
-  let restores = ref 0 in
+  let restores = ref 0 and attempts = ref 0 in
   match
-    Supervisor.run
-      ~policy:(Policy.create ~max_retries:3 ~backoff:Policy.No_backoff ())
+    Supervisor.run ~max_retries:3 ~budget:no_deadline
       ~restore:(fun () -> incr restores)
-      (fun ~attempt -> if attempt < 2 then Error "not yet" else Ok (attempt * 7))
+      (fun () ->
+        incr attempts;
+        if !attempts < 3 then Error "not yet" else Ok (!attempts * 7))
   with
-  | Supervisor.Gave_up _ -> fail "expected recovery"
-  | Supervisor.Completed { value; attempts } ->
-      check Alcotest.int "value from the successful attempt" 14 value;
-      check Alcotest.int "attempts counted" 3 attempts;
+  | Error _ -> fail "expected recovery"
+  | Ok value ->
+      check Alcotest.int "value from the successful attempt" 21 value;
+      check Alcotest.int "attempts counted" 3 !attempts;
       check Alcotest.int "restored only after failures" 2 !restores
+
+(* Work not started by the wall deadline is cut off without running. *)
+let test_supervisor_deadline_passed () =
+  let budget = Budget.create ~deadline_ms:1 () in
+  while not (Budget.past_deadline budget) do
+    Domain.cpu_relax ()
+  done;
+  let ran = ref false and restores = ref 0 in
+  match
+    Supervisor.run ~max_retries:2 ~budget
+      ~restore:(fun () -> incr restores)
+      (fun () ->
+        ran := true;
+        Ok ())
+  with
+  | Ok () -> fail "a passed deadline must cut the work off"
+  | Error d ->
+      check Alcotest.string "error" "deadline exceeded" d.Degraded.error;
+      check Alcotest.int "no attempt made" 0 d.Degraded.attempts;
+      check Alcotest.bool "body never ran" false !ran;
+      check Alcotest.int "nothing to restore" 0 !restores
 
 (* ------------------------------------------------------------------ *)
 (* degraded campaigns                                                  *)
@@ -359,7 +360,7 @@ let test_fuzz_degrades_on_raising_harness () =
     (fun ((_, d) : int * Codesign_obs.Degraded.t) ->
       check Alcotest.bool "error carries the harness fault" true
         (contains ~needle:"injected harness fault" d.Codesign_obs.Degraded.error);
-      check Alcotest.int "no_retry: one attempt" 1
+      check Alcotest.int "no retries by default: one attempt" 1
         d.Codesign_obs.Degraded.attempts)
     r.FzR.degraded;
   check Alcotest.int "non-behaviour cases still complete"
@@ -367,14 +368,38 @@ let test_fuzz_degrades_on_raising_harness () =
     (24 - List.length r.FzR.degraded - r.FzR.behavior_cases);
   if run 3 <> r then fail "degraded fuzz report must be jobs-invariant"
 
+(* [max_retries] reaches every case: a harness that raises on every
+   attempt degrades after [max_retries + 1] of them, the same at any
+   job count. *)
+let test_fuzz_retries_raising_harness () =
+  let calls = Atomic.make 0 in
+  let boom _ =
+    Atomic.incr calls;
+    failwith "injected harness fault"
+  in
+  let run jobs =
+    { (Fuzz.run ~seed:42 ~count:24 ~jobs ~max_retries:2 ~transform_asm:boom ())
+      with
+      FzR.wall_s = 0.0 }
+  in
+  let r = run 1 in
+  check Alcotest.bool "behaviour cases degraded" true (r.FzR.degraded <> []);
+  List.iter
+    (fun ((_, d) : int * Codesign_obs.Degraded.t) ->
+      check Alcotest.int "max_retries 2: three attempts" 3
+        d.Codesign_obs.Degraded.attempts)
+    r.FzR.degraded;
+  check Alcotest.int "the harness ran once per attempt"
+    (3 * List.length r.FzR.degraded)
+    (Atomic.get calls);
+  if run 3 <> r then fail "retried fuzz report must be jobs-invariant"
+
 let () =
   Alcotest.run "codesign_resil"
     [
       ( "policy",
         [
           Alcotest.test_case "backoff schedules" `Quick test_policy_schedules;
-          Alcotest.test_case "jitter is a pure function of the seed" `Quick
-            test_policy_jitter_deterministic;
           Alcotest.test_case "retry waits and counts" `Quick
             test_policy_retry_waits_and_counts;
           Alcotest.test_case "retry exhausts at the cap" `Quick
@@ -386,7 +411,6 @@ let () =
             test_budget_kernel_restorable;
           Alcotest.test_case "drained queue is Done" `Quick
             test_budget_kernel_done_inside_fuel;
-          Alcotest.test_case "cpu fuel" `Quick test_budget_cpu;
           Alcotest.test_case "with_fuel refreshes the allowance" `Quick
             test_budget_with_fuel_shares_deadline;
         ] );
@@ -396,6 +420,8 @@ let () =
             test_supervisor_gives_up_at_cap;
           Alcotest.test_case "recovers after restores" `Quick
             test_supervisor_recovers;
+          Alcotest.test_case "passed deadline runs nothing" `Quick
+            test_supervisor_deadline_passed;
         ] );
       ( "degradation",
         [
@@ -407,5 +433,7 @@ let () =
             test_chaos_hang_exhausts_fuel;
           Alcotest.test_case "fuzz degrades on a raising harness" `Quick
             test_fuzz_degrades_on_raising_harness;
+          Alcotest.test_case "fuzz retries a raising harness" `Quick
+            test_fuzz_retries_raising_harness;
         ] );
     ]

@@ -557,6 +557,7 @@ let test_cli_int_floors () =
       ("cosynth --tasks=0", "--tasks");
       ("partition --algo exhaustive --tasks 21", "--tasks");
       ("asip fir --budget=-1", "--budget");
+      ("partition --budget=-5", "--budget");
       ("fault --cell-fuel 0", "--cell-fuel");
       ("fault --warmup=-3", "--warmup");
       ("cosim --quantum 0", "--quantum");
@@ -569,7 +570,44 @@ let test_cli_int_floors () =
   check Alcotest.int "cosim --partitions 2: exit code" 2 rc;
   check Alcotest.bool "cosim --partitions 2: names --link-latency" true
     (String.starts_with ~prefix:"cosim: --partitions > 1 needs --link-latency"
-       err)
+       err);
+  (* experiment names are an enumeration: an unknown one is a parse
+     error that lists every name the registry knows *)
+  let rc, out, err = run_cli "experiments nosuch" in
+  check Alcotest.int "experiments nosuch: exit code" 2 rc;
+  check Alcotest.string "experiments nosuch: stdout" "" out;
+  check Alcotest.bool "experiments nosuch: names the bad value" true
+    (String.starts_with
+       ~prefix:"codesign: NAME\xe2\x80\xa6 arguments: invalid value 'nosuch'"
+       err);
+  List.iter
+    (fun (e : Codesign_experiments.Registry.entry) ->
+      List.iter
+        (fun name ->
+          check Alcotest.bool
+            (Printf.sprintf "experiments nosuch: lists %s" name)
+            true
+            (contains err (Printf.sprintf "'%s'" name)))
+        [ e.cli_name; e.exp_id ])
+    Codesign_experiments.Registry.all
+
+(* A run that cannot write its --out report exits 1 with one line on
+   stderr naming the path and the reason, and prints nothing. *)
+let test_cli_unwritable_out () =
+  List.iter
+    (fun path ->
+      let args = "fault --quick --ops 1 --out " ^ Filename.quote path in
+      let rc, out, err = run_cli args in
+      check Alcotest.int (args ^ ": exit code") 1 rc;
+      check Alcotest.string (args ^ ": stdout") "" out;
+      check Alcotest.bool
+        (Printf.sprintf "%s: %S" args err)
+        true
+        (String.starts_with
+           ~prefix:("codesign: cannot write the fault report: " ^ path ^ ": ")
+           err
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1))
+    [ "/nonexistent/dir/r.json"; Filename.get_temp_dir_name () ]
 
 let () =
   Alcotest.run "codesign_robustness"
@@ -618,6 +656,8 @@ let () =
         [
           Alcotest.test_case "help renders" `Quick test_cli_help_renders;
           Alcotest.test_case "integer flag floors" `Quick test_cli_int_floors;
+          Alcotest.test_case "unwritable --out exits 1" `Quick
+            test_cli_unwritable_out;
         ] );
       ( "cost_properties",
         [
