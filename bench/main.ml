@@ -307,7 +307,7 @@ let bench_kernel_unbudgeted () =
 let bench_kernel_budgeted () =
   ignore
     (Budget.run_kernel
-       (Budget.create ~fuel:1_000_000 ~deadline_ms:60_000 ())
+       (Budget.with_fuel (Budget.create ~deadline_ms:60_000 ()) ~fuel:1_000_000)
        (budget_net ()))
 
 (* The partitioned-vs-serial kernel pair: the same wide pipeline mesh

@@ -8,7 +8,8 @@
      partition   [options]          partition a generated task graph
      cosynth     [options]          heterogeneous multiprocessor synthesis
      asip        KERNEL [options]   instruction-set extension flow
-     cosim       [--level L] [--json]  co-simulate the echo system
+     cosim       [--level L|SRC:CPU:SINK] [--json]
+                                    co-simulate the echo system
      fuzz        [--seed N] [--count N] [--fault] [--jobs N] [--json]
                                     cross-level differential fuzz
      fault       [--seed N] [--ops N] [--quick] [--jobs N] [--json]
@@ -111,7 +112,8 @@ let deadline_arg =
         ~doc:
           "Wall-clock deadline for the whole run; work not started when \
            it passes is recorded as degraded (\"deadline exceeded\") \
-           instead of run.  Default: none.")
+           instead of run.  A retry counts as work not started: an \
+           attempt the deadline cuts off is not retried.  Default: none.")
 
 (* Every layer of the generated task graph needs a task. *)
 let tasks_arg =
@@ -374,26 +376,21 @@ let asip_cmd =
 (* ------------------------------------------------------------------ *)
 
 let cosim_cmd =
-  let level =
-    Arg.(
-      value
-      & opt (enum
-               [ ("pin", Cosim.Pin); ("tlm", Cosim.Transaction);
-                 ("driver", Cosim.Driver); ("message", Cosim.Message) ])
-          Cosim.Transaction
-      & info [ "level" ] ~docv:"LEVEL"
-          ~doc:"Abstraction: pin | tlm | driver | message.")
-  in
   let levels =
+    let parse s =
+      Result.map_error (fun e -> `Msg e) (Cosim.parse_assignment s)
+    in
+    let print ppf a = Format.pp_print_string ppf (Cosim.assignment_name a) in
     Arg.(
       value
-      & opt (some string) None
-      & info [ "levels" ] ~docv:"SRC:CPU:SINK"
+      & opt (conv (parse, print)) (Cosim.pure Cosim.Transaction)
+      & info [ "level"; "levels" ] ~docv:"LEVEL|SRC:CPU:SINK"
           ~doc:
-            "Mixed per-component assignment: abstraction of the \
-             source-side interface, the software model, and the \
-             sink-side interface, each pin | tlm | driver | message \
-             (e.g. pin:tlm:message).  Overrides $(b,--level).")
+            "Abstraction level, pin | tlm | driver | message, for the \
+             whole system, or a mixed per-component assignment: the \
+             level of the source-side interface, the software model, \
+             and the sink-side interface (e.g. pin:tlm:message).  \
+             Either name spells the same option.")
   in
   let items =
     Arg.(
@@ -437,15 +434,7 @@ let cosim_cmd =
              in every mode, so serial and partitioned runs stay \
              comparable); doubles as the cross-partition lookahead.")
   in
-  let run level levels items quantum partitions link_latency json =
-    let assignment =
-      match levels with
-      | None -> Ok (Cosim.pure level)
-      | Some s -> Cosim.parse_assignment s
-    in
-    match assignment with
-    | Error e -> prerr_endline ("cosim: " ^ e); exit 2
-    | Ok levels ->
+  let run levels items quantum partitions link_latency json =
     if partitions > 1 && link_latency < 1 then begin
       prerr_endline
         "cosim: --partitions > 1 needs --link-latency >= 1 (a cut \
@@ -510,8 +499,8 @@ let cosim_cmd =
           per-component level assignment.")
     Term.(
       started
-        (const run $ level $ levels $ items $ quantum $ partitions
-       $ link_latency $ json_arg))
+        (const run $ levels $ items $ quantum $ partitions $ link_latency
+       $ json_arg))
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)

@@ -12,7 +12,7 @@
 
 module K = Codesign_sim.Kernel
 module M = Codesign_bus.Memory_map
-module Bus = Codesign_bus.Bus
+module T = Codesign_bus.Transport
 module Device = Codesign_bus.Device
 module Interrupt = Codesign_bus.Interrupt
 module Is = Codesign_bus.Interface_synth
@@ -103,17 +103,16 @@ let () =
         Interrupt.region ~name:"intc" ~base:0x1FF00 ic;
       ]
   in
-  let bus = Bus.Tlm.create k map in
-  let iface = Bus.tlm_iface bus in
+  let bus = T.tlm k map in
   let img = Asm.assemble program in
   let env =
     {
       Cpu.default_env with
       Cpu.mem_read =
-        (fun a -> if a >= 0x10000 then Some (iface.Bus.bus_read a) else None);
+        (fun a -> if a >= 0x10000 then Some (bus.T.read a) else None);
       mem_write =
         (fun a v ->
-          if a >= 0x10000 then (iface.Bus.bus_write a v; true) else false);
+          if a >= 0x10000 then (bus.T.write a v; true) else false);
     }
   in
   let cpu = Cpu.create ~env img.Asm.code in

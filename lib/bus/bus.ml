@@ -249,39 +249,3 @@ module Pin = struct
   let ack_wire t = t.ack
   let we_wire t = t.we
 end
-
-type iface = {
-  bus_read : int -> int;
-  bus_write : int -> int -> unit;
-  bus_stats : unit -> stats;
-}
-
-let tlm_iface b =
-  {
-    bus_read = Tlm.read b;
-    bus_write = Tlm.write b;
-    bus_stats = (fun () -> Tlm.stats b);
-  }
-
-let pin_iface b =
-  {
-    bus_read = Pin.read b;
-    bus_write = Pin.write b;
-    bus_stats = (fun () -> Pin.stats b);
-  }
-
-let zero_iface map =
-  let reads = ref 0 and writes = ref 0 in
-  {
-    bus_read =
-      (fun a ->
-        incr reads;
-        Memory_map.read map a);
-    bus_write =
-      (fun a v ->
-        incr writes;
-        Memory_map.write map a v);
-    bus_stats =
-      (fun () ->
-        { reads = !reads; writes = !writes; stalls = 0; busy_cycles = 0 });
-  }

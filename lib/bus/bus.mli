@@ -12,7 +12,10 @@
 
     Both decode through the same {!Memory_map}, so they are functionally
     interchangeable; co-simulation experiments (EXP-3) swap one for the
-    other and measure the accuracy/speed trade-off.
+    other and measure the accuracy/speed trade-off.  Clients (CPU
+    wrappers, DMA, drivers) reach either model through
+    {!Transport.pin} / {!Transport.tlm}, the ladder's one interface
+    record, and read its traffic as {!stats}.
 
     Arbitration is first-come-first-served and fair in both models. *)
 
@@ -98,18 +101,3 @@ module Pin : sig
   val ack_wire : t -> int Codesign_sim.Signal.t
   val we_wire : t -> int Codesign_sim.Signal.t
 end
-
-(** A common face over both models so clients (CPU wrappers, DMA,
-    drivers) are abstraction-level-agnostic. *)
-type iface = {
-  bus_read : int -> int;
-  bus_write : int -> int -> unit;
-  bus_stats : unit -> stats;
-}
-
-val tlm_iface : Tlm.t -> iface
-val pin_iface : Pin.t -> iface
-
-val zero_iface : Memory_map.t -> iface
-(** Zero-delay functional access (the "OS message" rung of the ladder
-    uses no bus at all; this iface exists for completeness and tests). *)

@@ -17,7 +17,7 @@ type t = {
   mutable words : int;
 }
 
-let create ?irq kernel (bus : Bus.iface) () =
+let create ?irq kernel (bus : Transport.t) () =
   let t =
     {
       kernel;
@@ -36,8 +36,8 @@ let create ?irq kernel (bus : Bus.iface) () =
       let rec serve () =
         let job = Codesign_sim.Channel.recv t.jobs in
         for i = 0 to job.len - 1 do
-          let v = bus.Bus.bus_read (job.src + i) in
-          bus.Bus.bus_write (job.dst + i) v;
+          let v = bus.Transport.read (job.src + i) in
+          bus.Transport.write (job.dst + i) v;
           t.words <- t.words + 1
         done;
         (* stay busy while queued descriptors remain: [busy] answers

@@ -4,10 +4,11 @@
     Register window (word offsets): 0 SRC, 1 DST, 2 LEN,
     3 CTRL (write 1 to start), 4 STATUS (1 = done, any write clears).
 
-    The engine is a kernel process performing word-by-word bus transfers
-    through a {!Bus.iface}, so it competes for the bus with the CPU
-    exactly like real hardware; completion optionally raises an
-    interrupt line. *)
+    The engine is a kernel process performing word-by-word transfers
+    through a {!Transport.t} (a {!Transport.pin} or {!Transport.tlm}
+    bus, typically), so it competes for the bus with the CPU exactly
+    like real hardware; completion optionally raises an interrupt
+    line. *)
 
 type t
 
@@ -22,7 +23,7 @@ type start_status =
 val create :
   ?irq:Interrupt.t * int ->
   Codesign_sim.Kernel.t ->
-  Bus.iface ->
+  Transport.t ->
   unit ->
   t
 

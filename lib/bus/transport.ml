@@ -32,36 +32,19 @@ let level_of_string s =
 
 let rank = function Pin -> 0 | Transaction -> 1 | Driver -> 2 | Message -> 3
 
-type stats = {
-  ops : int;
-  reads : int;
-  writes : int;
-  stalls : int;
-  busy_cycles : int;
-}
-
-let zero_stats = { ops = 0; reads = 0; writes = 0; stalls = 0; busy_cycles = 0 }
-
 type t = {
   level : level;
   lookahead : int;
   read : int -> int;
   write : int -> int -> unit;
   wait_ready : int -> unit;
-  stats : unit -> stats;
-  save : (unit -> unit -> unit) option;
+  stats : unit -> Bus.stats;
+  save : unit -> unit -> unit;
 }
 
 type snap = { owner : t; apply : unit -> unit }
 
-let snapshot t =
-  match t.save with
-  | Some save -> { owner = t; apply = save () }
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Transport.snapshot: the %s backend has no snapshot support"
-           (short_name t.level))
+let snapshot t = { owner = t; apply = t.save () }
 
 let restore t s =
   if s.owner != t then
@@ -75,32 +58,25 @@ let restore t s =
 (* Cycles between two status reads of a bus or driver [wait_ready]. *)
 let poll_interval = 8
 
-let of_bus_iface ~level ?(lookahead = 0) ?save (iface : Bus.iface) =
+(* A bus rung: every access, status polls included, is a bus
+   transfer. *)
+let bus_rung level ~lookahead ~read ~write ~stats ~save =
   {
     level;
     lookahead;
-    read = iface.Bus.bus_read;
-    write = iface.Bus.bus_write;
+    read;
+    write;
     wait_ready =
       (fun addr ->
         let rec poll () =
-          if iface.Bus.bus_read addr > 0 then ()
+          if read addr > 0 then ()
           else begin
             K.wait poll_interval;
             poll ()
           end
         in
         poll ());
-    stats =
-      (fun () ->
-        let s = iface.Bus.bus_stats () in
-        {
-          ops = s.Bus.reads + s.Bus.writes;
-          reads = s.Bus.reads;
-          writes = s.Bus.writes;
-          stalls = s.Bus.stalls;
-          busy_cycles = s.Bus.busy_cycles;
-        });
+    stats;
     save;
   }
 
@@ -108,11 +84,12 @@ let pin kernel map =
   let b = Bus.Pin.create kernel map in
   (* Every pin access costs at least the setup handshake, so that is the
      rung's guaranteed lookahead. *)
-  of_bus_iface ~level:Pin ~lookahead:Bus.Pin.setup_cycles
+  bus_rung Pin ~lookahead:Bus.Pin.setup_cycles ~read:(Bus.Pin.read b)
+    ~write:(Bus.Pin.write b)
+    ~stats:(fun () -> Bus.Pin.stats b)
     ~save:(fun () ->
       let s = Bus.Pin.snapshot b in
       fun () -> Bus.Pin.restore b s)
-    (Bus.pin_iface b)
 
 let tlm ?read_latency ?write_latency kernel map =
   let b = Bus.Tlm.create ?read_latency ?write_latency kernel map in
@@ -121,11 +98,12 @@ let tlm ?read_latency ?write_latency kernel map =
       (match read_latency with Some c -> c | None -> 2)
       (match write_latency with Some c -> c | None -> 2)
   in
-  of_bus_iface ~level:Transaction ~lookahead
+  bus_rung Transaction ~lookahead ~read:(Bus.Tlm.read b)
+    ~write:(Bus.Tlm.write b)
+    ~stats:(fun () -> Bus.Tlm.stats b)
     ~save:(fun () ->
       let s = Bus.Tlm.snapshot b in
       fun () -> Bus.Tlm.restore b s)
-    (Bus.tlm_iface b)
 
 (* ------------------------------------------------------------------ *)
 (* driver-call rung                                                    *)
@@ -160,20 +138,13 @@ let driver ?(call_cost = 6) map =
         poll ());
     stats =
       (fun () ->
-        {
-          ops = !reads + !writes;
-          reads = !reads;
-          writes = !writes;
-          stalls = 0;
-          busy_cycles = 0;
-        });
+        { Bus.reads = !reads; writes = !writes; stalls = 0; busy_cycles = 0 });
     save =
-      Some
-        (fun () ->
-          let r = !reads and w = !writes in
-          fun () ->
-            reads := r;
-            writes := w);
+      (fun () ->
+        let r = !reads and w = !writes in
+        fun () ->
+          reads := r;
+          writes := w);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -239,10 +210,11 @@ let message ?(recv = []) ?(send = []) () =
     (* data operations block on the channel themselves; a separate wait
        would double-count the synchronisation *)
     wait_ready = (fun _ -> ());
-    stats = (fun () -> zero_stats);
+    stats =
+      (fun () -> { Bus.reads = 0; writes = 0; stalls = 0; busy_cycles = 0 });
     (* the record itself is stateless: every bit of state lives in the
        bound channels, which their owner snapshots directly *)
-    save = Some (fun () -> fun () -> ());
+    save = (fun () () -> ());
   }
 
 (* ------------------------------------------------------------------ *)

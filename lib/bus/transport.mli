@@ -5,12 +5,12 @@
     between master and the addressed endpoint, [wait_ready] blocks the
     caller until the endpoint's status register reports readiness, and
     [stats]/[level] expose what the model cost and which rung it is.
-    The record generalises {!Bus.iface} (which covered only the two bus
-    rungs) so the whole ladder — pin-accurate bus, transaction-level
-    bus, driver call, kernel-channel message — is an extension point
-    instead of a [match] statement: co-simulation pipelines, fault
-    injectors and transactors all take a {!t} and never ask which
-    backend is behind it.
+    It is the one interface record of the ladder — pin-accurate bus,
+    transaction-level bus, driver call, kernel-channel message — so the
+    ladder is an extension point instead of a [match] statement:
+    co-simulation pipelines, fault injectors, the DMA engine and
+    transactors all take a {!t} and never ask which backend is behind
+    it.
 
     {2 Endpoint convention}
 
@@ -67,16 +67,6 @@ val rank : level -> int
 
 (** {1 The transport record} *)
 
-type stats = {
-  ops : int;  (** operations charged to the interface (reads+writes) *)
-  reads : int;
-  writes : int;
-  stalls : int;  (** arbitration stalls (bus backends only) *)
-  busy_cycles : int;  (** cycles the medium was occupied *)
-}
-
-val zero_stats : stats
-
 type t = {
   level : level;
   lookahead : int;
@@ -96,12 +86,15 @@ type t = {
   wait_ready : int -> unit;
       (** block until the status register at the given address reads
           nonzero, polling with the backend's own access mechanism *)
-  stats : unit -> stats;
-  save : (unit -> unit -> unit) option;
+  stats : unit -> Bus.stats;
+      (** traffic charged to the interface: the bus counters on the bus
+          rungs, the driver's entries ([stalls] and [busy_cycles] 0),
+          all zero on the message rung *)
+  save : unit -> unit -> unit;
       (** snapshot capability: [save ()] captures the backend's mutable
-          state and returns the thunk that restores it.  [None] for
-          backends without snapshot support.  Use through {!snapshot} /
-          {!restore} rather than directly. *)
+          state and returns the thunk that restores it.  Every backend
+          has one.  Use through {!snapshot} / {!restore} rather than
+          directly. *)
 }
 
 (** {1 Snapshot / restore}
@@ -118,8 +111,8 @@ type t = {
 type snap
 
 val snapshot : t -> snap
-(** @raise Invalid_argument if the transport has no [save] capability
-    (e.g. a bare {!of_bus_iface} adoption without [?save]). *)
+(** @raise Invalid_argument if the pin bus is mid-transaction (see
+    {!Bus.Pin.snapshot}). *)
 
 val restore : t -> snap -> unit
 (** @raise Invalid_argument if [snap] was taken from a different
@@ -160,22 +153,9 @@ val message :
     reading the status register reports whether the data operation
     would proceed without blocking (a latency channel's send endpoint is
     always ready — it is a delay line).  [wait_ready] is a no-op (the data
-    operations already block) and [stats] is {!zero_stats}: message
-    traffic is kernel channel activity, not bus operations.  Accessing
-    an unbound address raises [Invalid_argument]. *)
-
-val of_bus_iface :
-  level:level ->
-  ?lookahead:int ->
-  ?save:(unit -> unit -> unit) ->
-  Bus.iface ->
-  t
-(** Adopt a legacy {!Bus.iface} (or any read/write/stats triple) as a
-    transport at the given rung; [wait_ready] reads the status register
-    through the iface every 8 cycles.  [lookahead] defaults to 0 (no
-    partition-boundary guarantee); [save] (default absent) supplies the
-    snapshot capability for whatever state hides behind the iface
-    closures. *)
+    operations already block) and [stats] is all zero: message traffic
+    is kernel channel activity, not bus operations.  Accessing an
+    unbound address raises [Invalid_argument]. *)
 
 (** {1 Transactors} *)
 

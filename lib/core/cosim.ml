@@ -275,7 +275,11 @@ let run_echo_assignment ~levels ?(items = 16) ?(work = 8) ?(src_period = 200)
   if p_sink <> p_cpu then
     Partition.route_channel plan ~src:p_cpu ~dst:p_sink (Option.get c_out);
   let bus_ops () =
-    List.fold_left (fun a t -> a + (t.T.stats ()).T.ops) 0 transports
+    List.fold_left
+      (fun a t ->
+        let s = t.T.stats () in
+        a + s.Bus.reads + s.Bus.writes)
+      0 transports
   in
   (* software more abstract than an interface sees the detailed medium
      through the re-labelling transactor: its blocking accesses expand

@@ -15,6 +15,7 @@
 module K = Codesign_sim.Kernel
 module M = Codesign_bus.Memory_map
 module Bus = Codesign_bus.Bus
+module T = Codesign_bus.Transport
 module Device = Codesign_bus.Device
 module Interrupt = Codesign_bus.Interrupt
 module Is = Codesign_bus.Interface_synth
@@ -91,18 +92,17 @@ let run_mode ~irq_mode ~items =
         Interrupt.region ~name:"intc" ~base:0x1FF00 ic;
       ]
   in
-  let bus = Bus.Tlm.create k map in
-  let iface = Bus.tlm_iface bus in
+  let bus = T.tlm k map in
   let img = Asm.assemble entry in
   let env =
     {
       Cpu.default_env with
       Cpu.mem_read =
-        (fun a -> if a >= 0x10000 then Some (iface.Bus.bus_read a) else None);
+        (fun a -> if a >= 0x10000 then Some (bus.T.read a) else None);
       mem_write =
         (fun a v ->
           if a >= 0x10000 then begin
-            iface.Bus.bus_write a v;
+            bus.T.write a v;
             true
           end
           else false);
@@ -138,7 +138,7 @@ let run_mode ~irq_mode ~items =
     glue_area = glue.Is.area;
     sync_flops = glue.Is.sync_flops;
     cpu_instructions = Cpu.instret cpu;
-    bus_reads = (iface.Bus.bus_stats ()).Bus.reads;
+    bus_reads = (bus.T.stats ()).Bus.reads;
     sim_cycles = !done_at;
     transferred = Codesign_bus.Device.Stream_sink.accepted sink;
   }

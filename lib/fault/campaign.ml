@@ -31,15 +31,6 @@ type engine = Rerun | Fork
 
 let engine_name = function Rerun -> "rerun" | Fork -> "fork"
 
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "rerun" -> Ok Rerun
-  | "fork" -> Ok Fork
-  | other ->
-      Error
-        (Printf.sprintf "unknown campaign engine %S (expected rerun | fork)"
-           other)
-
 let default_warmup ops = ops / 2
 
 (* Chaos harness faults: a sweep task whose master is sabotaged at its
@@ -49,14 +40,6 @@ type chaos = Chaos_trap | Chaos_hang
 let chaos_name = function Chaos_trap -> "trap" | Chaos_hang -> "hang"
 let chaos_label c = "chaos-" ^ chaos_name c
 
-let chaos_of_string s =
-  match String.lowercase_ascii s with
-  | "trap" -> Ok Chaos_trap
-  | "hang" -> Ok Chaos_hang
-  | other ->
-      Error
-        (Printf.sprintf "unknown chaos mode %S (expected trap | hang)" other)
-
 (* The per-attempt fuel window of a supervised cell: the historic hard
    K.run bound. *)
 let default_cell_fuel = 200_000_000
@@ -65,8 +48,6 @@ let default_cell_fuel = 200_000_000
 (* the transfer sweep                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let src_base = 0
-let sink_base = 0x1000
 let pattern i = ((i * 37) + 11) land 1023 lor 1
 
 (* tlm retry policy *)
@@ -83,10 +64,12 @@ let level_name = function L_pin -> "pin" | L_tlm -> "tlm" | L_token -> "token"
 
 (* The world one (mechanism, workload) pair runs in.  Both engines
    build it identically; the fork engine additionally checkpoints it at
-   the warm-up boundary and rewinds it once per rate.  The injector is
-   created inactive at rate 0 and {!Injector.reinit}'d before every
-   cell in both engines, so the two fault streams are literally the
-   same stream. *)
+   the warm-up boundary and rewinds it once per rate.  The source ROM
+   holds the [total]-word image from address 0 and the sink RAM starts
+   right after it, at [total], so the two never overlap at any size.
+   The injector is created inactive at rate 0 and {!Injector.reinit}'d
+   before every cell in both engines, so the two fault streams are
+   literally the same stream. *)
 type world = {
   k : K.t;
   inj : Injector.t;
@@ -109,8 +92,8 @@ let make_world ?chaos ~warmup ~ops mechanism : world =
   let map =
     M.create
       [
-        M.rom ~name:"src" ~base:src_base data;
-        M.ram ~name:"sink" ~base:sink_base ~size:total;
+        M.rom ~name:"src" ~base:0 data;
+        M.ram ~name:"sink" ~base:total ~size:total;
       ]
   in
   let uses_pin = mechanism = Pin || mechanism = Degrade in
@@ -148,9 +131,12 @@ let fresh_state (w : world) : cell_state =
       | Token -> L_token);
   }
 
-let pin_op fb i =
-  let v = Faulty_bus.raw_read fb (src_base + i) in
-  Faulty_bus.raw_write fb (sink_base + i) v
+(* The sink address of transfer [i]. *)
+let sink (w : world) i = w.total + i
+
+let pin_op w fb i =
+  let v = Faulty_bus.raw_read fb i in
+  Faulty_bus.raw_write fb (sink w i) v
 
 (* The tlm recovery mechanism as a named policy: [retry_budget] retries
    with the historic linear [backoff * (attempt + 1)] ramp — the exact
@@ -158,20 +144,20 @@ let pin_op fb i =
 let tlm_policy =
   Policy.create ~max_retries:retry_budget ~backoff:(Policy.Linear backoff)
 
-let tlm_op st fb i =
+let tlm_op w st fb i =
   let on_retry ~attempt:_ ~delay:_ = st.retries <- st.retries + 1 in
-  match Faulty_bus.read_retry fb ~policy:tlm_policy ~on_retry (src_base + i) with
+  match Faulty_bus.read_retry fb ~policy:tlm_policy ~on_retry i with
   | Error _ -> st.give_ups <- st.give_ups + 1
   | Ok v -> (
       match
-        Faulty_bus.write_retry fb ~policy:tlm_policy ~on_retry (sink_base + i) v
+        Faulty_bus.write_retry fb ~policy:tlm_policy ~on_retry (sink w i) v
       with
       | Ok () -> ()
       | Error _ -> st.give_ups <- st.give_ups + 1)
 
 let token_op w st rel i =
   (* the OS-message rung reads the source functionally: no bus *)
-  let v = M.read w.map (src_base + i) in
+  let v = M.read w.map i in
   if not (Faulty_chan.send rel ~idx:i v) then st.give_ups <- st.give_ups + 1
 
 let spawn_sink (w : world) =
@@ -183,7 +169,7 @@ let spawn_sink (w : world) =
             match Faulty_chan.recv rel with
             | Some (idx, v) ->
                 if idx >= 0 && idx < w.total then
-                  M.write w.map (sink_base + idx) v;
+                  M.write w.map (sink w idx) v;
                 loop ()
             | None -> ()
           in
@@ -212,8 +198,8 @@ let spawn_master (w : world) (st : cell_state) ~lo ~hi ~finish =
         if i >= w.warmup then Watchdog.kick w.wd;
         let before = Injector.injected w.inj in
         (match st.level with
-        | L_pin -> pin_op (Option.get w.fb_pin) i
-        | L_tlm -> tlm_op st (Option.get w.fb_tlm) i
+        | L_pin -> pin_op w (Option.get w.fb_pin) i
+        | L_tlm -> tlm_op w st (Option.get w.fb_tlm) i
         | L_token -> token_op w st (Option.get w.rel) i);
         if Injector.injected w.inj > before then st.faulted.(i) <- true;
         if w.mechanism = Degrade then begin
@@ -238,7 +224,7 @@ let audit (w : world) (st : cell_state) ~rate : FR.cell =
   let lost = ref 0 in
   let buf_exp = Buffer.create 256 and buf_got = Buffer.create 256 in
   for i = 0 to w.total - 1 do
-    let got = M.read w.map (sink_base + i) in
+    let got = M.read w.map (sink w i) in
     Buffer.add_string buf_exp (string_of_int (pattern i));
     Buffer.add_char buf_exp ',';
     Buffer.add_string buf_got (string_of_int got);
@@ -379,45 +365,34 @@ let restore_world (w : world) (s : world_snap) =
   M.restore w.map s.ws_map;
   Watchdog.restore w.wd s.ws_wd
 
-(* The fork engine's checkpoint: build the world once and run the
-   fault-free warm-up to quiescence (empty event heap).  The inactive
-   injector draws nothing during warm-up, so the faults landed in each
-   forked window are a pure function of (seed, rate, window ops) —
-   byte-identical to the rerun engine's. *)
-let warmed_up ?chaos ~warmup ~ops ~budget mechanism =
-  let w = make_world ?chaos ~warmup ~ops mechanism in
-  spawn_sink w;
-  spawn_master w (fresh_state w) ~lo:0 ~hi:w.warmup ~finish:false;
-  (* deadline-only bound on the warm-up: no fuel, so a drained warm-up
-     leaves the clock exactly where an unbounded run would (the
-     checkpoint time is part of the byte-identity contract) *)
-  (match Budget.run_kernel budget w.k with
-  | Budget.Done _ -> ()
-  | Budget.Exhausted e ->
-      failwith ("warmup budget exhausted: " ^ Budget.exhausted_name e));
-  w
-
 (* One supervised sweep cell.  Every attempt takes its world from
-   [prepare ()], starts the cell at transfer [lo] and runs it in a fresh
-   [cell_fuel] window under the sweep deadline; a trapped or exhausted
-   attempt is rolled back with [restore] and retried up to
-   [max_retries] times.  A cell that spends its restart intensity
+   [prepare run], starts the cell at transfer [lo] and runs it in a
+   fresh [cell_fuel] window under the sweep deadline; a trapped or
+   exhausted attempt is rolled back with [restore] and retried up to
+   [max_retries] times, unless the deadline has passed.  [run] is the
+   attempt's budgeted kernel run, which [prepare] may use too (the fork
+   engine's warm-up), so a warm-up cut off by the deadline is an
+   ordinary failed attempt.  A cell that spends its restart intensity
    becomes a [degraded] row, whose [elapsed] is the simulated time at
    the last failure. *)
 let supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel ~label
     (prepare, restore, lo) rate =
   let elapsed = ref 0 in
-  let attempt () =
-    let w = prepare () in
-    let st = start_cell w ~seed ~rate ~lo in
-    let window = Budget.with_fuel budget ~fuel:cell_fuel in
+  let run (w : world) window =
     Fun.protect
       ~finally:(fun () -> elapsed := K.now w.k)
       (fun () ->
         match Budget.run_kernel window w.k with
-        | Budget.Done _ -> Ok (audit w st ~rate)
+        | Budget.Done _ -> Ok ()
         | Budget.Exhausted e ->
             Error ("budget exhausted: " ^ Budget.exhausted_name e))
+  in
+  let attempt () =
+    Result.bind (prepare run) (fun w ->
+        let st = start_cell w ~seed ~rate ~lo in
+        Result.map
+          (fun () -> audit w st ~rate)
+          (run w (Budget.with_fuel budget ~fuel:cell_fuel)))
   in
   match Supervisor.run ~max_retries ~budget ~restore attempt with
   | Ok cell -> cell
@@ -559,31 +534,33 @@ let drill_cpu ~seed : FR.drill list =
   in
   let expected = 55 in
   let inj = Injector.create ~rate:0.02 ~seed () in
-  let episodes = 12 and attempt_budget = 5 and step_cap = 2000 in
+  let episodes = 12 and step_cap = 2000 in
   let traps_seen = ref 0 and recovered_events = ref 0 in
+  (* a measurement, not a deadline-bounded sweep: no wall deadline *)
+  let budget = Budget.create () in
+  let episode () =
+    let cpu = Cpu.create ~mem_words:16 prog in
+    let steps = ref 0 in
+    while Cpu.status cpu = Cpu.Running && !steps < step_cap do
+      ignore (Faulty_core.cpu_step inj cpu);
+      incr steps
+    done;
+    match Cpu.status cpu with
+    | Cpu.Halted when Cpu.read_mem cpu 0 = expected -> Ok ()
+    | Cpu.Trapped reason ->
+        (* the supervisor observes the trap and re-runs *)
+        incr traps_seen;
+        Injector.detected_event inj Injector.Cpu ~time:(Cpu.cycles cpu);
+        Error reason
+    | _ -> Error "wrong result"
+  in
   for _ = 1 to episodes do
     let before = Injector.injected inj in
-    let rec attempt n =
-      if n >= attempt_budget then false
-      else begin
-        let cpu = Cpu.create ~mem_words:16 prog in
-        let steps = ref 0 in
-        while Cpu.status cpu = Cpu.Running && !steps < step_cap do
-          ignore (Faulty_core.cpu_step inj cpu);
-          incr steps
-        done;
-        match Cpu.status cpu with
-        | Cpu.Halted when Cpu.read_mem cpu 0 = expected -> true
-        | Cpu.Trapped _ ->
-            (* the supervisor observes the trap and re-runs *)
-            incr traps_seen;
-            Injector.detected_event inj Injector.Cpu ~time:(Cpu.cycles cpu);
-            attempt (n + 1)
-        | _ -> attempt (n + 1)
-      end
-    in
-    if attempt 0 then
-      recovered_events := !recovered_events + (Injector.injected inj - before)
+    (* every attempt builds a fresh CPU: there is nothing to restore *)
+    match Supervisor.run ~max_retries:4 ~budget ~restore:ignore episode with
+    | Ok () ->
+        recovered_events := !recovered_events + (Injector.injected inj - before)
+    | Error _ -> ()
   done;
   [
     {
@@ -660,7 +637,15 @@ let task_label = function
    and (on the fork engine) checkpoints/rewinds its own private
    snapshot copy.  The engines differ only in how an attempt gets its
    world: rerun rebuilds it from zero (so there is nothing to rewind
-   between attempts), fork rewinds it to the warm-up checkpoint. *)
+   between attempts), fork rewinds it to the warm-up checkpoint.  The
+   fork engine's first attempt takes that checkpoint: it builds the
+   world and runs the fault-free warm-up to quiescence under the sweep
+   deadline.  No fuel bounds the warm-up, so a drained one leaves the
+   clock exactly where an unbounded run would (the checkpoint time is
+   part of the byte-identity contract), and the inactive injector draws
+   nothing, so the faults landed in each forked window are a pure
+   function of (seed, rate, window ops) — byte-identical to the rerun
+   engine's. *)
 let task_cells ~seed ~warmup ~ops ~rates ~max_retries ~budget ~cell_fuel engine
     task
     : FR.cell list =
@@ -669,15 +654,36 @@ let task_cells ~seed ~warmup ~ops ~rates ~max_retries ~budget ~cell_fuel engine
     | T_mech m -> (None, m)
     | T_chaos c -> (Some c, Pin)
   in
+  let fresh () = make_world ?chaos ~warmup ~ops mechanism in
   let world =
     match engine with
-    | Rerun ->
-        ((fun () -> make_world ?chaos ~warmup ~ops mechanism), ignore, 0)
+    | Rerun -> ((fun _run -> Ok (fresh ())), ignore, 0)
     | Fork ->
-        let w = warmed_up ?chaos ~warmup ~ops ~budget mechanism in
-        let checkpoint = snapshot_world w in
-        let restore () = restore_world w checkpoint in
-        ((fun () -> restore (); w), restore, warmup)
+        let checkpoint = ref None in
+        let restore () =
+          Option.iter (fun (w, snap) -> restore_world w snap) !checkpoint
+        in
+        let prepare run =
+          let warmed =
+            match !checkpoint with
+            | Some (w, _) -> Ok w
+            | None ->
+                let w = fresh () in
+                spawn_sink w;
+                spawn_master w (fresh_state w) ~lo:0 ~hi:warmup ~finish:false;
+                Result.map
+                  (fun () ->
+                    checkpoint := Some (w, snapshot_world w);
+                    w)
+                  (run w budget)
+          in
+          Result.map
+            (fun w ->
+              restore ();
+              w)
+            warmed
+        in
+        (prepare, restore, warmup)
   in
   let cell =
     supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel
@@ -698,23 +704,12 @@ let sweep ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
       (List.map (fun m -> T_mech m) mechanisms
       @ match chaos with None -> [] | Some c -> [ T_chaos c ])
   in
-  Codesign_par.Domain_pool.map_result ~jobs
+  Codesign_par.Domain_pool.map ~jobs
     ~name:(fun i -> task_label tasks.(i))
     (task_cells ~seed ~warmup ~ops ~rates ~max_retries ~budget ~cell_fuel
        engine)
     tasks
-  |> Array.to_list
-  |> List.concat_map (function
-       | Ok cells -> cells
-       | Error { Codesign_par.Domain_pool.task; message; _ } ->
-           (* the whole task died outside cell supervision (e.g. its
-              warm-up): emit its full expected grid as degraded rows so
-              the report keeps its shape *)
-           List.map
-             (fun rate ->
-               degraded_cell ~label:task ~rate ~ops
-                 { Degraded.error = message; attempts = 1; elapsed = 0 })
-             (0.0 :: rates))
+  |> Array.to_list |> List.concat
 
 let run ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
     ?(engine = Fork) ?(jobs = 1) ?max_retries ?cell_fuel ?deadline_ms ?chaos

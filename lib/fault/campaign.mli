@@ -4,7 +4,8 @@
 
     {b The sweep.}  Each cell moves [warmup + ops] words from a source
     ROM to a sink RAM across a faulty medium, using one rung of the
-    Fig. 3 interface ladder and that rung's recovery mechanism.  The
+    Fig. 3 interface ladder and that rung's recovery mechanism (the
+    sink RAM sits right after the source image, so any size fits).  The
     first [warmup] transfers are fault-free (the injector is inactive
     and draws nothing); faults land only in the [ops]-transfer
     injection window, and the report's per-cell [ops] counts the window
@@ -32,7 +33,9 @@
 
     {b The drills} cover memory scrubbing ({!Faulty_core.scrub3} vs
     nothing), interrupt lines (handler validation + polling fallback),
-    CPU faults (supervisor retry on trap / wrong result), and RTL
+    CPU faults (re-runs on trap / wrong result through
+    {!Codesign_resil.Supervisor.run}, up to five attempts, no
+    deadline), and RTL
     stuck-at faults (every single stuck-at on a TMR replica gate vs the
     bare netlist, exhaustive over input vectors).
 
@@ -43,7 +46,10 @@
     channel, watchdog) and rewinds that checkpoint once per rate; the
     {!Rerun} engine rebuilds the world and repeats the warm-up for
     every cell.  Both run every cell through the same supervised cell
-    loop and differ only in how an attempt gets its world.  Because the
+    loop and differ only in how an attempt gets its world: the fork
+    engine takes its checkpoint inside the first supervised attempt
+    that needs one, so its warm-up fails, retries and degrades exactly
+    like the rerun engine's warm-up inside a cell.  Because the
     inactive injector consumes no Rng draws during warm-up, and the
     per-fork re-spawns preserve same-time event order, both engines
     produce byte-identical reports — Rerun is kept as the reference the
@@ -58,7 +64,10 @@
     {!Codesign_obs.Degraded.t} record — the sweep {e completes} with
     partial results instead of aborting.  [deadline_ms] adds a wall
     deadline over the whole sweep: cells not yet started when it passes
-    degrade immediately with ["deadline exceeded"].  [chaos] appends a
+    degrade immediately with ["deadline exceeded"] and 0 attempts; an
+    attempt it cuts off (a fork warm-up included) degrades with
+    ["budget exhausted: deadline"] and is not retried, on both engines
+    alike.  [chaos] appends a
     sabotaged fifth task (mechanism ["chaos-trap"] / ["chaos-hang"])
     whose master fails at its first windowed op — the supervision
     path's own fault-injection harness, used by the chaos CI smoke.
@@ -82,7 +91,6 @@ type engine =
   | Fork  (** warm up once per mechanism, fork each cell off a checkpoint *)
 
 val engine_name : engine -> string
-val engine_of_string : string -> (engine, string) result
 
 type chaos =
   | Chaos_trap  (** master raises at its first windowed op *)
@@ -90,8 +98,6 @@ type chaos =
 
 val chaos_name : chaos -> string
 (** ["trap"] / ["hang"]. *)
-
-val chaos_of_string : string -> (chaos, string) result
 
 val default_rates : float list
 val default_ops : int
@@ -145,5 +151,5 @@ val run :
     [engine = Fork], [jobs = 1], [max_retries = 2],
     [cell_fuel = default_cell_fuel], no deadline, no chaos.  [jobs]
     parallelises the sweep exactly as in {!sweep}; the drills always
-    run serially on the calling domain (and are not supervised — they
-    are plain in-process measurements). *)
+    run serially on the calling domain, outside the sweep deadline —
+    they are plain in-process measurements. *)

@@ -79,9 +79,9 @@ val write_retry :
 (** {2 Snapshot / restore}
 
     Captures the stuck-at window state plus the wrapped transport's
-    snapshot (see {!Codesign_bus.Transport.snapshot} — the transport
-    must carry the [save] capability).  The shared {!Injector} is not
-    captured; forked campaigns {!Injector.reinit} it per fork. *)
+    snapshot (see {!Codesign_bus.Transport.snapshot}).  The shared
+    {!Injector} is not captured; forked campaigns {!Injector.reinit} it
+    per fork. *)
 
 type snap
 

@@ -19,7 +19,7 @@ let () =
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-let map_result ?jobs ?(name = fun _ -> "") f tasks =
+let map ?jobs ?(name = fun _ -> "") f tasks =
   let n = Array.length tasks in
   let jobs =
     min (max 1 (match jobs with Some j -> j | None -> default_jobs ())) (max 1 n)
@@ -58,13 +58,9 @@ let map_result ?jobs ?(name = fun _ -> "") f tasks =
     worker ();
     List.iter (fun d -> K.merge_domain_totals (Domain.join d)) helpers
   end;
-  Array.map Option.get results
-
-let map ?jobs ?name f tasks =
-  let outcomes = map_result ?jobs ?name f tasks in
   let failures =
-    Array.to_list outcomes
-    |> List.filter_map (function Ok _ -> None | Error f -> Some f)
+    Array.to_list results
+    |> List.filter_map (function Some (Error f) -> Some f | _ -> None)
   in
   if failures <> [] then raise (Worker_error failures);
-  Array.map (function Ok r -> r | Error _ -> assert false) outcomes
+  Array.map (function Some (Ok r) -> r | _ -> assert false) results

@@ -31,10 +31,10 @@
       {e every} failure is re-raised as one {!Worker_error} carrying
       the index-ordered failure list.  The serial path wraps exceptions
       identically, so error behaviour does not depend on [jobs] either.
-      {!map_result} is the non-raising variant: per-task [result]s, so
-      a caller can degrade instead of die ({!Codesign_fault.Campaign}).
-      The pool never retries: retrying a unit of work is
-      {!Codesign_resil.Supervisor}'s job, inside the task. *)
+      The pool never retries and never degrades: a unit of work that
+      must survive failure runs under {!Codesign_resil.Supervisor}
+      inside the task, so an exception that reaches the pool is a bug,
+      not a degraded result. *)
 
 type failure = {
   index : int;  (** index of the failing task in the input array *)
@@ -59,13 +59,3 @@ val map : ?jobs:int -> ?name:(int -> string) -> ('a -> 'b) -> 'a array -> 'b arr
     {!default_jobs} and is clamped to at least 1; [jobs <= 1] runs
     entirely on the calling domain with no spawns.  [name] labels tasks
     for {!Worker_error} messages. *)
-
-val map_result :
-  ?jobs:int ->
-  ?name:(int -> string) ->
-  ('a -> 'b) ->
-  'a array ->
-  ('b, failure) result array
-(** Like {!map} but failures come back as data instead of an exception:
-    task [i]'s slot is [Error failure] when [f tasks.(i)] raised.  The
-    jobs-invariance contract above extends to failed tasks. *)

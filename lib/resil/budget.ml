@@ -18,10 +18,7 @@ type t = {
    path while bounding overshoot to a few microseconds of events. *)
 let poll_period = 256
 
-let create ?fuel ?deadline_ms () =
-  (match fuel with
-  | Some f when f <= 0 -> invalid_arg "Budget.create: non-positive fuel"
-  | _ -> ());
+let create ?deadline_ms () =
   (match deadline_ms with
   | Some d when d <= 0 -> invalid_arg "Budget.create: non-positive deadline"
   | _ -> ());
@@ -30,7 +27,7 @@ let create ?fuel ?deadline_ms () =
       (fun ms -> Int64.add (Clock.now_ns ()) (Int64.of_int (ms * 1_000_000)))
       deadline_ms
   in
-  { fuel; deadline_ns; poll_countdown = poll_period }
+  { fuel = None; deadline_ns; poll_countdown = poll_period }
 
 let with_fuel t ~fuel =
   if fuel <= 0 then invalid_arg "Budget.with_fuel: non-positive fuel";

@@ -3,7 +3,9 @@
     raise.
 
     A budget pairs an optional fuel window (simulated time units) with
-    an optional absolute wall-clock deadline.  {!run_kernel} consumes
+    an optional absolute wall-clock deadline.  {!create} fixes the
+    deadline; {!with_fuel} is the one way to add a fuel window, sharing
+    that deadline.  {!run_kernel} consumes
     it and returns {!outcome}: [Done] when the workload finished inside
     the budget, [Exhausted] when a bound was hit with work remaining —
     the caller decides whether that means retry from a snapshot
@@ -27,21 +29,23 @@ type 'a outcome = Done of 'a | Exhausted of exhausted
 
 type t
 
-val create : ?fuel:int -> ?deadline_ms:int -> unit -> t
-(** [fuel] is the simulated-time window of each {!run_kernel}
-    (unbounded when absent; a run does not use it up);
-    [deadline_ms] fixes an absolute deadline [deadline_ms] milliseconds
-    from now on the monotonic clock (none when absent).
-    @raise Invalid_argument on a non-positive fuel or deadline. *)
+val create : ?deadline_ms:int -> unit -> t
+(** A budget without fuel: [deadline_ms] fixes an absolute deadline
+    [deadline_ms] milliseconds from now on the monotonic clock (none
+    when absent).
+    @raise Invalid_argument on a non-positive deadline. *)
 
 val with_fuel : t -> fuel:int -> t
-(** A fuel window sharing [t]'s absolute deadline — the campaign shape:
-    one wall deadline over the whole sweep, a fuel window per cell. *)
+(** A [fuel]-unit simulated-time window for each {!run_kernel} (a run
+    does not use it up), sharing [t]'s absolute deadline — the campaign
+    shape: one wall deadline over the whole sweep, a fuel window per
+    cell attempt.
+    @raise Invalid_argument on a non-positive fuel. *)
 
 val past_deadline : t -> bool
 (** Has the wall deadline passed?  A pure read of the monotonic clock —
     safe from any domain, used by {!Supervisor.run} to cut off work not
-    yet started. *)
+    yet started, retries included. *)
 
 val run_kernel :
   t -> Codesign_sim.Kernel.t -> Codesign_sim.Kernel.stats outcome

@@ -1,12 +1,14 @@
-(** Retry policies: one bounded-retry-with-backoff vocabulary shared by
-    every recovery loop in the framework.
+(** Retry policies: the bounded-retry-with-backoff vocabulary of the
+    retry loops {e inside} a simulation.
 
-    Before this module each layer hard-coded its own loop — the tlm
-    sweep cell retried bus transfers with a literal budget and a
-    [backoff * (n + 1)] wait, the ARQ channel retransmitted with a
-    literal frame budget, the campaign supervisor re-ran trapped cells
-    ad hoc.  A {!t} names the whole family: how many retries, and what
-    delay grows between them.
+    Two loops use it: the tlm sweep cell's
+    {!Codesign_fault.Faulty_bus.read_retry} / [write_retry], which wait
+    out a linear ramp in simulated time, and the
+    {!Codesign_fault.Faulty_chan} ARQ frame budget, which retransmits
+    back to back.  A {!t} names the whole family: how many retries, and
+    what delay grows between them.  Harness-level retries (a sweep cell,
+    a fuzz case, an experiment) are {!Supervisor.run}'s own loop, which
+    needs no backoff and checks the wall deadline between attempts.
 
     Timing contract: a zero delay performs {e no} wait, so a
     [No_backoff] policy adds nothing to simulated time — which is how
@@ -41,7 +43,7 @@ val retry :
     when the delay is positive — a zero delay performs no wait) before
     each retry.  The delay before retry [attempt] (0-based) is 0 under
     [No_backoff] and [base * (attempt + 1)] under [Linear base].
-    [wait] defaults to ignoring the delay (harness-level retries); pass
+    [wait] defaults to ignoring the delay; pass
     {!Codesign_sim.Kernel.wait} from inside a process for simulated-time
     backoff.  [f] is expected to return [Error]; exceptions propagate to
     the caller ({!Supervisor} is the layer that converts exceptions into

@@ -5,6 +5,7 @@
 open Codesign_bus
 module K = Codesign_sim.Kernel
 module M = Memory_map
+module T = Transport
 module Cpu = Codesign_isa.Cpu
 module Asm = Codesign_isa.Asm
 module I = Codesign_isa.Isa
@@ -149,29 +150,20 @@ let test_pin_sees_wait_states_tlm_does_not () =
 
 let test_pin_generates_more_events () =
   let mk_map () = M.create [ M.ram ~name:"ram" ~base:0 ~size:64 ] in
-  let run_with iface_of =
+  let run_with transport =
     let k = K.create () in
-    let iface = iface_of k (mk_map ()) in
+    let tr = transport k (mk_map ()) in
     K.spawn k (fun () ->
         for i = 0 to 9 do
-          iface.Bus.bus_write i i;
-          ignore (iface.Bus.bus_read i)
+          tr.T.write i i;
+          ignore (tr.T.read i)
         done);
     let st = K.run ~bound:K.Quiesce k in
     st.K.scheduled
   in
-  let ev_tlm = run_with (fun k m -> Bus.tlm_iface (Bus.Tlm.create k m)) in
-  let ev_pin = run_with (fun k m -> Bus.pin_iface (Bus.Pin.create k m)) in
+  let ev_tlm = run_with (fun k m -> T.tlm k m) in
+  let ev_pin = run_with T.pin in
   check Alcotest.bool "pin >> tlm events" true (ev_pin > 2 * ev_tlm)
-
-let test_zero_iface () =
-  let m = M.create [ M.ram ~name:"ram" ~base:0 ~size:8 ] in
-  let z = Bus.zero_iface m in
-  z.Bus.bus_write 3 9;
-  check Alcotest.int "rw" 9 (z.Bus.bus_read 3);
-  let s = z.Bus.bus_stats () in
-  check Alcotest.int "reads" 1 s.Bus.reads;
-  check Alcotest.int "no cycles" 0 s.Bus.busy_cycles
 
 (* ------------------------------------------------------------------ *)
 (* Interrupt controller                                                *)
@@ -337,9 +329,8 @@ let test_stream_sink () =
 let test_dma_transfer () =
   let k = K.create () in
   let m = M.create [ M.ram ~name:"ram" ~base:0 ~size:128 ] in
-  let bus = Bus.Tlm.create k m in
   let ic = Interrupt.create () in
-  let dma = Dma.create ~irq:(ic, 0) k (Bus.tlm_iface bus) () in
+  let dma = Dma.create ~irq:(ic, 0) k (T.tlm k m) () in
   for i = 0 to 7 do
     M.write m (16 + i) (100 + i)
   done;
@@ -361,15 +352,14 @@ let test_dma_register_window () =
   let ram = M.ram ~name:"ram" ~base:0 ~size:64 in
   (* the DMA's own registers live on the same map it masters *)
   let map_ref = ref (M.create [ ram ]) in
-  let iface =
+  let bus =
     {
-      Bus.bus_read = (fun a -> K.wait 1; M.read !map_ref a);
-      bus_write = (fun a v -> K.wait 1; M.write !map_ref a v);
-      bus_stats =
-        (fun () -> { Bus.reads = 0; writes = 0; stalls = 0; busy_cycles = 0 });
+      (T.driver ~call_cost:1 !map_ref) with
+      T.read = (fun a -> K.wait 1; M.read !map_ref a);
+      write = (fun a v -> K.wait 1; M.write !map_ref a v);
     }
   in
-  let dma = Dma.create k iface () in
+  let dma = Dma.create k bus () in
   map_ref := M.create [ ram; Dma.region ~name:"dma" ~base:1000 dma ];
   let m = !map_ref in
   M.write m 5 42;
@@ -396,8 +386,7 @@ let test_dma_busy_queues () =
   for i = 0 to 7 do
     M.write m i (i + 1)
   done;
-  let bus = Bus.Tlm.create k m in
-  let dma = Dma.create k (Bus.tlm_iface bus) () in
+  let dma = Dma.create k (T.tlm k m) () in
   let accepted = ref 0 in
   K.spawn k (fun () ->
       check Alcotest.bool "negative len rejected" true
@@ -460,19 +449,18 @@ let run_embedded ?(irq_mode = false) ~entry () =
         Interrupt.region ~name:"intc" ~base:0x1FF00 ic;
       ]
   in
-  let bus = Bus.Tlm.create k map in
-  let iface = Bus.tlm_iface bus in
+  let bus = T.tlm k map in
   let img = Asm.assemble entry in
   let cpu_ref = ref None in
   let env =
     {
       Cpu.default_env with
       Cpu.mem_read =
-        (fun a -> if a >= mmio_base then Some (iface.Bus.bus_read a) else None);
+        (fun a -> if a >= mmio_base then Some (bus.T.read a) else None);
       mem_write =
         (fun a v ->
           if a >= mmio_base then begin
-            iface.Bus.bus_write a v;
+            bus.T.write a v;
             true
           end
           else false);
@@ -632,7 +620,6 @@ let () =
             test_pin_sees_wait_states_tlm_does_not;
           Alcotest.test_case "pin event cost" `Quick
             test_pin_generates_more_events;
-          Alcotest.test_case "zero iface" `Quick test_zero_iface;
         ] );
       ( "interrupt",
         [

@@ -32,6 +32,22 @@ let test_campaign_byte_identical () =
   check Alcotest.string "seed 7 replays byte-identically" (render 7) (render 7);
   check Alcotest.bool "different seeds differ" true (render 42 <> render 7)
 
+(* The sink RAM starts right after the source image, so a sweep whose
+   warm-up and window pass 4096 words together runs every cell, and the
+   two engines still agree. *)
+let test_large_image_sweep () =
+  let sweep engine =
+    F.Campaign.sweep ~seed:42 ~ops:8 ~warmup:4100 ~rates:[ 0.1 ] engine
+  in
+  let fork = sweep F.Campaign.Fork in
+  List.iter
+    (fun (c : FR.cell) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s at rate %g completes" c.FR.mechanism c.FR.rate)
+        true (c.FR.degraded = None))
+    fork;
+  check Alcotest.bool "fork = rerun" true (fork = sweep F.Campaign.Rerun)
+
 let test_injector_stream_deterministic () =
   let draws seed =
     let inj = F.Injector.create ~rate:0.3 ~seed () in
@@ -210,6 +226,8 @@ let () =
         [
           Alcotest.test_case "campaign byte-identical" `Quick
             test_campaign_byte_identical;
+          Alcotest.test_case "image past 4096 words, fork = rerun" `Quick
+            test_large_image_sweep;
           Alcotest.test_case "injector stream" `Quick
             test_injector_stream_deterministic;
         ] );

@@ -55,18 +55,36 @@ let test_pool_order_preserved () =
         par)
     [ 1; 2; 4; 7 ]
 
+(* [f] over [n] tasks, counting how often each task ran. *)
+let counted n f =
+  let tries = Array.init n (fun _ -> Atomic.make 0) in
+  ( (fun i ->
+      Atomic.incr tries.(i);
+      f i),
+    fun () ->
+      Array.iteri
+        (fun i t ->
+          check Alcotest.int (Printf.sprintf "task %d ran once" i) 1
+            (Atomic.get t))
+        tries )
+
 (* An exception inside a worker must not hang the pool: every domain is
    joined and ALL failures come back as one Worker_error, in index
-   order, each naming its task. *)
+   order, each naming its task.  The pool never retries: each task,
+   failed or not, runs exactly once. *)
 let test_pool_worker_error_surfaces () =
+  let f, ran_once =
+    counted 100 (fun i -> if i = 37 || i = 61 then failwith "boom" else i)
+  in
   match
     Pool.map ~jobs:4
       ~name:(fun i -> Printf.sprintf "task-%d" i)
-      (fun i -> if i = 37 || i = 61 then failwith "boom" else i)
+      f
       (Array.init 100 (fun i -> i))
   with
   | _ -> Alcotest.fail "expected Worker_error"
   | exception Pool.Worker_error failures ->
+      ran_once ();
       check Alcotest.int "both failures collected" 2 (List.length failures);
       check Alcotest.(list int) "failing indices in order" [ 37; 61 ]
         (List.map (fun (f : Pool.failure) -> f.Pool.index) failures);
@@ -83,53 +101,17 @@ let test_pool_worker_error_surfaces () =
 (* Same surfacing contract on the serial path, so error behaviour does
    not depend on the job count. *)
 let test_pool_worker_error_serial () =
-  match
-    Pool.map ~jobs:1
-      (fun i -> if i = 2 then raise Exit else i)
-      [| 0; 1; 2; 3 |]
-  with
+  let f, ran_once = counted 4 (fun i -> if i = 2 then raise Exit else i) in
+  match Pool.map ~jobs:1 f [| 0; 1; 2; 3 |] with
   | _ -> Alcotest.fail "expected Worker_error"
   | exception Pool.Worker_error [ { Pool.index; task; message } ] ->
+      ran_once ();
       check Alcotest.int "failing index" 2 index;
       check Alcotest.string "unnamed task" "" task;
       check Alcotest.bool "message names the exception" true
         (contains ~needle:"Exit" message)
   | exception Pool.Worker_error _ ->
       Alcotest.fail "expected exactly one failure"
-
-(* map_result keeps every outcome: successes in place, failures as
-   structured records, the same at every job count.  The pool never
-   retries: each task runs exactly once. *)
-let test_pool_map_result_keeps_failures () =
-  List.iter
-    (fun jobs ->
-      let tries = Array.init 4 (fun _ -> Atomic.make 0) in
-      let f i =
-        Atomic.incr tries.(i);
-        if i = 3 then failwith "always" else i * 10
-      in
-      let out =
-        Pool.map_result ~jobs
-          ~name:(fun i -> Printf.sprintf "t%d" i)
-          f
-          (Array.init 4 (fun i -> i))
-      in
-      Array.iteri
-        (fun i t ->
-          check Alcotest.int (Printf.sprintf "jobs %d: task %d ran once" jobs i)
-            1 (Atomic.get t))
-        tries;
-      (match out.(1) with
-      | Ok 10 -> ()
-      | _ -> Alcotest.fail "task 1 should succeed");
-      match out.(3) with
-      | Error { Pool.index; task; message } ->
-          check Alcotest.int "failure index" 3 index;
-          check Alcotest.string "failure task" "t3" task;
-          check Alcotest.bool "failure message" true
-            (contains ~needle:"always" message)
-      | Ok _ -> Alcotest.fail "task 3 should fail")
-    [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* per-domain kernel-counter merge                                     *)
@@ -284,8 +266,6 @@ let () =
             test_pool_worker_error_surfaces;
           Alcotest.test_case "serial path wraps errors identically" `Quick
             test_pool_worker_error_serial;
-          Alcotest.test_case "map_result keeps failures in place" `Quick
-            test_pool_map_result_keeps_failures;
         ] );
       ( "kernel-counters",
         [

@@ -3,10 +3,11 @@
    fuzz driver.  The central claims under test: backoff schedules are
    the historic ones; a budget-exhausted run leaves its world intact and
    restorable; a supervisor gives up at its restart-intensity cap with
-   the world back at the checkpoint, and runs nothing past its deadline;
-   and a campaign with a sabotaged (chaos) task completes with that task
-   degraded while every other cell — and the whole report at any job
-   count — stays byte-identical. *)
+   the world back at the checkpoint, and starts nothing past its
+   deadline, retries included; a campaign with a sabotaged (chaos) task
+   completes with that task degraded while every other cell — and the
+   whole report at any job count — stays byte-identical; and a wall
+   deadline degrades both campaign engines alike. *)
 
 module Policy = Codesign_resil.Policy
 module Budget = Codesign_resil.Budget
@@ -80,6 +81,8 @@ let test_policy_retry_exhausts () =
 (* Budget                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let no_deadline = Budget.create ()
+
 (* A fuel-exhausted kernel run charges its window, leaves the kernel
    intact, and a snapshot restore + rerun reproduces an unbudgeted twin
    exactly. *)
@@ -104,7 +107,7 @@ let test_budget_kernel_restorable () =
   (* budgeted run: exhausts at the fuel bound with events pending *)
   let k, hits, snap, spawn_work = build () in
   spawn_work ();
-  (match Budget.run_kernel (Budget.create ~fuel:300 ()) k with
+  (match Budget.run_kernel (Budget.with_fuel no_deadline ~fuel:300) k with
   | Budget.Exhausted Budget.Fuel -> ()
   | Budget.Exhausted Budget.Deadline -> fail "expected fuel, not deadline"
   | Budget.Done _ -> fail "expected exhaustion");
@@ -123,7 +126,7 @@ let test_budget_kernel_restorable () =
 let test_budget_kernel_done_inside_fuel () =
   let k = K.create () in
   K.spawn k (fun () -> K.wait 50);
-  match Budget.run_kernel (Budget.create ~fuel:1000 ()) k with
+  match Budget.run_kernel (Budget.with_fuel no_deadline ~fuel:1000) k with
   | Budget.Done _ ->
       check Alcotest.bool "queue drained" false (K.has_pending_events k)
   | Budget.Exhausted _ -> fail "fits comfortably in the budget"
@@ -136,7 +139,7 @@ let test_budget_with_fuel_shares_deadline () =
       while true do
         K.wait 1
       done);
-  let b = Budget.create ~fuel:10 ~deadline_ms:60_000 () in
+  let b = Budget.with_fuel (Budget.create ~deadline_ms:60_000 ()) ~fuel:10 in
   (match Budget.run_kernel b k with
   | Budget.Exhausted Budget.Fuel -> ()
   | _ -> fail "a spinning process must exhaust its fuel");
@@ -149,8 +152,6 @@ let test_budget_with_fuel_shares_deadline () =
 (* ------------------------------------------------------------------ *)
 (* Supervisor                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let no_deadline = Budget.create ()
 
 let test_supervisor_gives_up_at_cap () =
   let restores = ref 0 and attempt = ref 0 in
@@ -186,26 +187,49 @@ let test_supervisor_recovers () =
       check Alcotest.int "attempts counted" 3 !attempts;
       check Alcotest.int "restored only after failures" 2 !restores
 
-(* Work not started by the wall deadline is cut off without running. *)
-let test_supervisor_deadline_passed () =
-  let budget = Budget.create ~deadline_ms:1 () in
+let spin_past_deadline budget =
   while not (Budget.past_deadline budget) do
     Domain.cpu_relax ()
-  done;
+  done
+
+(* Work not started by the wall deadline is cut off without running,
+   and a retry is work not started: an attempt that fails once the
+   deadline has passed is the last one. *)
+let test_supervisor_deadline_passed () =
+  let budget = Budget.create ~deadline_ms:1 () in
+  spin_past_deadline budget;
   let ran = ref false and restores = ref 0 in
-  match
-    Supervisor.run ~max_retries:2 ~budget
-      ~restore:(fun () -> incr restores)
-      (fun () ->
-        ran := true;
-        Ok ())
-  with
+  (match
+     Supervisor.run ~max_retries:2 ~budget
+       ~restore:(fun () -> incr restores)
+       (fun () ->
+         ran := true;
+         Ok ())
+   with
   | Ok () -> fail "a passed deadline must cut the work off"
   | Error d ->
       check Alcotest.string "error" "deadline exceeded" d.Degraded.error;
       check Alcotest.int "no attempt made" 0 d.Degraded.attempts;
       check Alcotest.bool "body never ran" false !ran;
-      check Alcotest.int "nothing to restore" 0 !restores
+      check Alcotest.int "nothing to restore" 0 !restores);
+  (* the deadline passes during the first attempt, which then fails *)
+  let budget = Budget.create ~deadline_ms:100 () in
+  let runs = ref 0 and restores = ref 0 in
+  match
+    Supervisor.run ~max_retries:2 ~budget
+      ~restore:(fun () -> incr restores)
+      (fun () ->
+        incr runs;
+        spin_past_deadline budget;
+        Error "cut off")
+  with
+  | Ok () -> fail "the attempt failed"
+  | Error d ->
+      check Alcotest.string "the attempt's own error" "cut off"
+        d.Degraded.error;
+      check Alcotest.int "no retry past the deadline" 1 d.Degraded.attempts;
+      check Alcotest.int "ran once" 1 !runs;
+      check Alcotest.int "restored once" 1 !restores
 
 (* ------------------------------------------------------------------ *)
 (* degraded campaigns                                                  *)
@@ -341,6 +365,50 @@ let test_chaos_hang_exhausts_fuel () =
         (checkpoint > 0)
   | _ -> fail "fork and rerun elapsed differ by more than one checkpoint time"
 
+(* A wall deadline degrades both engines alike.  A 2M-transfer warm-up
+   cannot finish in 20 ms, so the first cell's attempt is cut off (on
+   the fork engine inside its warm-up, on the rerun engine inside the
+   cell run) and every later cell is work not started.  The two sweeps
+   agree on every cell except in [elapsed], which on a cut-off attempt
+   is wall-clock dependent. *)
+let test_deadline_degrades_engines_alike () =
+  let without_elapsed (c : FR.cell) =
+    {
+      c with
+      FR.degraded =
+        Option.map (fun d -> { d with Degraded.elapsed = 0 }) c.FR.degraded;
+    }
+  in
+  let sweeps =
+    List.map
+      (fun engine ->
+        let name = Campaign.engine_name engine in
+        let cells =
+          Campaign.sweep ~ops:8 ~warmup:2_000_000 ~deadline_ms:20 engine
+        in
+        check Alcotest.int (name ^ ": full grid") 16 (List.length cells);
+        List.iter
+          (fun (c : FR.cell) ->
+            match c.FR.degraded with
+            | None -> fail (name ^ ": a cell finished a 2M-transfer warm-up")
+            | Some d ->
+                let shape = (d.Degraded.error, d.Degraded.attempts) in
+                check Alcotest.bool
+                  (Printf.sprintf "%s: %S, %d attempts" name (fst shape)
+                     (snd shape))
+                  true
+                  (List.mem shape
+                     [
+                       ("budget exhausted: deadline", 1);
+                       ("deadline exceeded", 0);
+                     ]))
+          cells;
+        List.map without_elapsed cells)
+      engines
+  in
+  check Alcotest.bool "fork cells = rerun cells" true
+    (List.nth sweeps 0 = List.nth sweeps 1)
+
 (* ------------------------------------------------------------------ *)
 (* degraded fuzzing                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -431,6 +499,8 @@ let () =
             test_chaos_leaves_other_cells_untouched;
           Alcotest.test_case "hanging cell exhausts fuel" `Quick
             test_chaos_hang_exhausts_fuel;
+          Alcotest.test_case "deadline degrades both engines alike" `Quick
+            test_deadline_degrades_engines_alike;
           Alcotest.test_case "fuzz degrades on a raising harness" `Quick
             test_fuzz_degrades_on_raising_harness;
           Alcotest.test_case "fuzz retries a raising harness" `Quick

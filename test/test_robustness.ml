@@ -591,6 +591,28 @@ let test_cli_int_floors () =
         [ e.cli_name; e.exp_id ])
     Codesign_experiments.Registry.all
 
+(* cosim's --level and --levels are one option over
+   [Cosim.parse_assignment]: a malformed assignment is a parse error
+   naming the spelling used, and giving both spellings is one too. *)
+let test_cli_cosim_levels () =
+  let rc, _, err = run_cli "cosim --items 1 --levels pin:tlm:message" in
+  check Alcotest.int "--levels pin:tlm:message: exit code" 0 rc;
+  check Alcotest.string "--levels pin:tlm:message: stderr" "" err;
+  List.iter
+    (fun (args, prefix) ->
+      let rc, out, err = run_cli args in
+      check Alcotest.int (args ^ ": exit code") 2 rc;
+      check Alcotest.string (args ^ ": stdout") "" out;
+      check Alcotest.bool
+        (Printf.sprintf "%s: %S" args err)
+        true
+        (String.starts_with ~prefix err))
+    [
+      ("cosim --levels pin:tlm", "codesign: option '--levels': bad level");
+      ("cosim --level pin:foo:message", "codesign: option '--level': unknown");
+      ("cosim --level pin --levels tlm", "codesign: options '--level' and");
+    ]
+
 (* A run that cannot write its --out report exits 1 with one line on
    stderr naming the path and the reason, and prints nothing. *)
 let test_cli_unwritable_out () =
@@ -608,6 +630,68 @@ let test_cli_unwritable_out () =
            err
         && List.length (String.split_on_char '\n' (String.trim err)) = 1))
     [ "/nonexistent/dir/r.json"; Filename.get_temp_dir_name () ]
+
+(* ------------------------------------------------------------------ *)
+(* the level-assignment reader                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every spelling [Transport.level_of_string] accepts, in lower case. *)
+let level_spellings = [ "pin"; "tlm"; "transaction"; "driver"; "message"; "msg" ]
+
+(* Near misses: level names, case changes, truncations, neighbours and
+   junk, joined by ':' (or a wrong separator) into zero to five
+   fields. *)
+let assignment_text =
+  let open QCheck.Gen in
+  let field =
+    oneof
+      [
+        oneofl level_spellings;
+        map String.uppercase_ascii (oneofl level_spellings);
+        oneofl [ ""; "pi"; "tl"; "messages"; "driverr"; " pin"; "foo"; "::" ];
+        string_size ~gen:printable (int_range 0 4);
+      ]
+  in
+  let joined =
+    map2
+      (fun fields sep -> String.concat sep fields)
+      (list_size (int_range 0 5) field)
+      (frequencyl [ (8, ":"); (1, ","); (1, "") ])
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (oneof [ joined; string_size ~gen:char (int_range 0 12) ])
+
+let prop_parse_assignment_total =
+  QCheck.Test.make ~count:2000
+    ~name:"parse_assignment never raises, Ok exactly on 1 or 3 levels"
+    assignment_text (fun s ->
+      let level f = List.mem (String.lowercase_ascii f) level_spellings in
+      let valid =
+        match String.split_on_char ':' s with
+        | [ one ] -> level one
+        | [ a; b; c ] -> level a && level b && level c
+        | _ -> false
+      in
+      match Cosim.parse_assignment s with
+      | Ok _ -> valid
+      | Error _ -> not valid
+      | exception e ->
+          QCheck.Test.fail_reportf "%S raised %s" s (Printexc.to_string e))
+
+let test_parse_assignment_inverts_name () =
+  List.iter
+    (fun src ->
+      List.iter
+        (fun cpu ->
+          List.iter
+            (fun sink ->
+              let a = { Cosim.src; cpu; sink } in
+              let name = Cosim.assignment_name a in
+              check Alcotest.bool name true
+                (Cosim.parse_assignment name = Ok a))
+            Cosim.all_levels)
+        Cosim.all_levels)
+    Cosim.all_levels
 
 let () =
   Alcotest.run "codesign_robustness"
@@ -658,6 +742,14 @@ let () =
           Alcotest.test_case "integer flag floors" `Quick test_cli_int_floors;
           Alcotest.test_case "unwritable --out exits 1" `Quick
             test_cli_unwritable_out;
+          Alcotest.test_case "cosim level assignment flag" `Quick
+            test_cli_cosim_levels;
+        ] );
+      ( "level_assignment",
+        [
+          QCheck_alcotest.to_alcotest prop_parse_assignment_total;
+          Alcotest.test_case "inverts assignment_name on all 64" `Quick
+            test_parse_assignment_inverts_name;
         ] );
       ( "cost_properties",
         [

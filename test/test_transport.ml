@@ -13,6 +13,7 @@ module K = Codesign_sim.Kernel
 module Ch = Codesign_sim.Channel
 module M = Codesign_bus.Memory_map
 module T = Codesign_bus.Transport
+module Bus = Codesign_bus.Bus
 module Device = Codesign_bus.Device
 module Pn = Codesign_ir.Process_network
 module B = Codesign_ir.Behavior
@@ -20,6 +21,11 @@ open Codesign
 
 let check = Alcotest.check
 let fail = Alcotest.fail
+
+(* Bus operations charged to a transport: its reads plus its writes. *)
+let ops tr =
+  let s = tr.T.stats () in
+  s.Bus.reads + s.Bus.writes
 
 (* ------------------------------------------------------------------ *)
 (* golden pure-level metrics (captured pre-refactor)                   *)
@@ -233,9 +239,8 @@ let test_driver_transport_charges_call_cost () =
       check Alcotest.int "read costs the call too" 12 (K.now k - t0));
   ignore (K.run k);
   let s = tr.T.stats () in
-  check Alcotest.int "one read one write" 2 s.T.ops;
-  check Alcotest.int "reads counted" 1 s.T.reads;
-  check Alcotest.int "writes counted" 1 s.T.writes
+  check Alcotest.int "reads counted" 1 s.Bus.reads;
+  check Alcotest.int "writes counted" 1 s.Bus.writes
 
 let test_tlm_transport_counts_and_times () =
   let k = K.create () in
@@ -247,7 +252,7 @@ let test_tlm_transport_counts_and_times () =
       check Alcotest.int "tlm write latency" 3 (K.now k - t0);
       check Alcotest.int "tlm read" 7 (tr.T.read 1));
   ignore (K.run k);
-  check Alcotest.int "tlm ops counted" 2 (tr.T.stats ()).T.ops
+  check Alcotest.int "tlm ops counted" 2 (ops tr)
 
 let test_message_transport_binds_endpoints () =
   let k = K.create () in
@@ -274,8 +279,7 @@ let test_message_transport_binds_endpoints () =
   ignore (K.run k);
   check Alcotest.(list int) "data reads are channel receives" [ 11; 22 ]
     !got;
-  check Alcotest.int "message traffic is not bus traffic" 0
-    (tr.T.stats ()).T.ops;
+  check Alcotest.int "message traffic is not bus traffic" 0 (ops tr);
   (match tr.T.read (base_out + 1) with
   | _ -> fail "read from a send endpoint accepted"
   | exception Invalid_argument _ -> ());
@@ -291,8 +295,7 @@ let test_view_relabels_upward_only () =
   check Alcotest.bool "relabelled" true (v.T.level = T.Message);
   K.spawn ~name:"master" k (fun () -> v.T.write 0 5);
   ignore (K.run k);
-  check Alcotest.int "medium and stats are the wrapped backend's" 1
-    (tr.T.stats ()).T.ops;
+  check Alcotest.int "medium and stats are the wrapped backend's" 1 (ops tr);
   match T.view tr ~as_:T.Pin with
   | _ -> fail "view invented detail"
   | exception Invalid_argument _ -> ()
@@ -346,7 +349,7 @@ let test_stream_to_channel_bridges_bus_to_channel () =
     [ 100; 101; 102; 103; 104; 105 ]
     (List.rev !got);
   check Alcotest.bool "the pump's polls and reads were bus traffic" true
-    ((tr.T.stats ()).T.ops >= 6)
+    (ops tr >= 6)
 
 (* ------------------------------------------------------------------ *)
 (* lookup-error satellites                                             *)
