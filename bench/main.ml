@@ -7,9 +7,10 @@
    on a pool of OCaml 5 domains (one experiment per domain at a time);
    tables are printed in experiment order once all have finished.  Every
    run also writes a machine-readable BENCH_results.json (schema in
-   README.md) with per-experiment wall time, simulation counters and the
-   Bechamel ns/run estimates; a tables-only run keeps the estimates
-   already in the file.
+   README.md) with the host's core count and OCaml version,
+   per-experiment wall time, simulation counters and the Bechamel ns/run
+   estimates with their sample counts and r²; a tables-only run keeps
+   the estimates already in the file.
 
    Usage:  dune exec bench/main.exe                 (everything)
            dune exec bench/main.exe -- quick        (small experiment sizes)
@@ -328,8 +329,9 @@ let bench_mesh_serial () = ignore (Cosim.run_network mesh_net)
 let bench_mesh_partitioned () =
   ignore (Cosim.run_network ~partition:mesh_map mesh_net)
 
-(* Returns the (name, ns/run OLS estimate) rows alongside printing them,
-   so the JSON artifact carries the same numbers as the text report. *)
+(* Returns the rows — OLS ns/run estimate, the samples it was fitted to
+   and its r² — alongside printing them, so the JSON artifact carries
+   the same numbers as the text report. *)
 let run_microbenchmarks () =
   let open Bechamel in
   let test name f = Test.make ~name (Staged.stage f) in
@@ -380,12 +382,31 @@ let run_microbenchmarks () =
   Hashtbl.iter
     (fun name ols_result ->
       match Analyze.OLS.estimates ols_result with
-      | Some [ e ] -> rows := (name, e) :: !rows
+      | Some [ e ] ->
+          let r_square =
+            match Analyze.OLS.r_square ols_result with
+            | Some r when Float.is_finite r -> Some r
+            | _ -> None
+          in
+          rows :=
+            {
+              Obs.Bench_report.m_name = name;
+              ns_per_run = e;
+              samples = Some (Hashtbl.find raw name).Benchmark.stats.samples;
+              r_square;
+            }
+            :: !rows
       | _ -> ())
     clock;
   let rows = List.sort compare !rows in
   List.iter
-    (fun (name, est) -> Printf.printf "  %-40s %12.0f ns\n" name est)
+    (fun (m : Obs.Bench_report.micro) ->
+      Printf.printf "  %-40s %12.0f ns  (n=%d, r²=%s)\n"
+        m.Obs.Bench_report.m_name m.Obs.Bench_report.ns_per_run
+        (Option.value m.Obs.Bench_report.samples ~default:0)
+        (match m.Obs.Bench_report.r_square with
+        | Some r -> Printf.sprintf "%.4f" r
+        | None -> "n/a"))
     rows;
   rows
 
@@ -421,17 +442,15 @@ let () =
       match Obs.Bench_report.read ~path:report_path with
       | Ok previous -> previous.Obs.Bench_report.microbenchmarks
       | Error _ -> []
-    else
-      List.map
-        (fun (name, est) ->
-          { Obs.Bench_report.m_name = name; ns_per_run = est })
-        (run_microbenchmarks ())
+    else run_microbenchmarks ()
   in
   let report =
     {
       Obs.Bench_report.schema_version = Obs.Bench_report.schema_version;
       mode = (if quick then "quick" else "full");
       domains = jobs;
+      recommended_domains = Some (Domain.recommended_domain_count ());
+      ocaml_version = Some Sys.ocaml_version;
       tables_wall_s;
       experiments = List.map (fun r -> r.measured) results;
       microbenchmarks = micros;

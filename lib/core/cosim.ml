@@ -477,10 +477,11 @@ let rec dyn_stmts trip (s : B.stmt) =
 
 and dyn_list trip l = List.fold_left (fun a s -> a + dyn_stmts trip s) 0 l
 
-let hw_stmt_cycles proc =
-  let est = Codesign_hls.Hls.estimate proc in
+let stmt_cycles_of (est : Codesign_hls.Hls.behavior_estimate) proc =
   let d = max 1 (dyn_list 1 proc.B.body) in
   max 1 (est.Codesign_hls.Hls.cycles / d)
+
+let hw_stmt_cycles proc = stmt_cycles_of (Codesign_hls.Hls.estimate proc) proc
 
 let chan_port_base = 100
 
@@ -705,7 +706,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
       | Pn.Hw ->
           let est = Codesign_hls.Hls.estimate proc in
           hw_area := !hw_area + est.Codesign_hls.Hls.area;
-          let stmt_cost = hw_stmt_cycles proc in
+          let stmt_cost = stmt_cycles_of est proc in
           let engine_id =
             match engine_of proc.B.name with
             | Some e -> e

@@ -106,15 +106,10 @@ let tiers_disagree (step_cpu : Cpu.t) (blk_cpu : Cpu.t) step_trace blk_trace =
   let regs c = List.init 32 (Cpu.reg c) in
   field "regs" (show_list string_of_int) (regs step_cpu) (regs blk_cpu))
   <|> fun () ->
-  let rec mem_diff a =
-    if a >= 65536 then None
-    else
-      let va = Cpu.read_mem step_cpu a and vb = Cpu.read_mem blk_cpu a in
-      if va <> vb then
-        Some (Printf.sprintf "iss-block mem[%d] differs: step %d vs block %d" a va vb)
-      else mem_diff (a + 1)
-  in
-  mem_diff 0
+  Option.map
+    (fun (a, va, vb) ->
+      Printf.sprintf "iss-block mem[%d] differs: step %d vs block %d" a va vb)
+    (Cpu.first_mem_difference step_cpu blk_cpu)
 
 let run_iss ~transform_asm ~fuel p =
   match

@@ -21,7 +21,12 @@ let default_env =
 
 type t = {
   code : Isa.program;
-  mem : int array;
+  mutable mem : int array;
+      (* the allocated prefix of data memory; addresses past it but below
+         [mem_words] read 0.  A store past it grows the prefix ([grow]),
+         which replaces the array, so no executor may hold [mem] across
+         instructions *)
+  mem_words : int;
   regs : int array;
   env : env;
   plain_mem : bool;
@@ -47,9 +52,15 @@ type t = {
 
 let create ?(mem_words = 65536) ?(env = default_env)
     ?(latency = Isa.default_latency) ?(irq_vector = 1) code =
+  (* no allocation checks the size any more, so check it here *)
+  if mem_words < 0 || mem_words > Sys.max_array_length then
+    invalid_arg
+      (Printf.sprintf "Cpu.create: mem_words %d is not a valid array size"
+         mem_words);
   {
     code;
-    mem = Array.make mem_words 0;
+    mem = [||];
+    mem_words;
     regs = Array.make Isa.n_regs 0;
     env;
     plain_mem =
@@ -86,6 +97,7 @@ let reset t =
 
 type snap = {
   s_mem : int array;
+  s_mem_words : int;
   s_regs : int array;
   s_pc : int;
   s_cycles : int;
@@ -100,6 +112,7 @@ type snap = {
 let snapshot t =
   {
     s_mem = Array.copy t.mem;
+    s_mem_words = t.mem_words;
     s_regs = Array.copy t.regs;
     s_pc = t.pc;
     s_cycles = t.cycles;
@@ -112,9 +125,11 @@ let snapshot t =
   }
 
 let restore t s =
-  if Array.length s.s_mem <> Array.length t.mem then
+  if s.s_mem_words <> t.mem_words then
     invalid_arg "Cpu.restore: snapshot from a CPU with a different mem size";
-  Array.blit s.s_mem 0 t.mem 0 (Array.length t.mem);
+  (* a copy, not a blit: words written past the snapshot's prefix since
+     then must read 0 again *)
+  t.mem <- Array.copy s.s_mem;
   Array.blit s.s_regs 0 t.regs 0 (Array.length t.regs);
   t.pc <- s.s_pc;
   t.cycles <- s.s_cycles;
@@ -135,17 +150,53 @@ let set_reg t r v = if r <> 0 then t.regs.(r) <- v
 
 let trap t reason = t.status <- Trapped reason
 
+let in_space t a = a >= 0 && a < t.mem_words
+
+(* Grow the allocated prefix to hold [a] (past the prefix, inside the
+   address space): to the next power of two, at least 256 words, capped
+   at [mem_words]. *)
+let grow t a =
+  let len = Array.length t.mem in
+  let n = ref (max 256 (2 * len)) in
+  while !n <= a do
+    n := 2 * !n
+  done;
+  let mem = Array.make (min !n t.mem_words) 0 in
+  Array.blit t.mem 0 mem 0 len;
+  t.mem <- mem
+
 let read_mem t a =
-  if a < 0 || a >= Array.length t.mem then begin
-    trap t (Printf.sprintf "Cpu.read_mem: address %d out of range" a);
+  if a >= 0 && a < Array.length t.mem then t.mem.(a)
+  else begin
+    if not (in_space t a) then
+      trap t (Printf.sprintf "Cpu.read_mem: address %d out of range" a);
     0
   end
-  else t.mem.(a)
 
 let write_mem t a v =
-  if a < 0 || a >= Array.length t.mem then
+  if not (in_space t a) then
     trap t (Printf.sprintf "Cpu.write_mem: address %d out of range" a)
-  else t.mem.(a) <- v
+  else begin
+    if a >= Array.length t.mem then grow t a;
+    t.mem.(a) <- v
+  end
+
+let first_mem_difference a b =
+  let ma = a.mem and mb = b.mem in
+  let common = min (Array.length ma) (Array.length mb)
+  and n = max (Array.length ma) (Array.length mb) in
+  let i = ref 0 in
+  while !i < common && Array.unsafe_get ma !i = Array.unsafe_get mb !i do
+    incr i
+  done;
+  (* past the shorter prefix its words read 0 *)
+  let longer = if Array.length ma > Array.length mb then ma else mb in
+  if !i = common then
+    while !i < n && Array.unsafe_get longer !i = 0 do
+      incr i
+    done;
+  let word m = if !i < Array.length m then m.(!i) else 0 in
+  if !i < n then Some (!i, word ma, word mb) else None
 
 let set_irq t level = t.irq_line <- level
 let irq_enabled t = t.irq_enable
@@ -174,6 +225,12 @@ let cond c a b =
   | Isa.Ge -> a >= b
 
 exception Trap of string
+
+(* The slow path of a data access past the allocated prefix: outside
+   the address space it traps. *)
+let mem_miss t addr pc =
+  if not (in_space t addr) then
+    raise (Trap (Printf.sprintf "mem access %d at pc %d" addr pc))
 
 let step t =
   match t.status with
@@ -226,22 +283,22 @@ let step t =
                 (match t.env.mem_read addr with
                 | Some v -> set_reg t d v
                 | None ->
-                    if addr < 0 || addr >= Array.length t.mem then
-                      raise
-                        (Trap
-                           (Printf.sprintf "mem access %d at pc %d" addr
-                              this_pc));
-                    set_reg t d t.mem.(addr));
+                    let mem = t.mem in
+                    if addr >= 0 && addr < Array.length mem then
+                      set_reg t d (Array.unsafe_get mem addr)
+                    else begin
+                      mem_miss t addr this_pc;
+                      set_reg t d 0
+                    end);
                 t.pc <- next;
                 lat0
             | Isa.Sw (s, a, off) ->
                 let addr = t.regs.(a) + off in
                 if not (t.env.mem_write addr t.regs.(s)) then begin
-                  if addr < 0 || addr >= Array.length t.mem then
-                    raise
-                      (Trap
-                         (Printf.sprintf "mem access %d at pc %d" addr
-                            this_pc));
+                  if addr < 0 || addr >= Array.length t.mem then begin
+                    mem_miss t addr this_pc;
+                    grow t addr
+                  end;
                   t.mem.(addr) <- t.regs.(s)
                 end;
                 t.pc <- next;
@@ -364,10 +421,13 @@ let cond_apply idx a b =
    Register-file accesses are unchecked as well — every register index
    was validated at decode time ([Block_compiler.regs_ok]; blocks with
    out-of-range registers never compile) — and memory accesses go
-   unchecked behind their explicit bounds test.  The trap exit is the
-   one slow case: it reconstructs the partial cycle sum by re-walking
-   the lat fields of the records already executed, and leaves pc on the
-   faulting instruction as [step] does.
+   unchecked behind their one range test on the allocated prefix,
+   re-read from [t] at every access because a store past the prefix
+   grows (replaces) it.  A miss inside the address space reads 0 or
+   grows; the trap exit is the one slow case: it reconstructs the
+   partial cycle sum by re-walking the lat fields of the records
+   already executed, and leaves pc on the faulting instruction as
+   [step] does.
 
    Block chaining: a terminator that leaves the core Running jumps
    straight into the successor block through [exec_chain] when that
@@ -437,6 +497,11 @@ let rec exec_fast t entries fuel_left acc u fc fi i =
       if d <> 0 then Array.unsafe_set regs d (Array.unsafe_get mem addr);
       exec_fast t entries fuel_left acc u fc fi (i + 1)
     end
+    else if in_space t addr then begin
+      let d = Array.unsafe_get u (base + 1) in
+      if d <> 0 then Array.unsafe_set regs d 0;
+      exec_fast t entries fuel_left acc u fc fi (i + 1)
+    end
     else exec_fast_trap t u acc i addr
   end
   else if op = Bc.uop_sw then begin
@@ -449,6 +514,11 @@ let rec exec_fast t entries fuel_left acc u fc fi i =
       Array.unsafe_set mem addr
         (Array.unsafe_get regs (Array.unsafe_get u (base + 1)));
       exec_fast t entries fuel_left acc u fc fi (i + 1)
+    end
+    else if in_space t addr then begin
+      (* grow, then run the same record again: it now hits *)
+      grow t addr;
+      exec_fast t entries fuel_left acc u fc fi i
     end
     else exec_fast_trap t u acc i addr
   end

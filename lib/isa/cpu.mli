@@ -51,8 +51,15 @@ val create :
   ?irq_vector:int ->
   Isa.program ->
   t
-(** [mem_words] defaults to 65536; [latency] to {!Isa.default_latency};
-    [irq_vector] to 1. *)
+(** [mem_words] is the size of the data address space, default 65536:
+    addresses [0 .. mem_words - 1] are valid, every other one traps.
+    Memory is allocated on first write, not here: it starts empty and
+    grows geometrically (capped at [mem_words]) when a store lands past
+    the allocated prefix, and a word never written reads 0.  A CPU thus
+    costs what its program touches, not the whole address space.
+    [latency] defaults to {!Isa.default_latency}, [irq_vector] to 1.
+    @raise Invalid_argument if [mem_words] is negative or larger than
+    [Sys.max_array_length]. *)
 
 val reset : t -> unit
 (** Clears registers, PC, cycle count, interrupt state (including a
@@ -70,12 +77,21 @@ val reg : t -> int -> int
 val set_reg : t -> int -> int -> unit
 
 val read_mem : t -> int -> int
-(** Out-of-range addresses trap the CPU (status becomes [Trapped]) and
-    read as 0 — an anomaly is data for the supervisor, not a host
-    exception. *)
+(** The word at an address; a valid address never written reads 0 and
+    allocates nothing.  Out-of-range addresses trap the CPU (status
+    becomes [Trapped]) and read as 0 — an anomaly is data for the
+    supervisor, not a host exception. *)
 
 val write_mem : t -> int -> int -> unit
-(** Out-of-range addresses trap the CPU; the write is discarded. *)
+(** Out-of-range addresses trap the CPU; the write is discarded.  A
+    write past the allocated prefix grows it, whatever the value. *)
+
+val first_mem_difference : t -> t -> (int * int * int) option
+(** [Some (addr, va, vb)] for the lowest address at which the two data
+    memories differ, with [a]'s and [b]'s words there, or [None].  One
+    pass over the longer of the two allocated prefixes, words past a
+    prefix counting as 0: the answer of a {!read_mem} scan of every
+    address, without its cost. *)
 
 val trap : t -> string -> unit
 (** Force [Trapped reason] from outside the core — the hook fault
@@ -147,7 +163,9 @@ val on_retire : t -> (pc:int -> cycles:int -> unit) -> unit
 
     A snapshot deep-copies the complete architectural state: registers,
     data memory, PC, cycle/instret counters, status and interrupt state
-    (request line, enable, in-ISR flag, saved EPC).  It does {e not}
+    (request line, enable, in-ISR flag, saved EPC).  Of data memory it
+    copies only the allocated prefix (see {!create}), so a snapshot of
+    a CPU that touched little memory is small.  It does {e not}
     capture the program (immutable and shared), the environment hooks,
     the latency table or an installed {!on_retire} callback — those
     belong to the harness around the core, not to the core's state, and
@@ -158,6 +176,7 @@ type snap
 val snapshot : t -> snap
 
 val restore : t -> snap -> unit
-(** Rewind architectural state to [snap].
+(** Rewind architectural state to [snap].  Words written past the
+    snapshot's memory prefix since it was taken read 0 again.
     @raise Invalid_argument if the snapshot came from a CPU with a
-    different memory size. *)
+    different [mem_words]. *)

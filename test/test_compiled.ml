@@ -157,6 +157,32 @@ let step_loop cpu ~fuel =
   done;
   !steps
 
+(* Memory is allocated on first write and grows as stores land past it.
+   A write at the last word grows it to the whole address space up
+   front, so a CPU run after [pregrow] is the fully allocated machine
+   every growing one must be indistinguishable from. *)
+let pregrow ~mem_words cpu =
+  Cpu.write_mem cpu (mem_words - 1) 0;
+  cpu
+
+let grown where what = where ("pre-grown twin: " ^ what)
+
+(* The step loop and the block tier, each on a CPU from [mk] whose
+   memory grows as the program writes and on a pre-grown twin: all four
+   must end in the same state.  Returns the growing block-tier CPU. *)
+let run_tiers ~where ~mem_words ~fuel mk =
+  let step cpu = ignore (step_loop cpu ~fuel); cpu
+  and blocks cpu = ignore (Cpu.run_blocks cpu ~fuel); cpu in
+  let cpu_step = step (mk ()) and cpu_blocks = blocks (mk ()) in
+  compare_cpus ~where ~mem_words cpu_step cpu_blocks;
+  compare_cpus ~where:(grown where) ~mem_words
+    (step (pregrow ~mem_words (mk ())))
+    cpu_step;
+  compare_cpus ~where:(grown where) ~mem_words
+    (blocks (pregrow ~mem_words (mk ())))
+    cpu_blocks;
+  cpu_blocks
+
 let test_iss_step_block_equivalence () =
   let mem_words = 65536 in
   let fuel = 200_000 in
@@ -171,7 +197,7 @@ let test_iss_step_block_equivalence () =
         | exception Invalid_argument _ -> ()
         | img ->
             incr n_checked;
-            let trace_of () =
+            let trace_of ~pregrown =
               let out = ref [] in
               let env =
                 {
@@ -179,17 +205,29 @@ let test_iss_step_block_equivalence () =
                   Cpu.port_out = (fun pt v -> out := (pt, v) :: !out);
                 }
               in
-              (Cpu.create ~mem_words ~env img.Asm.code, out)
+              let cpu = Cpu.create ~mem_words ~env img.Asm.code in
+              ((if pregrown then pregrow ~mem_words cpu else cpu), out)
             in
-            let cpu_step, trace_step = trace_of () in
-            let cpu_blocks, trace_blocks = trace_of () in
+            let cpu_step, trace_step = trace_of ~pregrown:false in
+            let cpu_blocks, trace_blocks = trace_of ~pregrown:false in
+            let full_step, trace_full_step = trace_of ~pregrown:true in
+            let full_blocks, trace_full_blocks = trace_of ~pregrown:true in
             ignore (step_loop cpu_step ~fuel);
+            ignore (step_loop full_step ~fuel);
             ignore (Cpu.run_blocks cpu_blocks ~fuel);
+            ignore (Cpu.run_blocks full_blocks ~fuel);
             blocks_seen := !blocks_seen + Cpu.blocks_compiled cpu_blocks;
             let where what = Printf.sprintf "seed %d: %s" seed what in
             compare_cpus ~where ~mem_words cpu_step cpu_blocks;
+            compare_cpus ~where:(grown where) ~mem_words full_step cpu_step;
+            compare_cpus ~where:(grown where) ~mem_words full_blocks
+              cpu_blocks;
             if !trace_step <> !trace_blocks then
-              fail (where "port traces differ"))
+              fail (where "port traces differ");
+            if
+              !trace_full_step <> !trace_step
+              || !trace_full_blocks <> !trace_blocks
+            then fail (grown where "port traces differ"))
   done;
   check Alcotest.bool
     (Printf.sprintf "most behaviours compiled (%d/100)" !n_checked)
@@ -216,6 +254,10 @@ let test_iss_block_fuel_slices () =
         | img ->
             let cpu_step = Cpu.create ~mem_words img.Asm.code in
             let cpu_blocks = Cpu.create ~mem_words img.Asm.code in
+            let twin () =
+              pregrow ~mem_words (Cpu.create ~mem_words img.Asm.code)
+            in
+            let full_step = twin () and full_blocks = twin () in
             let slice = 1 + (seed mod 13) in
             let total = ref 0 in
             let continue = ref true in
@@ -226,12 +268,23 @@ let test_iss_block_fuel_slices () =
                 Printf.sprintf "seed %d slice@%d: %s" seed !total what
               in
               check Alcotest.int (where "fuel consumed") s1 s2;
+              check Alcotest.int (grown where "step fuel consumed") s1
+                (step_loop full_step ~fuel:slice);
+              check Alcotest.int (grown where "block fuel consumed") s2
+                (Cpu.run_blocks full_blocks ~fuel:slice);
               compare_cpus ~where ~mem_words cpu_step cpu_blocks;
               total := !total + s1;
               if s1 = 0 || Cpu.status cpu_step <> Cpu.Running
                  || !total > 50_000
               then continue := false
-            done)
+            done;
+            (* the twins' whole state, memory included, once per program:
+               a full-memory compare at every slice would triple the
+               cost of this test *)
+            let where what = Printf.sprintf "seed %d end: %s" seed what in
+            compare_cpus ~where:(grown where) ~mem_words full_step cpu_step;
+            compare_cpus ~where:(grown where) ~mem_words full_blocks
+              cpu_blocks)
   done
 
 (* Straight-line fuel sweep: every possible fuel boundary of a single
@@ -255,12 +308,10 @@ let test_iss_straightline_fuel_sweep () =
   in
   let img = Asm.assemble (Asm.parse src) in
   for fuel = 0 to 12 do
-    let cpu_step = Cpu.create ~mem_words img.Asm.code in
-    let cpu_blocks = Cpu.create ~mem_words img.Asm.code in
-    ignore (step_loop cpu_step ~fuel);
-    ignore (Cpu.run_blocks cpu_blocks ~fuel);
     let where what = Printf.sprintf "fuel %d: %s" fuel what in
-    compare_cpus ~where ~mem_words cpu_step cpu_blocks
+    ignore
+      (run_tiers ~where ~mem_words ~fuel (fun () ->
+           Cpu.create ~mem_words img.Asm.code))
   done
 
 (* A branch back into the middle of an already-decoded block: the
@@ -282,12 +333,11 @@ mid:
 |}
   in
   let img = Asm.assemble (Asm.parse src) in
-  let cpu_step = Cpu.create ~mem_words img.Asm.code in
-  let cpu_blocks = Cpu.create ~mem_words img.Asm.code in
-  ignore (step_loop cpu_step ~fuel:1000);
-  ignore (Cpu.run_blocks cpu_blocks ~fuel:1000);
   let where what = Printf.sprintf "branch-into-middle: %s" what in
-  compare_cpus ~where ~mem_words cpu_step cpu_blocks;
+  let cpu_blocks =
+    run_tiers ~where ~mem_words ~fuel:1000 (fun () ->
+        Cpu.create ~mem_words img.Asm.code)
+  in
   check Alcotest.bool "overlapping block decoded" true
     (Cpu.blocks_compiled cpu_blocks >= 2)
 
@@ -342,17 +392,119 @@ main:
     cell := Some cpu;
     cpu
   in
-  let cpu_step = mk () in
-  let cpu_blocks = mk () in
-  ignore (step_loop cpu_step ~fuel:1000);
-  ignore (Cpu.run_blocks cpu_blocks ~fuel:1000);
   let where what = Printf.sprintf "irq-mid-block: %s" what in
-  compare_cpus ~where ~mem_words cpu_step cpu_blocks;
+  let cpu_blocks = run_tiers ~where ~mem_words ~fuel:1000 mk in
   check Alcotest.int (where "ISR ran") 1 (Cpu.reg cpu_blocks 5);
   check Alcotest.int (where "mmio value read") 7 (Cpu.reg cpu_blocks 3);
   check Alcotest.int (where "post-irq code ran") 12 (Cpu.reg cpu_blocks 4);
   check Alcotest.int (where "hooked CPU stays on the step loop") 0
     (Cpu.blocks_compiled cpu_blocks)
+
+(* Loads and stores at the edges of memory, on both tiers: below the
+   address space, its first word, around the edge of the prefix the
+   first store allocates (256 words, or the whole space when smaller),
+   its last word and one past it.  The first store sits at word 0, so
+   the access under test runs with a prefix already allocated; a load
+   past the prefix must read 0 without growing anything, a store there
+   must grow it, and every access outside the space must trap with the
+   step tier's text.  The straight-line program is one decoded block,
+   so the block tier meets every case inside a block.  [read_mem] and
+   [write_mem] are held to their own trap texts on the same
+   addresses. *)
+let test_iss_memory_edges () =
+  List.iter
+    (fun mem_words ->
+      let edge = min 256 mem_words in
+      let addrs =
+        List.sort_uniq compare
+          [ -1; 0; edge - 1; edge; edge + 1; mem_words - 1; mem_words ]
+      in
+      List.iter
+        (fun addr ->
+          let src =
+            Printf.sprintf
+              {|
+  li r1, 7
+  sw r1, 0(r0)
+  li r2, %d
+  lw r3, 0(r2)
+  li r4, 9
+  sw r4, 0(r2)
+  lw r5, 0(r2)
+  halt
+|}
+              addr
+          in
+          let img = Asm.assemble (Asm.parse src) in
+          let where what =
+            Printf.sprintf "mem_words %d addr %d: %s" mem_words addr what
+          in
+          let run runner =
+            let c = Cpu.create ~mem_words img.Asm.code in
+            ignore (runner c);
+            c
+          in
+          let cpu_step = run (fun c -> Cpu.run c) in
+          let cpu_blocks = run (fun c -> Cpu.run_compiled c) in
+          compare_cpus ~where ~mem_words cpu_step cpu_blocks;
+          if mem_words > 0 then begin
+            let full runner =
+              let c = pregrow ~mem_words (Cpu.create ~mem_words img.Asm.code) in
+              ignore (runner c);
+              c
+            in
+            compare_cpus ~where:(grown where) ~mem_words
+              (full (fun c -> Cpu.run c)) cpu_step;
+            compare_cpus ~where:(grown where) ~mem_words
+              (full (fun c -> Cpu.run_compiled c)) cpu_blocks
+          end;
+          let expected =
+            if mem_words = 0 then Cpu.Trapped "mem access 0 at pc 1"
+            else if addr < 0 || addr >= mem_words then
+              Cpu.Trapped (Printf.sprintf "mem access %d at pc 3" addr)
+            else Cpu.Halted
+          in
+          if not (status_eq expected (Cpu.status cpu_blocks)) then
+            fail
+              (where
+                 (Printf.sprintf "status %s, expected %s"
+                    (show_status (Cpu.status cpu_blocks))
+                    (show_status expected)));
+          if expected = Cpu.Halted then begin
+            check Alcotest.int (where "load before the store")
+              (if addr = 0 then 7 else 0)
+              (Cpu.reg cpu_blocks 3);
+            check Alcotest.int (where "load after the store") 9
+              (Cpu.reg cpu_blocks 5)
+          end;
+          (* the host-side accessors on a fresh CPU *)
+          let inside = addr >= 0 && addr < mem_words in
+          let c = Cpu.create ~mem_words [| Codesign_isa.Isa.Halt |] in
+          check Alcotest.int (where "read_mem value") 0 (Cpu.read_mem c addr);
+          Cpu.write_mem c addr 5;
+          check Alcotest.int (where "write_mem then read_mem")
+            (if inside then 5 else 0)
+            (Cpu.read_mem c addr);
+          let status =
+            if inside then Cpu.Running
+            else
+              Cpu.Trapped
+                (Printf.sprintf "Cpu.read_mem: address %d out of range" addr)
+          in
+          if not (status_eq status (Cpu.status c)) then
+            fail
+              (where
+                 (Printf.sprintf "accessor status %s, expected %s"
+                    (show_status (Cpu.status c)) (show_status status)));
+          let c = Cpu.create ~mem_words [| Codesign_isa.Isa.Halt |] in
+          Cpu.write_mem c addr 5;
+          if not inside then
+            check Alcotest.string (where "write_mem trap")
+              ("Trapped "
+              ^ Printf.sprintf "Cpu.write_mem: address %d out of range" addr)
+              (show_status (Cpu.status c)))
+        addrs)
+    [ 0; 16; 4097; 65536 ]
 
 (* ------------------------------------------------------------------ *)
 (* temporally decoupled co-simulation quantum                          *)
@@ -453,6 +605,8 @@ let () =
             `Quick test_iss_branch_into_middle;
           Alcotest.test_case "hook-raised interrupt cuts the block" `Quick
             test_iss_irq_mid_block;
+          Alcotest.test_case "loads and stores at the memory edges" `Quick
+            test_iss_memory_edges;
         ] );
       ( "quantum",
         [

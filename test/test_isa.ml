@@ -331,6 +331,98 @@ main:
   done;
   check Alcotest.int "re-driven line interrupts" 1 (Cpu.reg cpu 5)
 
+(* Memory is allocated on first write, so no [Array.make] rejects a
+   negative size any more: [create] must reject it itself. *)
+let test_cpu_create_negative_mem () =
+  List.iter
+    (fun n ->
+      match Cpu.create ~mem_words:n [| Isa.Halt |] with
+      | exception Invalid_argument m ->
+          check Alcotest.bool
+            (Printf.sprintf "mem_words %d: message names Cpu.create (%s)" n m)
+            true
+            (String.starts_with ~prefix:"Cpu.create" m)
+      | _ -> fail (Printf.sprintf "mem_words %d accepted" n))
+    [ -1; -65536; min_int ]
+
+(* [Cpu.first_mem_difference] against the plain definition: a [read_mem]
+   scan of every address of the address space.  The pairs touch
+   different extents of memory (so their allocated prefixes differ),
+   share nonzero words, write a zero on one side only, and differ
+   below, inside and past the shorter prefix, up to the last word. *)
+let test_cpu_first_mem_difference () =
+  let mem_words = 65536 in
+  let scan a b =
+    let rec go i =
+      if i >= mem_words then None
+      else
+        let va = Cpu.read_mem a i and vb = Cpu.read_mem b i in
+        if va <> vb then Some (i, va, vb) else go (i + 1)
+    in
+    go 0
+  in
+  let rng = Codesign_ir.Rng.create 4242 in
+  let int n = Codesign_ir.Rng.int rng n in
+  let show = function
+    | None -> "none"
+    | Some (i, x, y) -> Printf.sprintf "mem[%d] %d vs %d" i x y
+  in
+  let differing = ref 0 in
+  for case = 0 to 199 do
+    let a = Cpu.create ~mem_words [| Isa.Halt |]
+    and b = Cpu.create ~mem_words [| Isa.Halt |] in
+    (* each side draws addresses below its own extent *)
+    let extents = [| 1; 200; 300; 5000; 40_000; mem_words |] in
+    let ext_a = extents.(int 6) and ext_b = extents.(int 6) in
+    let common = min ext_a ext_b in
+    for _ = 1 to int 5 do
+      let addr = int common and v = 1 + int 1000 in
+      Cpu.write_mem a addr v;
+      Cpu.write_mem b addr v
+    done;
+    (* a zero stored on one side only grows that side, differs nowhere *)
+    if int 2 = 0 then Cpu.write_mem a (int ext_a) 0
+    else Cpu.write_mem b (int ext_b) 0;
+    (match int 5 with
+    | 0 -> ()
+    | 1 -> Cpu.write_mem a (int ext_a) (1 + int 9)
+    | 2 -> Cpu.write_mem b (int ext_b) (1 + int 9)
+    | 3 ->
+        let addr = int common in
+        Cpu.write_mem a addr (Cpu.read_mem b addr + 1)
+    | _ -> Cpu.write_mem (if int 2 = 0 then a else b) (mem_words - 1) 7);
+    let expected = scan a b in
+    if expected <> None then incr differing;
+    let got = Cpu.first_mem_difference a b in
+    if got <> expected then
+      fail
+        (Printf.sprintf "case %d: first_mem_difference %s, full scan %s" case
+           (show got) (show expected));
+    (* the answer does not depend on the argument order *)
+    let swap = Option.map (fun (i, x, y) -> (i, y, x)) expected in
+    if Cpu.first_mem_difference b a <> swap then
+      fail (Printf.sprintf "case %d: swapped arguments disagree" case);
+    if Cpu.status a <> Cpu.Running || Cpu.status b <> Cpu.Running then
+      fail (Printf.sprintf "case %d: an access trapped" case)
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "both outcomes exercised (%d of 200 differ)" !differing)
+    true
+    (!differing > 50 && !differing < 190);
+  (* the last word, with one side never written at all *)
+  let a = Cpu.create ~mem_words [| Isa.Halt |]
+  and b = Cpu.create ~mem_words [| Isa.Halt |] in
+  check
+    (Alcotest.option (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int))
+    "untouched CPUs agree" None
+    (Cpu.first_mem_difference a b);
+  Cpu.write_mem b (mem_words - 1) 3;
+  check
+    (Alcotest.option (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int))
+    "difference at the last word"
+    (Some (mem_words - 1, 0, 3))
+    (Cpu.first_mem_difference a b)
+
 (* ------------------------------------------------------------------ *)
 (* Profiler                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -843,6 +935,10 @@ let () =
           Alcotest.test_case "reset" `Quick test_cpu_reset;
           Alcotest.test_case "reset clears irq line + retire cb" `Quick
             test_cpu_reset_clears_irq_and_retire;
+          Alcotest.test_case "negative mem_words rejected" `Quick
+            test_cpu_create_negative_mem;
+          Alcotest.test_case "first_mem_difference = full scan" `Quick
+            test_cpu_first_mem_difference;
         ] );
       ( "profiler",
         [

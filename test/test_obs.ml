@@ -153,6 +153,8 @@ let sample_report () =
     Obs.Bench_report.schema_version = Obs.Bench_report.schema_version;
     mode = "quick";
     domains = 4;
+    recommended_domains = Some 2;
+    ocaml_version = Some "5.1.1";
     tables_wall_s = 0.25;
     experiments =
       List.mapi
@@ -169,7 +171,9 @@ let sample_report () =
         Registry.ids;
     microbenchmarks =
       [ { Obs.Bench_report.m_name = "codesign/iss/fir-kernel";
-          ns_per_run = 12345.6 } ];
+          ns_per_run = 12345.6; samples = Some 412; r_square = Some 0.9987 };
+        { Obs.Bench_report.m_name = "codesign/iss/fir-kernel-block";
+          ns_per_run = 2345.6; samples = Some 97; r_square = None } ];
   }
 
 let test_report_roundtrip () =
@@ -201,6 +205,31 @@ let test_report_golden_file () =
           check Alcotest.int "schema version" Obs.Bench_report.schema_version
             r.Obs.Bench_report.schema_version)
 
+(* A schema-1 artifact, the bytes of the BENCH_results.json committed
+   before schema 2, still reads: no host facts, and microbenchmarks
+   without sample counts or r². *)
+let test_report_reads_schema1 () =
+  match Obs.Bench_report.read ~path:"golden/bench_results_schema1.json" with
+  | Error e -> fail ("schema 1 artifact rejected: " ^ e)
+  | Ok r ->
+      check Alcotest.int "schema version" 1 r.Obs.Bench_report.schema_version;
+      check Alcotest.string "mode" "full" r.Obs.Bench_report.mode;
+      check Alcotest.bool "no host facts" true
+        (r.Obs.Bench_report.recommended_domains = None
+        && r.Obs.Bench_report.ocaml_version = None);
+      check Alcotest.int "experiments" 14
+        (List.length r.Obs.Bench_report.experiments);
+      check Alcotest.int "microbenchmarks" 22
+        (List.length r.Obs.Bench_report.microbenchmarks);
+      List.iter
+        (fun (m : Obs.Bench_report.micro) ->
+          if m.Obs.Bench_report.samples <> None
+             || m.Obs.Bench_report.r_square <> None
+          then fail (m.Obs.Bench_report.m_name ^ ": fit fields in schema 1");
+          if not (m.Obs.Bench_report.ns_per_run > 0.) then
+            fail (m.Obs.Bench_report.m_name ^ ": no estimate"))
+        r.Obs.Bench_report.microbenchmarks
+
 let test_report_rejects_bad () =
   let reject j name =
     match Obs.Bench_report.of_json j with
@@ -212,6 +241,23 @@ let test_report_rejects_bad () =
     (Json.Obj [ ("schema_version", Json.Int 999) ])
     "future schema version";
   let good = Obs.Bench_report.to_json (sample_report ()) in
+  let with_micro fields =
+    match good with
+    | Json.Obj top ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k = "microbenchmarks" then
+                 (k, Json.List [ Json.Obj fields ])
+               else (k, v))
+             top)
+    | _ -> fail "report did not serialise to an object"
+  in
+  reject
+    (with_micro
+       [ ("name", Json.Str "x"); ("ns_per_run", Json.Float 1.);
+         ("samples", Json.Str "many") ])
+    "microbenchmark with a non-integer sample count";
   (match good with
   | Json.Obj fields ->
       reject
@@ -649,6 +695,8 @@ let () =
           Alcotest.test_case "golden file: parses, names all fourteen" `Quick
             test_report_golden_file;
           Alcotest.test_case "rejects invalid" `Quick test_report_rejects_bad;
+          Alcotest.test_case "schema 1 artifact still reads" `Quick
+            test_report_reads_schema1;
           Alcotest.test_case "tables run keeps microbenchmarks" `Quick
             test_report_tables_run_keeps_micros;
           Alcotest.test_case "registry shape" `Quick test_registry_shape;

@@ -88,6 +88,29 @@ let test_cpu_restore_size_mismatch () =
   | exception Invalid_argument _ -> ()
   | () -> fail "expected Invalid_argument on mem-size mismatch"
 
+(* Memory grows on first write; a snapshot holds only the prefix
+   allocated when it was taken, and restoring it must drop whatever
+   was written past that prefix since. *)
+let test_cpu_restore_drops_growth () =
+  let prog = [| Codesign_isa.Isa.Halt |] in
+  let c = Cpu.create prog in
+  let untouched = Cpu.snapshot c in
+  Cpu.write_mem c 60_000 5;
+  check Alcotest.int "store landed" 5 (Cpu.read_mem c 60_000);
+  Cpu.restore c untouched;
+  check Alcotest.int "grown word reads 0 after restore" 0
+    (Cpu.read_mem c 60_000);
+  (* a snapshot with a small prefix: words inside it come back, words
+     past it are dropped *)
+  Cpu.write_mem c 3 11;
+  let small = Cpu.snapshot c in
+  Cpu.write_mem c 3 12;
+  Cpu.write_mem c 40_000 13;
+  Cpu.restore c small;
+  check Alcotest.int "word inside the prefix restored" 11 (Cpu.read_mem c 3);
+  check Alcotest.int "word past the prefix dropped" 0 (Cpu.read_mem c 40_000);
+  check Alcotest.bool "no access trapped" true (Cpu.status c = Cpu.Running)
+
 (* ------------------------------------------------------------------ *)
 (* Logic_sim (compiled and interpreted)                                *)
 (* ------------------------------------------------------------------ *)
@@ -352,6 +375,8 @@ let () =
             test_cpu_snapshot_restore;
           Alcotest.test_case "mem-size mismatch rejected" `Quick
             test_cpu_restore_size_mismatch;
+          Alcotest.test_case "restore drops memory grown since" `Quick
+            test_cpu_restore_drops_growth;
         ] );
       ( "logic_sim",
         [
