@@ -261,27 +261,23 @@ let bench_campaign_fork () =
 let bench_campaign_rerun () =
   ignore (Campaign.sweep ~seed:42 ~ops:64 ~warmup:512 Campaign.Rerun)
 
-(* The domain-parallel pairs: the same fork-engine sweep sharded one
-   mechanism per worker domain, and the same fuzz corpus sharded one
-   case per worker — each must produce byte-identical reports to its
-   serial twin (asserted in test_parallel and CI), so the pair quotes
-   the pure scheduling win.  Always 4 domains, not capped at the core
-   count: on a multi-core host the pair measures the scaling, on a
-   single-core host it honestly measures the pool's overhead — the
-   jobs-independent reports mean it can never trade correctness either
-   way. *)
-let par_jobs = 4
-
+(* The domain-parallel twin: the same fork-engine sweep sharded one
+   mechanism per worker domain.  It must produce a byte-identical
+   report to the serial sweep (asserted in test_parallel and CI), so
+   the pair quotes the pure scheduling win.  Always 4 domains, not
+   capped at the core count: on a multi-core host the pair measures the
+   scaling, on a single-core host it honestly measures the pool's
+   overhead — the jobs-independent report means it can never trade
+   correctness either way. *)
 let bench_campaign_parallel () =
-  ignore (Campaign.sweep ~seed:42 ~ops:64 ~warmup:512 ~jobs:par_jobs
-            Campaign.Fork)
+  ignore (Campaign.sweep ~seed:42 ~ops:64 ~warmup:512 ~jobs:4 Campaign.Fork)
 
-module Fuzz = Codesign_fuzz.Fuzz
-
-let bench_fuzz_serial () = ignore (Fuzz.run ~seed:42 ~count:48 ~jobs:1 ())
-
-let bench_fuzz_parallel () =
-  ignore (Fuzz.run ~seed:42 ~count:48 ~jobs:par_jobs ())
+(* One fault mechanism on its own: [Campaign.run_cell] builds a fresh
+   world and runs a fault-free baseline cell and one cell at rate 0.05,
+   each over a 32-transfer warm-up and a 64-transfer window, so the
+   four entries split the sweep's cost by mechanism. *)
+let bench_cell mechanism () =
+  ignore (Campaign.run_cell ~seed:42 ~ops:64 ~rate:0.05 mechanism)
 
 (* The budgeted-run pair: the same 1k-wakeup network drained by a raw
    Kernel.run and by Budget.run_kernel with generous fuel and a wall
@@ -354,8 +350,10 @@ let run_microbenchmarks () =
         test "fault/campaign-fork" bench_campaign_fork;
         test "fault/campaign-rerun" bench_campaign_rerun;
         test "fault/campaign-parallel" bench_campaign_parallel;
-        test "fuzz/corpus-48-serial" bench_fuzz_serial;
-        test "fuzz/corpus-48-parallel" bench_fuzz_parallel;
+        test "fault/cell-pin" (bench_cell Campaign.Pin);
+        test "fault/cell-tlm" (bench_cell Campaign.Tlm);
+        test "fault/cell-token" (bench_cell Campaign.Token);
+        test "fault/cell-degrade" (bench_cell Campaign.Degrade);
         test "resil/1k-wakeups-unbudgeted" bench_kernel_unbudgeted;
         test "resil/1k-wakeups-budgeted" bench_kernel_budgeted;
         test "kernel/mesh-serial" bench_mesh_serial;
@@ -367,7 +365,7 @@ let run_microbenchmarks () =
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 2.0) ~stabilize:true ()
   in
   let raw = Benchmark.all cfg instances tests in
   let results =

@@ -97,27 +97,43 @@ let wait_states t addr =
   | Some ({ kind = Device h; _ }, off) -> h.wait_states off
   | _ -> 0
 
-type snap = (string * int array) list
+(* The backing array of every RAM and ROM region, in address order:
+   a region's position in that order is what ties it to its copy, so two
+   regions with the same name restore to their own places. *)
+type snap = (string * int array) array
 
-let snapshot t =
-  Array.to_list t.sorted
-  |> List.filter_map (fun r ->
+let memories t =
+  Array.of_list
+    (List.filter_map
+       (fun r ->
          match r.kind with
-         | Ram a | Rom a -> Some (r.name, Array.copy a)
+         | Ram a | Rom a -> Some (r.name, a)
          | Device _ -> None)
+       (Array.to_list t.sorted))
+
+let snapshot t = Array.map (fun (name, a) -> (name, Array.copy a)) (memories t)
 
 let restore t s =
-  List.iter
-    (fun (name, saved) ->
-      match
-        Array.find_opt (fun r -> r.name = name) t.sorted
-      with
-      | Some { kind = Ram a | Rom a; _ } when Array.length a = Array.length saved
-        ->
-          Array.blit saved 0 a 0 (Array.length a)
-      | _ ->
-          invalid_arg
-            ("Memory_map.restore: no matching memory region " ^ name))
+  let live = memories t in
+  (* check the whole shape first, so a rejected snapshot writes nothing *)
+  Array.iteri
+    (fun i (name, saved) ->
+      let fits =
+        i < Array.length live
+        &&
+        let live_name, a = live.(i) in
+        live_name = name && Array.length a = Array.length saved
+      in
+      if not fits then
+        invalid_arg ("Memory_map.restore: no matching memory region " ^ name))
+    s;
+  if Array.length live > Array.length s then
+    invalid_arg
+      ("Memory_map.restore: memory region " ^ fst live.(Array.length s)
+     ^ " is not in the snapshot");
+  Array.iteri
+    (fun i (_, saved) ->
+      Array.blit saved 0 (snd live.(i)) 0 (Array.length saved))
     s
 
 let ram ~name ~base ~size = { name; base; size; kind = Ram (Array.make size 0) }

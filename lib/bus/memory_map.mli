@@ -57,9 +57,13 @@ type snap
 val snapshot : t -> snap
 
 val restore : t -> snap -> unit
-(** Rewind every RAM/ROM region's contents.
-    @raise Invalid_argument if a snapshotted region is missing or has a
-    different size (snapshot from a different map shape). *)
+(** Rewind every RAM/ROM region's contents.  Regions are matched by
+    position in address order, not by name, so two regions that share
+    a name each get their own contents back.
+    @raise Invalid_argument, naming the region and writing nothing, if
+    the map and the snapshot differ in their number of RAM/ROM regions
+    or in a region's name or size (a snapshot from a different map
+    shape). *)
 
 val ram : name:string -> base:int -> size:int -> region
 val rom : name:string -> base:int -> int array -> region

@@ -7,7 +7,6 @@ module N = Codesign_rtl.Netlist
 module L = Codesign_rtl.Logic_sim
 module Cpu = Codesign_isa.Cpu
 module Isa = Codesign_isa.Isa
-module Checksum = Codesign_obs.Checksum
 module FR = Codesign_obs.Fault_report
 module Degraded = Codesign_obs.Degraded
 module Policy = Codesign_resil.Policy
@@ -215,21 +214,15 @@ let spawn_master (w : world) (st : cell_state) ~lo ~hi ~finish =
         st.done_at <- K.now w.k
       end)
 
-(* Audit a finished cell: recompute the expected sink image over the
-   whole range (warm-up transfers are fault-free, so they contribute
-   nothing to the fault columns) and assemble the report row.  [ops]
-   reports the injection window only. *)
+(* Audit a finished cell: compare the sink image with the expected one
+   word by word over the whole range (warm-up transfers are fault-free,
+   so they contribute nothing to the fault columns) and assemble the
+   report row.  [ops] reports the injection window only. *)
 let audit (w : world) (st : cell_state) ~rate : FR.cell =
   let done_at = if st.done_at = 0 then K.now w.k else st.done_at in
   let lost = ref 0 in
-  let buf_exp = Buffer.create 256 and buf_got = Buffer.create 256 in
   for i = 0 to w.total - 1 do
-    let got = M.read w.map (sink w i) in
-    Buffer.add_string buf_exp (string_of_int (pattern i));
-    Buffer.add_char buf_exp ',';
-    Buffer.add_string buf_got (string_of_int got);
-    Buffer.add_char buf_got ',';
-    if got <> pattern i then begin
+    if M.read w.map (sink w i) <> pattern i then begin
       incr lost;
       (* an op the per-op accounting missed is still a faulted op *)
       st.faulted.(i) <- true
@@ -266,9 +259,7 @@ let audit (w : world) (st : cell_state) ~rate : FR.cell =
       (if injected = 0 then 0.0
        else
          float_of_int (Injector.latency_sum w.inj) /. float_of_int injected);
-    checksum_ok =
-      Checksum.of_string (Buffer.contents buf_got)
-      = Checksum.of_string (Buffer.contents buf_exp);
+    checksum_ok = !lost = 0;
     degraded = None;
   }
 

@@ -60,7 +60,8 @@ let restore t s =
    the word visibly. *)
 let data_bits = 10
 
-let tag_of v = Checksum.fnv1a64 (string_of_int v)
+(* FNV-1a over the datum's decimal text, hashed without building it *)
+let tag_of v = Checksum.fold_int Checksum.offset_basis v
 
 (* Force the stuck line's bit; report to the injector iff it actually
    alters the word on the wire. *)
@@ -177,8 +178,6 @@ let write t a v =
 (* ------------------------------------------------------------------ *)
 
 module Policy = Codesign_resil.Policy
-
-let error_name = function Corrupt -> "corrupt" | Timeout -> "timeout"
 
 let retry_op ~policy ?on_retry op =
   Policy.retry policy ~wait:K.wait ?on_retry (fun ~attempt:_ -> op ())

@@ -48,8 +48,9 @@ val write : t -> int -> int -> (unit, error) result
 val stuck_active : t -> bool
 (** A stuck-at window is currently open. *)
 
-val error_name : error -> string
-(** ["corrupt"] / ["timeout"]. *)
+val tag_of : int -> int64
+(** A checked transfer's parity tag: the FNV-1a 64 hash of the datum's
+    decimal text ([string_of_int v]), hashed without building it. *)
 
 (** {2 Checked transfers under a retry policy}
 

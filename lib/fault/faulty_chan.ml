@@ -26,15 +26,16 @@ let link_delay = 2
 
 let low24 i64 = Int64.to_int (Int64.logand i64 0xFFFFFFL)
 
-(* The tagged bytes are "seq:idx:v:last" and "ack:seq", built by
-   concatenation rather than a per-frame [Printf.sprintf]. *)
+(* The tagged bytes are "seq:idx:v:last" and "ack:seq", hashed straight
+   from the ints: no string is built per frame or ack. *)
 let tag_of ~seq ~idx ~v ~last =
-  low24
-    (Checksum.fnv1a64
-       (string_of_int seq ^ ":" ^ string_of_int idx ^ ":" ^ string_of_int v
-      ^ ":" ^ string_of_bool last))
+  let h = Checksum.fold_int Checksum.offset_basis seq in
+  let h = Checksum.fold_int (Checksum.fold_string h ":") idx in
+  let h = Checksum.fold_int (Checksum.fold_string h ":") v in
+  low24 (Checksum.fold_string h (if last then ":true" else ":false"))
 
-let ack_tag seq = low24 (Checksum.fnv1a64 ("ack:" ^ string_of_int seq))
+let ack_basis = Checksum.fnv1a64 "ack:"
+let ack_tag seq = low24 (Checksum.fold_int ack_basis seq)
 
 let create k inj =
   {

@@ -40,6 +40,15 @@ val recv : t -> (int * int) option
 
 val retransmissions : t -> int
 
+val tag_of : seq:int -> idx:int -> v:int -> last:bool -> int
+(** A data frame's tag: the low 24 bits of the FNV-1a 64 hash of the
+    text ["seq:idx:v:last"] (for example ["3:-1:0:true"], the END frame
+    carrying idx -1), hashed without building that text. *)
+
+val ack_tag : int -> int
+(** An ack's tag: the low 24 bits of the FNV-1a 64 hash of
+    ["ack:seq"]. *)
+
 (** {2 Snapshot / restore}
 
     Captures both link channels (buffered frames + counters; blocked

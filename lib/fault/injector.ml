@@ -2,14 +2,6 @@ module Rng = Codesign_ir.Rng
 
 type site = Bus | Mem | Irq | Cpu | Chan | Gate
 
-let site_name = function
-  | Bus -> "bus"
-  | Mem -> "memory"
-  | Irq -> "irq"
-  | Cpu -> "cpu"
-  | Chan -> "channel"
-  | Gate -> "gate"
-
 let site_index = function
   | Bus -> 0
   | Mem -> 1
@@ -24,7 +16,7 @@ type t = {
   rng : Rng.t;
   mutable rate : float;
   mutable active : bool;
-  injected_by : int array;
+  mutable injected : int;
   (* oldest-first pending injection stamps, one queue per site *)
   pending_by : int Queue.t array;
   mutable detected : int;
@@ -41,7 +33,7 @@ let create ?(rate = 0.0) ?(active = true) ~seed () =
     rng = Rng.create seed;
     rate;
     active;
-    injected_by = Array.make n_sites 0;
+    injected = 0;
     pending_by = Array.init n_sites (fun _ -> Queue.create ());
     detected = 0;
     latency_sum = 0;
@@ -52,21 +44,19 @@ let reinit t ~rate ~seed =
   Rng.reseed t.rng seed;
   t.rate <- rate;
   t.active <- false;
-  Array.fill t.injected_by 0 n_sites 0;
+  t.injected <- 0;
   Array.iter Queue.clear t.pending_by;
   t.detected <- 0;
   t.latency_sum <- 0
 
 let rate t = t.rate
 let set_active t on = t.active <- on
-let is_active t = t.active
 let fires t = t.active && Rng.float t.rng < t.rate
 let shape t = t.rng
 
 let injected_event t site ~time =
-  let i = site_index site in
-  t.injected_by.(i) <- t.injected_by.(i) + 1;
-  Queue.push time t.pending_by.(i)
+  t.injected <- t.injected + 1;
+  Queue.push time t.pending_by.(site_index site)
 
 let detected_event t site ~time =
   t.detected <- t.detected + 1;
@@ -75,8 +65,7 @@ let detected_event t site ~time =
   | None -> ()
   | Some stamp -> t.latency_sum <- t.latency_sum + max 0 (time - stamp)
 
-let injected t = Array.fold_left ( + ) 0 t.injected_by
-let injected_at t site = t.injected_by.(site_index site)
+let injected t = t.injected
 let detected t = t.detected
 let latency_sum t = t.latency_sum
 

@@ -28,8 +28,6 @@ type site =
   | Chan  (** simulation channels: drop / duplicate / corrupt tokens *)
   | Gate  (** RTL netlist gates: stuck-at-0/1 *)
 
-val site_name : site -> string
-
 type t
 
 val create : ?rate:float -> ?active:bool -> seed:int -> unit -> t
@@ -54,8 +52,6 @@ val set_active : t -> bool -> unit
     in the window are a pure function of (seed, window ops) regardless
     of how the world reached the window. *)
 
-val is_active : t -> bool
-
 val fires : t -> bool
 (** One decision draw: [true] with probability [rate].  When active,
     always consumes exactly one Rng draw, so control flow downstream of
@@ -77,7 +73,6 @@ val detected_event : t -> site -> time:int -> unit
 val injected : t -> int
 (** Total effective perturbations. *)
 
-val injected_at : t -> site -> int
 val detected : t -> int
 val latency_sum : t -> int
 

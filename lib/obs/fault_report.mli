@@ -39,7 +39,9 @@ type cell = {
   mean_detect_latency : float;
       (** mean cycles from injection to detection; undetected faults are
           charged the end-of-run audit time *)
-  checksum_ok : bool;  (** FNV-1a over the sink matches the expected *)
+  checksum_ok : bool;
+      (** the sink equals the source word for word over the whole
+          transfer range, warm-up included ([lost_ops = 0]) *)
   degraded : Degraded.t option;
       (** schema v3: present iff the cell's supervised run spent its
           retries and fuel and was declared dead — counters

@@ -14,14 +14,20 @@ type stats = {
   end_time : int;
 }
 
+(* A spawned process as the blocked set sees it, made once at [spawn]:
+   [slot] is its index in the kernel's [blocked] array while it sits in
+   {!suspend}, and -1 otherwise. *)
+type proc = { name : string; daemon : bool; mutable slot : int }
+
 type t = {
   q : Event_queue.t;
   mutable now : int;
   mutable events : int;
   mutable activations : int;
   mutable spawned : int;
-  mutable next_block_id : int;
-  blocked : (int, string * bool) Hashtbl.t;  (** id -> (name, daemon) *)
+  mutable blocked : proc array;
+      (** the blocked processes, dense in [0, n_blocked) *)
+  mutable n_blocked : int;
   mutable tracer : (int -> string -> unit) option;
   mutable next_lane : int;  (** arrival-lane key allocator *)
   mutable running : bool;
@@ -92,8 +98,8 @@ let create () =
     events = 0;
     activations = 0;
     spawned = 0;
-    next_block_id = 0;
-    blocked = Hashtbl.create 16;
+    blocked = [||];
+    n_blocked = 0;
     tracer = None;
     next_lane = 0;
     running = false;
@@ -129,8 +135,36 @@ let alloc_lane k =
 let wakes_next k n =
   n < Event_queue.min_time k.q - k.now && n <= k.bound - k.now
 
+(* The blocked set: O(1) add at the end, O(1) swap-remove.  Both are
+   no-ops on a process already in (or already out of) the set, so a set
+   rebuilt by [restore] can never hold a process twice. *)
+let block k p =
+  if p.slot < 0 then begin
+    let n = k.n_blocked in
+    if n = Array.length k.blocked then begin
+      let grown = Array.make (max 8 (2 * n)) p in
+      Array.blit k.blocked 0 grown 0 n;
+      k.blocked <- grown
+    end;
+    k.blocked.(n) <- p;
+    p.slot <- n;
+    k.n_blocked <- n + 1
+  end
+
+let unblock k p =
+  let i = p.slot in
+  if i >= 0 then begin
+    let last = k.n_blocked - 1 in
+    let moved = k.blocked.(last) in
+    k.blocked.(i) <- moved;
+    moved.slot <- i;
+    p.slot <- -1;
+    k.n_blocked <- last
+  end
+
 let spawn ?(name = "proc") ?(daemon = false) k fn =
   k.spawned <- k.spawned + 1;
+  let p = { name; daemon; slot = -1 } in
   (* Every resume thunk below sets [running] just before its tail-call
      [continue].  They are written out rather than shared through a
      partially applied helper, which cost a few ns per queued wait. *)
@@ -177,16 +211,14 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
               Some
                 (fun (cont : (a, unit) continuation) ->
                   k.running <- false;
-                  let id = k.next_block_id in
-                  k.next_block_id <- id + 1;
-                  Hashtbl.replace k.blocked id (name, daemon);
+                  block k p;
                   let resumed = ref false in
                   register (fun () ->
                       if !resumed then
                         invalid_arg
                           ("Kernel: process " ^ name ^ " resumed twice");
                       resumed := true;
-                      Hashtbl.remove k.blocked id;
+                      unblock k p;
                       at k ~time:k.now (fun () ->
                           k.activations <- k.activations + 1;
                           k.running <- true;
@@ -218,9 +250,12 @@ let stats k =
   }
 
 let blocked_non_daemon k =
-  Hashtbl.fold
-    (fun _ (n, daemon) acc -> if daemon then acc else n :: acc)
-    k.blocked []
+  let acc = ref [] in
+  for i = k.n_blocked - 1 downto 0 do
+    let p = k.blocked.(i) in
+    if not p.daemon then acc := p.name :: !acc
+  done;
+  !acc
 
 (* Run [loop] as a dispatch loop of [k]: publish its bound ([-1] for a
    loop that must queue every wait), start with no process of [k]
@@ -329,9 +364,8 @@ type snap = {
   s_events : int;
   s_activations : int;
   s_spawned : int;
-  s_next_block_id : int;
   s_next_lane : int;
-  s_blocked : (int, string * bool) Hashtbl.t;
+  s_blocked : proc array;  (** the live part of [blocked] *)
 }
 
 let snapshot k =
@@ -341,9 +375,8 @@ let snapshot k =
     s_events = k.events;
     s_activations = k.activations;
     s_spawned = k.spawned;
-    s_next_block_id = k.next_block_id;
     s_next_lane = k.next_lane;
-    s_blocked = Hashtbl.copy k.blocked;
+    s_blocked = Array.sub k.blocked 0 k.n_blocked;
   }
 
 let restore k s =
@@ -352,10 +385,12 @@ let restore k s =
   k.events <- s.s_events;
   k.activations <- s.s_activations;
   k.spawned <- s.s_spawned;
-  k.next_block_id <- s.s_next_block_id;
   k.next_lane <- s.s_next_lane;
-  Hashtbl.reset k.blocked;
-  Hashtbl.iter (fun id v -> Hashtbl.replace k.blocked id v) s.s_blocked
+  for i = 0 to k.n_blocked - 1 do
+    k.blocked.(i).slot <- -1
+  done;
+  k.n_blocked <- 0;
+  Array.iter (block k) s.s_blocked
 
 let trace k sink = k.tracer <- Some sink
 

@@ -205,8 +205,11 @@ val yield : unit -> unit
 val suspend : register:((unit -> unit) -> unit) -> unit
 (** The general blocking primitive: captures the continuation and passes
     a [resume] thunk to [register]; calling [resume] (exactly once, at
-    any later point) reschedules the process at the then-current time.
-    {!Signal} and {!Channel} are built on this. *)
+    any later point) reschedules the process at the then-current time;
+    calling it again raises [Invalid_argument "Kernel: process NAME
+    resumed twice"].  While suspended the process counts as blocked
+    (see {!blocked_non_daemon}).  {!Signal} and {!Channel} are built on
+    this. *)
 
 val self_name : unit -> string
 (** Name of the currently running process ("?" for callbacks). *)
@@ -216,8 +219,12 @@ val self_name : unit -> string
     A kernel snapshot captures the clock, the event heap (see the
     {!Event_queue} caveats — pending thunks are shared, not copied, so
     a snapshot is only truly forkable when the heap holds re-entrant
-    thunks or nothing at all), the per-kernel statistics counters and
-    the blocked-process table.  It does {e not} capture the tracer sink
+    thunks or nothing at all), the per-kernel statistics counters, the
+    next arrival lane and the set of blocked processes: a copy of the
+    live part of the kernel's dense blocked array, one record per
+    process blocked at that moment (made once at {!spawn}: name, daemon
+    flag, slot).  {!restore} empties the current set and registers the
+    saved records again.  It does {e not} capture the tracer sink
     or the per-domain cumulative totals, and it cannot capture the
     insides of blocked processes: effect continuations are one-shot, so
     a process blocked in {!suspend} at snapshot time belongs to the
@@ -235,9 +242,11 @@ type snap
 val snapshot : t -> snap
 
 val restore : t -> snap -> unit
-(** Rewind clock, heap and counters to [snap].  Processes spawned since
-    the snapshot lose their pending start events; processes blocked
-    since are abandoned (never resumed). *)
+(** Rewind clock, heap, counters and the blocked set to [snap].
+    Processes spawned since the snapshot lose their pending start
+    events; processes blocked since are abandoned (never resumed) and
+    no longer count as blocked, while those blocked at the snapshot
+    count as blocked again. *)
 
 (** {2 Tracing} *)
 

@@ -68,6 +68,58 @@ let test_map_device () =
   check Alcotest.int "wait states" 6 (M.wait_states m 66);
   check Alcotest.int "no ws for ram" 0 (M.wait_states m 9999)
 
+(* Restore ties each saved copy to its region by position, so regions
+   that share a name each get their own words back. *)
+let test_map_restore_shared_names () =
+  let restored sizes =
+    let m =
+      M.create
+        [
+          M.ram ~name:"ram" ~base:0 ~size:(fst sizes);
+          M.ram ~name:"ram" ~base:8 ~size:(snd sizes);
+        ]
+    in
+    M.write m 0 1;
+    M.write m 8 2;
+    let s = M.snapshot m in
+    M.write m 0 10;
+    M.write m 8 20;
+    M.restore m s;
+    (M.read m 0, M.read m 8)
+  in
+  let pair = Alcotest.(pair int int) in
+  check pair "same sizes" (1, 2) (restored (4, 4));
+  check pair "different sizes" (1, 2) (restored (4, 6))
+
+(* A snapshot of another shape is still rejected, naming the region,
+   and the rejected restore writes nothing. *)
+let test_map_restore_rejects_shape () =
+  let two =
+    M.create
+      [ M.ram ~name:"lo" ~base:0 ~size:4; M.ram ~name:"hi" ~base:8 ~size:4 ]
+  in
+  let rejects what m s expect =
+    M.write m 0 7;
+    (match M.restore m s with
+    | () -> fail (what ^ ": restore accepted")
+    | exception Invalid_argument msg -> check Alcotest.string what expect msg);
+    check Alcotest.int (what ^ ": nothing written") 7 (M.read m 0)
+  in
+  rejects "fewer regions"
+    (M.create [ M.ram ~name:"lo" ~base:0 ~size:4 ])
+    (M.snapshot two) "Memory_map.restore: no matching memory region hi";
+  rejects "more regions" two
+    (M.snapshot (M.create [ M.ram ~name:"lo" ~base:0 ~size:4 ]))
+    "Memory_map.restore: memory region hi is not in the snapshot";
+  rejects "other size"
+    (M.create
+       [ M.ram ~name:"lo" ~base:0 ~size:4; M.ram ~name:"hi" ~base:8 ~size:5 ])
+    (M.snapshot two) "Memory_map.restore: no matching memory region hi";
+  rejects "other name"
+    (M.create
+       [ M.ram ~name:"lo" ~base:0 ~size:4; M.ram ~name:"io" ~base:8 ~size:4 ])
+    (M.snapshot two) "Memory_map.restore: no matching memory region hi"
+
 (* ------------------------------------------------------------------ *)
 (* Bus models                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -609,6 +661,10 @@ let () =
           Alcotest.test_case "decode/read/write" `Quick test_map_decode;
           Alcotest.test_case "overlap rejected" `Quick test_map_overlap;
           Alcotest.test_case "device handlers" `Quick test_map_device;
+          Alcotest.test_case "restore by position, shared names" `Quick
+            test_map_restore_shared_names;
+          Alcotest.test_case "restore rejects another shape" `Quick
+            test_map_restore_rejects_shape;
         ] );
       ( "bus",
         [

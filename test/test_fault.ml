@@ -218,6 +218,69 @@ let test_transport_delivers_in_order () =
     (F.Injector.injected inj > 0 && F.Faulty_chan.retransmissions ch > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Tags                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The tag formulas as text, the form the string-free tags must keep
+   reproducing bit for bit.  Both ends of a link compute a tag the same
+   way, so a drifted tag (say, one that loses the '-' of the END frame's
+   idx -1) would still agree with itself; only this comparison sees it. *)
+module Text_tags = struct
+  let low24 h = Int64.to_int (Int64.logand h 0xFFFFFFL)
+
+  let frame ~seq ~idx ~v ~last =
+    low24
+      (Codesign_obs.Checksum.fnv1a64
+         (string_of_int seq ^ ":" ^ string_of_int idx ^ ":" ^ string_of_int v
+        ^ ":" ^ string_of_bool last))
+
+  let ack seq =
+    low24 (Codesign_obs.Checksum.fnv1a64 ("ack:" ^ string_of_int seq))
+
+  let bus v = Codesign_obs.Checksum.fnv1a64 (string_of_int v)
+end
+
+let prop_tags_match_text =
+  let open QCheck in
+  let any_int = Gen.(map2 (fun n k -> n asr k) int (int_range 0 62)) in
+  (* idx -1 is the END frame's; campaign words fit in 10 bits *)
+  let idx =
+    Gen.(
+      frequency [ (1, return (-1)); (3, int_range (-2) 5000); (1, any_int) ])
+  in
+  let v = Gen.(frequency [ (3, int_range (-1024) 1024); (1, any_int) ]) in
+  let seq = Gen.(frequency [ (3, int_range 0 100_000); (1, any_int) ]) in
+  Test.make ~name:"frame, ack and bus tags = the hash of their text"
+    ~count:2000
+    (make
+       ~print:(fun (seq, idx, v, last) ->
+         Printf.sprintf "seq=%d idx=%d v=%d last=%b" seq idx v last)
+       Gen.(quad seq idx v bool))
+    (fun (seq, idx, v, last) ->
+      F.Faulty_chan.tag_of ~seq ~idx ~v ~last
+      = Text_tags.frame ~seq ~idx ~v ~last
+      && F.Faulty_chan.ack_tag seq = Text_tags.ack seq
+      && F.Faulty_bus.tag_of v = Text_tags.bus v)
+
+let test_end_frame_tag () =
+  check Alcotest.int "END frame (idx -1)"
+    (Text_tags.frame ~seq:480 ~idx:(-1) ~v:0 ~last:true)
+    (F.Faulty_chan.tag_of ~seq:480 ~idx:(-1) ~v:0 ~last:true)
+
+(* The audit compares the sink with the source word by word, so a cell
+   is intact exactly when it lost nothing. *)
+let test_checksum_ok_is_no_loss () =
+  let r = F.Campaign.run ~seed:7 ~ops:F.Campaign.quick_ops () in
+  check Alcotest.bool "some cell lost words" true
+    (List.exists (fun c -> c.FR.lost_ops > 0) r.FR.cells);
+  List.iter
+    (fun (c : FR.cell) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s @ %g" c.FR.mechanism c.FR.rate)
+        (c.FR.lost_ops = 0) c.FR.checksum_ok)
+    r.FR.cells
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "codesign_fault"
@@ -251,5 +314,12 @@ let () =
             test_retry_recovers_transient_bus_faults;
           Alcotest.test_case "transport delivers over lossy medium" `Quick
             test_transport_delivers_in_order;
+        ] );
+      ( "tags",
+        [
+          QCheck_alcotest.to_alcotest prop_tags_match_text;
+          Alcotest.test_case "END frame tag" `Quick test_end_frame_tag;
+          Alcotest.test_case "checksum_ok = no lost word" `Quick
+            test_checksum_ok_is_no_loss;
         ] );
     ]

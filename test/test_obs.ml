@@ -129,6 +129,42 @@ let test_checksum_vectors () =
     (Obs.Checksum.of_string
        (String.init 1000 (fun i -> Char.chr (((i * 37) + 11) land 0xff))))
 
+(* [fold_int] must feed exactly the bytes of [string_of_int n]: the
+   fault tags are pinned to the hashes of that text. *)
+let digit_text_hash n =
+  Obs.Checksum.fold_int Obs.Checksum.offset_basis n
+
+let test_checksum_fold_int_edges () =
+  (* every power of ten that fits, each +/- 1, and their negations *)
+  let rec powers p acc =
+    let acc = (p - 1) :: p :: (p + 1) :: acc in
+    if p > max_int / 10 then acc else powers (p * 10) acc
+  in
+  let around = powers 1 [] in
+  List.iter
+    (fun n ->
+      check Alcotest.int64 (string_of_int n)
+        (Obs.Checksum.fnv1a64 (string_of_int n))
+        (digit_text_hash n))
+    ([ min_int; min_int + 1; max_int; 0; -1 ]
+    @ around
+    @ List.map (fun n -> -n) around);
+  check Alcotest.int64 "continues a running hash"
+    (Obs.Checksum.fnv1a64 "ack:-42")
+    (Obs.Checksum.fold_int (Obs.Checksum.fnv1a64 "ack:") (-42));
+  check Alcotest.int64 "fold_string continues a running hash"
+    (Obs.Checksum.fnv1a64 "foobar")
+    (Obs.Checksum.fold_string (Obs.Checksum.fnv1a64 "foo") "bar")
+
+(* Random ints of every magnitude and both signs: a full-range draw
+   shifted right by 0..62 bits. *)
+let prop_checksum_fold_int =
+  QCheck.Test.make ~name:"fold_int = fnv1a64 (string_of_int n)" ~count:2000
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(map2 (fun n k -> n asr k) int (int_range 0 62)))
+    (fun n -> digit_text_hash n = Obs.Checksum.fnv1a64 (string_of_int n))
+
 let test_checksum_distinguishes () =
   check Alcotest.bool "different tables differ" false
     (Obs.Checksum.of_string "table v1" = Obs.Checksum.of_string "table v2")
@@ -228,6 +264,27 @@ let test_report_reads_schema1 () =
           then fail (m.Obs.Bench_report.m_name ^ ": fit fields in schema 1");
           if not (m.Obs.Bench_report.ns_per_run > 0.) then
             fail (m.Obs.Bench_report.m_name ^ ": no estimate"))
+        r.Obs.Bench_report.microbenchmarks
+
+(* The committed artifact is a full-mode run in which bechamel fitted
+   every microbenchmark to at least 10 samples, with a finite r². *)
+let test_committed_artifact_fits () =
+  match Obs.Bench_report.read ~path:"../BENCH_results.json" with
+  | Error e -> fail ("committed BENCH_results.json: " ^ e)
+  | Ok r ->
+      check Alcotest.string "mode" "full" r.Obs.Bench_report.mode;
+      check Alcotest.bool "has microbenchmarks" true
+        (r.Obs.Bench_report.microbenchmarks <> []);
+      List.iter
+        (fun (m : Obs.Bench_report.micro) ->
+          match (m.Obs.Bench_report.samples, m.Obs.Bench_report.r_square) with
+          | Some n, Some _ when n >= 10 -> ()
+          | samples, _ ->
+              fail
+                (Printf.sprintf "%s: %d samples%s" m.Obs.Bench_report.m_name
+                   (Option.value samples ~default:0)
+                   (if m.Obs.Bench_report.r_square = None then ", no r²"
+                    else "")))
         r.Obs.Bench_report.microbenchmarks
 
 let test_report_rejects_bad () =
@@ -686,6 +743,9 @@ let () =
           Alcotest.test_case "fnv1a64 vectors" `Quick test_checksum_vectors;
           Alcotest.test_case "distinguishes" `Quick
             test_checksum_distinguishes;
+          Alcotest.test_case "fold_int at the edges" `Quick
+            test_checksum_fold_int_edges;
+          QCheck_alcotest.to_alcotest prop_checksum_fold_int;
         ] );
       ( "clock",
         [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ] );
@@ -697,6 +757,8 @@ let () =
           Alcotest.test_case "rejects invalid" `Quick test_report_rejects_bad;
           Alcotest.test_case "schema 1 artifact still reads" `Quick
             test_report_reads_schema1;
+          Alcotest.test_case "committed artifact: 10+ samples and r² each"
+            `Quick test_committed_artifact_fits;
           Alcotest.test_case "tables run keeps microbenchmarks" `Quick
             test_report_tables_run_keeps_micros;
           Alcotest.test_case "registry shape" `Quick test_registry_shape;

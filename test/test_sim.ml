@@ -546,6 +546,185 @@ let prop_kernel_endtime =
       st.K.end_time = expect)
 
 (* ------------------------------------------------------------------ *)
+(* The blocked-process set                                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_kernel_resumed_twice () =
+  let k = K.create () in
+  let resume = ref ignore in
+  K.spawn ~name:"twice" k (fun () -> K.suspend ~register:(( := ) resume));
+  ignore (K.run ~bound:K.Quiesce k);
+  !resume ();
+  (match !resume () with
+  | () -> fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      check Alcotest.string "names the process"
+        "Kernel: process twice resumed twice" msg);
+  (* the first resume still counts *)
+  ignore (K.run k);
+  check (Alcotest.list Alcotest.string) "nothing blocked" []
+    (K.blocked_non_daemon k)
+
+(* A random world of processes that each block [times] times on one of
+   two signals (targets 0, 1) or two channels (2, 3), driven from
+   outside by signal writes, channel hand-offs, snapshots and restores
+   (kernel, signals and channels together, at quiescence: the fork
+   discipline).  A reference multiset follows along: a restore brings
+   back the snapshot's blocked processes as abandoned (their waits were
+   dropped with the signal and channel waiters) and forgets every
+   process blocked since.  After every step the sorted
+   [blocked_non_daemon] and the [Deadlock] text must match it. *)
+type blocked_op =
+  | Spawn of { daemon : bool; target : int; times : int }
+  | Wake of int
+  | Snap
+  | Restore
+
+type model_state = Waiting of int | Abandoned | Finished
+
+type model_proc = {
+  m_name : string;
+  m_daemon : bool;
+  m_left : int;  (** blocks still to come, the current one included *)
+  m_state : model_state;
+  m_since : int;  (** when it last blocked: channel receivers are FIFO *)
+}
+
+let print_blocked_op = function
+  | Spawn { daemon; target; times } ->
+      Printf.sprintf "spawn(daemon=%b,target=%d,times=%d)" daemon target times
+  | Wake t -> Printf.sprintf "wake %d" t
+  | Snap -> "snap"
+  | Restore -> "restore"
+
+let gen_blocked_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun daemon target times -> Spawn { daemon; target; times })
+            (frequency [ (3, return false); (1, return true) ])
+            (int_range 0 3) (int_range 1 3) );
+        (4, map (fun t -> Wake t) (int_range 0 3));
+        (1, return Snap);
+        (1, return Restore);
+      ])
+
+let run_blocked_model ops =
+  let k = K.create () in
+  let sigs =
+    Array.init 2 (fun i -> Signal.create ~name:(Printf.sprintf "s%d" i) k 0)
+  in
+  let chans = Array.init 2 (fun _ -> Channel.create ~depth:1 k ()) in
+  let block_on t =
+    if t < 2 then ignore (Signal.await_change sigs.(t))
+    else ignore (Channel.recv chans.(t - 2))
+  in
+  let model = ref [] and clock = ref 0 and spawned = ref 0 in
+  let saved = ref None in
+  let settle () = ignore (K.run ~bound:K.Quiesce k) in
+  let tick () =
+    incr clock;
+    !clock
+  in
+  let agrees () =
+    let want =
+      List.sort compare
+        (List.filter_map
+           (fun p ->
+             if p.m_daemon || p.m_state = Finished then None else Some p.m_name)
+           !model)
+    in
+    List.sort compare (K.blocked_non_daemon k) = want
+    &&
+    match K.run k with
+    | _ -> want = []
+    | exception K.Deadlock names ->
+        names = String.concat ", " (List.sort_uniq compare want)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Spawn { daemon; target; times } ->
+          (* five names shared round-robin: the set is a multiset *)
+          let name = Printf.sprintf "p%d" (!spawned mod 5) in
+          incr spawned;
+          K.spawn ~name ~daemon k (fun () ->
+              for _ = 1 to times do
+                block_on target
+              done);
+          settle ();
+          model :=
+            !model
+            @ [
+                {
+                  m_name = name;
+                  m_daemon = daemon;
+                  m_left = times;
+                  m_state = Waiting target;
+                  m_since = tick ();
+                };
+              ]
+      | Wake t ->
+          let waiting =
+            List.filter (fun p -> p.m_state = Waiting t) !model
+          in
+          let woken =
+            if t < 2 then waiting
+            else
+              match
+                List.sort (fun a b -> compare a.m_since b.m_since) waiting
+              with
+              | [] -> []
+              | first :: _ -> [ first ]
+          in
+          if woken <> [] then begin
+            if t < 2 then Signal.write sigs.(t) (Signal.read sigs.(t) + 1)
+            else if not (Channel.try_send chans.(t - 2) 0) then
+              fail "hand-off to a waiting receiver refused";
+            settle ();
+            model :=
+              List.map
+                (fun p ->
+                  if not (List.memq p woken) then p
+                  else if p.m_left = 1 then
+                    { p with m_left = 0; m_state = Finished }
+                  else { p with m_left = p.m_left - 1; m_since = tick () })
+                !model
+          end
+      | Snap ->
+          saved :=
+            Some
+              ( K.snapshot k,
+                Array.map Signal.snapshot sigs,
+                Array.map Channel.snapshot chans,
+                !model )
+      | Restore -> (
+          match !saved with
+          | None -> ()
+          | Some (ks, ss, cs, m) ->
+              K.restore k ks;
+              Array.iteri (fun i s -> Signal.restore sigs.(i) s) ss;
+              Array.iteri (fun i c -> Channel.restore chans.(i) c) cs;
+              model :=
+                List.map
+                  (fun p ->
+                    match p.m_state with
+                    | Waiting _ -> { p with m_state = Abandoned }
+                    | Abandoned | Finished -> p)
+                  m));
+      agrees ())
+    ops
+
+let prop_blocked_set_model =
+  QCheck.Test.make ~name:"blocked set = reference multiset" ~count:300
+    QCheck.(
+      make ~print:(Print.list print_blocked_op)
+        Gen.(list_size (int_range 0 40) gen_blocked_op))
+    run_blocked_model
+
+(* ------------------------------------------------------------------ *)
 (* In-place waits: a stop-less run advances the clock in place when a   *)
 (* waiting process is the next event; a run with [stop] queues every   *)
 (* wait.  The two must be indistinguishable.                           *)
@@ -1053,6 +1232,8 @@ let () =
           Alcotest.test_case "daemon mixed deadlock" `Quick
             test_kernel_daemon_mixed_deadlock;
           QCheck_alcotest.to_alcotest prop_kernel_endtime;
+          Alcotest.test_case "resumed twice" `Quick test_kernel_resumed_twice;
+          QCheck_alcotest.to_alcotest prop_blocked_set_model;
         ] );
       ( "in-place wait",
         [
