@@ -15,7 +15,9 @@
    Usage:  dune exec bench/main.exe                 (everything)
            dune exec bench/main.exe -- quick        (small experiment sizes)
            dune exec bench/main.exe -- tables       (skip microbenchmarks)
-           dune exec bench/main.exe -- -j N         (worker-domain count)   *)
+           dune exec bench/main.exe -- -j N         (worker-domain count)
+           dune exec bench/main.exe -- docs         (rewrite the tables
+                                                     EXPERIMENTS.md quotes) *)
 
 module Obs = Codesign_obs
 module Registry = Codesign_experiments.Registry
@@ -218,9 +220,10 @@ let logic_sim_net =
   NB.finish b
 
 module L = Codesign_rtl.Logic_sim
+module Interp = Codesign_reference.Logic_interp
 
 let logic_sim_compiled = L.create logic_sim_net
-let logic_sim_interp = L.Interp.create logic_sim_net
+let logic_sim_interp = Interp.create logic_sim_net
 
 let bench_logic_sim () =
   L.set_input logic_sim_compiled "i0" 1;
@@ -229,9 +232,9 @@ let bench_logic_sim () =
   done
 
 let bench_logic_sim_interp () =
-  L.Interp.set_input logic_sim_interp "i0" 1;
+  Interp.set_input logic_sim_interp "i0" 1;
   for _ = 1 to 100 do
-    L.Interp.clock_cycle logic_sim_interp
+    Interp.clock_cycle logic_sim_interp
   done
 
 (* The raw event-wheel drain: push 1k events at scattered times, then
@@ -409,11 +412,92 @@ let run_microbenchmarks () =
   rows
 
 (* ------------------------------------------------------------------ *)
+(* EXPERIMENTS.md quotes the reference tables                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every table bench_tables_reference.txt holds, keyed by the id its
+   title starts with ("EXP-3", "EXP-5b", ...); a second table under the
+   same id is "ID/2".  A table is its title line plus the boxed rows
+   below it. *)
+let reference_tables text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  let boxed i =
+    i < n && lines.(i) <> "" && (lines.(i).[0] = '+' || lines.(i).[0] = '|')
+  in
+  let seen = Hashtbl.create 32 in
+  let tables = ref [] in
+  for i = 0 to n - 2 do
+    if String.starts_with ~prefix:"EXP-" lines.(i) && boxed (i + 1) then begin
+      let id =
+        List.hd (String.split_on_char ' ' lines.(i))
+        |> String.split_on_char ':' |> List.hd
+      in
+      let k = 1 + Option.value (Hashtbl.find_opt seen id) ~default:0 in
+      Hashtbl.replace seen id k;
+      let key = if k = 1 then id else Printf.sprintf "%s/%d" id k in
+      let j = ref (i + 1) in
+      while boxed !j do incr j done;
+      tables := (key, Array.to_list (Array.sub lines i (!j - i))) :: !tables
+    end
+  done;
+  List.rev !tables
+
+(* Rewrite every "```table ID" fenced block of [doc] with the reference
+   table ID, verbatim.  Returns the new text and the number of blocks. *)
+let quote_tables ~reference doc =
+  let tables = reference_tables reference in
+  let out = Buffer.create (String.length doc) in
+  let emit l = Buffer.add_string out l; Buffer.add_char out '\n' in
+  let count = ref 0 in
+  let rec go = function
+    | [] -> ()
+    | l :: rest when String.starts_with ~prefix:"```table " l ->
+        let key = String.trim (String.sub l 9 (String.length l - 9)) in
+        (match List.assoc_opt key tables with
+        | None -> failwith ("EXPERIMENTS.md: no reference table " ^ key)
+        | Some rows ->
+            incr count;
+            emit l;
+            List.iter emit rows;
+            emit "```");
+        let rec skip = function
+          | "```" :: rest -> rest
+          | _ :: rest -> skip rest
+          | [] -> failwith ("EXPERIMENTS.md: unclosed table block " ^ key)
+        in
+        go (skip rest)
+    | [ l ] -> Buffer.add_string out l
+    | l :: rest -> emit l; go rest
+  in
+  go (String.split_on_char '\n' doc);
+  (Buffer.contents out, !count)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [bench/main.exe docs]: rewrite the quoted tables of EXPERIMENTS.md
+   from bench_tables_reference.txt, both in the current directory. *)
+let write_docs () =
+  let doc = read_file "EXPERIMENTS.md" in
+  let text, n =
+    quote_tables ~reference:(read_file "bench_tables_reference.txt") doc
+  in
+  if text <> doc then
+    Out_channel.with_open_bin "EXPERIMENTS.md" (fun oc ->
+        Out_channel.output_string oc text);
+  Printf.printf "EXPERIMENTS.md: %d tables quoted%s\n" n
+    (if text <> doc then ", rewritten" else ", unchanged")
+
+(* ------------------------------------------------------------------ *)
 
 let report_path = "BENCH_results.json"
 
 let () =
   let args = Array.to_list Sys.argv in
+  if List.mem "docs" args then begin
+    write_docs ();
+    exit 0
+  end;
   let quick = List.mem "quick" args in
   let tables_only = List.mem "tables" args in
   let jobs =

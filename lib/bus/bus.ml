@@ -41,20 +41,20 @@ module Tlm = struct
   type t = {
     kernel : K.t;
     map : Memory_map.t;
-    read_latency : int;
-    write_latency : int;
     arb : Arbiter.t;
     mutable reads : int;
     mutable writes : int;
     mutable busy_cycles : int;
   }
 
-  let create ?(read_latency = 2) ?(write_latency = 2) kernel map =
+  (* cycles per read and per write transfer *)
+  let read_latency = 2
+  let write_latency = 2
+
+  let create kernel map =
     {
       kernel;
       map;
-      read_latency;
-      write_latency;
       arb = Arbiter.create ();
       reads = 0;
       writes = 0;
@@ -63,19 +63,19 @@ module Tlm = struct
 
   let read t addr =
     Arbiter.acquire t.arb;
-    K.wait t.read_latency;
+    K.wait read_latency;
     let v = Memory_map.read t.map addr in
     t.reads <- t.reads + 1;
-    t.busy_cycles <- t.busy_cycles + t.read_latency;
+    t.busy_cycles <- t.busy_cycles + read_latency;
     Arbiter.release t.arb;
     v
 
   let write t addr v =
     Arbiter.acquire t.arb;
-    K.wait t.write_latency;
+    K.wait write_latency;
     Memory_map.write t.map addr v;
     t.writes <- t.writes + 1;
-    t.busy_cycles <- t.busy_cycles + t.write_latency;
+    t.busy_cycles <- t.busy_cycles + write_latency;
     Arbiter.release t.arb
 
   let stats t =
@@ -244,8 +244,6 @@ module Pin = struct
     spawn_slave t
 
   let addr_wire t = t.addr
-  let data_wire t = t.wdata_rdata
   let req_wire t = t.req
   let ack_wire t = t.ack
-  let we_wire t = t.we
 end

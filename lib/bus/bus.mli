@@ -30,13 +30,8 @@ type stats = {
 module Tlm : sig
   type t
 
-  val create :
-    ?read_latency:int ->
-    ?write_latency:int ->
-    Codesign_sim.Kernel.t ->
-    Memory_map.t ->
-    t
-  (** Latencies default to 2 cycles each. *)
+  val create : Codesign_sim.Kernel.t -> Memory_map.t -> t
+  (** Every read and every write takes 2 cycles. *)
 
   val read : t -> int -> int
   (** Blocking; must run inside a kernel process. *)
@@ -96,8 +91,6 @@ module Pin : sig
   (** Observable wires, for glue logic and waveform-style assertions. *)
 
   val addr_wire : t -> int Codesign_sim.Signal.t
-  val data_wire : t -> int Codesign_sim.Signal.t
   val req_wire : t -> int Codesign_sim.Signal.t
   val ack_wire : t -> int Codesign_sim.Signal.t
-  val we_wire : t -> int Codesign_sim.Signal.t
 end

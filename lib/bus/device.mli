@@ -88,5 +88,4 @@ module Stream_sink : sig
   val accepted : t -> int list
   (** Words emitted so far, oldest first. *)
 
-  val ready : t -> bool
 end

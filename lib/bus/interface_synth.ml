@@ -35,8 +35,10 @@ type glue = {
   sync_flops : int;
 }
 
-let default_intc_base = 0x1FF00
-let default_mailbox_base = 3800
+(* the interrupt controller window the generated ISR reads, and where
+   input mailboxes start in CPU-local memory *)
+let intc_base = 0x1FF00
+let mailbox_base = 3800
 
 let validate spec =
   let names = List.map (fun p -> p.pname) spec.ports in
@@ -253,8 +255,7 @@ let glue_netlist spec =
 
 (* ------------------------------------------------------------------ *)
 
-let synthesize ?(intc_base = default_intc_base)
-    ?(mailbox_base = default_mailbox_base) spec =
+let synthesize spec =
   validate spec;
   (* assign mailboxes to irq-driven ports *)
   let mailboxes =

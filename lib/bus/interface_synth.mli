@@ -63,11 +63,9 @@ type glue = {
   sync_flops : int;
 }
 
-val synthesize :
-  ?intc_base:int -> ?mailbox_base:int -> device_spec -> driver * glue
-(** [intc_base] (default 0x1FF00) is the interrupt controller window used
-    by the generated ISR; [mailbox_base] (default 3800) is where input
-    mailboxes are placed in CPU-local memory.
+val synthesize : device_spec -> driver * glue
+(** The generated ISR reads the interrupt controller window at 0x1FF00;
+    input mailboxes are placed from address 3800 in CPU-local memory.
     @raise Invalid_argument on a polled port without a status register,
     duplicate port names, or an irq line outside 0..29. *)
 

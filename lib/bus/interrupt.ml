@@ -1,15 +1,13 @@
+let lines = 8
+
 type t = {
-  lines : int;
   mutable pending_mask : int;
   mutable enable_mask : int;
   mutable change_cb : (bool -> unit) option;
 }
 
-let create ?(lines = 8) () =
-  if lines <= 0 || lines > 30 then
-    invalid_arg "Interrupt.create: lines must be in 1..30";
+let create () =
   {
-    lines;
     pending_mask = 0;
     enable_mask = (1 lsl lines) - 1;
     change_cb = None;
@@ -22,18 +20,18 @@ let notify t before =
   if before <> after then
     match t.change_cb with Some cb -> cb after | None -> ()
 
-let check_line t l =
-  if l < 0 || l >= t.lines then
+let check_line l =
+  if l < 0 || l >= lines then
     invalid_arg (Printf.sprintf "Interrupt: line %d out of range" l)
 
 let raise_line t l =
-  check_line t l;
+  check_line l;
   let before = cpu_level t in
   t.pending_mask <- t.pending_mask lor (1 lsl l);
   notify t before
 
 let ack t l =
-  check_line t l;
+  check_line l;
   let before = cpu_level t in
   t.pending_mask <- t.pending_mask land lnot (1 lsl l);
   notify t before
@@ -53,10 +51,9 @@ let current t =
 
 let set_mask t m =
   let before = cpu_level t in
-  t.enable_mask <- m land ((1 lsl t.lines) - 1);
+  t.enable_mask <- m land ((1 lsl lines) - 1);
   notify t before
 
-let mask t = t.enable_mask
 let on_change t cb = t.change_cb <- Some cb
 
 let region ~name ~base t =

@@ -15,8 +15,8 @@
 
 type t
 
-val create : ?lines:int -> unit -> t
-(** [lines] defaults to 8 (max 30). *)
+val create : unit -> t
+(** A controller with 8 lines, all enabled. *)
 
 val raise_line : t -> int -> unit
 (** Latch a line pending (edge semantics: stays pending until acked). *)
@@ -25,16 +25,6 @@ val ack : t -> int -> unit
 
 val pending : t -> int
 (** Bit mask of pending lines. *)
-
-val current : t -> int
-(** Highest-priority pending enabled line, or -1. *)
-
-val cpu_level : t -> bool
-(** True when any enabled line is pending — wire this to
-    {!Codesign_isa.Cpu.set_irq}. *)
-
-val set_mask : t -> int -> unit
-val mask : t -> int
 
 val on_change : t -> (bool -> unit) -> unit
 (** Callback invoked with the new CPU level whenever it changes (used by

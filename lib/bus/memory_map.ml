@@ -37,8 +37,6 @@ let create regions =
     sorted;
   { sorted }
 
-let regions t = Array.to_list t.sorted
-
 let decode t addr =
   (* binary search for the region containing addr *)
   let lo = ref 0 and hi = ref (Array.length t.sorted - 1) in

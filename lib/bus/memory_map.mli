@@ -26,8 +26,6 @@ type t
 val create : region list -> t
 (** @raise Invalid_argument on overlapping or empty regions. *)
 
-val regions : t -> region list
-
 val decode : t -> int -> (region * int) option
 (** Region and offset for an address, or [None] for unmapped space. *)
 

@@ -91,14 +91,10 @@ let pin kernel map =
       let s = Bus.Pin.snapshot b in
       fun () -> Bus.Pin.restore b s)
 
-let tlm ?read_latency ?write_latency kernel map =
-  let b = Bus.Tlm.create ?read_latency ?write_latency kernel map in
-  let lookahead =
-    min
-      (match read_latency with Some c -> c | None -> 2)
-      (match write_latency with Some c -> c | None -> 2)
-  in
-  bus_rung Transaction ~lookahead ~read:(Bus.Tlm.read b)
+let tlm kernel map =
+  let b = Bus.Tlm.create kernel map in
+  (* lookahead: a Bus.Tlm transfer takes 2 cycles *)
+  bus_rung Transaction ~lookahead:2 ~read:(Bus.Tlm.read b)
     ~write:(Bus.Tlm.write b)
     ~stats:(fun () -> Bus.Tlm.stats b)
     ~save:(fun () ->
@@ -109,7 +105,10 @@ let tlm ?read_latency ?write_latency kernel map =
 (* driver-call rung                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let driver ?(call_cost = 6) map =
+(* cycles one driver entry costs *)
+let call_cost = 6
+
+let driver map =
   let reads = ref 0 and writes = ref 0 in
   {
     level = Driver;

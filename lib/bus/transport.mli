@@ -76,8 +76,7 @@ type t = {
           claim when this transport is the only traffic crossing a
           partition boundary.  Per rung: {!pin}
           {!Bus.Pin.setup_cycles},
-          {!tlm} [min read_latency write_latency], {!driver} its
-          [call_cost], {!message} the minimum declared channel latency
+          {!tlm} 2, {!driver} 6, {!message} the minimum declared channel latency
           over its endpoints (0 when any endpoint is an immediate
           channel).  0 means "no guarantee": the transport cannot cut a
           partition boundary. *)
@@ -125,17 +124,12 @@ val pin : Kernel.t -> Memory_map.t -> t
     the bus-slave decoder process).  [wait_ready] status spins are real
     bus handshakes, 8 cycles apart. *)
 
-val tlm :
-  ?read_latency:int ->
-  ?write_latency:int ->
-  Kernel.t ->
-  Memory_map.t ->
-  t
-(** Transaction-level: wraps a fresh {!Bus.Tlm} over the map.  Status
-    spins are timed bus transfers. *)
+val tlm : Kernel.t -> Memory_map.t -> t
+(** Transaction-level: wraps a fresh {!Bus.Tlm} over the map (2 cycles
+    per transfer).  Status spins are timed bus transfers. *)
 
-val driver : ?call_cost:int -> Memory_map.t -> t
-(** Driver-call: [read]/[write] charge [call_cost] (default 6) cycles
+val driver : Memory_map.t -> t
+(** Driver-call: [read]/[write] charge 6 cycles
     and then access the map directly — one lumped driver entry, no
     individual bus events.  [wait_ready] polls the map functionally
     (free reads, 8 cycles apart): device readiness is observed, not

@@ -11,8 +11,12 @@ type design = {
   checksum : int;
 }
 
+(* messages per channel the static assignment estimate assumes;
+   execution charges the real per-message cost *)
+let expected_msgs = 8
+
 let synthesize ?(threads = 2) ?(comm_aware = true) ?(cross_cost = 24)
-    ?(expected_msgs = 8) (net : Pn.t) =
+    (net : Pn.t) =
   if threads < 1 then invalid_arg "Coproc.synthesize: threads < 1";
   let hw = Pn.hw_procs net in
   if hw = [] then
@@ -69,21 +73,12 @@ let synthesize ?(threads = 2) ?(comm_aware = true) ?(cross_cost = 24)
   let result =
     Cosim.run_network ~hw_engines:assignment ~cross_cost net
   in
-  let engine_of name =
-    match List.assoc_opt name assignment with Some e -> e | None -> -1
-  in
-  let crossing =
-    List.length
-      (List.filter
-         (fun (c : Pn.channel) -> engine_of c.Pn.src <> engine_of c.Pn.dst)
-         net.Pn.channels)
-  in
   {
     threads;
     assignment;
     latency = result.Cosim.end_time;
     hw_area = result.Cosim.hw_area;
-    crossing_channels = crossing;
+    crossing_channels = result.Cosim.crossing_channels;
     comm_aware;
     checksum =
       List.fold_left (fun acc (_, _, v) -> acc + v) 0

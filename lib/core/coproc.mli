@@ -32,7 +32,6 @@ val synthesize :
   ?threads:int ->
   ?comm_aware:bool ->
   ?cross_cost:int ->
-  ?expected_msgs:int ->
   Codesign_ir.Process_network.t ->
   design
 (** Defaults: 2 threads, comm-aware on, 24 cycles per crossing message,

@@ -14,7 +14,6 @@ module Asm = Codesign_isa.Asm
 
 type level = T.level = Pin | Transaction | Driver | Message
 
-let all_levels = T.all_levels
 let level_name = T.level_name
 
 type assignment = { src : level; cpu : level; sink : level }
@@ -449,6 +448,10 @@ type network_outcome =
   | Net_completed
   | Net_trapped of string * string  (* (process, trap message) *)
 
+(* Where a network process runs: the one CPU, a labelled hardware
+   engine, or a hardware engine of its own (keyed by process name). *)
+type engine = On_cpu | Label of int | Own of string
+
 type network_result = {
   end_time : int;
   net_events : int;
@@ -456,6 +459,7 @@ type network_result = {
   net_outcome : network_outcome;
   port_writes : (string * int * int) list;
   hw_area : int;
+  crossing_channels : int;
   sw_results : (string * (string * int) list) list;
   chan_stats : (string * Ch.stats) list;
 }
@@ -592,16 +596,30 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
   let pw : (int * int * int * int * int) list ref array =
     Array.init nparts (fun _ -> ref [])
   in
-  (* engine id of every process: software = -1, hardware = its engine *)
-  let engine_id_of_proc name =
-    match List.find_opt (fun (p, _) -> p.B.name = name) net.Pn.procs with
-    | Some (_, Pn.Sw) -> -1
-    | Some (_, Pn.Hw) -> (
-        match hw_engines with
-        | Some l -> ( match List.assoc_opt name l with Some e -> e | None -> Hashtbl.hash name )
-        | None -> Hashtbl.hash name)
-    | None -> -1
+  (* Every process runs on one engine, decided here once: the CPU for
+     software, its [hw_engines] label for labelled hardware, otherwise an
+     engine of its own.  The same map hands out the tokens and decides
+     which channels cross engines. *)
+  let engine_of =
+    let engines =
+      List.map
+        (fun ((p : B.proc), m) ->
+          let name = p.B.name in
+          let labelled =
+            match hw_engines with
+            | Some l -> List.assoc_opt name l
+            | None -> None
+          in
+          ( name,
+            match (m, labelled) with
+            | Pn.Sw, _ -> On_cpu
+            | Pn.Hw, Some e -> Label e
+            | Pn.Hw, None -> Own name ))
+        net.Pn.procs
+    in
+    fun name -> List.assoc name engines
   in
+  let crosses (c : Pn.channel) = engine_of c.Pn.src <> engine_of c.Pn.dst in
   (* Channel names and ports are resolved once per network: name ->
      (channel, send cost), first declaration first as with [List.assoc],
      and one slot per channel port.  A name or port that matches no
@@ -609,9 +627,8 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
   let by_name = Hashtbl.create 16 in
   List.iter2
     (fun (c : Pn.channel) (name, ch) ->
-      let crossing = engine_id_of_proc c.Pn.src <> engine_id_of_proc c.Pn.dst in
       if not (Hashtbl.mem by_name name) then
-        Hashtbl.add by_name name (ch, if crossing then cross_cost else 0))
+        Hashtbl.add by_name name (ch, if crosses c then cross_cost else 0))
     net.Pn.channels channels;
   let chan_named name = Hashtbl.find by_name name in
   let by_port =
@@ -622,14 +639,16 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
     if i < 0 || i >= Array.length by_port then raise Not_found
     else by_port.(i)
   in
-  let cpu_token = Mutex.create () in
-  let engine_tokens : (int, Mutex.t) Hashtbl.t = Hashtbl.create 4 in
-  let engine_of =
-    match hw_engines with
-    | Some l -> fun name -> List.assoc_opt name l
-    | None -> fun _ -> None
+  let tokens : (engine, Mutex.t) Hashtbl.t = Hashtbl.create 4 in
+  let token_of name =
+    let e = engine_of name in
+    match Hashtbl.find_opt tokens e with
+    | Some t -> t
+    | None ->
+        let t = Mutex.create () in
+        Hashtbl.replace tokens e t;
+        t
   in
-  let next_auto_engine = ref 1000 in
   let swr : (int * int * (string * int) list) list ref array =
     Array.init nparts (fun _ -> ref [])
   in
@@ -652,6 +671,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
       in
       match mapping with
       | Pn.Sw ->
+          let cpu_token = token_of proc.B.name in
           let items, lay = Codegen.compile ~chan_ports proc in
           let img = Asm.assemble items in
           let env =
@@ -707,21 +727,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
           let est = Codesign_hls.Hls.estimate proc in
           hw_area := !hw_area + est.Codesign_hls.Hls.area;
           let stmt_cost = stmt_cycles_of est proc in
-          let engine_id =
-            match engine_of proc.B.name with
-            | Some e -> e
-            | None ->
-                incr next_auto_engine;
-                !next_auto_engine
-          in
-          let token =
-            match Hashtbl.find_opt engine_tokens engine_id with
-            | Some t -> t
-            | None ->
-                let t = Mutex.create () in
-                Hashtbl.replace engine_tokens engine_id t;
-                t
-          in
+          let token = token_of proc.B.name in
           let io =
             {
               B.null_io with
@@ -771,6 +777,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
       | (p, m) :: _ -> Net_trapped (p, m));
     port_writes;
     hw_area = !hw_area;
+    crossing_channels = List.length (List.filter crosses net.Pn.channels);
     sw_results;
     chan_stats = List.map (fun (name, ch) -> (name, Ch.stats ch)) channels;
   }

@@ -51,9 +51,6 @@ type level = Codesign_bus.Transport.level =
   | Driver
   | Message
 
-val all_levels : level list
-(** Most detailed first: [[Pin; Transaction; Driver; Message]]. *)
-
 val level_name : level -> string
 
 (** {2 Level assignments} *)
@@ -178,6 +175,9 @@ type network_result = {
           a property of the simulation itself, identical for serial and
           partitioned runs *)
   hw_area : int;  (** summed HLS-estimated area of hardware processes *)
+  crossing_channels : int;
+      (** channels whose endpoints run on different engines — the ones
+          [cross_cost] charges *)
   sw_results : (string * (string * int) list) list;
       (** per software process: its behaviour's result variables
           (trapped processes are absent), in canonical
@@ -194,13 +194,15 @@ val run_network :
   ?partition:(string * int) list ->
   Codesign_ir.Process_network.t ->
   network_result
-(** [hw_engines] assigns hardware processes to engine ids; processes on
-    the same engine serialise (default: each its own engine); software
-    timing is the ISS's own cycle counting.  [cross_cost] charges the
-    sender that many extra cycles per message on channels whose
-    endpoints live on different engines (software counts as one
-    engine) — the §3.3 "communication" factor made physical (default
-    0).  The network runs until no event is left.
+(** Each process runs on one engine: software on the CPU, a hardware
+    process on the engine [hw_engines] labels it with, or else on an
+    engine of its own.  Processes on the same engine serialise; labels
+    are plain names, so any integer (negative ones included) names a
+    hardware engine distinct from the CPU and from every unlabelled
+    process.  Software timing is the ISS's own cycle counting.
+    [cross_cost] charges the sender that many extra cycles per message
+    on channels whose endpoints run on different engines — the §3.3
+    "communication" factor made physical (default 0).  The network runs until no event is left.
 
     [partition] maps process names to partition ids (unnamed processes
     go to partition 0); the network then runs on per-partition event

@@ -3,20 +3,9 @@ module E = Codesign_rtl.Estimate
 
 type partition = bool array
 
-type params = {
-  comm_cycles_per_word : int;
-  sharing : bool;
-  hw_parallel : bool;
-  parallelism_speedup : bool;
-}
+type params = { comm_cycles_per_word : int; sharing : bool }
 
-let default_params =
-  {
-    comm_cycles_per_word = 4;
-    sharing = true;
-    hw_parallel = true;
-    parallelism_speedup = true;
-  }
+let default_params = { comm_cycles_per_word = 4; sharing = true }
 
 type eval = {
   latency : int;
@@ -33,20 +22,17 @@ type eval = {
 let all_sw g = Array.make (T.n_tasks g) false
 let all_hw g = Array.make (T.n_tasks g) true
 
-let hw_task_cycles params (t : T.task) =
-  if params.parallelism_speedup then begin
-    (* a highly parallel task realises its full hardware speedup; a
-       serial one gains little over software beyond instruction overhead *)
-    let base = float_of_int t.T.hw_cycles in
-    let serial_penalty =
-      float_of_int (t.T.sw_cycles - t.T.hw_cycles)
-      *. (1.0 -. t.T.parallelism) *. 0.5
-    in
-    max 1 (int_of_float (base +. serial_penalty))
-  end
-  else max 1 t.T.hw_cycles
+(* A highly parallel task realises its full hardware speedup; a serial
+   one gains little over software beyond instruction overhead. *)
+let hw_task_cycles (t : T.task) =
+  let base = float_of_int t.T.hw_cycles in
+  let serial_penalty =
+    float_of_int (t.T.sw_cycles - t.T.hw_cycles)
+    *. (1.0 -. t.T.parallelism) *. 0.5
+  in
+  max 1 (int_of_float (base +. serial_penalty))
 
-(* Deterministic list schedule: one CPU, one-or-infinite HW contexts,
+(* Deterministic list schedule: one CPU, hardware tasks concurrent,
    communication charged on boundary-crossing edges.  Priority is
    critical-path length (software weights), ties by id. *)
 let schedule_latency params g (p : partition) =
@@ -71,13 +57,12 @@ let schedule_latency params g (p : partition) =
       rev_dist
     in
     let exec i =
-      if p.(i) then hw_task_cycles params g.T.tasks.(i)
+      if p.(i) then hw_task_cycles g.T.tasks.(i)
       else g.T.tasks.(i).T.sw_cycles
     in
     let finish = Array.make n (-1) in
     let scheduled = Array.make n false in
     let cpu_free = ref 0 in
-    let hw_free = ref 0 in
     let n_done = ref 0 in
     while !n_done < n do
       (* data-ready time of each unscheduled task whose preds are done *)
@@ -124,19 +109,12 @@ let schedule_latency params g (p : partition) =
       match best with
       | None -> assert false (* DAG: always a ready candidate *)
       | Some (i, ready) ->
-          let start =
-            if p.(i) then
-              if params.hw_parallel then ready else max ready !hw_free
-            else max ready !cpu_free
-          in
+          let start = if p.(i) then ready else max ready !cpu_free in
           let f = start + exec i in
           finish.(i) <- f;
           scheduled.(i) <- true;
           incr n_done;
-          if p.(i) then begin
-            if not params.hw_parallel then hw_free := f
-          end
-          else cpu_free := f
+          if not p.(i) then cpu_free := f
     done;
     Array.fold_left max 0 finish
   end
@@ -205,30 +183,15 @@ let evaluate ?(params = default_params) g p =
     modifiable_in_hw;
   }
 
-type weights = {
-  w_area : float;
-  w_latency : float;
-  w_deadline_miss : float;
-  w_modifiability : float;
-  w_sw_bytes : float;
-}
-
-let default_weights =
-  {
-    w_area = 1.0;
-    w_latency = 0.5;
-    w_deadline_miss = 1000.0;
-    w_modifiability = 500.0;
-    w_sw_bytes = 0.01;
-  }
-
-let objective ?(weights = default_weights) g (e : eval) =
+(* Keep the terms and their order: objective values, and so the ties
+   every search breaks on them, must stay bit-identical. *)
+let objective g (e : eval) =
   let miss =
     if g.T.deadline > 0 then float_of_int (max 0 (e.latency - g.T.deadline))
     else 0.0
   in
-  (weights.w_area *. float_of_int e.hw_area)
-  +. (weights.w_latency *. float_of_int e.latency)
-  +. (weights.w_deadline_miss *. miss)
-  +. (weights.w_modifiability *. float_of_int e.modifiable_in_hw)
-  +. (weights.w_sw_bytes *. float_of_int e.sw_bytes)
+  float_of_int e.hw_area
+  +. (0.5 *. float_of_int e.latency)
+  +. (1000.0 *. miss)
+  +. (500.0 *. float_of_int e.modifiable_in_hw)
+  +. (0.01 *. float_of_int e.sw_bytes)

@@ -6,9 +6,10 @@
     {!evaluate} derives:
 
     - {b latency}: a deterministic list schedule of the task DAG where
-      software tasks serialise on the single CPU, hardware tasks either
-      serialise on one accelerator or run fully concurrently
-      ([hw_parallel]), and every data edge crossing the HW/SW boundary
+      software tasks serialise on the single CPU, hardware tasks run
+      fully concurrently, each taking its hardware cycles scaled by its
+      nature-of-computation affinity (highly parallel tasks gain more
+      from hardware), and every data edge crossing the HW/SW boundary
       pays [comm_cycles_per_word] per word (§3.3 "communication");
     - {b hardware area}: either the sum of standalone task areas, or the
       sharing-aware incremental area of Vahid & Gajski [18] in which
@@ -25,12 +26,6 @@ type partition = bool array
 type params = {
   comm_cycles_per_word : int;  (** boundary crossing cost (default 4) *)
   sharing : bool;  (** sharing-aware area (default true) *)
-  hw_parallel : bool;
-      (** hardware tasks run concurrently (default true); false models a
-          single serial accelerator *)
-  parallelism_speedup : bool;
-      (** scale hardware task time by its nature-of-computation affinity:
-          highly parallel tasks gain more from hardware (default true) *)
 }
 
 val default_params : params
@@ -50,28 +45,16 @@ type eval = {
 val all_sw : Codesign_ir.Task_graph.t -> partition
 val all_hw : Codesign_ir.Task_graph.t -> partition
 
-val hw_task_cycles : params -> Codesign_ir.Task_graph.task -> int
-(** Effective hardware execution time of a task under the parameters. *)
-
 val evaluate :
   ?params:params -> Codesign_ir.Task_graph.t -> partition -> eval
 (** @raise Invalid_argument if the partition length differs from the
     task count. *)
 
-type weights = {
-  w_area : float;  (** per area unit *)
-  w_latency : float;  (** per cycle of latency *)
-  w_deadline_miss : float;  (** per cycle beyond the deadline *)
-  w_modifiability : float;  (** per modifiable task in hardware *)
-  w_sw_bytes : float;  (** per software byte *)
-}
-
-val default_weights : weights
-
-val objective :
-  ?weights:weights -> Codesign_ir.Task_graph.t -> eval -> float
-(** Lower is better.  Deadline misses dominate under the default
-    weights, then area, then latency. *)
+val objective : Codesign_ir.Task_graph.t -> eval -> float
+(** Lower is better: area 1.0 per unit, latency 0.5 per cycle, 1000 per
+    cycle past the deadline, 500 per modifiable task in hardware and
+    0.01 per software byte, so deadline misses dominate, then area,
+    then latency. *)
 
 val area_of_partition :
   ?params:params -> Codesign_ir.Task_graph.t -> partition -> int

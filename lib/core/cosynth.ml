@@ -9,12 +9,14 @@ type problem = {
   pe_types : pe_type list;
   exec : int array array;
   comm_cycles_per_word : int;
-  max_copies : int;
   interconnect : interconnect;
 }
 
-let problem ?(comm_cycles_per_word = 2) ?(max_copies = 4)
-    ?(interconnect = Point_to_point) tg pe_types ~exec =
+(* instance bound per PE type, which keeps SOS finite *)
+let max_copies = 4
+
+let problem ?(comm_cycles_per_word = 2) ?(interconnect = Point_to_point) tg
+    pe_types ~exec =
   let n = T.n_tasks tg and k = List.length pe_types in
   if k = 0 then invalid_arg "Cosynth.problem: empty PE library";
   if Array.length exec <> n then
@@ -34,8 +36,7 @@ let problem ?(comm_cycles_per_word = 2) ?(max_copies = 4)
       if p.price <= 0 then
         invalid_arg "Cosynth.problem: non-positive PE price")
     pe_types;
-  if max_copies <= 0 then invalid_arg "Cosynth.problem: max_copies <= 0";
-  { tg; pe_types; exec; comm_cycles_per_word; max_copies; interconnect }
+  { tg; pe_types; exec; comm_cycles_per_word; interconnect }
 
 type solution = {
   pe_set : int list;
@@ -117,7 +118,9 @@ let solution_of pb ~pe_set ~mapping ~nodes ~algorithm =
 (* SOS: exact branch and bound                                         *)
 (* ------------------------------------------------------------------ *)
 
-let sos ?(node_budget = 2_000_000) pb =
+let node_budget = 2_000_000
+
+let sos pb =
   let n = T.n_tasks pb.tg in
   let k = List.length pb.pe_types in
   let order = Array.of_list (T.topo_order pb.tg) in
@@ -164,7 +167,7 @@ let sos ?(node_budget = 2_000_000) pb =
         done;
         (* try one new instance of each type *)
         for t = 0 to k - 1 do
-          if copies.(t) < pb.max_copies then begin
+          if copies.(t) < max_copies then begin
             let price' = cur_price + (List.nth pb.pe_types t).price in
             if price' < !best_price then begin
               insts := t :: !insts;
@@ -347,7 +350,8 @@ let binpack pb =
 (* Yen-Wolf sensitivity-driven improvement                             *)
 (* ------------------------------------------------------------------ *)
 
-let sensitivity ?(max_iters = 200) pb =
+let sensitivity pb =
+  let max_iters = 200 in
   let n = T.n_tasks pb.tg in
   let k = List.length pb.pe_types in
   let deadline = deadline_of pb in
@@ -401,7 +405,7 @@ let sensitivity ?(max_iters = 200) pb =
           let count =
             List.length (List.filter (fun x -> x = t) !pe_set)
           in
-          if count < pb.max_copies then begin
+          if count < max_copies then begin
             let inst = List.length !pe_set in
             pe_set := !pe_set @ [ t ];
             mapping.(task) <- inst;

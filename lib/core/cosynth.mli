@@ -37,20 +37,19 @@ type problem = {
   pe_types : pe_type list;
   exec : int array array;  (** [exec.(task).(pe_type)] cycles *)
   comm_cycles_per_word : int;
-  max_copies : int;  (** instance bound per type (keeps SOS finite) *)
   interconnect : interconnect;
 }
 
 val problem :
   ?comm_cycles_per_word:int ->
-  ?max_copies:int ->
   ?interconnect:interconnect ->
   Codesign_ir.Task_graph.t ->
   pe_type list ->
   exec:int array array ->
   problem
 (** Validates dimensions and positivity.  Defaults: comm 2 cycles/word,
-    max 4 copies per type, point-to-point interconnect.
+    point-to-point interconnect.  Every search allows at most 4
+    instances per PE type, which keeps {!sos} finite.
     @raise Invalid_argument on bad input. *)
 
 type solution = {
@@ -68,14 +67,14 @@ val makespan : problem -> pe_set:int list -> mapping:int array -> int
 
 val price_of : problem -> int list -> int
 
-val sos : ?node_budget:int -> problem -> solution
-(** Exact branch-and-bound.  [node_budget] (default 2_000_000) bounds the
-    search; if exhausted the best-so-far is returned with
-    [nodes = node_budget] (experiments report this as a timeout). *)
+val sos : problem -> solution
+(** Exact branch-and-bound over at most 2,000,000 search nodes; if
+    that budget runs out the best-so-far is returned with
+    [nodes = 2_000_000] (experiments report this as a timeout). *)
 
 val binpack : problem -> solution
 
-val sensitivity : ?max_iters:int -> problem -> solution
-(** [max_iters] defaults to 200. *)
+val sensitivity : problem -> solution
+(** At most 200 iterations. *)
 
 val pp_solution : Format.formatter -> problem -> solution -> unit

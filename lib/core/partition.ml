@@ -20,13 +20,11 @@ module Ctx = struct
   type t = {
     g : T.t;
     params : Cost.params;
-    weights : Cost.weights;
     max_area : int option;
     mutable evals : int;
   }
 
-  let make g params weights max_area =
-    { g; params; weights; max_area; evals = 0 }
+  let make g params max_area = { g; params; max_area; evals = 0 }
 
   let score ctx p =
     ctx.evals <- ctx.evals + 1;
@@ -34,14 +32,14 @@ module Ctx = struct
     then infinity
     else
       let e = Cost.evaluate ~params:ctx.params ctx.g p in
-      Cost.objective ~weights:ctx.weights ctx.g e
+      Cost.objective ctx.g e
 
   let finish ctx ~algorithm p =
     let eval = Cost.evaluate ~params:ctx.params ctx.g p in
     {
       partition = p;
       eval;
-      objective = Cost.objective ~weights:ctx.weights ctx.g eval;
+      objective = Cost.objective ctx.g eval;
       evaluations = ctx.evals;
       algorithm;
     }
@@ -51,9 +49,8 @@ end
 (* Greedy hot-spot extraction (COSYMA flavour)                         *)
 (* ------------------------------------------------------------------ *)
 
-let greedy ?(params = Cost.default_params)
-    ?(weights = Cost.default_weights) ?max_area g =
-  let ctx = Ctx.make g params weights max_area in
+let greedy ?(params = Cost.default_params) ?max_area g =
+  let ctx = Ctx.make g params max_area in
   let n = T.n_tasks g in
   let p = Array.make n false in
   let best = ref (Ctx.score ctx p) in
@@ -87,15 +84,16 @@ let greedy ?(params = Cost.default_params)
 (* Kernighan-Lin-style passes                                          *)
 (* ------------------------------------------------------------------ *)
 
-let kl ?(params = Cost.default_params) ?(weights = Cost.default_weights)
-    ?max_area ?(max_passes = 8) g =
-  let ctx = Ctx.make g params weights max_area in
+let kl_max_passes = 8
+
+let kl ?(params = Cost.default_params) ?max_area g =
+  let ctx = Ctx.make g params max_area in
   let n = T.n_tasks g in
   let p = Array.make n false in
   let current = ref (Ctx.score ctx p) in
   let pass_improved = ref true in
   let passes = ref 0 in
-  while !pass_improved && !passes < max_passes do
+  while !pass_improved && !passes < kl_max_passes do
     incr passes;
     pass_improved := false;
     let locked = Array.make n false in
@@ -147,20 +145,17 @@ let kl ?(params = Cost.default_params) ?(weights = Cost.default_weights)
 (* Simulated annealing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let simulated_annealing ?(params = Cost.default_params)
-    ?(weights = Cost.default_weights) ?max_area ?(seed = 42) ?iterations
-    ?(t0 = 1000.) ?(cooling = 0.97) g =
-  let ctx = Ctx.make g params weights max_area in
+let simulated_annealing ?(params = Cost.default_params) ?max_area
+    ?(seed = 42) g =
+  let ctx = Ctx.make g params max_area in
   let n = T.n_tasks g in
-  let iterations =
-    match iterations with Some i -> i | None -> 200 * max n 1
-  in
+  let iterations = 200 * max n 1 in
   let rng = Rng.create seed in
   let p = Array.make n false in
   let current = ref (Ctx.score ctx p) in
   let best_p = Array.copy p in
   let best = ref !current in
-  let temp = ref t0 in
+  let temp = ref 1000. in
   if n > 0 then
     for step = 1 to iterations do
       let i = Rng.int rng n in
@@ -180,7 +175,7 @@ let simulated_annealing ?(params = Cost.default_params)
         end
       end
       else p.(i) <- not p.(i);
-      if step mod 20 = 0 then temp := !temp *. cooling
+      if step mod 20 = 0 then temp := !temp *. 0.97
     done;
   Ctx.finish ctx ~algorithm:"sa" best_p
 
@@ -188,9 +183,8 @@ let simulated_annealing ?(params = Cost.default_params)
 (* Global criticality / local phase (Kalavade-Lee)                     *)
 (* ------------------------------------------------------------------ *)
 
-let gclp ?(params = Cost.default_params) ?(weights = Cost.default_weights)
-    ?max_area g =
-  let ctx = Ctx.make g params weights max_area in
+let gclp ?(params = Cost.default_params) ?max_area g =
+  let ctx = Ctx.make g params max_area in
   let n = T.n_tasks g in
   let p = Array.make n false in
   let order = T.topo_order g in
@@ -243,9 +237,8 @@ let gclp ?(params = Cost.default_params) ?(weights = Cost.default_weights)
 
 let exhaustive_max_tasks = 20
 
-let exhaustive ?(params = Cost.default_params)
-    ?(weights = Cost.default_weights) ?max_area g =
-  let ctx = Ctx.make g params weights max_area in
+let exhaustive ?(params = Cost.default_params) ?max_area g =
+  let ctx = Ctx.make g params max_area in
   let n = T.n_tasks g in
   if n > exhaustive_max_tasks then
     invalid_arg "Partition.exhaustive: too many tasks";

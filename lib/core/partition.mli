@@ -33,47 +33,26 @@ type result = {
 }
 
 val greedy :
-  ?params:Cost.params ->
-  ?weights:Cost.weights ->
-  ?max_area:int ->
-  Codesign_ir.Task_graph.t ->
-  result
+  ?params:Cost.params -> ?max_area:int -> Codesign_ir.Task_graph.t -> result
 
 val kl :
-  ?params:Cost.params ->
-  ?weights:Cost.weights ->
-  ?max_area:int ->
-  ?max_passes:int ->
-  Codesign_ir.Task_graph.t ->
-  result
-(** [max_passes] defaults to 8. *)
+  ?params:Cost.params -> ?max_area:int -> Codesign_ir.Task_graph.t -> result
+(** At most 8 passes. *)
 
 val simulated_annealing :
   ?params:Cost.params ->
-  ?weights:Cost.weights ->
   ?max_area:int ->
   ?seed:int ->
-  ?iterations:int ->
-  ?t0:float ->
-  ?cooling:float ->
   Codesign_ir.Task_graph.t ->
   result
-(** Defaults: seed 42, iterations [200 * n_tasks], t0 [1000.], cooling
-    [0.97] per temperature step (20 flips per step). *)
+(** Seed 42 by default; [200 * n_tasks] flips, starting at temperature
+    1000 and cooling by 0.97 every 20 flips. *)
 
 val gclp :
-  ?params:Cost.params ->
-  ?weights:Cost.weights ->
-  ?max_area:int ->
-  Codesign_ir.Task_graph.t ->
-  result
+  ?params:Cost.params -> ?max_area:int -> Codesign_ir.Task_graph.t -> result
 
 val exhaustive :
-  ?params:Cost.params ->
-  ?weights:Cost.weights ->
-  ?max_area:int ->
-  Codesign_ir.Task_graph.t ->
-  result
+  ?params:Cost.params -> ?max_area:int -> Codesign_ir.Task_graph.t -> result
 (** Exact optimum by enumeration — for validating the heuristics.
     @raise Invalid_argument above {!exhaustive_max_tasks} tasks. *)
 

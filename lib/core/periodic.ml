@@ -6,8 +6,10 @@ type problem = {
   apps : app list;
   pe_types : Cosynth.pe_type list;
   comm_cycles_per_word : int;
-  max_copies : int;
 }
+
+(* instance bound per PE type *)
+let max_copies = 6
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let lcm a b = a / gcd a b * b
@@ -15,7 +17,7 @@ let lcm a b = a / gcd a b * b
 let hyperperiod pb =
   List.fold_left (fun acc a -> lcm acc a.period) 1 pb.apps
 
-let problem ?(comm_cycles_per_word = 2) ?(max_copies = 6) apps pe_types =
+let problem ?(comm_cycles_per_word = 2) apps pe_types =
   if apps = [] then invalid_arg "Periodic.problem: no applications";
   if pe_types = [] then invalid_arg "Periodic.problem: empty PE library";
   let k = List.length pe_types in
@@ -35,7 +37,7 @@ let problem ?(comm_cycles_per_word = 2) ?(max_copies = 6) apps pe_types =
             row)
         a.exec)
     apps;
-  let pb = { apps; pe_types; comm_cycles_per_word; max_copies } in
+  let pb = { apps; pe_types; comm_cycles_per_word } in
   let h = hyperperiod pb in
   let instances =
     List.fold_left (fun acc a -> acc + (h / a.period)) 0 apps
@@ -172,7 +174,8 @@ let price_of pb pe_set =
     (fun acc t -> acc + (List.nth pb.pe_types t).Cosynth.price)
     0 pe_set
 
-let synthesize ?(max_iters = 100) pb =
+let synthesize pb =
+  let max_iters = 100 in
   let k = List.length pb.pe_types in
   let cheapest =
     List.init k Fun.id
@@ -237,7 +240,7 @@ let synthesize ?(max_iters = 100) pb =
       let consider dprice candidate =
         let counts = Array.make k 0 in
         List.iter (fun t -> counts.(t) <- counts.(t) + 1) candidate;
-        if Array.for_all (fun c -> c <= pb.max_copies) counts then begin
+        if Array.for_all (fun c -> c <= max_copies) counts then begin
           let v' = check pb ~pe_set:candidate in
           let gain = current - v'.max_lateness in
           if gain > 0 then begin

@@ -28,12 +28,10 @@ type problem = {
   apps : app list;
   pe_types : Cosynth.pe_type list;
   comm_cycles_per_word : int;
-  max_copies : int;
 }
 
 val problem :
   ?comm_cycles_per_word:int ->
-  ?max_copies:int ->
   app list ->
   Cosynth.pe_type list ->
   problem
@@ -62,7 +60,8 @@ type solution = {
   iterations : int;
 }
 
-val synthesize : ?max_iters:int -> problem -> solution
-(** Sensitivity-driven PE selection (default 100 iterations). *)
+val synthesize : problem -> solution
+(** Sensitivity-driven PE selection: at most 100 iterations, at most 6
+    instances per PE type. *)
 
 val pp_solution : Format.formatter -> problem -> solution -> unit

@@ -12,7 +12,7 @@ let fi n =
     s;
   Buffer.contents buf
 
-let ff ?(dec = 2) x = Printf.sprintf "%.*f" dec x
+let ff x = Printf.sprintf "%.2f" x
 let fp x = Printf.sprintf "%.1f%%" (100. *. x)
 
 let table ?title ~headers ?align rows =

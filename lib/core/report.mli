@@ -19,8 +19,8 @@ val table :
 val fi : int -> string
 (** Integer with thousands separators (e.g. ["12_345"]). *)
 
-val ff : ?dec:int -> float -> string
-(** Fixed-point float (default 2 decimals). *)
+val ff : float -> string
+(** Fixed-point float with 2 decimals. *)
 
 val fp : float -> string
 (** Percentage with one decimal, e.g. ["12.5%"]. *)

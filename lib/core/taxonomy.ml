@@ -255,10 +255,3 @@ let criteria m =
       if m.factors = [] then "-"
       else String.concat ", " (List.map factor_name m.factors) );
   ]
-
-let pp_methodology fmt m =
-  Format.fprintf fmt "@[<v>%s (%s, §%s)@," m.m_name m.system_class m.section;
-  List.iter
-    (fun (k, v) -> Format.fprintf fmt "  %-22s %s@," k v)
-    (criteria m);
-  Format.fprintf fmt "  %-22s %s@]" "implemented by" m.implemented_by

@@ -81,11 +81,6 @@ val catalogue : methodology list
     cross-check it against the live modules). *)
 
 val boundary_name : boundary -> string
-val activity_name : activity -> string
-val cosim_level_name : cosim_level -> string
-val factor_name : factor -> string
 
 val criteria : methodology -> (string * string) list
 (** The §5 criteria rendered as (criterion, value) rows. *)
-
-val pp_methodology : Format.formatter -> methodology -> unit

@@ -28,8 +28,6 @@ let quick_ops = 96
 
 type engine = Rerun | Fork
 
-let engine_name = function Rerun -> "rerun" | Fork -> "fork"
-
 let default_warmup ops = ops / 2
 
 (* Chaos harness faults: a sweep task whose master is sabotaged at its
@@ -637,7 +635,7 @@ let task_label = function
    nothing, so the faults landed in each forked window are a pure
    function of (seed, rate, window ops) — byte-identical to the rerun
    engine's. *)
-let task_cells ~seed ~warmup ~ops ~rates ~max_retries ~budget ~cell_fuel engine
+let task_cells ~seed ~warmup ~ops ~max_retries ~budget ~cell_fuel engine
     task
     : FR.cell list =
   let chaos, mechanism =
@@ -681,10 +679,11 @@ let task_cells ~seed ~warmup ~ops ~rates ~max_retries ~budget ~cell_fuel engine
       ~label:(task_label task) world
   in
   let baseline = cell 0.0 in
-  baseline :: List.map (fun rate -> with_overhead ~baseline (cell rate)) rates
+  baseline
+  :: List.map (fun rate -> with_overhead ~baseline (cell rate)) default_rates
 
-let sweep ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
-    ?(jobs = 1) ?(max_retries = 2) ?(cell_fuel = default_cell_fuel)
+let sweep ?(seed = 42) ?(ops = default_ops) ?warmup ?(jobs = 1)
+    ?(max_retries = 2) ?(cell_fuel = default_cell_fuel)
     ?deadline_ms ?chaos engine : FR.cell list =
   let warmup = match warmup with Some n -> n | None -> default_warmup ops in
   (* One wall deadline over the whole sweep (no sweep-level fuel); each
@@ -697,17 +696,15 @@ let sweep ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
   in
   Codesign_par.Domain_pool.map ~jobs
     ~name:(fun i -> task_label tasks.(i))
-    (task_cells ~seed ~warmup ~ops ~rates ~max_retries ~budget ~cell_fuel
-       engine)
+    (task_cells ~seed ~warmup ~ops ~max_retries ~budget ~cell_fuel engine)
     tasks
   |> Array.to_list |> List.concat
 
-let run ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
-    ?(engine = Fork) ?(jobs = 1) ?max_retries ?cell_fuel ?deadline_ms ?chaos
-    () : FR.t =
+let run ?(seed = 42) ?(ops = default_ops) ?warmup ?(engine = Fork) ?(jobs = 1)
+    ?max_retries ?cell_fuel ?deadline_ms ?chaos () : FR.t =
   let warmup = match warmup with Some n -> n | None -> default_warmup ops in
   let cells =
-    sweep ~seed ~ops ~warmup ~rates ~jobs ?max_retries ?cell_fuel ?deadline_ms
+    sweep ~seed ~ops ~warmup ~jobs ?max_retries ?cell_fuel ?deadline_ms
       ?chaos engine
   in
   let drills =
@@ -718,7 +715,7 @@ let run ?(seed = 42) ?(ops = default_ops) ?warmup ?(rates = default_rates)
     seed;
     ops_per_cell = ops;
     warmup_per_cell = warmup;
-    rates;
+    rates = default_rates;
     cells;
     drills;
   }

@@ -90,41 +90,30 @@ type engine =
   | Rerun  (** rebuild world + warm-up from scratch for every cell *)
   | Fork  (** warm up once per mechanism, fork each cell off a checkpoint *)
 
-val engine_name : engine -> string
-
 type chaos =
   | Chaos_trap  (** master raises at its first windowed op *)
   | Chaos_hang  (** master spins in simulated time forever *)
 
-val chaos_name : chaos -> string
-(** ["trap"] / ["hang"]. *)
-
 val default_rates : float list
 val default_ops : int
 val quick_ops : int
-
-val default_cell_fuel : int
-(** Simulated-time window per cell attempt when [?cell_fuel] is
-    omitted (the historic hard run bound, 200M units). *)
-
-val default_warmup : int -> int
-(** Warm-up transfers used when [?warmup] is omitted: [ops / 2]. *)
 
 val run_cell :
   seed:int -> ops:int -> ?warmup:int -> rate:float -> mechanism ->
   Codesign_obs.Fault_report.cell
 (** One sweep point ([cycle_overhead] computed against an internal
     rate-0 run of the same mechanism), on the reference (rerun)
-    engine.  [warmup] defaults to [default_warmup ops]. *)
+    engine.  [warmup] defaults to [ops / 2]. *)
 
 val sweep :
-  ?seed:int -> ?ops:int -> ?warmup:int -> ?rates:float list -> ?jobs:int ->
+  ?seed:int -> ?ops:int -> ?warmup:int -> ?jobs:int ->
   ?max_retries:int -> ?cell_fuel:int -> ?deadline_ms:int ->
   ?chaos:chaos -> engine -> Codesign_obs.Fault_report.cell list
 (** The transfer sweep alone (no drills), on the given engine — what
     the fork-vs-rerun microbenchmarks and identity checks exercise.
     Cell order: for each mechanism in ladder order (then the [chaos]
-    task, when present), the rate-0 baseline then each rate in [rates].
+    task, when present), the rate-0 baseline then each rate in
+    {!default_rates}.
 
     [jobs] (default 1) shards the sweep over a
     {!Codesign_par.Domain_pool} with one task per mechanism; each worker
@@ -136,20 +125,19 @@ val sweep :
     [test/test_parallel.ml], [test/test_resil.ml] and the CI [cmp]
     step), degraded cells included.
 
-    [max_retries] (default 2) caps per-cell restarts,
-    [cell_fuel] (default {!default_cell_fuel}) bounds each attempt in
-    simulated time, [deadline_ms] bounds the whole sweep in wall time,
-    [chaos] injects a deliberately failing task (see the header). *)
+    [max_retries] (default 2) caps per-cell restarts, [cell_fuel]
+    (default 200M units, the historic hard run bound) bounds each
+    attempt in simulated time, [deadline_ms] bounds the whole sweep in
+    wall time, [chaos] injects a deliberately failing task (see the header). *)
 
 val run :
-  ?seed:int -> ?ops:int -> ?warmup:int -> ?rates:float list ->
+  ?seed:int -> ?ops:int -> ?warmup:int ->
   ?engine:engine -> ?jobs:int -> ?max_retries:int ->
   ?cell_fuel:int -> ?deadline_ms:int -> ?chaos:chaos -> unit ->
   Codesign_obs.Fault_report.t
 (** The full campaign.  Defaults: [seed = 42], [ops = default_ops],
-    [warmup = default_warmup ops], [rates = default_rates],
-    [engine = Fork], [jobs = 1], [max_retries = 2],
-    [cell_fuel = default_cell_fuel], no deadline, no chaos.  [jobs]
+    [warmup = ops / 2], [engine = Fork], [jobs = 1], [max_retries = 2],
+    [cell_fuel] 200M units, no deadline, no chaos.  [jobs]
     parallelises the sweep exactly as in {!sweep}; the drills always
     run serially on the calling domain, outside the sweep deadline —
     they are plain in-process measurements. *)

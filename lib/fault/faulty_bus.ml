@@ -11,7 +11,6 @@ type t = {
   inj : Injector.t;
   tr : T.t;
   timeout : int;
-  stuck_cycles : int;
   mutable stuck_until : int;
   mutable stuck_bit : int;
   mutable stuck_val : int;
@@ -21,13 +20,15 @@ type t = {
    floats to 0. *)
 let hang = 2000
 
-let create ?(timeout = 64) ?(stuck_cycles = 600) k inj tr =
+(* Cycles a stuck-at data line holds its bit. *)
+let stuck_cycles = 600
+
+let create ?(timeout = 64) k inj tr =
   {
     k;
     inj;
     tr;
     timeout;
-    stuck_cycles;
     stuck_until = 0;
     stuck_bit = 0;
     stuck_val = 0;
@@ -84,7 +85,7 @@ let draw_kind t =
     if r < 60 then Some (Flip (Rng.int rng data_bits))
     else if r < 85 then Some Drop
     else begin
-      t.stuck_until <- K.now t.k + t.stuck_cycles;
+      t.stuck_until <- K.now t.k + stuck_cycles;
       t.stuck_bit <- Rng.int rng data_bits;
       t.stuck_val <- (if Rng.bool rng then 1 else 0);
       Some Stuck

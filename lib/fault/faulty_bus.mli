@@ -17,8 +17,8 @@
 
     Fault mix per firing decision point: transient bit flip (common),
     dropped response (less common), stuck-at data line (rare but
-    persistent — the line holds a bit at a fixed value for
-    [stuck_cycles], defeating retries that fit inside the window).
+    persistent — the line holds a bit at a fixed value for 600
+    cycles, defeating retries that fit inside the window).
     Every {e effective} perturbation — data actually altered or a
     response actually dropped — is reported to the injector;
     [Error _] results report detections. *)
@@ -31,12 +31,11 @@ type t
 
 val create :
   ?timeout:int ->
-  ?stuck_cycles:int ->
   Codesign_sim.Kernel.t ->
   Injector.t ->
   Codesign_bus.Transport.t ->
   t
-(** Defaults: [timeout = 64], [stuck_cycles = 600].
+(** [timeout] defaults to 64.
     Any transport backend can be made faulty — the injector perturbs
     whatever medium is behind it. *)
 
@@ -44,9 +43,6 @@ val raw_read : t -> int -> int
 val raw_write : t -> int -> int -> unit
 val read : t -> int -> (int, error) result
 val write : t -> int -> int -> (unit, error) result
-
-val stuck_active : t -> bool
-(** A stuck-at window is currently open. *)
 
 val tag_of : int -> int64
 (** A checked transfer's parity tag: the FNV-1a 64 hash of the datum's

@@ -78,6 +78,4 @@ module Irq = struct
       Interrupt.raise_line t.ic l
     end
 
-  let lost t = t.lost
-  let spurious t = t.spurious
 end

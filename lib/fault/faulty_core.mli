@@ -42,6 +42,4 @@ module Irq : sig
   val tick : t -> int -> unit
   (** A decision point for spurious interrupts on the given line. *)
 
-  val lost : t -> int
-  val spurious : t -> int
 end

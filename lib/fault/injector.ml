@@ -49,7 +49,6 @@ let reinit t ~rate ~seed =
   t.detected <- 0;
   t.latency_sum <- 0
 
-let rate t = t.rate
 let set_active t on = t.active <- on
 let fires t = t.active && Rng.float t.rng < t.rate
 let shape t = t.rng
@@ -68,9 +67,6 @@ let detected_event t site ~time =
 let injected t = t.injected
 let detected t = t.detected
 let latency_sum t = t.latency_sum
-
-let pending t =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.pending_by
 
 let charge_pending t ~time =
   Array.iter

@@ -43,8 +43,6 @@ val reinit : t -> rate:float -> seed:int -> unit
     campaigns reuse one injector across checkpoint restores this way.
     @raise Invalid_argument unless [0.0 <= rate <= 1.0]. *)
 
-val rate : t -> float
-
 val set_active : t -> bool -> unit
 (** Open or close the injection window.  While inactive, {!fires} is
     [false] and consumes {e no} Rng draw — so a warm-up phase run before
@@ -75,9 +73,6 @@ val injected : t -> int
 
 val detected : t -> int
 val latency_sum : t -> int
-
-val pending : t -> int
-(** Injections not yet detected. *)
 
 val charge_pending : t -> time:int -> unit
 (** Resolve every pending stamp at [time] {e without} counting them as

@@ -130,4 +130,3 @@ val pp : Format.formatter -> proc -> unit
 (** Pretty-prints the behaviour in a C-like concrete syntax. *)
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit

@@ -100,8 +100,6 @@ let make ?(name = "cdfg") ?(ctrl = []) blocks =
     ctrl;
   { name; blocks; ctrl }
 
-let find_block g label = List.find (fun b -> b.label = label) g.blocks
-
 let dfg b =
   let n = List.length b.ops in
   let edges =
@@ -135,9 +133,3 @@ let block_latency ?(op_delay = fun _ -> 1) b =
     let delays = Array.of_list (List.map (fun op -> op_delay op.opcode) b.ops) in
     let _, w = Graph_algo.critical_path g ~weight:(fun i -> delays.(i)) in
     w
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>cdfg %s: %d blocks, %d static ops, %d dynamic ops@]"
-    g.name (List.length g.blocks)
-    (List.fold_left (fun a b -> a + List.length b.ops) 0 g.blocks)
-    (total_ops g)

@@ -65,12 +65,6 @@ val is_arith : opcode -> bool
 val opcode_name : opcode -> string
 (** Short mnemonic, e.g. ["mul"], ["ld"], ["const"]. *)
 
-val find_block : t -> string -> block
-(** @raise Not_found if no block has the label. *)
-
-val dfg : block -> Graph_algo.t
-(** Data-dependence graph of a block (edge producer -> consumer). *)
-
 val op_mix : t -> (string * int) list
 (** Trip-weighted operation counts over the whole graph, sorted by name —
     the operation-mix input to the sharing-aware hardware estimator. *)
@@ -81,5 +75,3 @@ val total_ops : t -> int
 val block_latency : ?op_delay:(opcode -> int) -> block -> int
 (** Critical-path latency of the block's DFG under a per-op delay model
     (default: every op takes 1). *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,7 +2,6 @@ type t = {
   n : int;
   succs : int list array; (* stored reversed at build, then re-reversed *)
   preds : int list array;
-  edge_count : int;
 }
 
 let create ~n ~edges =
@@ -21,15 +20,10 @@ let create ~n ~edges =
     succs.(i) <- List.rev succs.(i);
     preds.(i) <- List.rev preds.(i)
   done;
-  { n; succs; preds; edge_count = List.length edges }
+  { n; succs; preds }
 
-let n g = g.n
-let edge_count g = g.edge_count
 let succ g u = g.succs.(u)
-let pred g u = g.preds.(u)
-let out_degree g u = List.length g.succs.(u)
 let in_degree g u = List.length g.preds.(u)
-let has_edge g u v = List.mem v g.succs.(u)
 
 module Iheap = struct
   (* Minimal int min-heap for deterministic Kahn ordering. *)
@@ -112,7 +106,6 @@ let is_dag g = topo_sort g <> None
 let sources g =
   List.filter (fun i -> in_degree g i = 0) (List.init g.n Fun.id)
 
-let sinks g = List.filter (fun i -> out_degree g i = 0) (List.init g.n Fun.id)
 
 let require_topo g name =
   match topo_sort g with
@@ -155,76 +148,6 @@ let critical_path g ~weight =
     (walk !last [], dist.(!last))
   end
 
-let bfs_mark adj start n =
-  let seen = Array.make n false in
-  let q = Queue.create () in
-  Queue.push start q;
-  seen.(start) <- true;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Queue.push v q
-        end)
-      adj.(u)
-  done;
-  seen
-
-let reachable g u = bfs_mark g.succs u g.n
-let ancestors g u = bfs_mark g.preds u g.n
-
-let weakly_connected_components g =
-  let comp = Array.make g.n (-1) in
-  let next = ref 0 in
-  for i = 0 to g.n - 1 do
-    if comp.(i) = -1 then begin
-      let c = !next in
-      incr next;
-      let q = Queue.create () in
-      Queue.push i q;
-      comp.(i) <- c;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        let visit v =
-          if comp.(v) = -1 then begin
-            comp.(v) <- c;
-            Queue.push v q
-          end
-        in
-        List.iter visit g.succs.(u);
-        List.iter visit g.preds.(u)
-      done
-    end
-  done;
-  let buckets = Array.make !next [] in
-  for i = g.n - 1 downto 0 do
-    buckets.(comp.(i)) <- i :: buckets.(comp.(i))
-  done;
-  Array.to_list buckets
-
-let transitive_closure g =
-  let c = Array.init g.n (fun u -> bfs_mark g.succs u g.n) in
-  c
-
-let all_pairs_longest g ~weight =
-  let order = require_topo g "Graph_algo.all_pairs_longest" in
-  let d = Array.make_matrix g.n g.n min_int in
-  for s = 0 to g.n - 1 do
-    d.(s).(s) <- weight s;
-    List.iter
-      (fun u ->
-        if d.(s).(u) <> min_int then
-          List.iter
-            (fun v ->
-              let cand = d.(s).(u) + weight v in
-              if cand > d.(s).(v) then d.(s).(v) <- cand)
-            g.succs.(u))
-      order
-  done;
-  d
-
 let depth g =
   let order = require_topo g "Graph_algo.depth" in
   let d = Array.make g.n 0 in
@@ -235,17 +158,3 @@ let depth g =
         g.preds.(u))
     order;
   d
-
-let dot ?(name = "g") ?(label = string_of_int) g =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
-  for i = 0 to g.n - 1 do
-    Buffer.add_string buf (Printf.sprintf "  n%d [label=%S];\n" i (label i))
-  done;
-  for u = 0 to g.n - 1 do
-    List.iter
-      (fun v -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" u v))
-      g.succs.(u)
-  done;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

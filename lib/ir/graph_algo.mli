@@ -14,24 +14,8 @@ val create : n:int -> edges:(int * int) list -> t
     graph cyclic.  @raise Invalid_argument if an endpoint is outside
     [0, n). *)
 
-val n : t -> int
-(** Number of nodes. *)
-
-val edge_count : t -> int
-(** Number of edges (counting parallel duplicates). *)
-
 val succ : t -> int -> int list
 (** Successors of a node, in insertion order. *)
-
-val pred : t -> int -> int list
-(** Predecessors of a node, in insertion order. *)
-
-val out_degree : t -> int -> int
-
-val in_degree : t -> int -> int
-
-val has_edge : t -> int -> int -> bool
-(** [has_edge g u v] is true iff at least one edge [u -> v] exists. *)
 
 val topo_sort : t -> int list option
 (** Kahn topological order, or [None] if the graph has a cycle.  Among
@@ -42,9 +26,6 @@ val is_dag : t -> bool
 val sources : t -> int list
 (** Nodes with in-degree 0, ascending. *)
 
-val sinks : t -> int list
-(** Nodes with out-degree 0, ascending. *)
-
 val longest_path : t -> weight:(int -> int) -> int array
 (** [longest_path g ~weight] returns, for each node, the maximum
     node-weight sum over paths ending at that node (inclusive of the node
@@ -54,27 +35,6 @@ val critical_path : t -> weight:(int -> int) -> int list * int
 (** [critical_path g ~weight] returns one maximum-weight source-to-sink
     path and its total weight.  Requires a DAG. *)
 
-val reachable : t -> int -> bool array
-(** Forward reachability set of a node (includes the node itself). *)
-
-val ancestors : t -> int -> bool array
-(** Backward reachability set of a node (includes the node itself). *)
-
-val weakly_connected_components : t -> int list list
-(** Components of the underlying undirected graph; each component's nodes
-    ascend, and components are ordered by smallest member. *)
-
-val transitive_closure : t -> bool array array
-(** [closure.(u).(v)] iff a (possibly empty) path [u ->* v] exists;
-    diagonal entries are [true]. *)
-
-val all_pairs_longest : t -> weight:(int -> int) -> int array array
-(** DAG all-pairs longest node-weighted path lengths; [min_int] where no
-    path exists.  [result.(u).(v)] includes both endpoint weights. *)
-
 val depth : t -> int array
 (** For a DAG: number of edges on the longest path from any source to the
     node (sources have depth 0). *)
-
-val dot : ?name:string -> ?label:(int -> string) -> t -> string
-(** Graphviz rendering, for debugging and documentation. *)

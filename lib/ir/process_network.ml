@@ -107,25 +107,6 @@ let find_proc t name =
            (String.concat ", "
               (List.map (fun (p, _) -> p.Behavior.name) t.procs)))
 
-let find_channel t cname =
-  match List.find_opt (fun c -> c.cname = cname) t.channels with
-  | Some c -> c
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Process_network.find_channel: no channel %S in network %s \
-            (has: %s)"
-           cname t.name
-           (String.concat ", " (List.map (fun c -> c.cname) t.channels)))
-
-let channels_between t src dst =
-  List.filter (fun c -> c.src = src && c.dst = dst) t.channels
-
-let mapping_of t name = snd (find_proc t name)
-
-let cut_channels t =
-  List.filter (fun c -> mapping_of t c.src <> mapping_of t c.dst) t.channels
-
 let remap t updates =
   let procs =
     List.map
@@ -137,37 +118,5 @@ let remap t updates =
   in
   { t with procs }
 
-let sw_procs t =
-  List.filter_map (fun (p, m) -> if m = Sw then Some p else None) t.procs
-
 let hw_procs t =
   List.filter_map (fun (p, m) -> if m = Hw then Some p else None) t.procs
-
-let comm_graph t =
-  let names = Array.of_list (List.map (fun (p, _) -> p.Behavior.name) t.procs) in
-  let index name =
-    let rec find i =
-      if names.(i) = name then i else find (i + 1)
-    in
-    find 0
-  in
-  let edges = List.map (fun c -> (index c.src, index c.dst)) t.channels in
-  (Graph_algo.create ~n:(Array.length names) ~edges, names)
-
-let pp fmt t =
-  let m = function Sw -> "SW" | Hw -> "HW" in
-  Format.fprintf fmt "@[<v>process network %s:@," t.name;
-  List.iter
-    (fun (p, mp) ->
-      Format.fprintf fmt "  %-16s [%s] %d stmts@," p.Behavior.name (m mp)
-        (Behavior.static_stmts p))
-    t.procs;
-  List.iter
-    (fun c ->
-      (* latency shown only when nonzero, keeping historic output for
-         immediate channels byte-identical *)
-      Format.fprintf fmt "  chan %-12s %s -> %s (depth %d%s)@," c.cname c.src
-        c.dst c.depth
-        (if c.latency > 0 then Printf.sprintf ", latency %d" c.latency else ""))
-    t.channels;
-  Format.fprintf fmt "@]"

@@ -43,25 +43,7 @@ val find_proc : t -> string -> Behavior.proc * mapping
 (** @raise Invalid_argument on unknown name, listing the processes the
     network does declare. *)
 
-val find_channel : t -> string -> channel
-(** @raise Invalid_argument on unknown name, listing the channels the
-    network does declare. *)
-
-val channels_between : t -> string -> string -> channel list
-(** Channels with the given (src, dst) process pair. *)
-
-val cut_channels : t -> channel list
-(** Channels that cross the HW/SW boundary under the current mapping —
-    the communication the partitioners try to minimise. *)
-
 val remap : t -> (string * mapping) list -> t
 (** Functional update of process mappings; unknown names are ignored. *)
 
-val sw_procs : t -> Behavior.proc list
 val hw_procs : t -> Behavior.proc list
-
-val comm_graph : t -> Graph_algo.t * string array
-(** Process-level communication graph (one node per process, one edge per
-    channel) plus the node-index-to-name table. *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,10 +56,7 @@ let graph g =
   Graph_algo.create ~n:(n_tasks g)
     ~edges:(List.map (fun e -> (e.src, e.dst)) g.edges)
 
-let succ g i = Graph_algo.succ (graph g) i
-let pred g i = Graph_algo.pred (graph g) i
 let in_edges g i = List.filter (fun e -> e.dst = i) g.edges
-let out_edges g i = List.filter (fun e -> e.src = i) g.edges
 
 let topo_order g =
   match Graph_algo.topo_sort (graph g) with
@@ -80,11 +77,6 @@ let total_sw_cycles g =
 
 let total_hw_area g =
   Array.fold_left (fun acc t -> acc + t.hw_area) 0 g.tasks
-
-let comm_words g u v =
-  List.fold_left
-    (fun acc e -> if e.src = u && e.dst = v then acc + e.words else acc)
-    0 g.edges
 
 let scale_deadline g f =
   let cp = float_of_int (sw_critical_path g) in

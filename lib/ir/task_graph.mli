@@ -74,11 +74,7 @@ val task :
 val n_tasks : t -> int
 val graph : t -> Graph_algo.t
 
-val succ : t -> int -> int list
-val pred : t -> int -> int list
-
 val in_edges : t -> int -> edge list
-val out_edges : t -> int -> edge list
 
 val topo_order : t -> int list
 (** Topological order (always succeeds: validated at construction). *)
@@ -90,13 +86,6 @@ val sw_critical_path : t -> int
 
 val total_sw_cycles : t -> int
 (** Sum of software cycles — the single-CPU sequential execution time. *)
-
-val total_hw_area : t -> int
-(** Sum of standalone hardware areas — the all-hardware area upper bound
-    before sharing. *)
-
-val comm_words : t -> int -> int -> int
-(** Total words on edges between an ordered pair of tasks (0 if none). *)
 
 val scale_deadline : t -> float -> t
 (** [scale_deadline g f] sets the deadline to [f *. sw critical path]

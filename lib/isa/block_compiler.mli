@@ -12,19 +12,10 @@
     block decodes a fresh overlapping block at the target pc — decoding
     has no architectural side effects, so overlap is harmless. *)
 
-val stride : int
-(** Ints per decoded record: [op; x; y; z; lat; pc].  [lat] is the
-    precomputed base latency (taken-branch +1 added by the executor);
-    [pc] is the instruction's own index — trap location for memory
-    accesses, halt pc, and base of fall-through and link addresses. *)
-
 (** {1 Micro-opcodes}
 
     A closed int enum.  [uop_alu]/[uop_alui]/[uop_b] are base values to
     which the operator index is added. *)
-
-val uop_alu : int
-(** +alu index; x=dest, y=src a, z=src b *)
 
 val uop_alui : int
 (** +alu index; x=dest, y=src a, z=immediate *)
@@ -53,14 +44,6 @@ val uop_jr : int
 (** x=register holding target pc *)
 
 val uop_halt : int
-
-val uop_end : int
-(** Block fell off without a terminator (unsafe instruction, end of
-    code, or {!max_block_instrs} reached); x = pc slot = next pc. *)
-
-val max_block_instrs : int
-(** Upper bound on instructions decoded into one block (terminator
-    included), bounding the fuel a block needs to run whole. *)
 
 type block = {
   uops : int array;  (** [n * stride] ints, records back to back *)

@@ -85,7 +85,8 @@ let rec range renv (e : B.expr) : (int * int) option =
               | None -> None)
           | _ -> None))
 
-let layout_of ?(base = default_base) (p : B.proc) =
+let layout_of (p : B.proc) =
+  let base = default_base in
   let vars = B.vars_of p in
   let next = ref base in
   let var_addr =
@@ -106,8 +107,8 @@ let layout_of ?(base = default_base) (p : B.proc) =
   in
   { base; var_addr; arr_addr; data_words = !next - base }
 
-let compile ?(base = default_base) ?(chan_ports = []) (p : B.proc) =
-  let lay = layout_of ~base p in
+let compile ?(chan_ports = []) (p : B.proc) =
+  let lay = layout_of p in
   (* variables can also appear first on the left-hand side of assignments
      inside generated code paths not covered by vars_of; vars_of already
      collects all, so lookup failures are internal errors. *)
@@ -348,11 +349,6 @@ let result lay cpu v =
   match List.assoc_opt v lay.var_addr with
   | Some a -> Cpu.read_mem cpu a
   | None -> invalid_arg ("Codegen.result: unknown variable " ^ v)
-
-let read_array lay cpu a i =
-  match List.assoc_opt a lay.arr_addr with
-  | Some addr -> Cpu.read_mem cpu (addr + i)
-  | None -> invalid_arg ("Codegen.read_array: unknown array " ^ a)
 
 exception Trapped of { proc : string; pc : int; msg : string }
 

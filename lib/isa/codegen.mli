@@ -5,7 +5,7 @@
     cycle counts are a stable software-cost model for the partitioners:
 
     - scalar variables and arrays live in a static data segment
-      (word-addressed, base {!default_base});
+      (word-addressed, from word 4096);
     - expressions evaluate on a register stack (r8-r27); programs whose
       expressions nest deeper than 20 are rejected;
     - every loop head and join point is labelled, so the profiler can
@@ -36,14 +36,7 @@ type layout = {
   data_words : int;  (** total data segment size *)
 }
 
-val default_base : int
-(** 4096. *)
-
-val layout_of : ?base:int -> Codesign_ir.Behavior.proc -> layout
-(** Address assignment only (no code). *)
-
 val compile :
-  ?base:int ->
   ?chan_ports:(string * int) list ->
   Codesign_ir.Behavior.proc ->
   Asm.item list * layout
@@ -65,9 +58,6 @@ val bind : layout -> Cpu.t -> (string * int) list -> unit
 
 val result : layout -> Cpu.t -> string -> int
 (** Reads a scalar variable back from CPU memory. *)
-
-val read_array : layout -> Cpu.t -> string -> int -> int
-(** Reads one array cell back from CPU memory. *)
 
 exception Trapped of { proc : string; pc : int; msg : string }
 (** The CPU trapped while executing a compiled behaviour: which

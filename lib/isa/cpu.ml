@@ -34,7 +34,6 @@ type t = {
          the block tier runs, accessing [mem] directly — nothing can
          perturb core state inside a block *)
   latency : int Isa.instr -> int;
-  irq_vector : int;
   mutable pc : int;
   mutable cycles : int;
   mutable instret : int;
@@ -50,8 +49,11 @@ type t = {
          the life of the CPU, so it survives [reset] *)
 }
 
+(* the instruction index an accepted interrupt jumps to *)
+let irq_vector = 1
+
 let create ?(mem_words = 65536) ?(env = default_env)
-    ?(latency = Isa.default_latency) ?(irq_vector = 1) code =
+    ?(latency = Isa.default_latency) code =
   (* no allocation checks the size any more, so check it here *)
   if mem_words < 0 || mem_words > Sys.max_array_length then
     invalid_arg
@@ -67,7 +69,6 @@ let create ?(mem_words = 65536) ?(env = default_env)
       env.mem_read == default_env.mem_read
       && env.mem_write == default_env.mem_write;
     latency;
-    irq_vector;
     pc = 0;
     cycles = 0;
     instret = 0;
@@ -199,7 +200,6 @@ let first_mem_difference a b =
   if !i < n then Some (!i, word ma, word mb) else None
 
 let set_irq t level = t.irq_line <- level
-let irq_enabled t = t.irq_enable
 let on_retire t cb = t.retire_cb <- Some cb
 
 let alu op a b =
@@ -240,7 +240,7 @@ let step t =
       if t.irq_line && t.irq_enable && not t.in_isr then begin
         let intr_pc = t.pc in
         t.epc <- t.pc;
-        t.pc <- t.irq_vector;
+        t.pc <- irq_vector;
         t.in_isr <- true;
         t.irq_enable <- false;
         t.cycles <- t.cycles + 2;

@@ -48,7 +48,6 @@ val create :
   ?mem_words:int ->
   ?env:env ->
   ?latency:(int Isa.instr -> int) ->
-  ?irq_vector:int ->
   Isa.program ->
   t
 (** [mem_words] is the size of the data address space, default 65536:
@@ -57,7 +56,8 @@ val create :
     grows geometrically (capped at [mem_words]) when a store lands past
     the allocated prefix, and a word never written reads 0.  A CPU thus
     costs what its program touches, not the whole address space.
-    [latency] defaults to {!Isa.default_latency}, [irq_vector] to 1.
+    [latency] defaults to {!Isa.default_latency}.  An accepted
+    interrupt jumps to instruction 1.
     @raise Invalid_argument if [mem_words] is negative or larger than
     [Sys.max_array_length]. *)
 
@@ -99,8 +99,6 @@ val trap : t -> string -> unit
 
 val set_irq : t -> bool -> unit
 (** Drive the interrupt request line. *)
-
-val irq_enabled : t -> bool
 
 val step : t -> int
 (** Execute one instruction (or take a pending interrupt).  Returns the

@@ -85,25 +85,6 @@ let aluop_name = function
 
 let cond_name = function Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Ge -> "ge"
 
-let mnemonic = function
-  | Alu (op, _, _, _) -> aluop_name op
-  | Alui (op, _, _, _) -> aluop_name op ^ "i"
-  | Li _ -> "li"
-  | Lw _ -> "lw"
-  | Sw _ -> "sw"
-  | B (c, _, _, _) -> "b." ^ cond_name c
-  | J _ -> "j"
-  | Jal _ -> "jal"
-  | Jr _ -> "jr"
-  | In _ -> "in"
-  | Out _ -> "out"
-  | Custom (e, _, _, _) -> Printf.sprintf "cust%d" e
-  | Ei -> "ei"
-  | Di -> "di"
-  | Rti -> "rti"
-  | Nop -> "nop"
-  | Halt -> "halt"
-
 let pp ~target fmt i =
   let f = Format.fprintf in
   match i with

@@ -75,9 +75,6 @@ val default_latency : 'a instr -> int
 val map_target : ('a -> 'b) -> 'a instr -> 'b instr
 (** Rewrites branch targets (used by the assembler). *)
 
-val mnemonic : 'a instr -> string
-(** Opcode mnemonic without operands, e.g. ["add"], ["b.lt"]. *)
-
 val pp : target:('lbl -> string) -> Format.formatter -> 'lbl instr -> unit
 (** Full textual form, e.g. [add r3, r1, r2]. *)
 

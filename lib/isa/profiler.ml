@@ -23,7 +23,6 @@ let attach cpu image =
   t
 
 let total_cycles t = t.total
-let cycles_at t i = t.counts.(i)
 
 let by_label t =
   let tbl = Hashtbl.create 16 in
@@ -43,16 +42,3 @@ let by_label t =
   |> List.sort (fun (la, a) (lb, b) ->
          if a <> b then compare b a else compare la lb)
 
-let hot_regions ?(top = 5) t =
-  let total = float_of_int (max t.total 1) in
-  by_label t
-  |> List.filteri (fun i _ -> i < top)
-  |> List.map (fun (l, c) -> (l, c, float_of_int c /. total))
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>profile: %d cycles total@," t.total;
-  List.iter
-    (fun (l, c, f) ->
-      Format.fprintf fmt "  %-20s %10d cycles  %5.1f%%@," l c (100. *. f))
-    (hot_regions ~top:10 t);
-  Format.fprintf fmt "@]"

@@ -14,15 +14,6 @@ val attach : Cpu.t -> Asm.image -> t
 
 val total_cycles : t -> int
 
-val cycles_at : t -> int -> int
-(** Cycles attributed to one instruction index. *)
-
 val by_label : t -> (string * int) list
 (** Cycles aggregated by covering label, sorted by descending cycles;
     instructions before the first label aggregate under ["<entry>"]. *)
-
-val hot_regions : ?top:int -> t -> (string * int * float) list
-(** The [top] (default 5) hottest labelled regions as
-    (label, cycles, fraction of total). *)
-
-val pp : Format.formatter -> t -> unit

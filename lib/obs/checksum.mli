@@ -21,8 +21,5 @@ val fold_int : int64 -> int -> int64
     [min_int] included, without building the string.  Hashing a record
     of ints this way allocates nothing per field but the boxed result. *)
 
-val hex : int64 -> string
-(** 16 lowercase hex digits. *)
-
 val of_string : string -> string
 (** [hex (fnv1a64 s)] — the form stored in benchmark reports. *)

@@ -75,9 +75,6 @@ val schema_version : int
     campaigns that complete despite dead cells).  The reader accepts
     v2 files ([degraded] absent = [None] everywhere). *)
 
-val min_schema_version : int
-(** 2 — oldest version {!of_json} accepts. *)
-
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 

@@ -132,5 +132,4 @@ let of_json j =
 
 (* ------------------------------------------------------------------ *)
 
-let write ~path r = Json.write_file ~path (to_json r)
 let read ~path = Json.read_file ~path of_json

@@ -44,15 +44,9 @@ val schema_version : int
     dead or deadline-cut cases).  The reader accepts v1 files
     ([degraded] absent = []). *)
 
-val min_schema_version : int
-(** 1 — oldest version {!of_json} accepts. *)
-
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
 (** Validates field presence, types and [schema_version]. *)
-
-val write : path:string -> t -> unit
-(** Pretty-printed JSON, trailing newline. *)
 
 val read : path:string -> (t, string) result

@@ -47,15 +47,11 @@ exception Worker_error of failure list
     joined) when tasks raised: the complete failure list in ascending
     index order — never empty, never a partial view. *)
 
-val default_jobs : unit -> int
-(** [max 1 (Domain.recommended_domain_count ())]: what callers should
-    use when the user did not pick a [--jobs] value. *)
-
 val map : ?jobs:int -> ?name:(int -> string) -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f tasks] applies [f] to every element of [tasks] on a
     pool of [jobs] domains (the calling domain works too; [jobs - 1]
     helpers are spawned, and never more than there are tasks) and
     returns the results in task order.  [jobs] defaults to
-    {!default_jobs} and is clamped to at least 1; [jobs <= 1] runs
-    entirely on the calling domain with no spawns.  [name] labels tasks
+    [Domain.recommended_domain_count ()] and is clamped to at least 1;
+    [jobs <= 1] runs entirely on the calling domain with no spawns.  [name] labels tasks
     for {!Worker_error} messages. *)

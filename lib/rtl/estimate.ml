@@ -20,11 +20,13 @@ let fu_delay = function
 
 let hw_op_delay op = fu_delay (C.opcode_name op)
 
-let default_reuse_factor = 4
-let default_task_overhead = 64
+(* a unit is time-multiplexed this many times per invocation *)
+let reuse_factor = 4
 
-let fu_need ?(reuse_factor = default_reuse_factor) ops =
-  if reuse_factor <= 0 then invalid_arg "Estimate: reuse_factor must be > 0";
+(* per-task controller and wiring overhead *)
+let task_overhead = 64
+
+let fu_need ops =
   (* merge duplicate kinds first *)
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -39,41 +41,34 @@ let fu_need ?(reuse_factor = default_reuse_factor) ops =
     tbl []
   |> List.sort compare
 
-let standalone_area ?(reuse_factor = default_reuse_factor)
-    ?(overhead = default_task_overhead) ops =
+let standalone_area ops =
   List.fold_left
     (fun acc (k, units) -> acc + (units * fu_area k))
-    overhead
-    (fu_need ~reuse_factor ops)
+    task_overhead (fu_need ops)
 
 module Incremental = struct
   type t = {
-    reuse_factor : int;
-    overhead : int;
     tasks : (int, (string * int) list) Hashtbl.t;  (** id -> needs *)
     alloc : (string, int) Hashtbl.t;  (** kind -> allocated units *)
   }
 
-  let create ?(reuse_factor = default_reuse_factor)
-      ?(overhead = default_task_overhead) () =
-    { reuse_factor; overhead; tasks = Hashtbl.create 16;
-      alloc = Hashtbl.create 16 }
+  let create () = { tasks = Hashtbl.create 16; alloc = Hashtbl.create 16 }
 
   let alloc_of t k = try Hashtbl.find t.alloc k with Not_found -> 0
 
   let incremental_cost t ops =
-    let needs = fu_need ~reuse_factor:t.reuse_factor ops in
+    let needs = fu_need ops in
     List.fold_left
       (fun acc (k, n) ->
         let extra = max 0 (n - alloc_of t k) in
         acc + (extra * fu_area k))
-      t.overhead needs
+      task_overhead needs
 
   let add t ~id ops =
     if Hashtbl.mem t.tasks id then
       invalid_arg
         (Printf.sprintf "Estimate.Incremental.add: duplicate id %d" id);
-    let needs = fu_need ~reuse_factor:t.reuse_factor ops in
+    let needs = fu_need ops in
     let cost = incremental_cost t ops in
     List.iter
       (fun (k, n) ->
@@ -105,7 +100,7 @@ module Incremental = struct
     let fu =
       Hashtbl.fold (fun k n acc -> acc + (n * fu_area k)) t.alloc 0
     in
-    fu + (t.overhead * Hashtbl.length t.tasks)
+    fu + (task_overhead * Hashtbl.length t.tasks)
 
   let allocation t =
     Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.alloc []

@@ -10,40 +10,30 @@
     functions can be reused.  {!Incremental} maintains the running
     allocation so each query is O(op kinds), cheap enough to sit inside a
     partitioning inner loop.  The per-kind requirement of a function is
-    [ceil (count / reuse_factor)]: a unit is time-multiplexed
-    [reuse_factor] times per invocation. *)
+    [ceil (count / 4)]: a unit is time-multiplexed 4 times per
+    invocation.  Both estimators add a fixed 64 per task for its
+    controller and wiring. *)
 
 val fu_area : string -> int
 (** Area of one functional unit by operator name ({!Codesign_ir.Cdfg.opcode_name});
     unknown names cost 32. *)
 
-val fu_delay : string -> int
-(** Hardware latency in cycles of one operation on its unit (mul 2,
-    div/rem 8, memory 2, everything else 1); unknown names take 1. *)
-
 val hw_op_delay : Codesign_ir.Cdfg.opcode -> int
-(** {!fu_delay} lifted to opcodes — the delay model handed to HLS. *)
+(** Hardware latency in cycles of an operation on its unit (mul 2,
+    div/rem 8, memory 2, everything else 1) — the delay model handed to
+    HLS. *)
 
-val default_reuse_factor : int
-(** 4. *)
-
-val default_task_overhead : int
-(** Fixed per-task controller/wiring overhead added by both estimators
-    (64). *)
-
-val fu_need :
-  ?reuse_factor:int -> (string * int) list -> (string * int) list
+val fu_need : (string * int) list -> (string * int) list
 (** Per-kind FU requirement of an operation mix, sorted by kind. *)
 
-val standalone_area :
-  ?reuse_factor:int -> ?overhead:int -> (string * int) list -> int
+val standalone_area : (string * int) list -> int
 (** Area of a dedicated, unshared implementation of one function. *)
 
 (** The incremental sharing-aware estimator. *)
 module Incremental : sig
   type t
 
-  val create : ?reuse_factor:int -> ?overhead:int -> unit -> t
+  val create : unit -> t
 
   val incremental_cost : t -> (string * int) list -> int
   (** Area that adding a function with this op mix would add, given the

@@ -263,9 +263,3 @@ let run ?(env = null_env) ?(regs = []) ?(max_cycles = 1_000_000) t =
     |> List.sort compare
   in
   { cycles = !cycles; final_regs = final; halted_in = !current.sname }
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>fsmd %s: %d states, %d regs, area %d@]" t.name
-    (n_states t)
-    (List.length (registers t))
-    (area t)

@@ -90,5 +90,3 @@ val run :
     (missing registers start at 0).  Stops when no transition fires, or
     traps via @raise Invalid_argument when [max_cycles] (default
     1_000_000) is exceeded. *)
-
-val pp : Format.formatter -> t -> unit

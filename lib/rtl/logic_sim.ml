@@ -156,8 +156,6 @@ let output t name =
   | Some id -> t.values.(id)
   | None -> unknown_name t `Output name
 
-let net t i = t.values.(i)
-
 let clock_cycle t =
   eval t;
   (* sample all D inputs first, then update all Q outputs, into a buffer
@@ -189,13 +187,10 @@ let restore t s =
   Array.blit s.s_values 0 t.values 0 (Array.length t.values);
   t.cycles <- s.s_cycles
 
-let run_vectors ?(reset = true) t ~inputs vectors =
-  if reset then
-    (* fresh DFF/net state per call: vector responses must not depend on
-       whatever a previous [run_vectors] left latched *)
-    (Array.fill t.values 0 (Array.length t.values) 0;
-     if Array.length t.values > 1 then t.values.(1) <- 1;
-     t.cycles <- 0);
+let run_vectors t ~inputs vectors =
+  (* fresh DFF/net state per call: vector responses must not depend on
+     whatever a previous [run_vectors] left latched *)
+  reset t;
   let outs = List.map (fun (n, _) -> (n, ref [])) t.net.Netlist.outputs in
   List.iter
     (fun vec ->
@@ -204,92 +199,3 @@ let run_vectors ?(reset = true) t ~inputs vectors =
       List.iter (fun (n, acc) -> acc := output t n :: !acc) outs)
     vectors;
   List.map (fun (n, acc) -> (n, List.rev !acc)) outs
-
-(* ------------------------------------------------------------------ *)
-(* the interpreted reference evaluator                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Interp = struct
-  type t = {
-    net : Netlist.t;
-    values : int array;
-    order : Netlist.gate array;
-    dffs : Netlist.gate array;
-    mutable cycles : int;
-  }
-
-  let create net =
-    Netlist.validate net;
-    let values = Array.make net.Netlist.n_nets 0 in
-    if net.Netlist.n_nets > 1 then values.(1) <- 1;
-    let dffs =
-      Array.of_list
-        (List.filter
-           (fun (g : Netlist.gate) -> g.Netlist.kind = Netlist.Dff)
-           net.Netlist.gates)
-    in
-    { net; values; order = topo_comb_order net; dffs; cycles = 0 }
-
-  let set_input t name v =
-    let id = List.assoc name t.net.Netlist.inputs in
-    t.values.(id) <- (if v <> 0 then 1 else 0)
-
-  let eval_gate t (g : Netlist.gate) =
-    let v i = t.values.(List.nth g.Netlist.inputs i) in
-    let r =
-      match g.Netlist.kind with
-      | Netlist.And -> v 0 land v 1
-      | Netlist.Or -> v 0 lor v 1
-      | Netlist.Xor -> v 0 lxor v 1
-      | Netlist.Nand -> 1 - (v 0 land v 1)
-      | Netlist.Nor -> 1 - (v 0 lor v 1)
-      | Netlist.Not -> 1 - v 0
-      | Netlist.Buf -> v 0
-      | Netlist.Mux -> if v 0 = 0 then v 1 else v 2
-      | Netlist.Dff -> assert false
-    in
-    t.values.(g.Netlist.output) <- r
-
-  let eval t = Array.iter (eval_gate t) t.order
-
-  let output t name = t.values.(List.assoc name t.net.Netlist.outputs)
-
-  let clock_cycle t =
-    eval t;
-    let ds =
-      Array.map
-        (fun (g : Netlist.gate) -> t.values.(List.hd g.Netlist.inputs))
-        t.dffs
-    in
-    Array.iteri (fun i g -> t.values.(g.Netlist.output) <- ds.(i)) t.dffs;
-    eval t;
-    t.cycles <- t.cycles + 1
-
-  let cycles_run t = t.cycles
-
-  type snap = { s_values : int array; s_cycles : int }
-
-  let snapshot t = { s_values = Array.copy t.values; s_cycles = t.cycles }
-
-  let restore t s =
-    if Array.length s.s_values <> Array.length t.values then
-      invalid_arg "Logic_sim.Interp.restore: snapshot from a different netlist";
-    Array.blit s.s_values 0 t.values 0 (Array.length t.values);
-    t.cycles <- s.s_cycles
-
-  let reset t =
-    Array.fill t.values 0 (Array.length t.values) 0;
-    if Array.length t.values > 1 then t.values.(1) <- 1;
-    t.cycles <- 0
-
-  let run_vectors t ~inputs vectors =
-    reset t;
-    let outs = List.map (fun (n, _) -> (n, ref [])) t.net.Netlist.outputs in
-    List.iter
-      (fun vec ->
-        List.iter2 (fun name v -> set_input t name v) inputs vec;
-        clock_cycle t;
-        List.iter (fun (n, acc) -> acc := output t n :: !acc) outs)
-      vectors;
-    List.map (fun (n, acc) -> (n, List.rev !acc)) outs
-end

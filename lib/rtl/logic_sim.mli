@@ -11,9 +11,9 @@
     synchronous semantics (all flops update simultaneously from their
     pre-clock D values).
 
-    The pre-compile gate-list interpreter survives as {!Interp}, the
-    differential reference the equivalence property tests and the
-    before/after microbenchmarks run against. *)
+    The pre-compile gate-list interpreter lives on as the test-only
+    reference [test/reference/logic_interp.ml], which the equivalence
+    property tests and the before/after microbenchmarks run against. *)
 
 type t
 
@@ -32,9 +32,6 @@ val output : t -> string -> int
 (** Read a primary output (after {!eval}).  @raise Invalid_argument
     naming the offending signal on an unknown output name. *)
 
-val net : t -> int -> int
-(** Read any net by id. *)
-
 val clock_cycle : t -> unit
 (** One synchronous cycle: evaluate, then latch all DFFs from their D
     inputs, then evaluate again so outputs reflect the new state. *)
@@ -45,13 +42,10 @@ val reset : t -> unit
 (** Clear all net values and flop states to 0 (constant-1 net stays 1). *)
 
 val run_vectors :
-  ?reset:bool -> t -> inputs:string list -> int list list ->
-  (string * int list) list
-(** Apply each input vector (values parallel to [inputs]), run
-    {!clock_cycle}, and collect each primary output's waveform.  By
-    default the simulator is {!reset} first so repeated calls are
-    independent experiments; pass [~reset:false] to deliberately carry
-    DFF/net state over from a previous run. *)
+  t -> inputs:string list -> int list list -> (string * int list) list
+(** {!reset}, then apply each input vector (values parallel to
+    [inputs]), run {!clock_cycle}, and collect each primary output's
+    waveform.  Repeated calls are independent experiments. *)
 
 (** {2 Snapshot / restore}
 
@@ -70,31 +64,3 @@ val restore : t -> snap -> unit
 (** Rewind net values (including every DFF) and the cycle counter.
     @raise Invalid_argument if the snapshot came from a simulator over
     a netlist with a different net count. *)
-
-(** The pre-compile interpreted evaluator (gate records, [List.nth]
-    operand lookup), kept verbatim as a differential reference: the
-    equivalence property tests run random netlists through both
-    backends, and the [logic_sim] microbenchmarks quote compiled
-    vs. interpreted throughput.  Not intended for production callers. *)
-module Interp : sig
-  type t
-
-  val create : Netlist.t -> t
-  val set_input : t -> string -> int -> unit
-  (** @raise Not_found on unknown input name (historical behaviour). *)
-
-  val eval : t -> unit
-  val output : t -> string -> int
-  val clock_cycle : t -> unit
-  val cycles_run : t -> int
-  val reset : t -> unit
-
-  val run_vectors :
-    t -> inputs:string list -> int list list -> (string * int list) list
-  (** Always resets first, matching the compiled default. *)
-
-  type snap
-
-  val snapshot : t -> snap
-  val restore : t -> snap -> unit
-end

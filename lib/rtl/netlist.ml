@@ -136,7 +136,6 @@ module Builder = struct
         reduce b f neutral (pair xs)
 
   let and_many b xs = reduce b and2 const1 xs
-  let or_many b xs = reduce b or2 const0 xs
 
   let output b name n = b.boutputs <- (name, n) :: b.boutputs
 
@@ -166,9 +165,3 @@ let decoder ?(name = "decoder") ~width ~match_value () =
   in
   Builder.output b "hit" (Builder.and_many b bits);
   Builder.finish b
-
-let pp_stats fmt t =
-  Format.fprintf fmt
-    "netlist %s: %d gates (%d dff), area %d NAND-eq, %d in, %d out" t.name
-    (gate_count t) (dff_count t) (area t) (List.length t.inputs)
-    (List.length t.outputs)

@@ -30,12 +30,6 @@ type t = {
   outputs : (string * int) list;  (** primary outputs *)
 }
 
-val gate_arity : gate_kind -> int
-
-val gate_area : gate_kind -> int
-(** Unit-area table (NAND-equivalents): simple gates 1-2, [Mux] 3,
-    [Dff] 6. *)
-
 val area : t -> int
 val gate_count : t -> int
 val dff_count : t -> int
@@ -61,9 +55,6 @@ module Builder : sig
   val input : b -> string -> int
   (** Declare a primary input net. *)
 
-  val fresh : b -> int
-  (** An undriven internal net (to be driven by exactly one gate). *)
-
   val gate : b -> gate_kind -> int list -> int
   (** Create a gate driving a fresh net; returns the output net. *)
 
@@ -77,9 +68,6 @@ module Builder : sig
   val and_many : b -> int list -> int
   (** Balanced AND tree; [and_many [] = const1]. *)
 
-  val or_many : b -> int list -> int
-  (** Balanced OR tree; [or_many [] = const0]. *)
-
   val output : b -> string -> int -> unit
   (** Declare a primary output connected to an existing net. *)
 
@@ -91,5 +79,3 @@ val decoder : ?name:string -> width:int -> match_value:int -> unit -> t
 (** A [width]-bit equality decoder: output ["hit"] is 1 iff inputs
     [a0..a(width-1)] encode [match_value] (LSB first) — the canonical
     address-decode glue block. *)
-
-val pp_stats : Format.formatter -> t -> unit

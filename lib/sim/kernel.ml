@@ -28,7 +28,6 @@ type t = {
   mutable blocked : proc array;
       (** the blocked processes, dense in [0, n_blocked) *)
   mutable n_blocked : int;
-  mutable tracer : (int -> string -> unit) option;
   mutable next_lane : int;  (** arrival-lane key allocator *)
   mutable running : bool;
       (** a process resumed by this kernel's dispatch is executing: set by
@@ -85,7 +84,6 @@ let merge_domain_totals d =
 
 type _ Effect.t +=
   | Wait : int -> unit Effect.t
-  | Yield : unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
   | Whoami : string Effect.t
 
@@ -100,7 +98,6 @@ let create () =
     spawned = 0;
     blocked = [||];
     n_blocked = 0;
-    tracer = None;
     next_lane = 0;
     running = false;
     bound = -1;
@@ -199,14 +196,6 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
                         k.running <- true;
                         continue cont ())
                   end)
-          | Yield ->
-              Some
-                (fun (cont : (a, unit) continuation) ->
-                  k.running <- false;
-                  at k ~time:k.now (fun () ->
-                      k.activations <- k.activations + 1;
-                      k.running <- true;
-                      continue cont ()))
           | Suspend register ->
               Some
                 (fun (cont : (a, unit) continuation) ->
@@ -236,7 +225,6 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
 let in_process f = try f () with Effect.Unhandled _ -> raise Not_in_process
 
 let wait n = in_process (fun () -> perform (Wait n))
-let yield () = in_process (fun () -> perform Yield)
 let suspend ~register = in_process (fun () -> perform (Suspend register))
 let self_name () = try perform Whoami with Effect.Unhandled _ -> "?"
 
@@ -392,7 +380,3 @@ let restore k s =
   k.n_blocked <- 0;
   Array.iter (block k) s.s_blocked
 
-let trace k sink = k.tracer <- Some sink
-
-let emit k msg =
-  match k.tracer with None -> () | Some sink -> sink k.now msg

@@ -2,7 +2,7 @@
 
     Processes are cooperative coroutines implemented with OCaml 5 effect
     handlers: a process is an ordinary function that calls the blocking
-    primitives {!wait} / {!suspend} / {!yield}; the kernel captures the
+    primitives {!wait} / {!suspend}; the kernel captures the
     continuation and resumes it when simulated time or a wake-up
     condition arrives.  This mirrors the structure of an HDL simulator's
     process model while letting hardware models, instruction-set
@@ -198,10 +198,6 @@ val wait : int -> unit
     whose wake-up time overflows makes the run raise
     [Invalid_argument]. *)
 
-val yield : unit -> unit
-(** Reschedule after events already pending at the current time — a
-    delta-cycle boundary. *)
-
 val suspend : register:((unit -> unit) -> unit) -> unit
 (** The general blocking primitive: captures the continuation and passes
     a [resume] thunk to [register]; calling [resume] (exactly once, at
@@ -224,8 +220,7 @@ val self_name : unit -> string
     live part of the kernel's dense blocked array, one record per
     process blocked at that moment (made once at {!spawn}: name, daemon
     flag, slot).  {!restore} empties the current set and registers the
-    saved records again.  It does {e not} capture the tracer sink
-    or the per-domain cumulative totals, and it cannot capture the
+    saved records again.  It does {e not} capture the per-domain cumulative totals, and it cannot capture the
     insides of blocked processes: effect continuations are one-shot, so
     a process blocked in {!suspend} at snapshot time belongs to the
     timeline it was captured on.  The supported fork discipline —
@@ -247,11 +242,3 @@ val restore : t -> snap -> unit
     events; processes blocked since are abandoned (never resumed) and
     no longer count as blocked, while those blocked at the snapshot
     count as blocked again. *)
-
-(** {2 Tracing} *)
-
-val trace : t -> (int -> string -> unit) -> unit
-(** Install a trace sink receiving (time, message). *)
-
-val emit : t -> string -> unit
-(** Emit a trace message at the current time (no-op without a sink). *)

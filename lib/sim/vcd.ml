@@ -2,14 +2,12 @@ type watched = { wname : string; width : int; code : string }
 
 type t = {
   kernel : Kernel.t;
-  timescale : string;
   mutable watchlist : watched list;  (** reversed *)
   mutable records : (int * string * int) list;  (** reversed: time, code, v *)
   mutable next_code : int;
 }
 
-let create ?(timescale = "1ns") kernel =
-  { kernel; timescale; watchlist = []; records = []; next_code = 0 }
+let create kernel = { kernel; watchlist = []; records = []; next_code = 0 }
 
 (* VCD identifier codes: printable ASCII starting at '!' *)
 let code_of_int n =
@@ -60,8 +58,7 @@ let value_change w v =
 let dump t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "$timescale %s $end\n$scope module codesign $end\n"
-       t.timescale);
+    "$timescale 1ns $end\n$scope module codesign $end\n";
   let watches = List.rev t.watchlist in
   List.iter
     (fun w ->

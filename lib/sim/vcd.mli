@@ -19,8 +19,8 @@
 
 type t
 
-val create : ?timescale:string -> Kernel.t -> t
-(** [timescale] defaults to ["1ns"]. *)
+val create : Kernel.t -> t
+(** One simulated time unit is written as 1 ns. *)
 
 val watch : t -> ?width:int -> int Signal.t -> unit
 (** Record every (waking) change of the signal under its {!Signal.name}.

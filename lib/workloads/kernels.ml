@@ -14,7 +14,8 @@ let idx a e = B.Idx (a, e)
 let set x e = B.Assign (x, e)
 let for_ x lo hi body = B.For (x, lo, hi, body)
 
-let fir ?(taps = 8) () =
+let fir () =
+  let taps = 8 in
   {
     B.name = "fir";
     params = [ "n" ];
@@ -99,7 +100,8 @@ let dct8 () =
     body;
   }
 
-let crc32 ?(len = 8) () =
+let crc32 () =
+  let len = 8 in
   {
     B.name = "crc32";
     params = [];
@@ -121,7 +123,8 @@ let crc32 ?(len = 8) () =
       ];
   }
 
-let matmul ?(dim = 3) () =
+let matmul () =
+  let dim = 3 in
   let d2 = dim * dim in
   {
     B.name = "matmul";
@@ -165,7 +168,8 @@ let dot_product () =
       ];
   }
 
-let histogram ?(bins = 8) () =
+let histogram () =
+  let bins = 8 in
   {
     B.name = "histogram";
     params = [ "n" ];

@@ -9,38 +9,28 @@
     (software), HLS estimation/synthesis (hardware), and ASIP pattern
     mining. *)
 
-val fir : ?taps:int -> unit -> Codesign_ir.Behavior.proc
-(** FIR filter over ["x"] (n samples) with coefficient array ["h"]
-    ([taps], default 8); writes ["y"].  Params: ["n"].  Arrays must be
-    bound by the caller ("x[i]", "h[i]"). *)
-
-val iir_biquad : unit -> Codesign_ir.Behavior.proc
-(** Direct-form-I biquad over ["x"] (param ["n"] samples) with integer
-    coefficients scaled by 256; writes ["y"]. *)
+(** The kernels of {!all}:
+    - ["fir"]: 8-tap FIR filter over ["x"] (param ["n"] samples) with
+      coefficients ["h"]; result ["y"].
+    - ["iir_biquad"]: direct-form-I biquad over ["x"] (param ["n"]
+      samples) with integer coefficients scaled by 256; writes ["y"].
+    - ["dct8"]: 8-point 1-D DCT-II (see {!dct8}).
+    - ["crc32"]: bitwise CRC-32 (poly 0xEDB88320) over 8 words of
+      ["data"]; result ["crc"].
+    - ["matmul"]: 3x3 integer matrix multiply of ["a"] and ["b"] into
+      ["c"]; result ["checksum"] (sum of [c]).
+    - ["dot"]: dot product of ["a"] and ["b"] over param ["n"]; result
+      ["acc"].
+    - ["histogram"]: histogram of ["data"] (param ["n"] values) into 8
+      bins by masking; result ["peak"] (max bin count).
+    - ["saturating_scale"]: scales ["x"] (param ["n"] samples) by
+      ["k"]/16 with clamping to [-128, 127]; results ["clipped"]
+      (count) and ["sum"]. *)
 
 val dct8 : unit -> Codesign_ir.Behavior.proc
 (** 8-point 1-D DCT-II (integer, scaled): params ["x0".."x7"], results
     ["y0".."y7"].  Straight-line and multiplier-rich: the HLS and ASIP
     showcase. *)
-
-val crc32 : ?len:int -> unit -> Codesign_ir.Behavior.proc
-(** Bitwise CRC-32 (poly 0xEDB88320) over array ["data"] of [len]
-    (default 8) words; result ["crc"]. *)
-
-val matmul : ?dim:int -> unit -> Codesign_ir.Behavior.proc
-(** [dim]x[dim] (default 3) integer matrix multiply of arrays ["a"] and
-    ["b"] into ["c"]; result ["checksum"] (sum of [c]). *)
-
-val dot_product : unit -> Codesign_ir.Behavior.proc
-(** Dot product of ["a"] and ["b"] over param ["n"]; result ["acc"]. *)
-
-val histogram : ?bins:int -> unit -> Codesign_ir.Behavior.proc
-(** Histogram of array ["data"] (param ["n"] values) into [bins]
-    (default 8) by masking; result ["peak"] (max bin count). *)
-
-val saturating_scale : unit -> Codesign_ir.Behavior.proc
-(** Scales array ["x"] of ["n"] samples by ["k"]/16 with clamping to
-    [-128, 127]; results ["clipped"] (count) and ["sum"]. *)
 
 val all : (string * Codesign_ir.Behavior.proc * (string * int) list) list
 (** Every kernel with default sizes and a canonical binding set —

@@ -34,7 +34,3 @@ val generate : spec -> Codesign_ir.Task_graph.t
 
 val archetype_of_task : Codesign_ir.Task_graph.task -> archetype
 (** Recovered from the operation mix (for reporting). *)
-
-val speedup_of : archetype -> float
-(** Hardware-over-software speedup assumed per archetype
-    (Dsp 12x, Bitops 8x, Memory 3x, Control 1.6x). *)

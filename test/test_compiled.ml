@@ -12,6 +12,7 @@
 
 module N = Codesign_rtl.Netlist
 module L = Codesign_rtl.Logic_sim
+module Interp = Codesign_reference.Logic_interp
 module Rng = Codesign_ir.Rng
 module Cpu = Codesign_isa.Cpu
 module Codegen = Codesign_isa.Codegen
@@ -67,16 +68,16 @@ let test_logic_sim_equivalence () =
     let net, inputs = gen_netlist rng in
     let vectors = gen_vectors rng (List.length inputs) in
     let compiled = L.create net in
-    let interp = L.Interp.create net in
+    let interp = Interp.create net in
     let r_compiled = L.run_vectors compiled ~inputs vectors in
-    let r_interp = L.Interp.run_vectors interp ~inputs vectors in
+    let r_interp = Interp.run_vectors interp ~inputs vectors in
     if r_compiled <> r_interp then
       fail
         (Printf.sprintf "case %d: compiled and interpreted outputs differ"
            case);
     check Alcotest.int
       (Printf.sprintf "case %d: cycles_run" case)
-      (L.Interp.cycles_run interp)
+      (Interp.cycles_run interp)
       (L.cycles_run compiled);
     (* the compiled default resets first, so a second identical run is an
        independent experiment with identical waveforms *)
@@ -91,16 +92,16 @@ let test_logic_sim_eval_equivalence () =
     let net, inputs = gen_netlist rng in
     let vec = List.map (fun _ -> Rng.int rng 2) inputs in
     let compiled = L.create net in
-    let interp = L.Interp.create net in
+    let interp = Interp.create net in
     List.iter2 (fun nm v -> L.set_input compiled nm v) inputs vec;
-    List.iter2 (fun nm v -> L.Interp.set_input interp nm v) inputs vec;
+    List.iter2 (fun nm v -> Interp.set_input interp nm v) inputs vec;
     L.eval compiled;
-    L.Interp.eval interp;
+    Interp.eval interp;
     List.iter
       (fun (nm, _) ->
         check Alcotest.int
           (Printf.sprintf "case %d: output %s" case nm)
-          (L.Interp.output interp nm) (L.output compiled nm))
+          (Interp.output interp nm) (L.output compiled nm))
       net.N.outputs
   done
 

@@ -178,19 +178,12 @@ let test_cost_sharing_reduces_area () =
   check Alcotest.bool "sharing cheaper" true (shared < unshared)
 
 let test_cost_hw_serialisation () =
-  (* two independent HW tasks: parallel engine vs single accelerator *)
+  (* two independent HW tasks run concurrently: no serialisation *)
   let g =
     T.make [ mk 0 100 20 10; mk 1 100 20 10 ] []
   in
-  let p = [| true; true |] in
-  let par = Cost.evaluate g p in
-  let ser =
-    Cost.evaluate
-      ~params:{ Cost.default_params with Cost.hw_parallel = false }
-      g p
-  in
-  check Alcotest.int "parallel" 20 par.Cost.latency;
-  check Alcotest.int "serial" 40 ser.Cost.latency
+  let par = Cost.evaluate g [| true; true |] in
+  check Alcotest.int "parallel" 20 par.Cost.latency
 
 let test_cost_parallelism_scaling () =
   let serial_task =
@@ -198,9 +191,12 @@ let test_cost_parallelism_scaling () =
       ~parallelism:0.0 ()
   in
   let par_task = { serial_task with T.parallelism = 1.0 } in
-  let p = Cost.default_params in
+  let hw_latency t =
+    let g = T.make [ t ] [] in
+    (Cost.evaluate g (Cost.all_hw g)).Cost.latency
+  in
   check Alcotest.bool "serial task gains less in hw" true
-    (Cost.hw_task_cycles p serial_task > Cost.hw_task_cycles p par_task)
+    (hw_latency serial_task > hw_latency par_task)
 
 let test_cost_modifiability () =
   let t0 =

@@ -13,6 +13,39 @@ let non_empty name s =
 let test_run name f () = non_empty name (f ~quick:true ())
 let test_shape name f () = check Alcotest.bool (name ^ " shape") true (f ())
 
+(* EXPERIMENTS.md quotes its tables verbatim from
+   bench_tables_reference.txt in "```table EXP-..." blocks.  Run the
+   harness's writer over copies of both files: it must leave the
+   document exactly as it is, and it fails on a block naming no
+   reference table. *)
+let test_doc_quotes_reference () =
+  let exe = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let doc = read "../EXPERIMENTS.md" in
+  let dir = Filename.temp_dir "experiments_doc" "" in
+  let copy name text =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+        output_string oc text)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Array.to_list (Sys.readdir dir));
+      Sys.rmdir dir)
+    (fun () ->
+      copy "EXPERIMENTS.md" doc;
+      copy "bench_tables_reference.txt" (read "../bench_tables_reference.txt");
+      let rc =
+        Sys.command
+          (Printf.sprintf "cd %s && %s docs > /dev/null" (Filename.quote dir)
+             (Filename.quote exe))
+      in
+      check Alcotest.int "writer exit code" 0 rc;
+      check Alcotest.bool "EXPERIMENTS.md matches bench_tables_reference.txt"
+        true
+        (read (Filename.concat dir "EXPERIMENTS.md") = doc))
+
 let () =
   Alcotest.run "codesign_experiments"
     [
@@ -74,5 +107,10 @@ let () =
           Alcotest.test_case "expF recovery strictly improves up the ladder"
             `Quick
             (test_shape "expF" (fun () -> Exp_fault.shape_holds ()));
+        ] );
+      ( "docs",
+        [
+          Alcotest.test_case "EXPERIMENTS.md quotes the reference tables"
+            `Quick test_doc_quotes_reference;
         ] );
     ]

@@ -37,7 +37,7 @@ let test_campaign_byte_identical () =
    two engines still agree. *)
 let test_large_image_sweep () =
   let sweep engine =
-    F.Campaign.sweep ~seed:42 ~ops:8 ~warmup:4100 ~rates:[ 0.1 ] engine
+    F.Campaign.sweep ~seed:42 ~ops:8 ~warmup:4100 engine
   in
   let fork = sweep F.Campaign.Fork in
   List.iter
@@ -149,16 +149,17 @@ let test_unprotected_fault_visible () =
 
 let test_retry_recovers_transient_bus_faults () =
   let k = K.create () in
-  (* short stuck-at windows so that backoff (32 cycles/attempt) always
-     outlives a persistent fault: every fault is transient relative to
-     the retry budget, and recovery must therefore be total *)
+  (* backoff (128 cycles/attempt, growing) outlives a 600-cycle
+     stuck-at window within three retries: every fault is transient
+     relative to the retry budget, and recovery must therefore be
+     total *)
   let inj = F.Injector.create ~rate:0.15 ~seed:5 () in
   let map = M.create [ M.ram ~name:"ram" ~base:0 ~size:256 ] in
   let fb =
-    F.Faulty_bus.create ~timeout:48 ~stuck_cycles:20 k inj
+    F.Faulty_bus.create ~timeout:48 k inj
       (Codesign_bus.Transport.tlm k map)
   in
-  let budget = 6 and backoff = 32 in
+  let budget = 6 and backoff = 128 in
   let with_retry op =
     let rec go n =
       if n > budget then fail "retry budget exhausted on a transient fault"

@@ -249,6 +249,75 @@ let test_network_cross_cost_charged () =
   check Alcotest.bool "crossing traffic costs time" true
     (split.Cosim.end_time > colocated.Cosim.end_time)
 
+(* Engine labels are names: any label, negative or large, gives a
+   hardware process an engine of its own unless another process carries
+   the same label, and an unlabelled process never shares one.  The run
+   depends only on which processes share engines. *)
+let test_network_engine_labels () =
+  let proc name body =
+    { B.name; params = []; arrays = []; results = []; body }
+  in
+  let worker name =
+    proc name
+      [
+        B.Assign ("x", B.Int 0);
+        B.For
+          ( "i",
+            B.Int 0,
+            B.Int 50,
+            [ B.Assign ("x", B.Bin (B.Add, B.Var "x", B.Var "i")) ] );
+        B.PortOut (1, B.Var "x");
+      ]
+  in
+  let pair = Pn.make [ (worker "a", Pn.Hw); (worker "b", Pn.Hw) ] [] in
+  let end_time ?cross_cost net engines =
+    (Cosim.run_network ~hw_engines:engines ?cross_cost net).Cosim.end_time
+  in
+  let own = end_time pair [] in
+  List.iter
+    (fun l ->
+      check Alcotest.int
+        (Printf.sprintf "label %d alone" l)
+        own
+        (end_time pair [ ("a", l) ]))
+    [ 0; 5; -1; 1001 ];
+  check Alcotest.bool "a shared label serialises" true
+    (end_time pair [ ("a", 1001); ("b", 1001) ] > own);
+  (* a software producer feeding a hardware consumer crosses engines
+     whatever the consumer's label *)
+  let link =
+    Pn.make
+      [
+        ( proc "producer"
+            [ B.For ("i", B.Int 0, B.Int 10, [ B.Send ("c", B.Var "i") ]) ],
+          Pn.Sw );
+        ( proc "consumer"
+            [
+              B.For ("i", B.Int 0, B.Int 10, [ B.Recv ("v", "c") ]);
+              B.PortOut (1, B.Var "v");
+            ],
+          Pn.Hw );
+      ]
+      [
+        {
+          Pn.cname = "c";
+          src = "producer";
+          dst = "consumer";
+          depth = 1;
+          latency = 0;
+        };
+      ]
+  in
+  let unlabelled = Cosim.run_network ~cross_cost:100 link in
+  check Alcotest.int "the link crosses" 1 unlabelled.Cosim.crossing_channels;
+  List.iter
+    (fun l ->
+      check Alcotest.int
+        (Printf.sprintf "consumer on engine %d" l)
+        unlabelled.Cosim.end_time
+        (end_time ~cross_cost:100 link [ ("consumer", l) ]))
+    [ 0; 5; -1; 1001 ]
+
 let test_network_unknown_channel () =
   (* channel names and ports resolve when a process uses them: a network
      naming no such channel builds and runs, and raises Not_found only
@@ -390,6 +459,8 @@ let () =
             test_network_engine_serialisation;
           Alcotest.test_case "cross cost charged" `Quick
             test_network_cross_cost_charged;
+          Alcotest.test_case "engine labels are names" `Quick
+            test_network_engine_labels;
           Alcotest.test_case "unknown channel raises on use" `Quick
             test_network_unknown_channel;
           Alcotest.test_case "hw stmt cycles" `Quick

@@ -16,14 +16,12 @@ let diamond () = G.create ~n:4 ~edges:[ (0, 1); (0, 2); (1, 3); (2, 3) ]
 
 let test_graph_basic () =
   let g = diamond () in
-  check Alcotest.int "n" 4 (G.n g);
-  check Alcotest.int "edges" 4 (G.edge_count g);
   check (Alcotest.list Alcotest.int) "succ 0" [ 1; 2 ] (G.succ g 0);
-  check (Alcotest.list Alcotest.int) "pred 3" [ 1; 2 ] (G.pred g 3);
-  check Alcotest.bool "has_edge" true (G.has_edge g 0 1);
-  check Alcotest.bool "no edge" false (G.has_edge g 1 0);
-  check Alcotest.int "out_degree" 2 (G.out_degree g 0);
-  check Alcotest.int "in_degree" 0 (G.in_degree g 0)
+  check (Alcotest.list Alcotest.int) "succ 1" [ 3 ] (G.succ g 1);
+  check (Alcotest.list Alcotest.int) "succ 3" [] (G.succ g 3);
+  (* parallel edges are kept *)
+  let multi = G.create ~n:2 ~edges:[ (0, 1); (0, 1) ] in
+  check (Alcotest.list Alcotest.int) "parallel" [ 1; 1 ] (G.succ multi 0)
 
 let test_graph_invalid () =
   (try
@@ -60,7 +58,7 @@ let test_topo_deterministic () =
 let test_sources_sinks () =
   let g = diamond () in
   check (Alcotest.list Alcotest.int) "sources" [ 0 ] (G.sources g);
-  check (Alcotest.list Alcotest.int) "sinks" [ 3 ] (G.sinks g)
+  check (Alcotest.list Alcotest.int) "sink has no successor" [] (G.succ g 3)
 
 let test_longest_path () =
   let g = diamond () in
@@ -85,31 +83,6 @@ let test_critical_path_cyclic_raises () =
     fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
-let test_reachable () =
-  let g = diamond () in
-  let r = G.reachable g 1 in
-  check Alcotest.bool "1->1" true r.(1);
-  check Alcotest.bool "1->3" true r.(3);
-  check Alcotest.bool "1->0" false r.(0);
-  check Alcotest.bool "1->2" false r.(2);
-  let a = G.ancestors g 3 in
-  check Alcotest.bool "anc all" true (a.(0) && a.(1) && a.(2) && a.(3))
-
-let test_components () =
-  let g = G.create ~n:5 ~edges:[ (0, 1); (3, 4) ] in
-  check
-    (Alcotest.list (Alcotest.list Alcotest.int))
-    "components"
-    [ [ 0; 1 ]; [ 2 ]; [ 3; 4 ] ]
-    (G.weakly_connected_components g)
-
-let test_transitive_closure () =
-  let g = diamond () in
-  let c = G.transitive_closure g in
-  check Alcotest.bool "0->3" true c.(0).(3);
-  check Alcotest.bool "3->0" false c.(3).(0);
-  check Alcotest.bool "diag" true c.(2).(2)
-
 let test_depth () =
   let g = diamond () in
   let d = G.depth g in
@@ -117,19 +90,6 @@ let test_depth () =
   check Alcotest.int "d1" 1 d.(1);
   check Alcotest.int "d3" 2 d.(3)
 
-let test_all_pairs () =
-  let g = diamond () in
-  let d = G.all_pairs_longest g ~weight:(fun _ -> 1) in
-  check Alcotest.int "0->3" 3 d.(0).(3);
-  check Alcotest.int "0->0" 1 d.(0).(0);
-  check Alcotest.bool "3->0 none" true (d.(3).(0) = min_int)
-
-let test_dot () =
-  let s = G.dot ~name:"d" (diamond ()) in
-  check Alcotest.bool "digraph" true
-    (String.length s > 10 && String.sub s 0 9 = "digraph d")
-
-(* qcheck: topological order places every edge forward. *)
 let random_dag_gen =
   QCheck.Gen.(
     sized_size (int_range 1 30) (fun n ->
@@ -180,7 +140,7 @@ let prop_critical_path_is_valid_path =
       let rec ok = function
         | [] -> true
         | [ _ ] -> true
-        | u :: (v :: _ as rest) -> G.has_edge g u v && ok rest
+        | u :: (v :: _ as rest) -> List.mem v (G.succ g u) && ok rest
       in
       ok path && total = List.fold_left (fun a u -> a + w u) 0 path)
 
@@ -202,10 +162,17 @@ let test_tg_basic () =
   let g = small_tg () in
   check Alcotest.int "n" 3 (T.n_tasks g);
   check Alcotest.int "total sw" 60 (T.total_sw_cycles g);
-  check Alcotest.int "total area" 190 (T.total_hw_area g);
+  check Alcotest.bool "total area" true
+    (let s = Format.asprintf "%a" T.pp g in
+     let key = "hw area (standalone)=190" in
+     let n = String.length key in
+     let rec find i =
+       i + n <= String.length s && (String.sub s i n = key || find (i + 1))
+     in
+     find 0);
   check Alcotest.int "cp" 60 (T.sw_critical_path g);
-  check Alcotest.int "comm 0->1" 4 (T.comm_words g 0 1);
-  check Alcotest.int "comm 1->0" 0 (T.comm_words g 1 0);
+  check (Alcotest.list Alcotest.int) "words 0->1" [ 4 ]
+    (List.map (fun (e : T.edge) -> e.T.words) (T.in_edges g 1));
   check (Alcotest.list Alcotest.int) "topo" [ 0; 1; 2 ] (T.topo_order g)
 
 let test_tg_validation () =
@@ -248,9 +215,8 @@ let test_tg_scale_deadline () =
 let test_tg_edges_views () =
   let g = small_tg () in
   check Alcotest.int "in_edges 1" 1 (List.length (T.in_edges g 1));
-  check Alcotest.int "out_edges 1" 1 (List.length (T.out_edges g 1));
-  check (Alcotest.list Alcotest.int) "succ 0" [ 1 ] (T.succ g 0);
-  check (Alcotest.list Alcotest.int) "pred 2" [ 1 ] (T.pred g 2)
+  check (Alcotest.list Alcotest.int) "succ 0" [ 1 ] (G.succ (T.graph g) 0);
+  check (Alcotest.list Alcotest.int) "succ 1" [ 2 ] (G.succ (T.graph g) 1)
 
 (* ------------------------------------------------------------------ *)
 (* Cdfg                                                                *)
@@ -620,10 +586,14 @@ let net () =
 let test_pn_basic () =
   let n = net () in
   check Alcotest.int "procs" 2 (List.length n.Pn.procs);
-  check Alcotest.int "cut" 1 (List.length (Pn.cut_channels n));
+  check Alcotest.int "hw procs" 1 (List.length (Pn.hw_procs n));
+  check Alcotest.bool "consumer in hw" true
+    (snd (Pn.find_proc n "consumer") = Pn.Hw);
   let n2 = Pn.remap n [ ("consumer", Pn.Sw) ] in
-  check Alcotest.int "cut after remap" 0 (List.length (Pn.cut_channels n2));
-  check Alcotest.int "sw procs" 2 (List.length (Pn.sw_procs n2))
+  check Alcotest.bool "consumer remapped" true
+    (snd (Pn.find_proc n2 "consumer") = Pn.Sw);
+  check Alcotest.int "no hw procs after remap" 0
+    (List.length (Pn.hw_procs n2))
 
 let test_pn_validation () =
   (try
@@ -645,13 +615,6 @@ let test_pn_validation () =
     fail "wrong direction"
   with Invalid_argument _ -> ()
 
-let test_pn_comm_graph () =
-  let n = net () in
-  let g, names = Pn.comm_graph n in
-  check Alcotest.int "nodes" 2 (G.n g);
-  check Alcotest.int "edges" 1 (G.edge_count g);
-  check Alcotest.string "name0" "producer" names.(0)
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -669,12 +632,7 @@ let () =
           Alcotest.test_case "critical path" `Quick test_critical_path;
           Alcotest.test_case "cyclic raises" `Quick
             test_critical_path_cyclic_raises;
-          Alcotest.test_case "reachable" `Quick test_reachable;
-          Alcotest.test_case "components" `Quick test_components;
-          Alcotest.test_case "closure" `Quick test_transitive_closure;
           Alcotest.test_case "depth" `Quick test_depth;
-          Alcotest.test_case "all pairs" `Quick test_all_pairs;
-          Alcotest.test_case "dot output" `Quick test_dot;
           QCheck_alcotest.to_alcotest prop_topo_respects_edges;
           QCheck_alcotest.to_alcotest prop_longest_path_ge_weight;
           QCheck_alcotest.to_alcotest prop_critical_path_is_valid_path;
@@ -717,6 +675,5 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_pn_basic;
           Alcotest.test_case "validation" `Quick test_pn_validation;
-          Alcotest.test_case "comm graph" `Quick test_pn_comm_graph;
         ] );
     ]

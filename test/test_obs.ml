@@ -425,7 +425,7 @@ let test_fuzz_report_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Obs.Fuzz_report.write ~path (sample_fuzz_report ());
+      Obs.Json.write_file ~path (Obs.Fuzz_report.to_json (sample_fuzz_report ()));
       match Obs.Fuzz_report.read ~path with
       | Error e -> fail ("written artifact does not parse: " ^ e)
       | Ok r ->

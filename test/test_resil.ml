@@ -14,6 +14,10 @@ module Budget = Codesign_resil.Budget
 module Supervisor = Codesign_resil.Supervisor
 module K = Codesign_sim.Kernel
 module Campaign = Codesign_fault.Campaign
+
+let engine_name = function
+  | Campaign.Fork -> "fork"
+  | Campaign.Rerun -> "rerun"
 module FR = Codesign_obs.Fault_report
 module FzR = Codesign_obs.Fuzz_report
 module Json = Codesign_obs.Json
@@ -250,7 +254,7 @@ let test_chaos_campaign_degrades_and_is_jobs_invariant () =
   let reports =
     List.map
       (fun engine ->
-        let name = Campaign.engine_name engine in
+        let name = engine_name engine in
         let r1 =
           quick_chaos_report ~engine ~jobs:1 (Some Campaign.Chaos_trap)
         in
@@ -309,7 +313,7 @@ let test_chaos_hang_exhausts_fuel () =
   let sweeps =
     List.map
       (fun engine ->
-        let name = Campaign.engine_name engine in
+        let name = engine_name engine in
         let cells =
           Campaign.sweep ~seed:42 ~ops:Campaign.quick_ops ~cell_fuel
             ~chaos:Campaign.Chaos_hang engine
@@ -382,7 +386,7 @@ let test_deadline_degrades_engines_alike () =
   let sweeps =
     List.map
       (fun engine ->
-        let name = Campaign.engine_name engine in
+        let name = engine_name engine in
         let cells =
           Campaign.sweep ~ops:8 ~warmup:2_000_000 ~deadline_ms:20 engine
         in

@@ -388,19 +388,6 @@ let prop_sharing_never_costs_more =
            ~params:{ Cost.default_params with Cost.sharing = false }
            g p)
 
-let prop_all_hw_not_slower_than_serial_hw =
-  QCheck.Test.make ~name:"parallel hw <= serial hw latency" ~count:100
-    arb_graph_and_partition (fun (seed, n, bits) ->
-      let g = graph_of seed n in
-      let p = Array.of_list bits in
-      let lat par =
-        (Cost.evaluate
-           ~params:{ Cost.default_params with Cost.hw_parallel = par }
-           g p)
-          .Cost.latency
-      in
-      lat true <= lat false)
-
 let prop_speedup_consistent =
   QCheck.Test.make ~name:"speedup = all_sw / latency" ~count:100
     arb_graph_and_partition (fun (seed, n, bits) ->
@@ -689,9 +676,9 @@ let test_parse_assignment_inverts_name () =
               let name = Cosim.assignment_name a in
               check Alcotest.bool name true
                 (Cosim.parse_assignment name = Ok a))
-            Cosim.all_levels)
-        Cosim.all_levels)
-    Cosim.all_levels
+            Codesign_bus.Transport.all_levels)
+        Codesign_bus.Transport.all_levels)
+    Codesign_bus.Transport.all_levels
 
 let () =
   Alcotest.run "codesign_robustness"
@@ -755,7 +742,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_comm_cost_monotone;
           QCheck_alcotest.to_alcotest prop_sharing_never_costs_more;
-          QCheck_alcotest.to_alcotest prop_all_hw_not_slower_than_serial_hw;
           QCheck_alcotest.to_alcotest prop_speedup_consistent;
           QCheck_alcotest.to_alcotest prop_shared_bus_never_faster;
         ] );

@@ -419,7 +419,7 @@ let test_kernel_not_in_process () =
      fail "expected Not_in_process"
    with K.Not_in_process -> ());
   try
-    K.yield ();
+    K.suspend ~register:ignore;
     fail "expected Not_in_process"
   with K.Not_in_process -> ()
 
@@ -432,12 +432,12 @@ let test_kernel_negative_wait () =
   check Alcotest.bool "raised inside process" true !saw
 
 let test_kernel_yield_ordering () =
-  (* yield lets already-scheduled same-time events run first *)
+  (* a zero wait yields: already-scheduled same-time events run first *)
   let k = K.create () in
   let log = ref [] in
   K.spawn ~name:"first" k (fun () ->
       log := "first.a" :: !log;
-      K.yield ();
+      K.wait 0;
       log := "first.b" :: !log);
   K.spawn ~name:"second" k (fun () -> log := "second" :: !log);
   ignore (K.run k);
@@ -463,21 +463,6 @@ let test_kernel_self_name () =
   ignore (K.run k);
   check Alcotest.string "self name" "zeta" !name;
   check Alcotest.string "outside" "?" (K.self_name ())
-
-let test_kernel_trace () =
-  let k = K.create () in
-  let log = ref [] in
-  K.trace k (fun t m -> log := (t, m) :: !log);
-  K.spawn k (fun () ->
-      K.emit k "hello";
-      K.wait 7;
-      K.emit k "world");
-  ignore (K.run k);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
-    "trace"
-    [ (0, "hello"); (7, "world") ]
-    (List.rev !log)
 
 let test_kernel_until_idle_time () =
   (* an Until run advances time to the bound when the queue drains early *)
@@ -742,11 +727,10 @@ let stats_t =
         s.K.events s.K.scheduled s.K.activations s.K.spawned s.K.end_time)
     ( = )
 
-type action = Wait of int | Yield | At of int | Send of int | Recv
+type action = Wait of int | At of int | Send of int | Recv
 
 let show_action = function
   | Wait d -> Printf.sprintf "wait %d" d
-  | Yield -> "yield"
   | At d -> Printf.sprintf "at +%d" d
   | Send v -> Printf.sprintf "send %d" v
   | Recv -> "recv"
@@ -760,7 +744,6 @@ let arb_world =
     Gen.frequency
       [
         (5, Gen.map (fun d -> Wait d) (Gen.int_range 0 5));
-        (1, Gen.return Yield);
         (1, Gen.map (fun d -> At d) (Gen.int_range 0 5));
         (1, Gen.map (fun v -> Send v) (Gen.int_range 0 99));
         (1, Gen.return Recv);
@@ -802,9 +785,6 @@ let run_world ~queued (procs, until, latency) =
               match a with
               | Wait d ->
                   K.wait d;
-                  note tag
-              | Yield ->
-                  K.yield ();
                   note tag
               | At d -> K.at k ~time:(K.now k + d) (fun () -> note (tag ^ "@"))
               | Send v ->
@@ -1222,7 +1202,6 @@ let () =
             test_kernel_yield_ordering;
           Alcotest.test_case "at callback" `Quick test_kernel_at_callback;
           Alcotest.test_case "self name" `Quick test_kernel_self_name;
-          Alcotest.test_case "trace" `Quick test_kernel_trace;
           Alcotest.test_case "until idles clock" `Quick
             test_kernel_until_idle_time;
           Alcotest.test_case "until with pending future events" `Quick

@@ -12,6 +12,7 @@ module EQ = Codesign_sim.Event_queue
 module Ch = Codesign_sim.Channel
 module N = Codesign_rtl.Netlist
 module L = Codesign_rtl.Logic_sim
+module Interp = Codesign_reference.Logic_interp
 module Cpu = Codesign_isa.Cpu
 module Codegen = Codesign_isa.Codegen
 module Asm = Codesign_isa.Asm
@@ -189,28 +190,28 @@ let test_interp_snapshot_restore () =
   let rng = Rng.create 733 in
   for case = 0 to 49 do
     let net, inputs = gen_netlist rng in
-    let a = L.Interp.create net in
+    let a = Interp.create net in
     let snap_inputs = List.map (fun nm -> (nm, Rng.int rng 2)) inputs in
-    List.iter (fun (nm, v) -> L.Interp.set_input a nm v) snap_inputs;
-    L.Interp.clock_cycle a;
-    let snap = L.Interp.snapshot a in
+    List.iter (fun (nm, v) -> Interp.set_input a nm v) snap_inputs;
+    Interp.clock_cycle a;
+    let snap = Interp.snapshot a in
     let before =
-      List.map (fun (nm, _) -> (nm, L.Interp.output a nm)) net.N.outputs
+      List.map (fun (nm, _) -> (nm, Interp.output a nm)) net.N.outputs
     in
     for _ = 1 to 4 do
-      List.iter (fun nm -> L.Interp.set_input a nm (Rng.int rng 2)) inputs;
-      L.Interp.clock_cycle a
+      List.iter (fun nm -> Interp.set_input a nm (Rng.int rng 2)) inputs;
+      Interp.clock_cycle a
     done;
-    L.Interp.restore a snap;
+    Interp.restore a snap;
     let after =
-      List.map (fun (nm, _) -> (nm, L.Interp.output a nm)) net.N.outputs
+      List.map (fun (nm, _) -> (nm, Interp.output a nm)) net.N.outputs
     in
     if before <> after then
       fail (Printf.sprintf "case %d: interp restore differs" case);
     check Alcotest.int
       (Printf.sprintf "case %d: cycles rewound" case)
       1
-      (L.Interp.cycles_run a)
+      (Interp.cycles_run a)
   done
 
 (* ------------------------------------------------------------------ *)

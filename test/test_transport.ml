@@ -228,7 +228,7 @@ let test_levels_round_trip () =
 let test_driver_transport_charges_call_cost () =
   let k = K.create () in
   let map = M.create [ M.ram ~name:"ram" ~base:0 ~size:8 ] in
-  let tr = T.driver ~call_cost:6 map in
+  let tr = T.driver map in
   check Alcotest.bool "driver level" true (tr.T.level = T.Driver);
   K.spawn ~name:"master" k (fun () ->
       let t0 = K.now k in
@@ -245,11 +245,11 @@ let test_driver_transport_charges_call_cost () =
 let test_tlm_transport_counts_and_times () =
   let k = K.create () in
   let map = M.create [ M.ram ~name:"ram" ~base:0 ~size:8 ] in
-  let tr = T.tlm ~read_latency:2 ~write_latency:3 k map in
+  let tr = T.tlm k map in
   K.spawn ~name:"master" k (fun () ->
       let t0 = K.now k in
       tr.T.write 1 7;
-      check Alcotest.int "tlm write latency" 3 (K.now k - t0);
+      check Alcotest.int "tlm write latency" 2 (K.now k - t0);
       check Alcotest.int "tlm read" 7 (tr.T.read 1));
   ignore (K.run k);
   check Alcotest.int "tlm ops counted" 2 (ops tr)
@@ -403,12 +403,8 @@ let test_process_network_lookup_errors () =
   in
   check Alcotest.bool "find_proc finds" true
     (snd (Pn.find_proc net "reader") = Pn.Hw);
-  check Alcotest.int "find_channel finds" 1
-    (Pn.find_channel net "c").Pn.depth;
   expect_invalid_arg "find_proc" [ "ghost"; "writer"; "reader" ] (fun () ->
-      Pn.find_proc net "ghost");
-  expect_invalid_arg "find_channel" [ "nope"; "c" ] (fun () ->
-      Pn.find_channel net "nope")
+      Pn.find_proc net "ghost")
 
 let () =
   Alcotest.run "codesign_transport"
