@@ -29,69 +29,6 @@ module Gpio = struct
   let write_count t = t.writes
 end
 
-module Timer = struct
-  type t = {
-    kernel : K.t;
-    irq : (Interrupt.t * int) option;
-    mutable enabled : bool;
-    mutable compare : int;
-    mutable started_at : int;
-    mutable status : int;
-    mutable expirations : int;
-    mutable generation : int;  (** cancels stale scheduled expiries *)
-  }
-
-  let create ?irq kernel () =
-    {
-      kernel;
-      irq;
-      enabled = false;
-      compare = 0;
-      started_at = 0;
-      status = 0;
-      expirations = 0;
-      generation = 0;
-    }
-
-  let count t =
-    if t.enabled then K.now t.kernel - t.started_at else 0
-
-  let start t =
-    t.enabled <- true;
-    t.started_at <- K.now t.kernel;
-    t.generation <- t.generation + 1;
-    let gen = t.generation in
-    K.at t.kernel
-      ~time:(K.now t.kernel + max 1 t.compare)
-      (fun () ->
-        if t.enabled && t.generation = gen then begin
-          t.enabled <- false;
-          t.status <- 1;
-          t.expirations <- t.expirations + 1;
-          maybe_raise t.irq
-        end)
-
-  let region ~name ~base t =
-    let dev_read = function
-      | 0 -> if t.enabled then 1 else 0
-      | 1 -> t.compare
-      | 2 -> count t
-      | 3 -> t.status
-      | _ -> 0
-    in
-    let dev_write off v =
-      match off with
-      | 0 -> if v land 1 = 1 then start t else t.enabled <- false
-      | 1 -> t.compare <- v
-      | 3 -> t.status <- 0
-      | _ -> ()
-    in
-    Memory_map.device ~name ~base ~size:4
-      (Memory_map.simple_handlers dev_read dev_write)
-
-  let expired_count t = t.expirations
-end
-
 module Stream_src = struct
   type t = {
     kernel : K.t;

@@ -24,22 +24,6 @@ module Gpio : sig
   val write_count : t -> int
 end
 
-(** One-shot/int-restart countdown timer.
-    Registers: 0 CTRL (bit0 enable; writing 1 starts a countdown),
-    1 COMPARE (cycles until expiry), 2 COUNT (elapsed, r/o),
-    3 STATUS (bit0 expired; any write clears). *)
-module Timer : sig
-  type t
-
-  val create :
-    ?irq:Interrupt.t * int -> Codesign_sim.Kernel.t -> unit -> t
-
-  val region : name:string -> base:int -> t -> Memory_map.region
-
-  val expired_count : t -> int
-  (** Total expirations so far. *)
-end
-
 (** A data source (sensor/receiver): produces one word every [period]
     cycles from [gen] into an internal FIFO.
     Registers: 0 STATUS (words available), 1 DATA (pop; 0 when empty),

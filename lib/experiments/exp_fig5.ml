@@ -212,7 +212,8 @@ let run ?(quick = false) () =
   let t3 =
     Report.table
       ~title:
-        "EXP-5c: periodic multi-application synthesis (two apps, periods P          and 2P; Yen-Wolf hyperperiod check)"
+        "EXP-5c: periodic multi-application synthesis (two apps, periods P \
+         and 2P; Yen-Wolf hyperperiod check)"
       ~headers:
         [ "period P"; "hyperperiod"; "price"; "PEs"; "feasible";
           "utilisation" ]

@@ -138,6 +138,17 @@ let count_push t =
   t.next_seq <- t.next_seq + 1;
   t.pushed <- t.pushed + 1
 
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let push_reserved t ~time ~seq thunk =
+  if time < 0 then invalid_arg "Event_queue.push_reserved: negative time";
+  if seq < 0 || seq >= t.next_seq then
+    invalid_arg "Event_queue.push_reserved: seq was never reserved";
+  insert t ~time ~key:max_int ~seq thunk
+
 let pop t =
   if t.len = 0 then None
   else begin

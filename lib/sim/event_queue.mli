@@ -44,6 +44,25 @@ val count_push : t -> unit
     as {!push} would, so counters and snapshots cannot tell the two
     apart.  {!Kernel.wait} uses it when it advances the clock in place. *)
 
+val reserve : t -> int
+(** Take the next insertion sequence number and return it, queuing
+    nothing: the sequence advances as {!count_push} advances it, but no
+    push is counted.  Events pushed afterwards get later numbers. *)
+
+val push_reserved : t -> time:int -> seq:int -> (unit -> unit) -> unit
+(** Schedule a thunk in the ordinary lane ([key = max_int]) under a
+    sequence number taken earlier by {!reserve}, and count one push.
+    Among the events at its timestamp it fires where a {!push} made at
+    the moment of the reservation would have fired, however much later
+    it is queued.  This is how one pending expiry event can stand for a
+    stream of timers: the watchdog of the fault library reserves a
+    number at every kick and, when its one event fires before the
+    deadline, re-queues it at the deadline under the last kick's
+    number.  Each number must be pushed at most once.
+    @raise Invalid_argument on negative time or on a [seq] this queue
+    has not handed out yet (for instance one reserved after the
+    snapshot the queue was restored to). *)
+
 val pop : t -> (int * (unit -> unit)) option
 (** Remove and return the earliest event (ties broken by insertion
     order), or [None] when empty. *)

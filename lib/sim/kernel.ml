@@ -87,9 +87,7 @@ type _ Effect.t +=
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
   | Whoami : string Effect.t
 
-let create () =
-  (Domain.DLS.get totals_key).c_kernels <-
-    (Domain.DLS.get totals_key).c_kernels + 1;
+let blank () =
   {
     q = Event_queue.create ();
     now = 0;
@@ -102,6 +100,11 @@ let create () =
     running = false;
     bound = -1;
   }
+
+let create () =
+  (Domain.DLS.get totals_key).c_kernels <-
+    (Domain.DLS.get totals_key).c_kernels + 1;
+  blank ()
 
 let now k = k.now
 
@@ -118,6 +121,15 @@ let at_keyed k ~time ~key ~seq thunk =
          k.now);
   Event_queue.push_keyed k.q ~time ~key ~seq thunk
 
+let reserve k = Event_queue.reserve k.q
+
+let at_reserved k ~time ~seq thunk =
+  if time < k.now then
+    invalid_arg
+      (Printf.sprintf "Kernel.at_reserved: time %d is in the past (now %d)"
+         time k.now);
+  Event_queue.push_reserved k.q ~time ~seq thunk
+
 let alloc_lane k =
   let l = k.next_lane in
   k.next_lane <- l + 1;
@@ -131,6 +143,14 @@ let alloc_lane k =
    events run first in schedule order. *)
 let wakes_next k n =
   n < Event_queue.min_time k.q - k.now && n <= k.bound - k.now
+
+(* The kernel whose dispatch loop is innermost on this domain, which
+   [wait] reads to take the in-place path without performing an effect.
+   With no loop in progress a domain names [idle]: a kernel that is
+   never running, made by [blank] rather than [create] so that it
+   counts in no domain's totals. *)
+let idle = blank ()
+let innermost = Domain.DLS.new_key (fun () -> ref idle)
 
 (* The blocked set: O(1) add at the end, O(1) swap-remove.  Both are
    no-ops on a process already in (or already out of) the set, so a set
@@ -181,14 +201,6 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
                   if n < 0 then
                     discontinue cont
                       (Invalid_argument "Kernel.wait: negative delay")
-                  else if k.running && wakes_next k n then begin
-                    (* Exactly what a push, a pop and a dispatch count. *)
-                    k.now <- k.now + n;
-                    k.events <- k.events + 1;
-                    k.activations <- k.activations + 1;
-                    Event_queue.count_push k.q;
-                    continue cont ()
-                  end
                   else begin
                     k.running <- false;
                     at k ~time:(k.now + n) (fun () ->
@@ -224,7 +236,20 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
 
 let in_process f = try f () with Effect.Unhandled _ -> raise Not_in_process
 
-let wait n = in_process (fun () -> perform (Wait n))
+(* The in-place path needs no continuation: the caller is the running
+   process of the innermost loop, so it simply returns.  Only a queued
+   wait performs [Wait]. *)
+let wait n =
+  let k = !(Domain.DLS.get innermost) in
+  if k.running && n >= 0 && wakes_next k n then begin
+    (* Exactly what a push, a pop and a dispatch count. *)
+    k.now <- k.now + n;
+    k.events <- k.events + 1;
+    k.activations <- k.activations + 1;
+    Event_queue.count_push k.q
+  end
+  else try perform (Wait n) with Effect.Unhandled _ -> raise Not_in_process
+
 let suspend ~register = in_process (fun () -> perform (Suspend register))
 let self_name () = try perform Whoami with Effect.Unhandled _ -> "?"
 
@@ -245,15 +270,18 @@ let blocked_non_daemon k =
   done;
   !acc
 
-(* Run [loop] as a dispatch loop of [k]: publish its bound ([-1] for a
-   loop that must queue every wait), start with no process of [k]
-   running, and put back the enclosing loop's state however [loop]
-   ends. *)
+(* Run [loop] as a dispatch loop of [k]: make [k] this domain's
+   innermost kernel, publish its bound ([-1] for a loop that must queue
+   every wait), start with no process of [k] running, and put back the
+   enclosing loop's state however [loop] ends. *)
 let dispatching k ~bound loop =
-  let bound0 = k.bound and running0 = k.running in
+  let cur = Domain.DLS.get innermost in
+  let outer = !cur and bound0 = k.bound and running0 = k.running in
+  cur := k;
   k.bound <- bound;
   k.running <- false;
   Fun.protect loop ~finally:(fun () ->
+      cur := outer;
       k.bound <- bound0;
       k.running <- running0)
 

@@ -82,6 +82,21 @@ val at_keyed : t -> time:int -> key:int -> seq:int -> (unit -> unit) -> unit
     @raise Invalid_argument on a time in the past or a key outside
     [0, max_int). *)
 
+val reserve : t -> int
+(** Take this kernel's next insertion sequence number for a bare
+    callback to be scheduled later ({!Event_queue.reserve}): nothing is
+    queued and no push is counted, while every event scheduled
+    afterwards is ordered after the number taken. *)
+
+val at_reserved : t -> time:int -> seq:int -> (unit -> unit) -> unit
+(** Schedule a bare callback at an absolute time >= now under a number
+    taken by {!reserve} ({!Event_queue.push_reserved}), counting one
+    scheduled push: among the ordinary events at [time] it fires where
+    an {!at} made at the moment of the reservation would have fired.
+    The fault library's watchdog keeps one pending expiry event this
+    way.  @raise Invalid_argument on a time in the past or a number
+    this kernel has not handed out. *)
+
 val alloc_lane : t -> int
 (** Allocate the next arrival-lane key of this kernel (0, 1, 2, ...).
     Channels and signals take one lane each at creation, in creation
@@ -182,17 +197,23 @@ val wait : int -> unit
 
     When the wake-up is the very next event the dispatch loop would run,
     the process advances the clock in place instead of through the
-    event queue.  That takes four things: the process was resumed by a
-    [stop]-less loop of its kernel ({!run} without [stop], or
-    {!run_horizon}) and is still the one running; [n >= 0]; [n] is
+    event queue: [wait] returns at once, performing no effect and
+    capturing no continuation.  That takes four things: the process was
+    resumed by a [stop]-less loop of its kernel ({!run} without [stop],
+    or {!run_horizon}) and is still the one running; [n >= 0]; [n] is
     smaller than the gap to the earliest queued event, so events at the
     wake-up time still run first in schedule order; and [n] fits in the
     gap to the loop's bound (an [Until] time, or the round's
-    [horizon]), so a wake-up past the bound stays queued.  An in-place
-    wait counts one event, one activation and one scheduled push and
-    takes one insertion sequence number, exactly as a queued one does,
-    so {!stats}, {!domain_totals}, snapshots and every observable are
-    the same on both paths.  Every other wait is queued.
+    [horizon]), so a wake-up past the bound stays queued.  [wait] tests
+    them on the kernel whose dispatch loop is innermost on the calling
+    domain: every loop names its kernel there for as long as it runs
+    and puts the enclosing one back however it ends, so while that
+    kernel has a process running, the caller is that process.  An
+    in-place wait counts one event, one activation and one scheduled
+    push and takes one insertion sequence number, exactly as a queued
+    one does, so {!stats}, {!domain_totals}, snapshots and every
+    observable are the same on both paths.  Every other wait performs
+    an effect and is queued.
 
     A negative [n] raises [Invalid_argument] inside the process; an [n]
     whose wake-up time overflows makes the run raise

@@ -296,44 +296,6 @@ let test_gpio () =
   check Alcotest.int "in reg" 7 (M.read m 1);
   check Alcotest.int "write count" 1 (Device.Gpio.write_count g)
 
-let test_timer () =
-  let k = K.create () in
-  let ic = Interrupt.create () in
-  let t = Device.Timer.create ~irq:(ic, 2) k () in
-  let m = M.create [ Device.Timer.region ~name:"timer" ~base:0 t ] in
-  K.spawn k (fun () ->
-      M.write m 1 25;
-      (* compare *)
-      M.write m 0 1;
-      (* enable *)
-      K.wait 10;
-      check Alcotest.int "counting" 10 (M.read m 2);
-      check Alcotest.int "not expired" 0 (M.read m 3);
-      K.wait 20;
-      check Alcotest.int "expired" 1 (M.read m 3);
-      check Alcotest.int "irq raised" 0b100 (Interrupt.pending ic);
-      M.write m 3 0;
-      check Alcotest.int "status cleared" 0 (M.read m 3));
-  ignore (K.run k);
-  check Alcotest.int "expirations" 1 (Device.Timer.expired_count t)
-
-let test_timer_restart_cancels () =
-  let k = K.create () in
-  let t = Device.Timer.create k () in
-  let m = M.create [ Device.Timer.region ~name:"timer" ~base:0 t ] in
-  K.spawn k (fun () ->
-      M.write m 1 10;
-      M.write m 0 1;
-      K.wait 5;
-      (* restart before expiry: the old deadline must not fire *)
-      M.write m 0 1;
-      K.wait 8;
-      check Alcotest.int "not yet" 0 (M.read m 3);
-      K.wait 5;
-      check Alcotest.int "now" 1 (M.read m 3));
-  ignore (K.run k);
-  check Alcotest.int "single expiry" 1 (Device.Timer.expired_count t)
-
 let test_stream_src () =
   let k = K.create () in
   let s =
@@ -595,9 +557,6 @@ let () =
       ( "devices",
         [
           Alcotest.test_case "gpio" `Quick test_gpio;
-          Alcotest.test_case "timer" `Quick test_timer;
-          Alcotest.test_case "timer restart" `Quick
-            test_timer_restart_cancels;
           Alcotest.test_case "stream src" `Quick test_stream_src;
           Alcotest.test_case "stream src overrun" `Quick
             test_stream_src_overrun;

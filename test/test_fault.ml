@@ -96,6 +96,219 @@ let test_watchdog_kick_defers_bite () =
   ignore (K.run ~bound:K.Quiesce k);
   check Alcotest.int "a live workload is never bitten" 0 (F.Watchdog.bites wd)
 
+(* The production watchdog keeps one pending expiry event; the
+   reference queues a fresh timer per kick and lets the superseded ones
+   fire as no-ops.  Both run the same scripts and must bite on the same
+   cycles, in the same place among same-time events. *)
+module type WATCHDOG = sig
+  type t
+  type snap
+
+  val create : K.t -> timeout:int -> on_bite:(t -> unit) -> t
+  val kick : t -> unit
+  val stop : t -> unit
+  val bites : t -> int
+  val snapshot : t -> snap
+  val restore : t -> snap -> unit
+end
+
+let watchdogs : (string * (module WATCHDOG)) list =
+  [
+    ("one pending event", (module F.Watchdog));
+    ("stale-timer reference", (module Codesign_reference.Stale_watchdog));
+  ]
+
+let test_watchdog_tie_keeps_kick_order () =
+  (* the bite of the kick at 10 ties with a callback pushed at 20 for
+     the same cycle: the kick came first, so the bite fires first, even
+     though the one pending event is re-queued for 810 only at 800 *)
+  List.iter
+    (fun (name, (module W : WATCHDOG)) ->
+      let k = K.create () in
+      let log = ref [] in
+      let note tag = log := Printf.sprintf "%d:%s" (K.now k) tag :: !log in
+      let wd = W.create k ~timeout:800 ~on_bite:(fun _ -> note "bite") in
+      K.spawn ~name:"kicker" k (fun () ->
+          W.kick wd;
+          K.wait 10;
+          W.kick wd;
+          K.wait 10;
+          K.at k ~time:810 (fun () -> note "other"));
+      ignore (K.run k);
+      check
+        Alcotest.(list string)
+        name [ "810:bite"; "810:other" ] (List.rev !log))
+    watchdogs
+
+(* A watchdog script: phases, each one process running its actions,
+   then run to a bound past the process's last wait, so that the phase
+   ends with no process alive and only bare callbacks (the watchdog's
+   expiry events and the [At] callbacks) queued; there the kernel and
+   the watchdog are snapshotted or restored together. *)
+type wd_target = Near_deadline of int | Ahead of int
+
+type wd_action =
+  | Kick
+  | Wait of int
+  | Stop
+  | At of { target : wd_target; kicks : bool }
+
+type wd_checkpoint = Keep | Snap | Restore
+
+type wd_phase = {
+  actions : wd_action list;
+  tail : int;  (** cycles the phase runs past its last wait *)
+  checkpoint : wd_checkpoint;
+}
+
+type wd_script = { timeout : int; rearm : bool; phases : wd_phase list }
+
+let show_wd_action = function
+  | Kick -> "kick"
+  | Wait d -> Printf.sprintf "wait %d" d
+  | Stop -> "stop"
+  | At { target; kicks } ->
+      Printf.sprintf "at %s%s"
+        (match target with
+        | Near_deadline o -> Printf.sprintf "deadline%+d" o
+        | Ahead d -> Printf.sprintf "+%d" d)
+        (if kicks then " (kicks)" else "")
+
+let show_wd_script s =
+  Printf.sprintf "timeout=%d rearm=%b\n%s" s.timeout s.rearm
+    (String.concat "\n"
+       (List.map
+          (fun p ->
+            Printf.sprintf "[%s] tail=%d %s"
+              (String.concat "; " (List.map show_wd_action p.actions))
+              p.tail
+              (match p.checkpoint with
+              | Keep -> "-"
+              | Snap -> "snap"
+              | Restore -> "restore"))
+          s.phases))
+
+let gen_wd_script =
+  let open QCheck.Gen in
+  let action timeout =
+    frequency
+      [
+        (4, return Kick);
+        ( 5,
+          map
+            (fun d -> Wait d)
+            (frequency
+               [
+                 (3, int_range 0 5);
+                 (2, int_range 0 (timeout + 2));
+                 (1, int_range 0 60);
+               ]) );
+        (1, return Stop);
+        ( 3,
+          map2
+            (fun target kicks -> At { target; kicks })
+            (frequency
+               [
+                 (3, map (fun o -> Near_deadline o) (int_range (-1) 1));
+                 (1, map (fun d -> Ahead d) (int_range 0 60));
+               ])
+            (frequency [ (4, return false); (1, return true) ]) );
+      ]
+  in
+  let phase timeout =
+    map3
+      (fun actions tail checkpoint -> { actions; tail; checkpoint })
+      (list_size (int_range 0 12) (action timeout))
+      (int_range 0 (2 * timeout))
+      (frequency [ (2, return Keep); (1, return Snap); (1, return Restore) ])
+  in
+  int_range 1 30 >>= fun timeout ->
+  map2
+    (fun rearm phases -> { timeout; rearm; phases })
+    bool
+    (list_size (int_range 1 4) (phase timeout))
+
+(* The [(time, label)] log of every bite and callback, the bite count
+   and the process activations; then the events dispatched and
+   scheduled, which the one pending event may only make fewer. *)
+let run_wd_script (module W : WATCHDOG) s =
+  let k = K.create () in
+  let log = ref [] in
+  let note tag = log := (K.now k, tag) :: !log in
+  let last_kick = ref 0 in
+  let kick wd =
+    last_kick := K.now k;
+    W.kick wd
+  in
+  let wd =
+    W.create k ~timeout:s.timeout ~on_bite:(fun wd ->
+        note "bite";
+        if s.rearm && W.bites wd < 3 then kick wd)
+  in
+  let saved = ref None in
+  List.iteri
+    (fun i phase ->
+      K.spawn ~name:"script" k (fun () ->
+          List.iteri
+            (fun j a ->
+              match a with
+              | Kick -> kick wd
+              | Wait d -> K.wait d
+              | Stop -> W.stop wd
+              | At { target; kicks } ->
+                  let time =
+                    match target with
+                    | Near_deadline o ->
+                        max (K.now k) (!last_kick + s.timeout + o)
+                    | Ahead d -> K.now k + d
+                  in
+                  let tag = Printf.sprintf "%d.%d" i j in
+                  K.at k ~time (fun () ->
+                      note tag;
+                      if kicks then kick wd))
+            phase.actions);
+      let span =
+        List.fold_left
+          (fun acc a -> match a with Wait d -> acc + d | _ -> acc)
+          0 phase.actions
+      in
+      ignore (K.run ~bound:(K.Until (K.now k + span + phase.tail)) k);
+      match phase.checkpoint with
+      | Keep -> ()
+      | Snap -> saved := Some (K.snapshot k, W.snapshot wd, !last_kick)
+      | Restore -> (
+          match !saved with
+          | None -> ()
+          | Some (ks, ws, lk) ->
+              K.restore k ks;
+              W.restore wd ws;
+              last_kick := lk))
+    s.phases;
+  let st = K.run ~bound:K.Quiesce k in
+  ((List.rev !log, W.bites wd, st.K.activations), (st.K.events, st.K.scheduled))
+
+let prop_watchdog_matches_reference =
+  QCheck.Test.make ~name:"one pending event = stale-timer reference"
+    ~count:1000
+    (QCheck.make ~print:show_wd_script gen_wd_script)
+    (fun s ->
+      let run (_, wd) = run_wd_script wd s in
+      match List.map run watchdogs with
+      | [ (got, (events, scheduled)); (want, (events', scheduled')) ] ->
+          (got = want && events <= events' && scheduled <= scheduled')
+          ||
+          let show (log, bites, activations) (events, scheduled) =
+            Printf.sprintf
+              "%s; bites %d; activations %d; events %d; scheduled %d"
+              (String.concat " "
+                 (List.map (fun (t, l) -> Printf.sprintf "%d:%s" t l) log))
+              bites activations events scheduled
+          in
+          QCheck.Test.fail_reportf "got  %s\nwant %s"
+            (show got (events, scheduled))
+            (show want (events', scheduled'))
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* TMR                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -301,6 +514,9 @@ let () =
             test_watchdog_one_bite_per_hang;
           Alcotest.test_case "kicks defer the bite" `Quick
             test_watchdog_kick_defers_bite;
+          Alcotest.test_case "a tied bite keeps its kick's order" `Quick
+            test_watchdog_tie_keeps_kick_order;
+          QCheck_alcotest.to_alcotest prop_watchdog_matches_reference;
         ] );
       ( "tmr",
         [

@@ -145,7 +145,8 @@ let same_snapshot a b = try compare a b = 0 with Invalid_argument _ -> false
 
 (* 10k pseudo-random operations against a sorted-list model of the
    (time, key, seq) order and against a twin queue: ordinary and keyed
-   pushes colliding on few timestamps, [count_push], [pop_into] with
+   pushes colliding on few timestamps, [count_push], [reserve] and a
+   later [push_reserved] of any outstanding number, [pop_into] with
    random limits and [pop], over a backlog that outgrows the initial
    64 slots.  Now and then [q] alone is snapshotted, perturbed and
    restored; the twin never is.  The twin mirrors each [count_push] as
@@ -208,17 +209,20 @@ let test_q_interleaved_model () =
   in
   let perturb () =
     for _ = 0 to next 40 do
-      match next 4 with
+      match next 5 with
       | 0 -> Q.push q ~time:(next 60) (fun () -> fired := -1)
       | 1 ->
           Q.push_keyed q ~time:(next 60) ~key:(next 4) ~seq:(20_000 + next 1000)
             (fun () -> fired := -1)
       | 2 -> Q.count_push q
+      | 3 -> ignore (Q.reserve q)
       | _ -> ignore (Q.pop q)
     done
   in
+  (* numbers reserved and not yet pushed *)
+  let reserved = ref [] in
   for _ = 1 to 10_000 do
-    (match next 20 with
+    (match next 22 with
     | n when n < 7 ->
         let time = 1 + next 50 in
         let tag, f = fresh_thunk () in
@@ -263,11 +267,33 @@ let test_q_interleaved_model () =
             expect_pop ~via:`Pop e
         | [] ->
             check Alcotest.bool "empty pop" true (Q.pop q = None && Q.pop twin = None))
-    | _ ->
+    | 19 ->
         let snap = Q.snapshot q in
         perturb ();
         Q.restore q snap;
-        same "restore rewinds to the snapshot");
+        same "restore rewinds to the snapshot"
+    | 20 ->
+        let pushed = Q.pushed_total q in
+        let s = Q.reserve q in
+        check Alcotest.int "reserve takes the next insertion number" !seq s;
+        check Alcotest.int "the twin reserves the same number" s
+          (Q.reserve twin);
+        check Alcotest.int "reserve counts no push" pushed (Q.pushed_total q);
+        incr seq;
+        reserved := s :: !reserved
+    | _ -> (
+        (* redeem an outstanding reservation, not always the latest *)
+        match !reserved with
+        | [] -> ()
+        | outstanding ->
+            let i = next (List.length outstanding) in
+            let s = List.nth outstanding i in
+            reserved := List.filteri (fun j _ -> j <> i) outstanding;
+            let time = 1 + next 50 in
+            let tag, f = fresh_thunk () in
+            insert (time, max_int, s, tag);
+            Q.push_reserved q ~time ~seq:s f;
+            Q.push_reserved twin ~time ~seq:s f));
     peak := max !peak (Q.size q)
   done;
   check Alcotest.bool "backlog outgrew the initial 64 slots" true (!peak > 64);
@@ -277,8 +303,14 @@ let test_q_interleaved_model () =
 
 let test_q_negative () =
   let q = Q.create () in
+  (try
+     Q.push q ~time:(-1) ignore;
+     fail "expected Invalid_argument"
+   with Invalid_argument _ -> ());
+  (* a number the queue has not handed out cannot be pushed *)
+  let s = Q.reserve q in
   try
-    Q.push q ~time:(-1) ignore;
+    Q.push_reserved q ~time:0 ~seq:(s + 1) ignore;
     fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -940,6 +972,51 @@ let test_in_place_nested_kernel () =
   check stats_t "outer kernel" outer' outer;
   check stats_t "inner kernel" inner' inner
 
+(* One seeded world: two producers and two consumers taking short waits
+   around a depth-2 channel, 4,000 transfers in all. *)
+let seeded_world seed =
+  let rng = Random.State.make [| seed |] in
+  let k = K.create () in
+  let ch = Channel.create ~depth:2 k () in
+  let log = ref [] in
+  let note tag = log := (K.now k, tag) :: !log in
+  let waits () = Array.init 2000 (fun _ -> Random.State.int rng 4) in
+  for p = 0 to 1 do
+    let waits = waits () in
+    K.spawn ~name:(Printf.sprintf "src%d" p) k (fun () ->
+        Array.iteri
+          (fun i d ->
+            K.wait d;
+            Channel.send ch ((p * 10_000) + i);
+            note (Printf.sprintf "src%d" p))
+          waits)
+  done;
+  for c = 0 to 1 do
+    let waits = waits () in
+    K.spawn ~name:(Printf.sprintf "dst%d" c) k (fun () ->
+        Array.iter
+          (fun d ->
+            K.wait d;
+            note (Printf.sprintf "dst%d<%d" c (Channel.recv ch)))
+          waits)
+  done;
+  let st = K.run k in
+  (List.rev !log, st, K.now k)
+
+let test_in_place_two_domains () =
+  (* each domain names its own innermost kernel: two worlds running at
+     once, one per domain, each equal their serial runs *)
+  let serial = (seeded_world 11, seeded_world 12) in
+  for _ = 1 to 20 do
+    let other = Domain.spawn (fun () -> seeded_world 11) in
+    let mine = seeded_world 12 in
+    let theirs = Domain.join other in
+    check Alcotest.bool "world on a second domain = its serial run" true
+      (theirs = fst serial);
+    check Alcotest.bool "world on this domain = its serial run" true
+      (mine = snd serial)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Signal                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1228,6 +1305,8 @@ let () =
             test_in_place_stats_in_process;
           Alcotest.test_case "nested kernel run" `Quick
             test_in_place_nested_kernel;
+          Alcotest.test_case "two kernels on two domains" `Quick
+            test_in_place_two_domains;
           QCheck_alcotest.to_alcotest prop_in_place_equals_queued;
         ] );
       ( "signal",
