@@ -108,6 +108,32 @@ let bench_event_kernel () =
   done;
   ignore (Codesign_sim.Kernel.run k)
 
+(* 48 processes in tied [wait 1] loops, the shape of the 4x8 mesh's
+   hardware processes: every wake-up shares its time with 47 others, so
+   no wait runs in place and each one is a queued event. *)
+let bench_queued_waits () =
+  let k = Codesign_sim.Kernel.create () in
+  for _ = 1 to 48 do
+    Codesign_sim.Kernel.spawn k (fun () ->
+        for _ = 1 to 100 do
+          Codesign_sim.Kernel.wait 1
+        done)
+  done;
+  ignore (Codesign_sim.Kernel.run k)
+
+(* [Behavior.run] over the 48 processes of the 4x8 mesh, outside the
+   kernel: channel reads return 0 and writes are dropped, so the entry
+   times the behaviour alone (about 11k statements a run). *)
+let mesh_behaviors =
+  List.map fst
+    (Codesign_workloads.Apps.mesh ~stages:4 ~lanes:8 ~count:16 ~work:8 ())
+      .Codesign_ir.Process_network.procs
+
+let bench_behavior_mesh () =
+  List.iter
+    (fun p -> ignore (Codesign_ir.Behavior.run p []))
+    mesh_behaviors
+
 let fir_proc, fir_binds =
   let _, p, b = List.find (fun (n, _, _) -> n = "fir") Kernels.all in
   (p, b)
@@ -338,6 +364,8 @@ let run_microbenchmarks () =
     Test.make_grouped ~name:"codesign"
       [
         test "event-kernel/1k-wakeups" bench_event_kernel;
+        test "event-kernel/48-queued-waits" bench_queued_waits;
+        test "ir/behavior-mesh" bench_behavior_mesh;
         test "iss/fir-kernel" bench_iss;
         test "iss/fir-kernel-step" bench_iss_step;
         test "iss/fir-kernel-block" bench_iss_block;

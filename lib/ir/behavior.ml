@@ -66,7 +66,7 @@ let collecting_io () =
     out )
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter                                                         *)
+(* Reference arithmetic                                                *)
 (* ------------------------------------------------------------------ *)
 
 let eval_bin op a b =
@@ -87,100 +87,6 @@ let eval_bin op a b =
   | Ne -> if a <> b then 1 else 0
 
 let clamp_index len i = if i < 0 then 0 else if i >= len then len - 1 else i
-
-let no_ext ext _ _ _ =
-  invalid_arg
-    (Printf.sprintf "Behavior.run: no evaluator for extension opcode %d" ext)
-
-let run ?(io = null_io) ?(ext = no_ext) ?(tick = fun () -> ())
-    ?(fuel = 10_000_000) p bindings =
-  let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let arrays : (string, int array) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (name, len) ->
-      if len <= 0 then invalid_arg "Behavior.run: array of length <= 0";
-      Hashtbl.replace arrays name (Array.make len 0))
-    p.arrays;
-  List.iter
-    (fun v ->
-      let value = try List.assoc v bindings with Not_found -> 0 in
-      Hashtbl.replace vars v value)
-    p.params;
-  (* bindings may also pre-load array cells, written as "arr[3]" *)
-  List.iter
-    (fun (k, v) ->
-      match String.index_opt k '[' with
-      | None -> ()
-      | Some i ->
-          let name = String.sub k 0 i in
-          let idx =
-            int_of_string (String.sub k (i + 1) (String.length k - i - 2))
-          in
-          (match Hashtbl.find_opt arrays name with
-          | Some a -> a.(clamp_index (Array.length a) idx) <- v
-          | None -> invalid_arg ("Behavior.run: unknown array " ^ name)))
-    bindings;
-  let fuel = ref fuel in
-  let get v = try Hashtbl.find vars v with Not_found -> 0 in
-  let arr name =
-    try Hashtbl.find arrays name
-    with Not_found -> invalid_arg ("Behavior.run: unbound array " ^ name)
-  in
-  let rec eval = function
-    | Int i -> i
-    | Var v -> get v
-    | Idx (a, i) ->
-        let arr = arr a in
-        arr.(clamp_index (Array.length arr) (eval i))
-    | Bin (op, a, b) ->
-        let a = eval a in
-        let b = eval b in
-        eval_bin op a b
-    | Neg e -> -eval e
-    | Not e -> if eval e = 0 then 1 else 0
-    | Ext (op, acc, a, b) ->
-        let acc = eval acc in
-        let a = eval a in
-        let b = eval b in
-        ext op acc a b
-  in
-  let user_tick = tick in
-  let tick () =
-    user_tick ();
-    decr fuel;
-    if !fuel < 0 then invalid_arg ("Behavior.run: fuel exhausted in " ^ p.name)
-  in
-  let rec exec_stmt s =
-    tick ();
-    match s with
-    | Assign (v, e) -> Hashtbl.replace vars v (eval e)
-    | Store (a, i, e) ->
-        let arr = arr a in
-        let idx = clamp_index (Array.length arr) (eval i) in
-        arr.(idx) <- eval e
-    | If (c, t, e) -> if eval c <> 0 then exec_list t else exec_list e
-    | While (c, body, _) ->
-        while eval c <> 0 do
-          tick ();
-          exec_list body
-        done
-    | For (v, lo, hi, body) ->
-        let lo = eval lo and hi = eval hi in
-        let i = ref lo in
-        while !i < hi do
-          Hashtbl.replace vars v !i;
-          exec_list body;
-          (* allow body to adjust the induction variable, like C for *)
-          i := get v + 1;
-          tick ()
-        done
-    | PortOut (port, e) -> io.port_out port (eval e)
-    | PortIn (v, port) -> Hashtbl.replace vars v (io.port_in port)
-    | Send (ch, e) -> io.send ch (eval e)
-    | Recv (v, ch) -> Hashtbl.replace vars v (io.recv ch)
-  and exec_list l = List.iter exec_stmt l in
-  exec_list p.body;
-  List.map (fun v -> (v, get v)) p.results
 
 (* ------------------------------------------------------------------ *)
 (* Elaboration to CDFG                                                 *)
@@ -449,6 +355,189 @@ let vars_of p =
   in
   List.iter stmt p.body;
   List.rev !acc
+
+(* ------------------------------------------------------------------ *)
+(* Execution: compile once, then run closures                          *)
+(* ------------------------------------------------------------------ *)
+
+let no_ext ext _ _ _ =
+  invalid_arg
+    (Printf.sprintf "Behavior.run: no evaluator for extension opcode %d" ext)
+
+(* [run] compiles the proc into closures over an [int array] holding
+   every scalar, so a statement reads and writes slots instead of
+   hashing names, and each array name is looked up once.  The closures
+   keep the tree-walker's order (operands left to right, the statement
+   tick before the statement, a loop tick per [While] iteration before
+   the body and per [For] iteration after it) and raise its errors at
+   the same points: an unbound array fails when its access runs, not
+   when it is compiled.  The tree-walker itself is kept as a test
+   oracle in test/reference. *)
+let run ?(io = null_io) ?(ext = no_ext) ?(tick = fun () -> ())
+    ?(fuel = 10_000_000) p bindings =
+  let arrays : (string, int array) Hashtbl.t = Hashtbl.create 4 in
+  List.iter
+    (fun (name, len) ->
+      if len <= 0 then invalid_arg "Behavior.run: array of length <= 0";
+      Hashtbl.replace arrays name (Array.make len 0))
+    p.arrays;
+  (* one slot per scalar; [vars_of] names every one the body uses *)
+  let slots : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun v ->
+      if not (Hashtbl.mem slots v) then
+        Hashtbl.add slots v (Hashtbl.length slots))
+    (vars_of p @ p.results);
+  let slot = Hashtbl.find slots in
+  let env = Array.make (Hashtbl.length slots) 0 in
+  List.iter
+    (fun v ->
+      env.(slot v) <- (try List.assoc v bindings with Not_found -> 0))
+    p.params;
+  (* bindings may also pre-load array cells, written as "arr[3]" *)
+  List.iter
+    (fun (k, v) ->
+      match String.index_opt k '[' with
+      | None -> ()
+      | Some i ->
+          let name = String.sub k 0 i in
+          let idx =
+            int_of_string (String.sub k (i + 1) (String.length k - i - 2))
+          in
+          (match Hashtbl.find_opt arrays name with
+          | Some a -> a.(clamp_index (Array.length a) idx) <- v
+          | None -> invalid_arg ("Behavior.run: unknown array " ^ name)))
+    bindings;
+  let fuel = ref fuel in
+  let step () =
+    tick ();
+    decr fuel;
+    if !fuel < 0 then invalid_arg ("Behavior.run: fuel exhausted in " ^ p.name)
+  in
+  let unbound a () = invalid_arg ("Behavior.run: unbound array " ^ a) in
+  let rec expr = function
+    | Int n -> fun () -> n
+    | Var v ->
+        let s = slot v in
+        fun () -> Array.unsafe_get env s
+    | Idx (a, i) -> (
+        let i = expr i in
+        match Hashtbl.find_opt arrays a with
+        | None -> unbound a
+        | Some arr ->
+            let len = Array.length arr in
+            fun () -> Array.unsafe_get arr (clamp_index len (i ())))
+    | Bin (op, a, b) -> bin op (expr a) (expr b)
+    | Neg e ->
+        let e = expr e in
+        fun () -> -e ()
+    | Not e ->
+        let e = expr e in
+        fun () -> if e () = 0 then 1 else 0
+    | Ext (op, acc, a, b) ->
+        let acc = expr acc and a = expr a and b = expr b in
+        fun () ->
+          let acc = acc () in
+          let a = a () in
+          ext op acc a (b ())
+  (* one closure per operator, the left operand first *)
+  and bin op a b =
+    match op with
+    | Add -> fun () -> let x = a () in x + b ()
+    | Sub -> fun () -> let x = a () in x - b ()
+    | Mul -> fun () -> let x = a () in x * b ()
+    | Div ->
+        fun () -> let x = a () in let y = b () in if y = 0 then 0 else x / y
+    | Rem ->
+        fun () -> let x = a () in let y = b () in if y = 0 then 0 else x mod y
+    | And -> fun () -> let x = a () in x land b ()
+    | Or -> fun () -> let x = a () in x lor b ()
+    | Xor -> fun () -> let x = a () in x lxor b ()
+    | Shl -> fun () -> let x = a () in x lsl (b () land 31)
+    | Shr -> fun () -> let x = a () in x asr (b () land 31)
+    | Lt -> fun () -> let x = a () in if x < b () then 1 else 0
+    | Le -> fun () -> let x = a () in if x <= b () then 1 else 0
+    | Eq -> fun () -> let x = a () in if x = b () then 1 else 0
+    | Ne -> fun () -> let x = a () in if x <> b () then 1 else 0
+  in
+  let rec stmt = function
+    | Assign (v, e) ->
+        let s = slot v and e = expr e in
+        fun () ->
+          step ();
+          Array.unsafe_set env s (e ())
+    | Store (a, i, e) -> (
+        let i = expr i and e = expr e in
+        match Hashtbl.find_opt arrays a with
+        | None ->
+            fun () ->
+              step ();
+              unbound a ()
+        | Some arr ->
+            let len = Array.length arr in
+            fun () ->
+              step ();
+              let idx = clamp_index len (i ()) in
+              Array.unsafe_set arr idx (e ()))
+    | If (c, t, e) ->
+        let c = expr c and t = block t and e = block e in
+        fun () ->
+          step ();
+          if c () <> 0 then t () else e ()
+    | While (c, body, _) ->
+        let c = expr c and body = block body in
+        fun () ->
+          step ();
+          while c () <> 0 do
+            step ();
+            body ()
+          done
+    | For (v, lo, hi, body) ->
+        let s = slot v and lo = expr lo and hi = expr hi in
+        let body = block body in
+        fun () ->
+          step ();
+          let lo = lo () in
+          let hi = hi () in
+          let i = ref lo in
+          while !i < hi do
+            Array.unsafe_set env s !i;
+            body ();
+            (* the body may move the induction variable, as in C *)
+            i := Array.unsafe_get env s + 1;
+            step ()
+          done
+    | PortOut (port, e) ->
+        let e = expr e and port_out = io.port_out in
+        fun () ->
+          step ();
+          port_out port (e ())
+    | PortIn (v, port) ->
+        let s = slot v and port_in = io.port_in in
+        fun () ->
+          step ();
+          Array.unsafe_set env s (port_in port)
+    | Send (ch, e) ->
+        let e = expr e and send = io.send in
+        fun () ->
+          step ();
+          send ch (e ())
+    | Recv (v, ch) ->
+        let s = slot v and recv = io.recv in
+        fun () ->
+          step ();
+          Array.unsafe_set env s (recv ch)
+  and block = function
+    | [] -> ignore
+    | [ s ] -> stmt s
+    | s :: rest ->
+        let s = stmt s and rest = block rest in
+        fun () ->
+          s ();
+          rest ()
+  in
+  block p.body ();
+  List.map (fun v -> (v, env.(slot v))) p.results
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printer                                                      *)

@@ -2,14 +2,23 @@
     from which both hardware and software implementations are derived.
 
     The same [proc] can be:
-    - interpreted directly ({!run}) to obtain reference semantics,
+    - run directly ({!run}) to obtain reference semantics,
     - compiled to assembly for the instruction-set processor
       ({!Codesign_isa.Codegen} — the software path), or
     - elaborated into a {!Cdfg.t} ({!elaborate}) and pushed through
       high-level synthesis ({!Codesign_hls.Hls} — the hardware path).
 
     Differential testing of the three paths against each other is the
-    framework's core correctness argument (see [test/test_behavior.ml]).
+    framework's core correctness argument (see [test/test_ir.ml] and the
+    fuzzer of [lib/fuzz]).
+
+    {!run} compiles the proc once per call into closures over an [int]
+    array that holds every scalar, so a statement costs a few closure
+    calls rather than a tree walk with string-keyed lookups.  The
+    tree-walking interpreter it replaced is kept in [test/reference]
+    ([Codesign_reference.Behavior_interp]); a QCheck property holds the
+    two to the same results, the same sequence of [tick] and [io]
+    calls, and the same errors at the same tick.
 
     Semantics: all values are boxed OCaml [int]s treated as 32-bit-ish
     integers (no overflow wrapping is performed; workloads stay in
@@ -104,13 +113,16 @@ val run :
   proc ->
   (string * int) list ->
   (string * int) list
-(** [run p bindings] interprets [p] with [params] bound from [bindings]
+(** [run p bindings] executes [p] with [params] bound from [bindings]
     (missing params default to 0) and returns the [results] variables.
-    [ext] evaluates {!Ext} nodes as [ext op acc a b] (default: raises);
-    [tick] is called once per executed statement (timed co-simulation
-    hook); [fuel] bounds total statement executions (default
-    [10_000_000]).
-    @raise Invalid_argument on unbound arrays or exhausted fuel. *)
+    Bindings named ["a[i]"] pre-load array cells.  [ext] evaluates
+    {!Ext} nodes as [ext op acc a b] (default: raises); [tick] is called
+    once per executed statement and once per loop iteration (timed
+    co-simulation hook); [fuel] bounds the number of ticks (default
+    [10_000_000]).  Operands are evaluated left to right.
+    @raise Invalid_argument on an array of length <= 0, a binding to an
+    unknown array, an access to an unbound array (when it runs) or
+    exhausted fuel. *)
 
 val elaborate : proc -> Cdfg.t
 (** Structural elaboration into a CDFG: every loop body and branch arm

@@ -16,11 +16,17 @@
     long after local events at the same timestamp were pushed — fire in
     exactly the place it would have occupied on a single serial wheel.
 
-    The queue is a binary min-heap kept as a structure of arrays: the
-    times, keys and sequence numbers live in unboxed [int] arrays and
-    the thunks in one array, so ordering reads no heap blocks and a push
-    allocates nothing once the arrays have grown.  Sifts move a hole
-    rather than swapping entries. *)
+    Two structures hold the events.  Each timestamp's {!push}ed events
+    sit in a FIFO bucket, found through a fixed ring of 64 slots indexed
+    by [time land 63], with a min-heap of the (at most 64) times that
+    own a bucket: a push into or a pop from an existing bucket costs
+    O(1) however many events share the timestamp, and only making or
+    draining a bucket sifts that small heap.  Keyed arrivals,
+    {!push_reserved} events and pushes whose slot another time holds go
+    into a binary min-heap kept as a structure of arrays.  {!pop_into}
+    takes whichever head comes first by (time, key, seq); that is exact
+    because a bucket holds only fresh, increasing sequence numbers and
+    takes every push at its time from its creation until it drains. *)
 
 type t
 
@@ -63,10 +69,6 @@ val push_reserved : t -> time:int -> seq:int -> (unit -> unit) -> unit
     has not handed out yet (for instance one reserved after the
     snapshot the queue was restored to). *)
 
-val pop : t -> (int * (unit -> unit)) option
-(** Remove and return the earliest event (ties broken by insertion
-    order), or [None] when empty. *)
-
 type slot = { mutable s_time : int; mutable s_thunk : unit -> unit }
 (** A caller-owned out-cell for {!pop_into}: reusing one slot across a
     whole dispatch loop makes the steady-state drain allocation-free
@@ -82,14 +84,8 @@ val pop_into : t -> limit:int -> slot -> bool
     dispatch loop into one call.  On [false] the queue is untouched.
     Pass [limit:max_int] for an unbounded drain. *)
 
-val peek_time : t -> int option
-(** Timestamp of the earliest event without removing it. *)
-
 val min_time : t -> int
-(** Timestamp of the earliest event, or [max_int] when empty — a
-    non-allocating {!peek_time} for hot loops. *)
-
-val size : t -> int
+(** Timestamp of the earliest event, or [max_int] when empty. *)
 
 val is_empty : t -> bool
 
@@ -98,22 +94,27 @@ val pushed_total : t -> int
 
 (** {2 Snapshot / restore}
 
-    A snapshot copies the heap arrays (times, keys, sequence numbers,
-    insertion counter and push total) and the thunk array, but the
-    thunks themselves are shared with the live queue:
-    closures cannot be deep-copied.  Restoring therefore re-arms the
-    same thunks, which is only sound when every pending thunk is
-    re-entrant — bare {!Kernel.at} callbacks and process-start events
-    qualify; a thunk wrapping a one-shot effect continuation (a resumed
+    A snapshot is canonical: it lists the queued events sorted by
+    (time, key, seq), with the insertion counter and push total, so two
+    queues holding the same events have structurally equal snapshots
+    however the events are spread over buckets and heap.  The thunks
+    themselves are shared with the live queue: closures cannot be
+    deep-copied.  Restoring therefore re-arms the same thunks, which is
+    only sound when every pending thunk is re-entrant — bare
+    {!Kernel.at} callbacks and process-start events qualify; a thunk
+    wrapping a one-shot effect continuation (a resumed
     {!Kernel.wait}/[suspend]) does not and would raise "resumed twice"
     when the restored copy fires after the original already ran.  The
     fault campaigns sidestep this entirely by snapshotting only at
-    quiescence, when the heap is empty. *)
+    quiescence, when the queue is empty. *)
 
 type snap
 
 val snapshot : t -> snap
-(** Capture heap contents, insertion-sequence counter and push total. *)
+(** Capture the queued events, insertion-sequence counter and push
+    total. *)
 
 val restore : t -> snap -> unit
-(** Rewind the queue to [snap]; events pushed since are discarded. *)
+(** Rewind the queue to [snap]; events pushed since are discarded.  The
+    restored events all go into the heap, which the sorted snapshot
+    already orders. *)

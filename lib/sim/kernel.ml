@@ -85,7 +85,6 @@ let merge_domain_totals d =
 type _ Effect.t +=
   | Wait : int -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-  | Whoami : string Effect.t
 
 let blank () =
   {
@@ -224,8 +223,6 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
                           k.activations <- k.activations + 1;
                           k.running <- true;
                           continue cont ())))
-          | Whoami ->
-              Some (fun (cont : (a, unit) continuation) -> continue cont name)
           | _ -> None);
     }
   in
@@ -251,7 +248,6 @@ let wait n =
   else try perform (Wait n) with Effect.Unhandled _ -> raise Not_in_process
 
 let suspend ~register = in_process (fun () -> perform (Suspend register))
-let self_name () = try perform Whoami with Effect.Unhandled _ -> "?"
 
 let stats k =
   {

@@ -12,6 +12,13 @@
     Determinism: events at the same timestamp fire in schedule order, and
     nothing reads wall-clock time, so simulations are bit-reproducible.
 
+    Cost: the handler matches two effects, [Wait] and [Suspend].  A
+    {!wait} that wakes next advances the clock in place with no effect
+    at all; a queued one costs an effect, a resume closure and one push
+    and pop of the {!Event_queue}, whose per-timestamp buckets make both
+    O(1) however many processes wake at the same time (about 88 ns an
+    event with 48 processes tied in [wait 1] loops, on a 2-core host).
+
     The blocking primitives must only be called from within a process
     body spawned on some kernel; calling them elsewhere raises
     [Not_in_process]. *)
@@ -227,9 +234,6 @@ val suspend : register:((unit -> unit) -> unit) -> unit
     resumed twice"].  While suspended the process counts as blocked
     (see {!blocked_non_daemon}).  {!Signal} and {!Channel} are built on
     this. *)
-
-val self_name : unit -> string
-(** Name of the currently running process ("?" for callbacks). *)
 
 (** {2 Snapshot / restore}
 

@@ -12,6 +12,12 @@ let fail = Alcotest.fail
 (* Event_queue                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* One unbounded [pop_into], as a drain loop makes it. *)
+let pop q =
+  let out = Q.slot () in
+  if Q.pop_into q ~limit:max_int out then Some (out.Q.s_time, out.Q.s_thunk)
+  else None
+
 let test_q_order () =
   let q = Q.create () in
   let log = ref [] in
@@ -20,7 +26,7 @@ let test_q_order () =
   Q.push q ~time:1 (ev "a");
   Q.push q ~time:3 (ev "b");
   let rec drain () =
-    match Q.pop q with
+    match pop q with
     | None -> ()
     | Some (_, f) ->
         f ();
@@ -38,7 +44,7 @@ let test_q_stability () =
     Q.push q ~time:7 (fun () -> log := i :: !log)
   done;
   let rec drain () =
-    match Q.pop q with
+    match pop q with
     | None -> ()
     | Some (_, f) ->
         f ();
@@ -62,7 +68,7 @@ let test_q_stress_sorted () =
   done;
   let last = ref (-1) in
   let rec drain n =
-    match Q.pop q with
+    match pop q with
     | None -> n
     | Some (t, _) ->
         if t < !last then fail "out of order";
@@ -88,7 +94,7 @@ let test_q_10k_sorted_fifo () =
     Q.push q ~time:times.(i) (fun () -> popped := i :: !popped)
   done;
   let rec drain () =
-    match Q.pop q with
+    match pop q with
     | None -> ()
     | Some (t, f) ->
         f ();
@@ -122,7 +128,7 @@ let prop_q_sorted_fifo =
         (fun i t -> Q.push q ~time:t (fun () -> popped := (t, i) :: !popped))
         times;
       let rec drain () =
-        match Q.pop q with
+        match pop q with
         | None -> ()
         | Some (_, f) ->
             f ();
@@ -147,12 +153,21 @@ let same_snapshot a b = try compare a b = 0 with Invalid_argument _ -> false
    (time, key, seq) order and against a twin queue: ordinary and keyed
    pushes colliding on few timestamps, [count_push], [reserve] and a
    later [push_reserved] of any outstanding number, [pop_into] with
-   random limits and [pop], over a backlog that outgrows the initial
-   64 slots.  Now and then [q] alone is snapshotted, perturbed and
-   restored; the twin never is.  The twin mirrors each [count_push] as
-   a push and pop of an event that precedes every queued one, which by
-   the contract no snapshot can tell apart (and which leaves the heap
-   layout as it was). *)
+   random limits, over a backlog that outgrows the initial 64 entries.
+   Now and then [q] alone is snapshotted, perturbed and restored; the
+   twin never is, so only a canonical snapshot lets the two compare
+   equal.  The twin mirrors each [count_push] as a push and pop of an
+   event that precedes every queued one, which by the contract no
+   snapshot can tell apart.
+
+   The model also places every event as the queue does, to check that
+   the draws reach each case of the two-part queue: a [push] goes into
+   its time's bucket when its slot ([time land 63]) is free or already
+   that time's, and into the heap when another time holds the slot;
+   keyed and reserved events always go into the heap, and a restore
+   puts every event there.  Times span three laps of the 64-slot ring,
+   so slots are shared; a run of same-time pushes now and then fills
+   one bucket. *)
 let test_q_interleaved_model () =
   let q = Q.create () and twin = Q.create () in
   let seed = ref 77 in
@@ -160,19 +175,63 @@ let test_q_interleaved_model () =
     seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
     !seed mod bound
   in
-  (* (time, key, seq, tag), sorted by (time, key, seq) *)
+  let draw_time () = 1 + next 50 + (64 * next 3) in
+  (* (time, key, seq, tag, in_bucket), sorted by (time, key, seq) *)
   let model = ref [] in
-  let insert ((t, k, s, _) as e) =
+  let insert ((t, k, s, _, _) as e) =
     let rec go = function
-      | ((t', k', s', _) as x) :: rest
+      | ((t', k', s', _, _) as x) :: rest
         when t' < t || (t' = t && (k' < k || (k' = k && s' < s))) ->
           x :: go rest
       | l -> e :: l
     in
     model := go !model
   in
+  (* slot -> (owning time, events in its bucket) *)
+  let owner = Hashtbl.create 64 in
+  let ever_owned = Hashtbl.create 64 in
+  let in_heap = ref 0 and in_buckets = ref 0 in
+  let peak_heap = ref 0 and peak_buckets = ref 0 in
+  let shared = ref 0 and came_back = ref 0 and beside_bucket = ref 0 in
+  let under_later = ref 0 in
+  let owns time =
+    match Hashtbl.find_opt owner (time land 63) with
+    | Some (t, _) -> t = time
+    | None -> false
+  in
+  let place_push time =
+    let sl = time land 63 in
+    match Hashtbl.find_opt owner sl with
+    | Some (t, n) when t = time ->
+        Hashtbl.replace owner sl (t, n + 1);
+        true
+    | Some _ ->
+        incr shared;
+        false
+    | None ->
+        if Hashtbl.mem ever_owned time then incr came_back;
+        Hashtbl.replace ever_owned time ();
+        Hashtbl.replace owner sl (time, 1);
+        true
+  in
+  let add (time, key, s, tag, bucket) =
+    insert (time, key, s, tag, bucket);
+    if bucket then incr in_buckets else incr in_heap;
+    peak_heap := max !peak_heap !in_heap;
+    peak_buckets := max !peak_buckets !in_buckets
+  in
+  let remove (time, _, _, _, bucket) =
+    if bucket then begin
+      decr in_buckets;
+      let sl = time land 63 in
+      match Hashtbl.find owner sl with
+      | _, 1 -> Hashtbl.remove owner sl
+      | t, n -> Hashtbl.replace owner sl (t, n - 1)
+    end
+    else decr in_heap
+  in
   let fired = ref 0 in
-  let tags = ref 0 and seq = ref 0 and keyed = ref 0 and peak = ref 0 in
+  let tags = ref 0 and seq = ref 0 and keyed = ref 0 in
   let fresh_thunk () =
     incr tags;
     let tag = !tags in
@@ -182,75 +241,63 @@ let test_q_interleaved_model () =
     check Alcotest.bool what true (same_snapshot (Q.snapshot q) (Q.snapshot twin))
   in
   let slot = Q.slot () and twin_slot = Q.slot () in
-  (* pop the model's head from both queues, through [pop_into] or [pop] *)
-  let expect_pop ~via (mt, _, _, tag) =
-    let t =
-      match via with
-      | `Pop_into limit ->
-          check Alcotest.bool "pop_into twin" true (Q.pop_into twin ~limit twin_slot);
-          twin_slot.Q.s_thunk ();
-          check Alcotest.int "twin fires the model's event" tag !fired;
-          check Alcotest.bool "pop_into" true (Q.pop_into q ~limit slot);
-          slot.Q.s_thunk ();
-          slot.Q.s_time
-      | `Pop -> (
-          (match Q.pop twin with
-          | Some (_, f) -> f ()
-          | None -> fail "twin empty but model is not");
-          check Alcotest.int "twin fires the model's event" tag !fired;
-          match Q.pop q with
-          | Some (t, f) ->
-              f ();
-              t
-          | None -> fail "queue empty but model is not")
-    in
+  (* pop the model's head from both queues *)
+  let expect_pop ~limit ((mt, _, _, tag, _) as e) =
+    check Alcotest.bool "pop_into twin" true (Q.pop_into twin ~limit twin_slot);
+    twin_slot.Q.s_thunk ();
+    check Alcotest.int "twin fires the model's event" tag !fired;
+    check Alcotest.bool "pop_into" true (Q.pop_into q ~limit slot);
+    slot.Q.s_thunk ();
     check Alcotest.int "pop fires the model's event" tag !fired;
-    check Alcotest.int "reported pop time" mt t
+    check Alcotest.int "reported pop time" mt slot.Q.s_time;
+    remove e
+  in
+  let push time =
+    let tag, f = fresh_thunk () in
+    add (time, max_int, !seq, tag, place_push time);
+    incr seq;
+    Q.push q ~time f;
+    Q.push twin ~time f
   in
   let perturb () =
     for _ = 0 to next 40 do
       match next 5 with
-      | 0 -> Q.push q ~time:(next 60) (fun () -> fired := -1)
+      | 0 -> Q.push q ~time:(draw_time ()) (fun () -> fired := -1)
       | 1 ->
-          Q.push_keyed q ~time:(next 60) ~key:(next 4) ~seq:(20_000 + next 1000)
-            (fun () -> fired := -1)
+          Q.push_keyed q ~time:(draw_time ()) ~key:(next 4)
+            ~seq:(20_000 + next 1000) (fun () -> fired := -1)
       | 2 -> Q.count_push q
       | 3 -> ignore (Q.reserve q)
-      | _ -> ignore (Q.pop q)
+      | _ -> ignore (pop q)
     done
   in
   (* numbers reserved and not yet pushed *)
   let reserved = ref [] in
   for _ = 1 to 10_000 do
-    (match next 22 with
-    | n when n < 7 ->
-        let time = 1 + next 50 in
-        let tag, f = fresh_thunk () in
-        insert (time, max_int, !seq, tag);
-        incr seq;
-        Q.push q ~time f;
-        Q.push twin ~time f
+    (match next 23 with
+    | n when n < 7 -> push (draw_time ())
     | n when n < 10 ->
         (* keyed seqs are unique and unrelated to insertion order *)
-        let time = 1 + next 50 and key = next 4 in
+        let time = draw_time () and key = next 4 in
         let s = !keyed * 7919 mod 10007 in
         incr keyed;
+        if owns time then incr beside_bucket;
         let tag, f = fresh_thunk () in
-        insert (time, key, s, tag);
+        add (time, key, s, tag, false);
         Q.push_keyed q ~time ~key ~seq:s f;
         Q.push_keyed twin ~time ~key ~seq:s f
     | 10 ->
         incr seq;
         Q.count_push q;
         Q.push twin ~time:0 ignore;
-        ignore (Q.pop twin);
+        ignore (pop twin);
         same "count_push = push and pop of the next event"
-    | n when n < 15 -> (
-        let limit = next 60 in
+    | n when n < 19 -> (
+        let limit = if n < 15 then next 200 else max_int in
         match !model with
-        | ((mt, _, _, _) as e) :: rest when mt <= limit ->
+        | ((mt, _, _, _, _) as e) :: rest when mt <= limit ->
             model := rest;
-            expect_pop ~via:(`Pop_into limit) e
+            expect_pop ~limit e
         | _ ->
             let before = Q.snapshot q in
             check Alcotest.bool "pop_into past the limit" false
@@ -260,18 +307,17 @@ let test_q_interleaved_model () =
               (same_snapshot before (Q.snapshot q));
             check Alcotest.bool "twin agrees" false
               (Q.pop_into twin ~limit twin_slot))
-    | n when n < 19 -> (
-        match !model with
-        | e :: rest ->
-            model := rest;
-            expect_pop ~via:`Pop e
-        | [] ->
-            check Alcotest.bool "empty pop" true (Q.pop q = None && Q.pop twin = None))
     | 19 ->
         let snap = Q.snapshot q in
         perturb ();
         Q.restore q snap;
-        same "restore rewinds to the snapshot"
+        same "restore rewinds to the snapshot";
+        (* every restored event sits in the heap *)
+        Hashtbl.reset owner;
+        model := List.map (fun (t, k, s, g, _) -> (t, k, s, g, false)) !model;
+        in_heap := !in_heap + !in_buckets;
+        in_buckets := 0;
+        peak_heap := max !peak_heap !in_heap
     | 20 ->
         let pushed = Q.pushed_total q in
         let s = Q.reserve q in
@@ -281,7 +327,7 @@ let test_q_interleaved_model () =
         check Alcotest.int "reserve counts no push" pushed (Q.pushed_total q);
         incr seq;
         reserved := s :: !reserved
-    | _ -> (
+    | 21 -> (
         (* redeem an outstanding reservation, not always the latest *)
         match !reserved with
         | [] -> ()
@@ -289,15 +335,42 @@ let test_q_interleaved_model () =
             let i = next (List.length outstanding) in
             let s = List.nth outstanding i in
             reserved := List.filteri (fun j _ -> j <> i) outstanding;
-            let time = 1 + next 50 in
+            let time = draw_time () in
+            if owns time then begin
+              incr beside_bucket;
+              if
+                List.exists
+                  (fun (t, _, s', _, b) -> b && t = time && s' > s)
+                  !model
+              then incr under_later
+            end;
             let tag, f = fresh_thunk () in
-            insert (time, max_int, s, tag);
+            add (time, max_int, s, tag, false);
             Q.push_reserved q ~time ~seq:s f;
-            Q.push_reserved twin ~time ~seq:s f));
-    peak := max !peak (Q.size q)
+            Q.push_reserved twin ~time ~seq:s f)
+    | _ ->
+        (* a run of same-time pushes fills one bucket past 64 nodes *)
+        if next 40 = 0 then begin
+          let time = draw_time () in
+          for _ = 1 to 70 do
+            push time
+          done
+        end);
+    check Alcotest.int "min_time is the model's head"
+      (match !model with (t, _, _, _, _) :: _ -> t | [] -> max_int)
+      (Q.min_time q)
   done;
-  check Alcotest.bool "backlog outgrew the initial 64 slots" true (!peak > 64);
-  List.iter (expect_pop ~via:`Pop) !model;
+  check Alcotest.bool "the heap outgrew its initial 64 entries" true
+    (!peak_heap > 64);
+  check Alcotest.bool "the buckets outgrew their initial 64 nodes" true
+    (!peak_buckets > 64);
+  check Alcotest.bool "pushes met slots another time held" true (!shared > 0);
+  check Alcotest.bool "buckets drained and came back" true (!came_back > 0);
+  check Alcotest.bool "keyed and reserved events landed beside a bucket" true
+    (!beside_bucket > 0);
+  check Alcotest.bool "reserved events landed under later bucket numbers" true
+    (!under_later > 0);
+  List.iter (expect_pop ~limit:max_int) !model;
   check Alcotest.bool "both drained" true (Q.is_empty q && Q.is_empty twin);
   check Alcotest.int "pushed totals agree" (Q.pushed_total twin) (Q.pushed_total q)
 
@@ -314,13 +387,31 @@ let test_q_negative () =
     fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
-let test_q_peek () =
+let test_q_min_time () =
   let q = Q.create () in
-  check (Alcotest.option Alcotest.int) "empty" None (Q.peek_time q);
+  check Alcotest.int "empty" max_int (Q.min_time q);
+  check Alcotest.bool "empty" true (Q.is_empty q);
   Q.push q ~time:9 ignore;
-  check (Alcotest.option Alcotest.int) "peek" (Some 9) (Q.peek_time q);
-  check Alcotest.int "size" 1 (Q.size q);
-  check Alcotest.bool "not empty" false (Q.is_empty q)
+  check Alcotest.int "bucket head" 9 (Q.min_time q);
+  (* time 73 shares 9's slot, so it waits in the heap *)
+  Q.push q ~time:73 ignore;
+  Q.push q ~time:5 ignore;
+  check Alcotest.int "earlier bucket" 5 (Q.min_time q);
+  Q.push_keyed q ~time:2 ~key:0 ~seq:0 ignore;
+  check Alcotest.int "heap head" 2 (Q.min_time q);
+  check Alcotest.bool "not empty" false (Q.is_empty q);
+  let times = ref [] in
+  let rec drain () =
+    match pop q with
+    | Some (t, _) ->
+        times := t :: !times;
+        drain ()
+    | None -> ()
+  in
+  drain ();
+  check (Alcotest.list Alcotest.int) "drain order" [ 2; 5; 9; 73 ]
+    (List.rev !times);
+  check Alcotest.int "drained" max_int (Q.min_time q)
 
 let test_q_pop_into () =
   (* the allocation-free drain: bounded pops honour the limit and leave
@@ -340,10 +431,10 @@ let test_q_pop_into () =
     (Alcotest.list Alcotest.string)
     "drained up to limit inclusive, stable at equal times"
     [ "a"; "b"; "c"; "d" ] (List.rev !log);
-  check Alcotest.int "past-limit event remains" 1 (Q.size q);
+  check Alcotest.int "past-limit event remains" 12 (Q.min_time q);
   check Alcotest.bool "blocked pop leaves queue untouched" false
     (Q.pop_into q ~limit:11 slot);
-  check Alcotest.int "still there" 1 (Q.size q);
+  check Alcotest.int "still there" 12 (Q.min_time q);
   check Alcotest.bool "unbounded drain" true
     (Q.pop_into q ~limit:max_int slot);
   check Alcotest.int "slot time" 12 slot.Q.s_time;
@@ -487,14 +578,6 @@ let test_kernel_at_callback () =
     K.at k ~time:1 ignore;
     fail "expected Invalid_argument (past)"
   with Invalid_argument _ -> ()
-
-let test_kernel_self_name () =
-  let k = K.create () in
-  let name = ref "" in
-  K.spawn ~name:"zeta" k (fun () -> name := K.self_name ());
-  ignore (K.run k);
-  check Alcotest.string "self name" "zeta" !name;
-  check Alcotest.string "outside" "?" (K.self_name ())
 
 let test_kernel_until_idle_time () =
   (* an Until run advances time to the bound when the queue drains early *)
@@ -1260,7 +1343,7 @@ let () =
           Alcotest.test_case "10k interleaved push/pop vs model" `Quick
             test_q_interleaved_model;
           Alcotest.test_case "negative time" `Quick test_q_negative;
-          Alcotest.test_case "peek/size" `Quick test_q_peek;
+          Alcotest.test_case "min_time/is_empty" `Quick test_q_min_time;
           Alcotest.test_case "pop_into bounded drain" `Quick test_q_pop_into;
           QCheck_alcotest.to_alcotest prop_q_sorted_fifo;
         ] );
@@ -1278,7 +1361,6 @@ let () =
           Alcotest.test_case "yield ordering" `Quick
             test_kernel_yield_ordering;
           Alcotest.test_case "at callback" `Quick test_kernel_at_callback;
-          Alcotest.test_case "self name" `Quick test_kernel_self_name;
           Alcotest.test_case "until idles clock" `Quick
             test_kernel_until_idle_time;
           Alcotest.test_case "until with pending future events" `Quick

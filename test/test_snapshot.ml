@@ -230,16 +230,12 @@ let test_event_queue_drain_order () =
   EQ.push q ~time:3 (ev "d");
   EQ.push q ~time:4 (ev "e");
   let snap = EQ.snapshot q in
+  let out = EQ.slot () in
   let drain () =
     log := [];
-    let rec go () =
-      match EQ.pop q with
-      | Some (_, thunk) ->
-          thunk ();
-          go ()
-      | None -> ()
-    in
-    go ();
+    while EQ.pop_into q ~limit:max_int out do
+      out.EQ.s_thunk ()
+    done;
     List.rev !log
   in
   let first = drain () in
@@ -250,8 +246,8 @@ let test_event_queue_drain_order () =
   check (Alcotest.list Alcotest.string) "restored drain repeats" first second;
   (* restore into a partially drained queue *)
   EQ.restore q snap;
-  ignore (EQ.pop q);
-  ignore (EQ.pop q);
+  ignore (EQ.pop_into q ~limit:max_int out);
+  ignore (EQ.pop_into q ~limit:max_int out);
   EQ.restore q snap;
   check (Alcotest.list Alcotest.string) "restore after partial drain" first
     (drain ());
