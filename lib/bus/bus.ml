@@ -153,11 +153,11 @@ module Pin = struct
         kernel;
         map;
         arb = Arbiter.create ();
-        addr = S.create ~name:"bus.addr" kernel 0;
-        wdata_rdata = S.create ~name:"bus.data" kernel 0;
-        req = S.create ~name:"bus.req" kernel 0;
-        ack = S.create ~name:"bus.ack" kernel 0;
-        we = S.create ~name:"bus.we" kernel 0;
+        addr = S.create ~name:"bus.addr" 0;
+        wdata_rdata = S.create ~name:"bus.data" 0;
+        req = S.create ~name:"bus.req" 0;
+        ack = S.create ~name:"bus.ack" 0;
+        we = S.create ~name:"bus.we" 0;
         reads = 0;
         writes = 0;
         busy_cycles = 0;

@@ -4,25 +4,10 @@
 
     Each device exposes a register window ({!Memory_map.region}) and,
     where it has autonomous behaviour, runs a process on the simulation
-    kernel.  Devices optionally raise a line on an {!Interrupt}
-    controller, so every one of them can be driven in polled or
-    interrupt mode — the design choice interface synthesis explores. *)
-
-(** General-purpose I/O latch.  Registers: 0 OUT (r/w), 1 IN (r). *)
-module Gpio : sig
-  type t
-
-  val create : unit -> t
-  val region : name:string -> base:int -> t -> Memory_map.region
-
-  val set_input : t -> int -> unit
-  (** Drive the IN register externally. *)
-
-  val output : t -> int
-  (** Observe the OUT latch. *)
-
-  val write_count : t -> int
-end
+    kernel.  The stream source optionally raises a line on an
+    {!Interrupt} controller, so its consumer can be driven in polled or
+    interrupt mode — the design choice interface synthesis explores.
+    Software observes every device through its registers only. *)
 
 (** A data source (sensor/receiver): produces one word every [period]
     cycles from [gen] into an internal FIFO.
@@ -46,26 +31,18 @@ module Stream_src : sig
       drops the word and counts an overrun. *)
 
   val region : name:string -> base:int -> t -> Memory_map.region
-  val produced : t -> int
-  val overruns : t -> int
-  val available : t -> int
 end
 
 (** A data sink (transmitter/actuator): accepts one word, then is busy
     for [period] cycles.  Registers: 0 STATUS (1 = ready), 1 DATA
     (write to emit).  Writing while busy is accepted functionally but
     incurs the remaining busy time as bus wait states — the timing
-    hazard that only pin-level co-simulation sees.  Raises its interrupt
-    line (if any) each time it becomes ready again. *)
+    hazard that only pin-level co-simulation sees.  Software polls its
+    status register; it raises no interrupt. *)
 module Stream_sink : sig
   type t
 
-  val create :
-    ?irq:Interrupt.t * int ->
-    period:int ->
-    Codesign_sim.Kernel.t ->
-    unit ->
-    t
+  val create : period:int -> Codesign_sim.Kernel.t -> unit -> t
 
   val region : name:string -> base:int -> t -> Memory_map.region
 

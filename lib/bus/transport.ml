@@ -217,7 +217,7 @@ let message ?(recv = []) ?(send = []) () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* transactors                                                         *)
+(* transactor                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let view t ~as_ =
@@ -228,50 +228,3 @@ let view t ~as_ =
           detailed %s level"
          (short_name t.level) (short_name as_))
   else { t with level = as_ }
-
-module Mailbox = struct
-  type t = {
-    fifo : int Queue.t;
-    depth : int;
-    mutable delivered : int;
-  }
-
-  let create ?(name = "mailbox") ?(depth = 4) kernel chan =
-    let t = { fifo = Queue.create (); depth; delivered = 0 } in
-    (* the pump never terminates by itself — it is infrastructure, not a
-       process under test, so it must not count towards deadlock *)
-    K.spawn ~name ~daemon:true kernel (fun () ->
-        let rec pump () =
-          let v = Ch.recv chan in
-          let rec wait_space () =
-            if Queue.length t.fifo >= t.depth then begin
-              K.wait 8;
-              wait_space ()
-            end
-          in
-          wait_space ();
-          Queue.push v t.fifo;
-          t.delivered <- t.delivered + 1;
-          pump ()
-        in
-        pump ());
-    t
-
-  let region ~name ~base t =
-    let dev_read = function
-      | 0 -> Queue.length t.fifo
-      | 1 -> ( match Queue.take_opt t.fifo with Some v -> v | None -> 0)
-      | _ -> 0
-    in
-    Memory_map.device ~name ~base ~size:2
-      (Memory_map.simple_handlers dev_read (fun _ _ -> ()))
-
-  let delivered t = t.delivered
-end
-
-let stream_to_channel ?(name = "stream_pump") kernel t ~base ~count chan =
-  K.spawn ~name kernel (fun () ->
-      for _ = 1 to count do
-        t.wait_ready base;
-        Ch.send chan (t.read (base + 1))
-      done)

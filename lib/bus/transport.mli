@@ -8,17 +8,15 @@
     It is the one interface record of the ladder — pin-accurate bus,
     transaction-level bus, driver call, kernel-channel message — so the
     ladder is an extension point instead of a [match] statement:
-    co-simulation pipelines, fault injectors, the DMA engine and
-    transactors all take a {!t} and never ask which backend is behind
-    it.
+    co-simulation pipelines and fault injectors take a {!t} and never
+    ask which backend is behind it.
 
     {2 Endpoint convention}
 
     An endpoint occupies a small register window: its {e status}
     register lives at the endpoint's base address (nonzero = ready) and
     its {e data} register at base + 1.  {!Device.Stream_src} /
-    {!Device.Stream_sink} regions follow this layout, as do the
-    {!Mailbox} transactor regions below.
+    {!Device.Stream_sink} regions follow this layout.
 
     {2 The four backends}
 
@@ -33,15 +31,14 @@
       sends/receives with no bus traffic at all (the OS
       send/receive/wait rung).
 
-    {2 Transactors}
+    {2 Transactor}
 
-    The paper's "bus interface model": adapters that let a producer at
-    one rung serve a consumer at another.  {!view} re-labels a detailed
-    transport for a more abstract caller (message- or TLM-level
-    software driving a pin bus).  {!Mailbox} bridges a message stream
-    onto the bus so a pin/TLM/driver master can consume it, and
-    {!stream_to_channel} pumps a bus-mapped stream into a channel so
-    message-level software can [recv] it. *)
+    The paper's "bus interface model" lets a producer at one rung serve
+    a consumer at another.  The one transactor here is {!view}: it
+    re-labels a detailed transport for a more abstract caller (message-
+    or TLM-level software driving a pin bus).  Mixed-level systems need
+    no other: each component talks to its own transport, and the
+    co-simulator wires the rungs together. *)
 
 module Kernel := Codesign_sim.Kernel
 module Channel := Codesign_sim.Channel
@@ -151,7 +148,7 @@ val message :
     is kernel channel activity, not bus operations.  Accessing an
     unbound address raises [Invalid_argument]. *)
 
-(** {1 Transactors} *)
+(** {1 Transactor} *)
 
 val view : t -> as_:level -> t
 (** The same medium presented to a caller at a more abstract rung: a
@@ -160,36 +157,3 @@ val view : t -> as_:level -> t
     label changes — timing and statistics are the wrapped backend's.
     Raises [Invalid_argument] when [as_] is more detailed than the
     transport's own level (abstraction can be added, not invented). *)
-
-(** A bus-mapped mailbox fed by a kernel channel: the message→bus
-    transactor.  A pump process drains the channel into a bounded FIFO
-    behind a status/data register window, so any bus-level master can
-    poll and read a message producer's stream without knowing a channel
-    exists. *)
-module Mailbox : sig
-  type t
-
-  val create :
-    ?name:string -> ?depth:int -> Kernel.t -> int Channel.t -> t
-  (** Spawns the pump process (default FIFO [depth] 4). *)
-
-  val region : name:string -> base:int -> t -> Memory_map.region
-  (** Status at [base] (FIFO occupancy), data at [base + 1]
-      (destructive read; 0 when empty). *)
-
-  val delivered : t -> int
-  (** Words the pump has moved out of the channel so far. *)
-end
-
-val stream_to_channel :
-  ?name:string ->
-  Kernel.t ->
-  t ->
-  base:int ->
-  count:int ->
-  int Channel.t ->
-  unit
-(** The bus→message transactor: spawns a pump that performs
-    [wait_ready base; read (base + 1)] through the given transport
-    [count] times, forwarding each word into the channel — a bus-mapped
-    stream made consumable by message-level software. *)

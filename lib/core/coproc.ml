@@ -85,6 +85,5 @@ let synthesize ?(threads = 2) ?(comm_aware = true) ?(cross_cost = 24)
         result.Cosim.port_writes;
   }
 
-let sweep_threads ?comm_aware ?cross_cost ~max_threads net =
-  List.init max_threads (fun i ->
-      synthesize ~threads:(i + 1) ?comm_aware ?cross_cost net)
+let sweep_threads ~max_threads net =
+  List.init max_threads (fun i -> synthesize ~threads:(i + 1) net)

@@ -41,10 +41,6 @@ val synthesize :
     [threads < 1]. *)
 
 val sweep_threads :
-  ?comm_aware:bool ->
-  ?cross_cost:int ->
-  max_threads:int ->
-  Codesign_ir.Process_network.t ->
-  design list
+  max_threads:int -> Codesign_ir.Process_network.t -> design list
 (** One design per thread count 1..max_threads (the Fig. 9 speedup
-    curve). *)
+    curve), each at {!synthesize}'s defaults otherwise. *)

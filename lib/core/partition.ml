@@ -145,9 +145,8 @@ let kl ?(params = Cost.default_params) ?max_area g =
 (* Simulated annealing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let simulated_annealing ?(params = Cost.default_params) ?max_area
-    ?(seed = 42) g =
-  let ctx = Ctx.make g params max_area in
+let simulated_annealing ?max_area ?(seed = 42) g =
+  let ctx = Ctx.make g Cost.default_params max_area in
   let n = T.n_tasks g in
   let iterations = 200 * max n 1 in
   let rng = Rng.create seed in
@@ -183,8 +182,8 @@ let simulated_annealing ?(params = Cost.default_params) ?max_area
 (* Global criticality / local phase (Kalavade-Lee)                     *)
 (* ------------------------------------------------------------------ *)
 
-let gclp ?(params = Cost.default_params) ?max_area g =
-  let ctx = Ctx.make g params max_area in
+let gclp ?max_area g =
+  let ctx = Ctx.make g Cost.default_params max_area in
   let n = T.n_tasks g in
   let p = Array.make n false in
   let order = T.topo_order g in
@@ -198,9 +197,7 @@ let gclp ?(params = Cost.default_params) ?max_area g =
       let t = g.T.tasks.(i) in
       (* global criticality: projected latency if everything still
          undecided stays in software, relative to the deadline *)
-      let projected =
-        Cost.(evaluate ~params g p).latency
-      in
+      let projected = (Cost.evaluate g p).Cost.latency in
       let gc = float_of_int projected /. float_of_int (max deadline 1) in
       (* local phase: affinity of this task for hardware *)
       let affinity =
@@ -237,8 +234,8 @@ let gclp ?(params = Cost.default_params) ?max_area g =
 
 let exhaustive_max_tasks = 20
 
-let exhaustive ?(params = Cost.default_params) ?max_area g =
-  let ctx = Ctx.make g params max_area in
+let exhaustive ?max_area g =
+  let ctx = Ctx.make g Cost.default_params max_area in
   let n = T.n_tasks g in
   if n > exhaustive_max_tasks then
     invalid_arg "Partition.exhaustive: too many tasks";

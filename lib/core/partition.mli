@@ -40,19 +40,14 @@ val kl :
 (** At most 8 passes. *)
 
 val simulated_annealing :
-  ?params:Cost.params ->
-  ?max_area:int ->
-  ?seed:int ->
-  Codesign_ir.Task_graph.t ->
-  result
+  ?max_area:int -> ?seed:int -> Codesign_ir.Task_graph.t -> result
 (** Seed 42 by default; [200 * n_tasks] flips, starting at temperature
-    1000 and cooling by 0.97 every 20 flips. *)
+    1000 and cooling by 0.97 every 20 flips.  Scores with
+    {!Cost.default_params}, as do {!gclp} and {!exhaustive}. *)
 
-val gclp :
-  ?params:Cost.params -> ?max_area:int -> Codesign_ir.Task_graph.t -> result
+val gclp : ?max_area:int -> Codesign_ir.Task_graph.t -> result
 
-val exhaustive :
-  ?params:Cost.params -> ?max_area:int -> Codesign_ir.Task_graph.t -> result
+val exhaustive : ?max_area:int -> Codesign_ir.Task_graph.t -> result
 (** Exact optimum by enumeration — for validating the heuristics.
     @raise Invalid_argument above {!exhaustive_max_tasks} tasks. *)
 

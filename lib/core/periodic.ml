@@ -2,11 +2,10 @@ module T = Codesign_ir.Task_graph
 
 type app = { graph : T.t; period : int; exec : int array array }
 
-type problem = {
-  apps : app list;
-  pe_types : Cosynth.pe_type list;
-  comm_cycles_per_word : int;
-}
+type problem = { apps : app list; pe_types : Cosynth.pe_type list }
+
+(* bus cycles per data word an edge carries between PE instances *)
+let comm_cycles_per_word = 2
 
 (* instance bound per PE type *)
 let max_copies = 6
@@ -17,7 +16,7 @@ let lcm a b = a / gcd a b * b
 let hyperperiod pb =
   List.fold_left (fun acc a -> lcm acc a.period) 1 pb.apps
 
-let problem ?(comm_cycles_per_word = 2) apps pe_types =
+let problem apps pe_types =
   if apps = [] then invalid_arg "Periodic.problem: no applications";
   if pe_types = [] then invalid_arg "Periodic.problem: empty PE library";
   let k = List.length pe_types in
@@ -37,7 +36,7 @@ let problem ?(comm_cycles_per_word = 2) apps pe_types =
             row)
         a.exec)
     apps;
-  let pb = { apps; pe_types; comm_cycles_per_word } in
+  let pb = { apps; pe_types } in
   let h = hyperperiod pb in
   let instances =
     List.fold_left (fun acc a -> acc + (h / a.period)) 0 apps
@@ -125,7 +124,7 @@ let check pb ~pe_set =
                     in
                     let comm =
                       if mapping.(pi) <> inst then
-                        e.words * pb.comm_cycles_per_word
+                        e.words * comm_cycles_per_word
                       else 0
                     in
                     max acc (finish.(pi) + comm))
@@ -274,18 +273,3 @@ let synthesize pb =
     verdict = check pb ~pe_set:!pe_set;
     iterations = !iters;
   }
-
-let pp_solution fmt pb s =
-  Format.fprintf fmt
-    "periodic: price=%d, %d PEs [%s], %s (max lateness %d, utilisation \
-     %.0f%%), %d iterations"
-    s.price
-    (List.length s.pe_set)
-    (String.concat "; "
-       (List.map
-          (fun t -> (List.nth pb.pe_types t).Cosynth.pt_name)
-          s.pe_set))
-    (if s.verdict.feasible then "feasible" else "INFEASIBLE")
-    s.verdict.max_lateness
-    (100. *. s.verdict.utilisation)
-    s.iterations

@@ -24,19 +24,12 @@ type app = {
   exec : int array array;  (** [exec.(task).(pe_type)] *)
 }
 
-type problem = {
-  apps : app list;
-  pe_types : Cosynth.pe_type list;
-  comm_cycles_per_word : int;
-}
+type problem = { apps : app list; pe_types : Cosynth.pe_type list }
 
-val problem :
-  ?comm_cycles_per_word:int ->
-  app list ->
-  Cosynth.pe_type list ->
-  problem
+val problem : app list -> Cosynth.pe_type list -> problem
 (** Validates dimensions, positive periods, and that the hyperperiod
-    stays tractable (<= 64 expanded instances).
+    stays tractable (<= 64 expanded instances).  A data word crossing
+    between PE instances costs 2 cycles.
     @raise Invalid_argument otherwise. *)
 
 val hyperperiod : problem -> int
@@ -64,4 +57,3 @@ val synthesize : problem -> solution
 (** Sensitivity-driven PE selection: at most 100 iterations, at most 6
     instances per PE type. *)
 
-val pp_solution : Format.formatter -> problem -> solution -> unit

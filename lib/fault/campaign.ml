@@ -356,7 +356,8 @@ let restore_world (w : world) (s : world_snap) =
 
 (* One supervised sweep cell.  Every attempt takes its world from
    [prepare run], starts the cell at transfer [lo] and runs it in a
-   fresh [cell_fuel] window under the sweep deadline; a trapped or
+   fresh [cell_fuel] window under the sweep deadline; an attempt whose
+   master finished inside the window is complete.  A trapped or
    exhausted attempt is rolled back with [restore] and retried up to
    [max_retries] times, unless the deadline has passed.  [run] is the
    attempt's budgeted kernel run, which [prepare] may use too (the fork
@@ -370,18 +371,25 @@ let supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel ~label
   let run (w : world) window =
     Fun.protect
       ~finally:(fun () -> elapsed := K.now w.k)
-      (fun () ->
-        match Budget.run_kernel window w.k with
-        | Budget.Done _ -> Ok ()
-        | Budget.Exhausted e ->
-            Error ("budget exhausted: " ^ Budget.exhausted_name e))
+      (fun () -> Budget.run_kernel window w.k)
+  in
+  let finished = function
+    | Budget.Done _ -> Ok ()
+    | Budget.Exhausted e ->
+        Error ("budget exhausted: " ^ Budget.exhausted_name e)
   in
   let attempt () =
-    Result.bind (prepare run) (fun w ->
+    Result.bind
+      (prepare (fun w window -> finished (run w window)))
+      (fun w ->
         let st = start_cell w ~seed ~rate ~lo in
-        Result.map
-          (fun () -> audit w st ~rate)
-          (run w (Budget.with_fuel budget ~fuel:cell_fuel)))
+        match run w (Budget.with_fuel budget ~fuel:cell_fuel) with
+        (* the master's finish ([done_at]), not an empty queue, completes
+           a cell: the stopped watchdog's pending expiry or an ARQ timer
+           may still be queued, inert, past the window *)
+        | Budget.Exhausted Budget.Fuel when st.done_at > 0 ->
+            Ok (audit w st ~rate)
+        | outcome -> Result.map (fun () -> audit w st ~rate) (finished outcome))
   in
   match Supervisor.run ~max_retries ~budget ~restore attempt with
   | Ok cell -> cell
@@ -390,8 +398,8 @@ let supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel ~label
 
 (* The fuzz oracle's unsupervised reference: each point on a fresh
    world, warm-up and window straight through. *)
-let run_cell ~seed ~ops ?warmup ~rate mechanism =
-  let warmup = match warmup with Some n -> n | None -> default_warmup ops in
+let run_cell ~seed ~ops ~rate mechanism =
+  let warmup = default_warmup ops in
   let cell rate =
     let w = make_world ~warmup ~ops mechanism in
     let st = start_cell w ~seed ~rate ~lo:0 in

@@ -99,11 +99,11 @@ val default_ops : int
 val quick_ops : int
 
 val run_cell :
-  seed:int -> ops:int -> ?warmup:int -> rate:float -> mechanism ->
+  seed:int -> ops:int -> rate:float -> mechanism ->
   Codesign_obs.Fault_report.cell
 (** One sweep point ([cycle_overhead] computed against an internal
     rate-0 run of the same mechanism), on the reference (rerun)
-    engine.  [warmup] defaults to [ops / 2]. *)
+    engine, after a warm-up of [ops / 2] transfers. *)
 
 val sweep :
   ?seed:int -> ?ops:int -> ?warmup:int -> ?jobs:int ->

@@ -10,7 +10,6 @@ type t = {
   k : K.t;
   inj : Injector.t;
   tr : T.t;
-  timeout : int;
   mutable stuck_until : int;
   mutable stuck_bit : int;
   mutable stuck_val : int;
@@ -23,12 +22,14 @@ let hang = 2000
 (* Cycles a stuck-at data line holds its bit. *)
 let stuck_cycles = 600
 
-let create ?(timeout = 64) k inj tr =
+(* Cycles a checked access waits for a dropped response. *)
+let timeout = 64
+
+let create k inj tr =
   {
     k;
     inj;
     tr;
-    timeout;
     stuck_until = 0;
     stuck_bit = 0;
     stuck_val = 0;
@@ -145,7 +146,7 @@ let read t a =
       check t ~tag (v lxor (1 lsl b))
   | Some Drop ->
       inj t;
-      K.wait t.timeout;
+      K.wait timeout;
       det t;
       Error Timeout
   | Some Stuck -> check t ~tag (apply_stuck t v)
@@ -169,7 +170,7 @@ let write t a v =
       deliver (v0 lxor (1 lsl b))
   | Some Drop ->
       inj t;
-      K.wait t.timeout;
+      K.wait timeout;
       det t;
       Error Timeout
   | Some Stuck -> deliver (apply_stuck t v0)

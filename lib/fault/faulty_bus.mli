@@ -30,12 +30,8 @@ type error =
 type t
 
 val create :
-  ?timeout:int ->
-  Codesign_sim.Kernel.t ->
-  Injector.t ->
-  Codesign_bus.Transport.t ->
-  t
-(** [timeout] defaults to 64.
+  Codesign_sim.Kernel.t -> Injector.t -> Codesign_bus.Transport.t -> t
+(** The bounded wait is 64 cycles.
     Any transport backend can be made faulty — the injector perturbs
     whatever medium is behind it. *)
 

@@ -306,7 +306,11 @@ let check_rtl p =
 (* the cross-level behaviour check                                     *)
 (* ------------------------------------------------------------------ *)
 
-let check_behavior ?(transform_asm = fun items -> items) ?(fuel = 300_000) p =
+(* Interpreter statements a behaviour may run before it counts as
+   non-terminating. *)
+let fuel = 300_000
+
+let check_behavior ?(transform_asm = fun items -> items) p =
   let p = normalize p in
   match run_interp ~fuel p with
   | Error `Fuel -> { rtl_blocks = 0; error = None } (* vacuous: no oracle *)

@@ -55,14 +55,13 @@ val trace_checksum : (int * int) list -> (string * int) list -> string
 val check_behavior :
   ?transform_asm:
     (Codesign_isa.Asm.item list -> Codesign_isa.Asm.item list) ->
-  ?fuel:int ->
   Codesign_ir.Behavior.proc ->
   outcome
 (** [transform_asm] edits the compiled program before assembly — the
     bug-injection hook the test suite uses to prove the oracle catches
-    a miscompile.  [fuel] (default 300_000) bounds interpreter
-    statements; a behaviour that exhausts it is reported as agreeing
-    (vacuously) so the shrinker never chases infinite loops. *)
+    a miscompile.  A fuel of 300_000 statements bounds the interpreter;
+    a behaviour that exhausts it is reported as agreeing (vacuously) so
+    the shrinker never chases infinite loops. *)
 
 val check_ladder : Codesign_ir.Rng.t -> string option
 

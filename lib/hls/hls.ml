@@ -53,8 +53,8 @@ let report_of block sched binding =
     total_area = fu_area + reg_area + mux_area + ctrl_area;
   }
 
-let estimate_block ?(scheduler = List_sched default_resources) block =
-  let sched = run_scheduler scheduler block in
+let estimate_block block =
+  let sched = run_scheduler (List_sched default_resources) block in
   let binding = Bind.bind block sched in
   report_of block sched binding
 
@@ -72,11 +72,9 @@ type behavior_estimate = {
   n_blocks : int;
 }
 
-let estimate ?(scheduler = List_sched default_resources) proc =
+let estimate proc =
   let cdfg = B.elaborate proc in
-  let reports =
-    List.map (fun b -> (b, estimate_block ~scheduler b)) cdfg.C.blocks
-  in
+  let reports = List.map (fun b -> (b, estimate_block b)) cdfg.C.blocks in
   let cycles =
     List.fold_left
       (fun acc (b, r) -> acc + (b.C.trip * r.latency))

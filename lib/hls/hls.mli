@@ -41,10 +41,9 @@ val synthesize_block :
     @raise Invalid_argument for blocks with memory ops (estimation still
     works for those via {!estimate_block}). *)
 
-val estimate_block :
-  ?scheduler:scheduler -> Codesign_ir.Cdfg.block -> report
-(** Like {!synthesize_block} but without FSMD generation, so memory ops
-    are allowed. *)
+val estimate_block : Codesign_ir.Cdfg.block -> report
+(** Like {!synthesize_block} at its default scheduler, but without FSMD
+    generation, so memory ops are allowed. *)
 
 type behavior_estimate = {
   cycles : int;  (** trip-weighted invocation cycles over all blocks *)
@@ -53,11 +52,10 @@ type behavior_estimate = {
   n_blocks : int;
 }
 
-val estimate :
-  ?scheduler:scheduler -> Codesign_ir.Behavior.proc -> behavior_estimate
+val estimate : Codesign_ir.Behavior.proc -> behavior_estimate
 (** Elaborates the behaviour and estimates a single-thread hardware
     implementation: blocks execute sequentially on a datapath sized to
-    the worst block. *)
+    the worst block, each scheduled by [List_sched default_resources]. *)
 
 val default_resources : (string * int) list
 (** [alu 2, logic 2, mul 1, div 1, shift 1, cmp 1, mem 1]. *)

@@ -100,13 +100,6 @@ let make ?(name = "cdfg") ?(ctrl = []) blocks =
     ctrl;
   { name; blocks; ctrl }
 
-let dfg b =
-  let n = List.length b.ops in
-  let edges =
-    List.concat_map (fun op -> List.map (fun a -> (a, op.id)) op.args) b.ops
-  in
-  Graph_algo.create ~n ~edges
-
 let op_mix g =
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -125,11 +118,3 @@ let op_mix g =
 
 let total_ops g =
   List.fold_left (fun acc b -> acc + (b.trip * List.length b.ops)) 0 g.blocks
-
-let block_latency ?(op_delay = fun _ -> 1) b =
-  if b.ops = [] then 0
-  else
-    let g = dfg b in
-    let delays = Array.of_list (List.map (fun op -> op_delay op.opcode) b.ops) in
-    let _, w = Graph_algo.critical_path g ~weight:(fun i -> delays.(i)) in
-    w

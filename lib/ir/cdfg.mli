@@ -72,6 +72,3 @@ val op_mix : t -> (string * int) list
 val total_ops : t -> int
 (** Trip-weighted dynamic operation count. *)
 
-val block_latency : ?op_delay:(opcode -> int) -> block -> int
-(** Critical-path latency of the block's DFG under a per-op delay model
-    (default: every op takes 1). *)

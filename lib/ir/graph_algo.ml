@@ -103,10 +103,6 @@ let topo_sort g =
 
 let is_dag g = topo_sort g <> None
 
-let sources g =
-  List.filter (fun i -> in_degree g i = 0) (List.init g.n Fun.id)
-
-
 let require_topo g name =
   match topo_sort g with
   | Some o -> o
@@ -147,14 +143,3 @@ let critical_path g ~weight =
     in
     (walk !last [], dist.(!last))
   end
-
-let depth g =
-  let order = require_topo g "Graph_algo.depth" in
-  let d = Array.make g.n 0 in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun p -> if d.(p) + 1 > d.(u) then d.(u) <- d.(p) + 1)
-        g.preds.(u))
-    order;
-  d

@@ -23,9 +23,6 @@ val topo_sort : t -> int list option
 
 val is_dag : t -> bool
 
-val sources : t -> int list
-(** Nodes with in-degree 0, ascending. *)
-
 val longest_path : t -> weight:(int -> int) -> int array
 (** [longest_path g ~weight] returns, for each node, the maximum
     node-weight sum over paths ending at that node (inclusive of the node
@@ -35,6 +32,3 @@ val critical_path : t -> weight:(int -> int) -> int list * int
 (** [critical_path g ~weight] returns one maximum-weight source-to-sink
     path and its total weight.  Requires a DAG. *)
 
-val depth : t -> int array
-(** For a DAG: number of edges on the longest path from any source to the
-    node (sources have depth 0). *)

@@ -44,4 +44,3 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let split t = { state = next_int64 t }

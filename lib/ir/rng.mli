@@ -32,5 +32,3 @@ val pick : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates. *)
 
-val split : t -> t
-(** An independent generator derived from this one's stream. *)

@@ -16,7 +16,6 @@ type t = {
   name : string;
   tasks : task array;
   edges : edge list;
-  period : int;
   deadline : int;
 }
 
@@ -26,7 +25,7 @@ let task ~id ~name ~sw_cycles ~hw_cycles ~hw_area ?sw_bytes
   { id; name; sw_cycles; hw_cycles; hw_area; sw_bytes; parallelism;
     modifiable; ops }
 
-let make ?(name = "tg") ?(period = 0) ?(deadline = 0) tasks edges =
+let make ?(name = "tg") ?(deadline = 0) tasks edges =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   Array.iteri
@@ -48,7 +47,7 @@ let make ?(name = "tg") ?(period = 0) ?(deadline = 0) tasks edges =
   in
   if not (Graph_algo.is_dag g) then
     invalid_arg "Task_graph.make: edge relation is cyclic";
-  { name; tasks; edges; period; deadline }
+  { name; tasks; edges; deadline }
 
 let n_tasks g = Array.length g.tasks
 
@@ -82,9 +81,10 @@ let scale_deadline g f =
   let cp = float_of_int (sw_critical_path g) in
   { g with deadline = int_of_float (cp *. f +. 0.5) }
 
+(* "period=0": a task graph is aperiodic (Periodic releases graphs) *)
 let pp fmt g =
   Format.fprintf fmt
-    "@[<v>task graph %s: %d tasks, %d edges, period=%d deadline=%d@,\
+    "@[<v>task graph %s: %d tasks, %d edges, period=0 deadline=%d@,\
      sw total=%d cycles, sw critical path=%d, hw area (standalone)=%d@]"
-    g.name (n_tasks g) (List.length g.edges) g.period g.deadline
+    g.name (n_tasks g) (List.length g.edges) g.deadline
     (total_sw_cycles g) (sw_critical_path g) (total_hw_area g)

@@ -1,8 +1,9 @@
 (** Coarse-grain task graphs — the co-synthesis and partitioning IR.
 
     A task graph is a DAG of tasks with per-implementation execution
-    profiles and data-volume edges, plus an end-to-end deadline and an
-    invocation period.  This is the representation consumed by the
+    profiles and data-volume edges, plus an end-to-end deadline.  A
+    graph is aperiodic: {!Codesign.Periodic} releases graphs
+    periodically.  This is the representation consumed by the
     HW/SW partitioners ({!Codesign.Partition}), the heterogeneous
     multiprocessor co-synthesisers ({!Codesign.Cosynth}) and the cost
     models ({!Codesign.Cost}).
@@ -44,12 +45,11 @@ type t = {
   name : string;
   tasks : task array;
   edges : edge list;
-  period : int;  (** invocation period, cycles; 0 = aperiodic *)
   deadline : int;  (** end-to-end latency constraint, cycles; 0 = none *)
 }
 
 val make :
-  ?name:string -> ?period:int -> ?deadline:int -> task list -> edge list -> t
+  ?name:string -> ?deadline:int -> task list -> edge list -> t
 (** Builds and validates a task graph.
     @raise Invalid_argument if task ids are not dense [0..n-1] in order,
     an edge endpoint is out of range, an edge is a self-loop, or the edge

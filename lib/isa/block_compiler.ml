@@ -88,15 +88,13 @@ type entry =
 
 type cache = {
   code : Isa.program;
-  latency : int Isa.instr -> int;
   entries : entry option array;  (** indexed by entry pc; lazily filled *)
   mutable compiled : int;  (** blocks decoded so far *)
 }
 
-let create ~latency code =
+let create code =
   {
     code;
-    latency;
     entries = Array.make (Array.length code) None;
     compiled = 0;
   }
@@ -152,7 +150,7 @@ let compile_block c entry_pc =
       emit uop_end pc 0 0 0 pc
     else begin
       let i = code.(pc) in
-      let lat = c.latency i in
+      let lat = Isa.default_latency i in
       match i with
       | Isa.Alu (op, d, a, b) ->
           emit (uop_alu + alu_index op) d a b lat pc;

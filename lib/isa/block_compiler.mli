@@ -66,8 +66,9 @@ type entry =
 
 type cache
 
-val create : latency:(int Isa.instr -> int) -> Isa.program -> cache
-(** Empty cache for [code]; nothing is decoded until {!get}. *)
+val create : Isa.program -> cache
+(** Empty cache for [code]; nothing is decoded until {!get}.  Blocks
+    charge {!Isa.default_latency}, as {!Cpu.step} does. *)
 
 val get : cache -> pc:int -> entry
 (** Entry for the block starting at [pc], decoding and caching it on

@@ -359,12 +359,12 @@ let () =
           (Printf.sprintf "Codegen.Trapped(proc %S, pc %d): %s" proc pc msg)
     | _ -> None)
 
-let run_compiled ?(env = Cpu.default_env) ?fuel (p : B.proc) bindings =
+let run_compiled ?(env = Cpu.default_env) (p : B.proc) bindings =
   let items, lay = compile p in
   let img = Asm.assemble items in
   let cpu = Cpu.create ~env img.Asm.code in
   bind lay cpu bindings;
-  (match Cpu.run ?fuel cpu with
+  (match Cpu.run cpu with
   | Cpu.Halted -> ()
   | Cpu.Trapped msg ->
       raise (Trapped { proc = p.B.name; pc = Cpu.pc cpu; msg })

@@ -69,10 +69,10 @@ exception Trapped of { proc : string; pc : int; msg : string }
 
 val run_compiled :
   ?env:Cpu.env ->
-  ?fuel:int ->
   Codesign_ir.Behavior.proc ->
   (string * int) list ->
   (string * int) list * Cpu.t
-(** Convenience: compile, assemble, bind, run to halt, and return the
-    [results] variables plus the CPU (for cycle counts).
+(** Convenience: compile, assemble, bind, run to halt under
+    {!Cpu.run}'s default fuel, and return the [results] variables plus
+    the CPU (for cycle counts).
     @raise Trapped if the CPU traps. *)

@@ -33,7 +33,6 @@ type t = {
       (* both memory hooks are the defaults (pure no-ops): the only case
          the block tier runs, accessing [mem] directly — nothing can
          perturb core state inside a block *)
-  latency : int Isa.instr -> int;
   mutable pc : int;
   mutable cycles : int;
   mutable instret : int;
@@ -52,8 +51,7 @@ type t = {
 (* the instruction index an accepted interrupt jumps to *)
 let irq_vector = 1
 
-let create ?(mem_words = 65536) ?(env = default_env)
-    ?(latency = Isa.default_latency) code =
+let create ?(mem_words = 65536) ?(env = default_env) code =
   (* no allocation checks the size any more, so check it here *)
   if mem_words < 0 || mem_words > Sys.max_array_length then
     invalid_arg
@@ -68,7 +66,6 @@ let create ?(mem_words = 65536) ?(env = default_env)
     plain_mem =
       env.mem_read == default_env.mem_read
       && env.mem_write == default_env.mem_write;
-    latency;
     pc = 0;
     cycles = 0;
     instret = 0;
@@ -263,7 +260,7 @@ let step t =
         try
           (* the execute match returns the step's latency directly: no
              [ref] cell and no bounds-check closure allocated per step *)
-          let lat0 = t.latency i in
+          let lat0 = Isa.default_latency i in
           let lat =
             match i with
             | Isa.Alu (op, d, a, b) ->
@@ -583,7 +580,7 @@ let run_blocks t ~fuel =
       match t.blocks with
       | Some c -> c
       | None ->
-          let c = Bc.create ~latency:t.latency t.code in
+          let c = Bc.create t.code in
           t.blocks <- Some c;
           c
     in

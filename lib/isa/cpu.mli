@@ -1,7 +1,7 @@
 (** The cycle-counting instruction-set simulator (ISS).
 
     Executes an assembled {!Isa.program} over a word-addressed data
-    memory, counting cycles from a pluggable latency table.  The CPU is
+    memory, counting cycles from {!Isa.default_latency}.  The CPU is
     simulation-framework-agnostic: it never touches the event kernel
     itself.  Co-simulation drives it by calling {!step} from a kernel
     process and advancing simulated time by the cycles each step reports;
@@ -44,19 +44,14 @@ val default_env : env
 
 type t
 
-val create :
-  ?mem_words:int ->
-  ?env:env ->
-  ?latency:(int Isa.instr -> int) ->
-  Isa.program ->
-  t
+val create : ?mem_words:int -> ?env:env -> Isa.program -> t
 (** [mem_words] is the size of the data address space, default 65536:
     addresses [0 .. mem_words - 1] are valid, every other one traps.
     Memory is allocated on first write, not here: it starts empty and
     grows geometrically (capped at [mem_words]) when a store lands past
     the allocated prefix, and a word never written reads 0.  A CPU thus
     costs what its program touches, not the whole address space.
-    [latency] defaults to {!Isa.default_latency}.  An accepted
+    Each instruction costs {!Isa.default_latency} cycles.  An accepted
     interrupt jumps to instruction 1.
     @raise Invalid_argument if [mem_words] is negative or larger than
     [Sys.max_array_length]. *)
@@ -164,8 +159,8 @@ val on_retire : t -> (pc:int -> cycles:int -> unit) -> unit
     (request line, enable, in-ISR flag, saved EPC).  Of data memory it
     copies only the allocated prefix (see {!create}), so a snapshot of
     a CPU that touched little memory is small.  It does {e not}
-    capture the program (immutable and shared), the environment hooks,
-    the latency table or an installed {!on_retire} callback — those
+    capture the program (immutable and shared), the environment hooks
+    or an installed {!on_retire} callback — those
     belong to the harness around the core, not to the core's state, and
     a fork that needs different hooks installs its own. *)
 

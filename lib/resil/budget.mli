@@ -15,8 +15,8 @@
     Determinism: fuel bounds are in simulated units, so fuel-exhausted
     outcomes are pure functions of the workload.  Deadlines read the
     monotonic clock and are inherently racy with respect to simulated
-    progress — use them as a safety net (CI, the service daemon), never
-    as part of a byte-compared report. *)
+    progress — use them as a safety net (CI, a long sweep), never as
+    part of a byte-compared report. *)
 
 type exhausted =
   | Fuel  (** the simulated-time window ran out *)

@@ -14,10 +14,6 @@
     invocation.  Both estimators add a fixed 64 per task for its
     controller and wiring. *)
 
-val fu_area : string -> int
-(** Area of one functional unit by operator name ({!Codesign_ir.Cdfg.opcode_name});
-    unknown names cost 32. *)
-
 val hw_op_delay : Codesign_ir.Cdfg.opcode -> int
 (** Hardware latency in cycles of an operation on its unit (mul 2,
     div/rem 8, memory 2, everything else 1) — the delay model handed to

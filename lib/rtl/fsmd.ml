@@ -97,96 +97,6 @@ let registers t =
     t.states;
   List.sort compare !acc
 
-let op_mix t =
-  let tbl = Hashtbl.create 16 in
-  let bump k =
-    Hashtbl.replace tbl k (1 + try Hashtbl.find tbl k with Not_found -> 0)
-  in
-  let rec expr = function
-    | Const _ | Reg _ | Inp _ -> ()
-    | Bin (op, a, b) ->
-        bump (C.opcode_name op);
-        expr a;
-        expr b
-    | Un (op, a) ->
-        bump (C.opcode_name op);
-        expr a
-  in
-  List.iter
-    (fun s ->
-      List.iter
-        (function
-          | Set (_, e) | AOut (_, e) | ASend (_, e) -> expr e
-          | ARecv _ -> ())
-        s.actions;
-      List.iter (fun tr -> Option.iter expr tr.guard) s.trans)
-    t.states;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* per-state operator usage determines the FU requirement; registers and
-   state encoding add storage area; registers written in >1 state need an
-   input mux *)
-let area t =
-  let fu_area =
-    (* worst-case concurrent use of each operator kind *)
-    let worst = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-        let here = Hashtbl.create 8 in
-        let bump k =
-          Hashtbl.replace here k
-            (1 + try Hashtbl.find here k with Not_found -> 0)
-        in
-        let rec expr = function
-          | Const _ | Reg _ | Inp _ -> ()
-          | Bin (op, a, b) ->
-              bump (C.opcode_name op);
-              expr a;
-              expr b
-          | Un (op, a) ->
-              bump (C.opcode_name op);
-              expr a
-        in
-        List.iter
-          (function
-            | Set (_, e) | AOut (_, e) | ASend (_, e) -> expr e
-            | ARecv _ -> ())
-          s.actions;
-        List.iter (fun tr -> Option.iter expr tr.guard) s.trans;
-        Hashtbl.iter
-          (fun k v ->
-            let cur = try Hashtbl.find worst k with Not_found -> 0 in
-            if v > cur then Hashtbl.replace worst k v)
-          here)
-      t.states;
-    Hashtbl.fold (fun k v acc -> acc + (v * Estimate.fu_area k)) worst 0
-  in
-  let regs = registers t in
-  let reg_area = 32 * List.length regs in
-  let writers r =
-    List.length
-      (List.filter
-         (fun s ->
-           List.exists
-             (function
-               | Set (r', _) | ARecv (r', _) -> r' = r
-               | _ -> false)
-             s.actions)
-         t.states)
-  in
-  let mux_area =
-    List.fold_left
-      (fun acc r -> if writers r > 1 then acc + (3 * 32) else acc)
-      0 regs
-  in
-  let state_bits =
-    let n = max (n_states t) 2 in
-    let rec bits k = if 1 lsl k >= n then k else bits (k + 1) in
-    bits 1
-  in
-  fu_area + reg_area + mux_area + (6 * state_bits) + (4 * n_states t)
-
 type run_result = {
   cycles : int;
   final_regs : (string * int) list;

@@ -65,15 +65,6 @@ val n_states : t -> int
 val registers : t -> string list
 (** All register names written or read, sorted. *)
 
-val op_mix : t -> (string * int) list
-(** Static operator counts over all actions and guards (feeds the area
-    estimator). *)
-
-val area : t -> int
-(** Structural area estimate: FU area for the worst-case per-state
-    operator usage, register area, state-encoding flops and mux overhead
-    per multiply-written register. *)
-
 type run_result = {
   cycles : int;  (** states executed *)
   final_regs : (string * int) list;

@@ -153,11 +153,11 @@ module Builder = struct
     t
 end
 
-let decoder ?(name = "decoder") ~width ~match_value () =
+let decoder ~width ~match_value () =
   if width <= 0 then invalid_arg "Netlist.decoder: width must be positive";
   if match_value < 0 || (width < 62 && match_value lsr width <> 0) then
     invalid_arg "Netlist.decoder: match_value does not fit in width";
-  let b = Builder.create ~name () in
+  let b = Builder.create ~name:"decoder" () in
   let bits =
     List.init width (fun i ->
         let a = Builder.input b (Printf.sprintf "a%d" i) in

@@ -75,7 +75,7 @@ module Builder : sig
   (** Validates and returns the netlist. *)
 end
 
-val decoder : ?name:string -> width:int -> match_value:int -> unit -> t
-(** A [width]-bit equality decoder: output ["hit"] is 1 iff inputs
-    [a0..a(width-1)] encode [match_value] (LSB first) — the canonical
-    address-decode glue block. *)
+val decoder : width:int -> match_value:int -> unit -> t
+(** A [width]-bit equality decoder named ["decoder"]: output ["hit"] is
+    1 iff inputs [a0..a(width-1)] encode [match_value] (LSB first) — the
+    canonical address-decode glue block. *)

@@ -83,8 +83,8 @@ val at_keyed : t -> time:int -> key:int -> seq:int -> (unit -> unit) -> unit
     ({!Event_queue.push_keyed}): at its timestamp it fires before every
     ordinary event and is ordered against other keyed events by
     (key, seq) — a property of the communication, not of which wheel or
-    when the event was physically pushed.  {!Channel} and {!Signal} use
-    this for declared-latency delivery so that a partitioned run
+    when the event was physically pushed.  {!Channel} uses this for
+    declared-latency delivery so that a partitioned run
     ({!Partition}) dispatches in exactly the serial order.
     @raise Invalid_argument on a time in the past or a key outside
     [0, max_int). *)
@@ -106,10 +106,10 @@ val at_reserved : t -> time:int -> seq:int -> (unit -> unit) -> unit
 
 val alloc_lane : t -> int
 (** Allocate the next arrival-lane key of this kernel (0, 1, 2, ...).
-    Channels and signals take one lane each at creation, in creation
-    order, so the relative lane order of any subset is the same whether
-    they were created on one shared wheel or spread over per-partition
-    wheels in the same overall order. *)
+    Channels take one lane each at creation, in creation order, so the
+    relative lane order of any subset is the same whether they were
+    created on one shared wheel or spread over per-partition wheels in
+    the same overall order. *)
 
 val run : ?bound:bound -> ?stop:(unit -> bool) -> t -> stats
 (** Dispatch events until [bound] (default {!Drain}) says the run is

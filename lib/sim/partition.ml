@@ -10,7 +10,6 @@ type mailbox = {
 type t = {
   kernels : K.t array;
   mailboxes : mailbox array;
-  mutable links : (string * int) list;  (** routed endpoint names, latency *)
   mutable lmin : int;  (** min link latency; max_int when no links *)
 }
 
@@ -21,28 +20,11 @@ let create ~partitions =
     mailboxes =
       Array.init partitions (fun _ ->
           { mb_lock = Mutex.create (); mb_posts = [] });
-    links = [];
     lmin = max_int;
   }
 
 let partitions t = Array.length t.kernels
 let kernel t i = t.kernels.(i)
-
-let check_link t ~what ~name ~src ~dst ~latency =
-  let n = Array.length t.kernels in
-  if src < 0 || src >= n || dst < 0 || dst >= n then
-    invalid_arg (Printf.sprintf "Partition: %s %S links partition %d -> %d, outside [0, %d)" what name src dst n);
-  if latency < 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Partition: %s %S has zero lookahead (latency 0) across a partition \
-          boundary (%d -> %d)%s; declare latency >= 1 or colocate the \
-          endpoints"
-         what name src dst
-         (if src = dst then " — a partition self-loop cannot make progress"
-          else ""));
-  t.links <- (name, latency) :: t.links;
-  if latency < t.lmin then t.lmin <- latency
 
 (* Route a channel whose sender lives on partition [src] and receiver on
    partition [dst]: sends post their (time, lane, seq, deliver) record to
@@ -50,23 +32,24 @@ let check_link t ~what ~name ~src ~dst ~latency =
    object itself must have been created on [dst]'s kernel (delivery runs
    there). *)
 let route_channel t ~src ~dst c =
-  check_link t ~what:"channel" ~name:(Channel.name c) ~src ~dst
-    ~latency:(Channel.latency c);
+  let n = Array.length t.kernels in
+  let name = Channel.name c and lat = Channel.latency c in
+  if src < 0 || src >= n || dst < 0 || dst >= n then
+    invalid_arg (Printf.sprintf "Partition: channel %S links partition %d -> %d, outside [0, %d)" name src dst n);
+  if lat < 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Partition: channel %S has zero lookahead (latency 0) across a \
+          partition boundary (%d -> %d)%s; declare latency >= 1 or \
+          colocate the endpoints"
+         name src dst
+         (if src = dst then " — a partition self-loop cannot make progress"
+          else ""));
+  if lat < t.lmin then t.lmin <- lat;
   let ksrc = t.kernels.(src) and mb = t.mailboxes.(dst) in
-  let lane = Channel.lane c and lat = Channel.latency c in
+  let lane = Channel.lane c in
   Channel.set_route c (fun seq deliver ->
       let p = { p_time = K.now ksrc + lat; p_key = lane; p_seq = seq; p_run = deliver } in
-      Mutex.lock mb.mb_lock;
-      mb.mb_posts <- p :: mb.mb_posts;
-      Mutex.unlock mb.mb_lock)
-
-let route_signal t ~src ~dst s =
-  check_link t ~what:"signal" ~name:(Signal.name s) ~src ~dst
-    ~latency:(Signal.latency s);
-  let ksrc = t.kernels.(src) and mb = t.mailboxes.(dst) in
-  let lane = Signal.lane s and lat = Signal.latency s in
-  Signal.set_route s (fun seq apply ->
-      let p = { p_time = K.now ksrc + lat; p_key = lane; p_seq = seq; p_run = apply } in
       Mutex.lock mb.mb_lock;
       mb.mb_posts <- p :: mb.mb_posts;
       Mutex.unlock mb.mb_lock)

@@ -2,11 +2,12 @@
     wheels (Chandy–Misra-style, with channel latencies as lookahead).
 
     A plan owns one {!Kernel} per partition plus a cross-partition
-    mailbox per partition.  Channels and signals whose endpoints live on
-    different partitions are {e routed}: their sends post (timestamp,
-    lane, sequence, thunk) records to the destination mailbox instead of
-    scheduling locally.  Execution proceeds in barrier rounds (an LBTS —
-    lower bound on timestamp — loop):
+    mailbox per partition.  Only latency channels cross partitions: a
+    channel whose endpoints live on different partitions is {e routed},
+    and its sends post (timestamp, lane, sequence, thunk) records to the
+    destination mailbox instead of scheduling locally.  Signals have no
+    latency, so they stay on one partition.  Execution proceeds in
+    barrier rounds (an LBTS — lower bound on timestamp — loop):
 
     + drain every mailbox into its wheel with keyed injection
       ({!Kernel.at_keyed}), which restores each arrival's serial
@@ -27,8 +28,8 @@
 
     Zero-lookahead links cannot cross a boundary: [emin + 0 - 1] would
     never pass [emin] and the loop would livelock, so {!route_channel}
-    and {!route_signal} raise a documented [Invalid_argument] naming the
-    offending channel/signal instead. *)
+    raises a documented [Invalid_argument] naming the offending channel
+    instead. *)
 
 type t
 
@@ -40,7 +41,7 @@ val partitions : t -> int
 
 val kernel : t -> int -> Kernel.t
 (** [kernel t i] is partition [i]'s wheel: spawn processes and create
-    channels/signals for partition [i] on it. *)
+    channels for partition [i] on it. *)
 
 val route_channel : t -> src:int -> dst:int -> 'a Channel.t -> unit
 (** Declare that [c]'s sender lives on partition [src] and its receiver
@@ -49,10 +50,6 @@ val route_channel : t -> src:int -> dst:int -> 'a Channel.t -> unit
     @raise Invalid_argument when the channel's latency is 0 (zero
     lookahead across a boundary — named in the message) or a partition
     id is out of range. *)
-
-val route_signal : t -> src:int -> dst:int -> 'a Signal.t -> unit
-(** Like {!route_channel} for a signal written on [src] and observed on
-    [dst]. *)
 
 val next_bound : t -> limit:int -> int option
 (** Drain all mailboxes (keyed injection) and compute the next safe

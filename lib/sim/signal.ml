@@ -1,85 +1,27 @@
 type 'a t = {
-  kernel : Kernel.t;
   name : string;
-  latency : int;
-  lane : int;
   mutable value : 'a;
   mutable waiters : (unit -> unit) list;  (** in reverse arrival order *)
-  mutable writes : int;
-  mutable write_seq : int;
-  mutable route : (int -> (unit -> unit) -> unit) option;
 }
 
-let create ?(latency = 0) ?(name = "sig") kernel value =
-  if latency < 0 then invalid_arg "Signal.create: negative latency";
-  {
-    kernel;
-    name;
-    latency;
-    (* Lanes are allocated for every signal so lane numbering depends
-       only on creation order — see Channel.create. *)
-    lane = Kernel.alloc_lane kernel;
-    value;
-    waiters = [];
-    writes = 0;
-    write_seq = 0;
-    route = None;
-  }
-
+let create ?(name = "sig") value = { name; value; waiters = [] }
 let read s = s.value
 let name s = s.name
-let latency s = s.latency
-let lane s = s.lane
-let write_count s = s.writes
-
-let set_route s route =
-  if s.latency < 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Signal.set_route: signal %S has zero lookahead (latency 0); a \
-          routed signal needs latency >= 1"
-         s.name);
-  s.route <- Some route
 
 let wake s =
-  s.writes <- s.writes + 1;
   let ws = List.rev s.waiters in
   s.waiters <- [];
   List.iter (fun resume -> resume ()) ws
 
-let apply_write s v =
+let write s v =
   if s.value <> v then begin
     s.value <- v;
     wake s
   end
 
-let apply_pulse s v =
+let pulse s v =
   s.value <- v;
   wake s
-
-(* A latency write takes effect at the receiving side [latency] ticks
-   later; the change-detection compare happens at apply time (against
-   whatever the value is then), matching wire propagation delay.
-   Scheduling goes through the arrival lane keyed by (signal lane, write
-   sequence) so a cross-partition write injected at a barrier applies in
-   exactly its serial position. *)
-let defer s apply =
-  let seq = s.write_seq in
-  s.write_seq <- seq + 1;
-  match s.route with
-  | None ->
-      Kernel.at_keyed s.kernel
-        ~time:(Kernel.now s.kernel + s.latency)
-        ~key:s.lane ~seq apply
-  | Some route -> route seq apply
-
-let write s v =
-  if s.latency = 0 then apply_write s v
-  else defer s (fun () -> apply_write s v)
-
-let pulse s v =
-  if s.latency = 0 then apply_pulse s v
-  else defer s (fun () -> apply_pulse s v)
 
 let await_change s =
   Kernel.suspend ~register:(fun resume -> s.waiters <- resume :: s.waiters);
@@ -92,19 +34,12 @@ let rec await s pred =
     await s pred
   end
 
-type 'a snap = { s_value : 'a; s_writes : int; s_write_seq : int }
+type 'a snap = 'a
 
-let snapshot s =
-  { s_value = s.value; s_writes = s.writes; s_write_seq = s.write_seq }
+let snapshot s = s.value
 
-let restore s snap =
-  s.value <- snap.s_value;
-  s.writes <- snap.s_writes;
-  s.write_seq <- snap.s_write_seq;
+let restore s v =
+  s.value <- v;
   (* Waiters hold one-shot continuations from the snapshot's timeline;
      abandon them — forked worlds re-spawn their processes. *)
   s.waiters <- []
-
-let rec posedge s =
-  ignore (await_change s);
-  if s.value = 0 then posedge s

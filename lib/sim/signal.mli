@@ -6,44 +6,29 @@
     the delta cycle after the write — the usual HDL signal discipline.
 
     Used for pin-level bus modelling (request/grant/ready wires,
-    interrupt lines) and for clock generation in RTL co-simulation. *)
+    interrupt lines) and for clock generation in RTL co-simulation.  A
+    signal has no propagation delay and takes no arrival lane, so it
+    cannot cross a partition boundary: only latency channels do
+    ({!Partition.route_channel}). *)
 
 type 'a t
 
-val create : ?latency:int -> ?name:string -> Kernel.t -> 'a -> 'a t
-(** [create k init] makes a signal with initial value [init].
-    [latency] (default 0) is a propagation delay: writes take effect
-    that many ticks later, which also serves as the signal's lookahead
-    when it crosses a partition boundary ({!Partition}).
-    @raise Invalid_argument on negative latency. *)
+val create : ?name:string -> 'a -> 'a t
+(** [create init] makes a signal with initial value [init].  A signal
+    belongs to no kernel: a process blocks on it through the kernel that
+    runs the process. *)
 
 val read : 'a t -> 'a
 
 val write : 'a t -> 'a -> unit
 (** Set the value; wakes waiters only if the value changed (structural
-    equality).  On a [latency > 0] signal the write lands — and the
-    change compare happens — [latency] ticks later, ordered by (signal
-    lane, write sequence) in the arrival lane ({!Kernel.at_keyed}). *)
+    equality). *)
 
 val pulse : 'a t -> 'a -> unit
 (** Set the value and wake waiters even if it is unchanged — models a
-    momentary strobe.  Delayed like {!write} on a latency signal. *)
+    momentary strobe. *)
 
 val name : 'a t -> string
-
-val latency : 'a t -> int
-(** Declared propagation delay — the signal's lookahead. *)
-
-val lane : 'a t -> int
-(** Arrival-lane key in the hosting kernel (creation order). *)
-
-val set_route : 'a t -> (int -> (unit -> unit) -> unit) -> unit
-(** Install a cross-partition route (see {!Channel.set_route}).
-    @raise Invalid_argument when the signal has zero lookahead
-    ([latency = 0], named in the message). *)
-
-val write_count : 'a t -> int
-(** Number of waking writes so far (a signal-activity metric). *)
 
 val await_change : 'a t -> 'a
 (** Block until the next (value-changing or pulsed) write; returns the
@@ -53,21 +38,16 @@ val await : 'a t -> ('a -> bool) -> 'a
 (** Block until the predicate holds (returns immediately if it already
     does). *)
 
-val posedge : int t -> unit
-(** Block until a waking write leaves the value nonzero, skipping writes
-    that leave it zero — a rising-edge wait for clock-like signals. *)
-
 (** {2 Snapshot / restore}
 
-    A snapshot captures the value and the write counter.  Processes
-    blocked in {!await_change}/{!await}/{!posedge} hold one-shot
-    continuations and cannot be captured: {!restore} drops the current
-    waiter list, abandoning them — see {!Kernel.snapshot} for the fork
-    discipline. *)
+    A snapshot captures the value.  Processes blocked in
+    {!await_change}/{!await} hold one-shot continuations and cannot be
+    captured: {!restore} drops the current waiter list, abandoning them
+    — see {!Kernel.snapshot} for the fork discipline. *)
 
 type 'a snap
 
 val snapshot : 'a t -> 'a snap
 
 val restore : 'a t -> 'a snap -> unit
-(** Rewind value and write count; drop all current waiters. *)
+(** Rewind the value; drop all current waiters. *)

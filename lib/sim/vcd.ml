@@ -33,14 +33,6 @@ let watch t ?(width = 32) (s : int Signal.t) =
       in
       follow ())
 
-let changes t =
-  let by_code =
-    List.map (fun w -> (w.code, w.wname)) t.watchlist
-  in
-  List.rev_map
-    (fun (time, code, v) -> (time, List.assoc code by_code, v))
-    t.records
-
 let binary_of ~width v =
   (* values wider than the declared width are masked, not truncated to a
      misleading prefix *)

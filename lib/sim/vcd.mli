@@ -27,9 +27,6 @@ val watch : t -> ?width:int -> int Signal.t -> unit
     [width] (default 32) is the declared bit width.  The initial value
     is recorded at the watch time. *)
 
-val changes : t -> (int * string * int) list
-(** Raw records: (time, signal name, new value), in occurrence order. *)
-
 val dump : t -> string
 (** Render the VCD document ([$date]-free, so output is deterministic).
     Each signal's value at watch time appears in an initial

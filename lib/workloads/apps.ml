@@ -67,7 +67,7 @@ let consumer ?(name = "consumer") ~chan ~count ~port () =
       ];
   }
 
-let pipeline ?(stages = 2) ?(count = 16) ?(work = 8) ?(depth = 2) () =
+let pipeline ?(stages = 2) ?(count = 16) ?(work = 8) () =
   if stages < 1 then invalid_arg "Apps.pipeline: stages < 1";
   let chan k = Printf.sprintf "c%d" k in
   let procs =
@@ -88,7 +88,7 @@ let pipeline ?(stages = 2) ?(count = 16) ?(work = 8) ?(depth = 2) () =
           src = (if k = 0 then "producer" else Printf.sprintf "stage%d" (k - 1));
           dst =
             (if k = stages then "consumer" else Printf.sprintf "stage%d" k);
-          depth;
+          depth = 2;
           latency = 0;
         })
   in

@@ -26,12 +26,7 @@ val consumer :
     output [port]; result variable ["acc"]. *)
 
 val pipeline :
-  ?stages:int ->
-  ?count:int ->
-  ?work:int ->
-  ?depth:int ->
-  unit ->
-  Codesign_ir.Process_network.t
+  ?stages:int -> ?count:int -> ?work:int -> unit -> Codesign_ir.Process_network.t
 (** producer -> [stages] transforms -> consumer (default 2 transforms,
     16 items, FIFO depth 2); everything initially mapped to software.
     The consumer's output port is 1. *)

@@ -53,13 +53,6 @@ let mix_of arch sw_cycles =
         ("or", scale 5) ]
   | Memory -> [ ("ld", scale 12); ("st", scale 10); ("add", scale 6) ]
 
-let archetype_of_task (t : T.task) =
-  let has k = List.mem_assoc k t.T.ops in
-  if has "mul" then Dsp
-  else if has "xor" || has "shl" then Bitops
-  else if has "st" then Memory
-  else Control
-
 let generate spec =
   if spec.n_tasks <= 0 then invalid_arg "Tgff.generate: n_tasks <= 0";
   if spec.layers <= 0 || spec.layers > spec.n_tasks then

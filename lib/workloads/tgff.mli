@@ -9,8 +9,6 @@
     and its standalone hardware area is derived from that mix, so the
     generated graphs are internally consistent with the cost models. *)
 
-type archetype = Dsp | Control | Bitops | Memory
-
 type spec = {
   seed : int;
   n_tasks : int;
@@ -31,6 +29,3 @@ val default_spec : spec
 val generate : spec -> Codesign_ir.Task_graph.t
 (** The graph is always connected to at least one source-sink path;
     every non-first-layer task has at least one predecessor. *)
-
-val archetype_of_task : Codesign_ir.Task_graph.task -> archetype
-(** Recovered from the operation mix (for reporting). *)

@@ -48,6 +48,34 @@ let test_large_image_sweep () =
     fork;
   check Alcotest.bool "fork = rerun" true (fork = sweep F.Campaign.Rerun)
 
+(* A cell is complete once its master finishes inside the fuel window,
+   even while an inert event (the stopped watchdog's pending expiry, an
+   ARQ timer) is still queued past the window.  At 1000 cycles per
+   window, token at rate 0.05 (done at cycle 1,248, 40 cycles before
+   its window ends) reads exactly its default-fuel row; every cell that
+   finishes later stays degraded. *)
+let test_master_finish_completes_cell () =
+  let sweep ?cell_fuel () =
+    F.Campaign.sweep ~ops:F.Campaign.quick_ops ?cell_fuel F.Campaign.Fork
+  in
+  let full = sweep () and tight = sweep ~cell_fuel:1000 () in
+  let token =
+    List.find
+      (fun (c : FR.cell) -> c.FR.mechanism = "token" && c.FR.rate = 0.05)
+      full
+  in
+  check Alcotest.int "token at 0.05 finishes at cycle 1248" 1248
+    token.FR.sim_cycles;
+  List.iter2
+    (fun (f : FR.cell) (t : FR.cell) ->
+      let what = Printf.sprintf "%s at rate %g" f.FR.mechanism f.FR.rate in
+      if f.FR.sim_cycles <= token.FR.sim_cycles then
+        check Alcotest.bool (what ^ ": the default-fuel row") true (t = f)
+      else
+        check Alcotest.bool (what ^ ": finishes past its window, degraded")
+          true (t.FR.degraded <> None))
+    full tight
+
 let test_injector_stream_deterministic () =
   let draws seed =
     let inj = F.Injector.create ~rate:0.3 ~seed () in
@@ -369,8 +397,7 @@ let test_retry_recovers_transient_bus_faults () =
   let inj = F.Injector.create ~rate:0.15 ~seed:5 () in
   let map = M.create [ M.ram ~name:"ram" ~base:0 ~size:256 ] in
   let fb =
-    F.Faulty_bus.create ~timeout:48 k inj
-      (Codesign_bus.Transport.tlm k map)
+    F.Faulty_bus.create k inj (Codesign_bus.Transport.tlm k map)
   in
   let budget = 6 and backoff = 128 in
   let with_retry op =
@@ -505,6 +532,8 @@ let () =
             test_campaign_byte_identical;
           Alcotest.test_case "image past 4096 words, fork = rerun" `Quick
             test_large_image_sweep;
+          Alcotest.test_case "master's finish completes a cell" `Quick
+            test_master_finish_completes_cell;
           Alcotest.test_case "injector stream" `Quick
             test_injector_stream_deterministic;
         ] );

@@ -401,8 +401,9 @@ let test_hls_synthesize_block () =
 let test_hls_resource_latency_tradeoff () =
   let g = B.elaborate fir_proc in
   let block = List.hd g.C.blocks in
-  let fast = Hls.estimate_block ~scheduler:(Hls.List_sched [ ("mul", 4) ]) block in
-  let slow = Hls.estimate_block ~scheduler:(Hls.List_sched [ ("mul", 1) ]) block in
+  let report scheduler = snd (Hls.synthesize_block ~scheduler block) in
+  let fast = report (Hls.List_sched [ ("mul", 4) ]) in
+  let slow = report (Hls.List_sched [ ("mul", 1) ]) in
   check Alcotest.bool "more FUs -> faster" true
     (fast.Hls.latency < slow.Hls.latency);
   check Alcotest.bool "more FUs -> bigger" true
@@ -442,16 +443,23 @@ let test_hls_estimate_behavior () =
     (est.Hls.cycles < Codesign_isa.Cpu.cycles cpu)
 
 let test_hls_estimate_scheduler_sensitivity () =
-  let est_small =
-    Hls.estimate ~scheduler:(Hls.List_sched [ ("mul", 1); ("alu", 1) ]) fir_proc
-  in
-  let est_big =
-    Hls.estimate ~scheduler:(Hls.List_sched [ ("mul", 4); ("alu", 4) ]) fir_proc
-  in
+  (* [estimate] charges each block its default-resource latency per
+     trip; a datapath with more units per class is faster and bigger on
+     every block *)
+  let blocks = (B.elaborate fir_proc).C.blocks in
+  let total f = List.fold_left (fun acc b -> acc + f b) 0 blocks in
+  check Alcotest.int "cycles = trip-weighted block latencies"
+    (total (fun b -> b.C.trip * (Hls.estimate_block b).Hls.latency))
+    (Hls.estimate fir_proc).Hls.cycles;
+  let report scheduler b = snd (Hls.synthesize_block ~scheduler b) in
+  let small = report (Hls.List_sched [ ("mul", 1); ("alu", 1) ])
+  and big = report (Hls.List_sched [ ("mul", 4); ("alu", 4) ]) in
   check Alcotest.bool "bigger datapath is faster" true
-    (est_big.Hls.cycles <= est_small.Hls.cycles);
+    (total (fun b -> (big b).Hls.latency)
+    <= total (fun b -> (small b).Hls.latency));
   check Alcotest.bool "bigger datapath costs more" true
-    (est_big.Hls.area >= est_small.Hls.area)
+    (total (fun b -> (big b).Hls.total_area)
+    >= total (fun b -> (small b).Hls.total_area))
 
 (* ------------------------------------------------------------------ *)
 

@@ -169,44 +169,6 @@ let test_dls_totals_parallel_equal_serial () =
   check_totals "four domains vs serial" serial par4
 
 (* ------------------------------------------------------------------ *)
-(* Rng split                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Splitting is deterministic: equal-seed parents produce equal
-   children, and the split leaves the parent stream where an identical
-   twin's is. *)
-let test_rng_split_deterministic () =
-  for seed = 0 to 99 do
-    let a = Rng.create seed and b = Rng.create seed in
-    let ca = Rng.split a and cb = Rng.split b in
-    for _ = 1 to 100 do
-      check Alcotest.int "child streams equal" (Rng.int ca max_int)
-        (Rng.int cb max_int);
-      check Alcotest.int "parent streams equal after split"
-        (Rng.int a max_int) (Rng.int b max_int)
-    done
-  done
-
-(* Parent and child streams never collide in the first 10k draws, for
-   100 seeds: the split really is an independent stream, which is what
-   lets a parallel consumer hand each shard its own generator. *)
-let test_rng_split_independent () =
-  let draws = 10_000 in
-  for seed = 0 to 99 do
-    let parent = Rng.create seed in
-    let child = Rng.split parent in
-    let seen = Hashtbl.create (2 * draws) in
-    for _ = 1 to draws do
-      Hashtbl.replace seen (Rng.int parent max_int) ()
-    done;
-    for _ = 1 to draws do
-      if Hashtbl.mem seen (Rng.int child max_int) then
-        Alcotest.fail
-          (Printf.sprintf "seed %d: split stream overlaps its parent" seed)
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
 (* byte-identity: parallel == serial                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -273,13 +235,6 @@ let () =
             test_merge_totals_adds;
           Alcotest.test_case "two-domain totals equal serial" `Quick
             test_dls_totals_parallel_equal_serial;
-        ] );
-      ( "rng-split",
-        [
-          Alcotest.test_case "split is deterministic" `Quick
-            test_rng_split_deterministic;
-          Alcotest.test_case "split streams never overlap (10k x 100 seeds)"
-            `Quick test_rng_split_independent;
         ] );
       ( "identity",
         [

@@ -113,8 +113,6 @@ let test_zero_lookahead_guard () =
   let k = K.create () in
   let c : int Ch.t = Ch.create ~name:"loopy" k () in
   expect_invalid ~needle:"loopy" (fun () -> Ch.set_route c (fun _ _ -> ()));
-  let s = Signal.create ~name:"wirez" k 0 in
-  expect_invalid ~needle:"wirez" (fun () -> Signal.set_route s (fun _ _ -> ()));
   (* the partition layer names the channel and calls out self-loops *)
   let plan = P.create ~partitions:2 in
   let c0 : int Ch.t = Ch.create ~name:"xchan" (P.kernel plan 0) () in
@@ -152,13 +150,13 @@ let test_pn_latency_validation () =
 
 (* A chain over [stages] >= 2 partitions: a producer on partition 0
    streams over latency-2 channels, through a relay on each middle
-   partition, to a consumer on the last one, which also hosts a VCD
-   recorder of a latency-3 status signal the producer writes.  The exact
-   same construction runs on one wheel, on a plan driven serially, and
-   on a plan driven by domains; the received (time, value) log, the VCD
-   dump and the merged kernel stats must match byte for byte.  Three and
-   five partitions outnumber the cores of a small host, so one domain
-   serves several partitions. *)
+   partition, to a consumer on the last one, which also writes each
+   value it receives to a status signal a VCD recorder on its partition
+   watches.  The exact same construction runs on one wheel, on a plan
+   driven serially, and on a plan driven by domains; the received
+   (time, value) log, the VCD dump and the merged kernel stats must
+   match byte for byte.  Three and five partitions outnumber the cores
+   of a small host, so one domain serves several partitions. *)
 
 let build_hand_chain ~stages ~kern ~plan =
   let last = stages - 1 in
@@ -166,19 +164,17 @@ let build_hand_chain ~stages ~kern ~plan =
     Array.init last (fun i ->
         Ch.create ~latency:2 ~name:(Printf.sprintf "x%d" i) (kern (i + 1)) ())
   in
-  let s = Signal.create ~latency:3 ~name:"st" (kern last) 0 in
+  let s = Signal.create ~name:"st" 0 in
   let vcd = Vcd.create (kern last) in
   Vcd.watch vcd ~width:16 s;
   Option.iter
     (fun plan ->
-      Array.iteri (fun i c -> P.route_channel plan ~src:i ~dst:(i + 1) c) links;
-      P.route_signal plan ~src:0 ~dst:last s)
+      Array.iteri (fun i c -> P.route_channel plan ~src:i ~dst:(i + 1) c) links)
     plan;
   let log = ref [] in
   K.spawn (kern 0) ~name:"prod" (fun () ->
       for i = 0 to 7 do
         Ch.send links.(0) (i * i);
-        Signal.write s i;
         K.wait 3
       done);
   for r = 1 to last - 1 do
@@ -190,6 +186,7 @@ let build_hand_chain ~stages ~kern ~plan =
   K.spawn (kern last) ~name:"cons" (fun () ->
       for _ = 0 to 7 do
         let v = Ch.recv links.(last - 1) in
+        Signal.write s v;
         log := (K.now (kern last), v) :: !log
       done);
   (log, vcd)

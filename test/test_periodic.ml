@@ -151,12 +151,6 @@ let prop_utilisation_bounded =
       ((not v1.Periodic.feasible) || v1.Periodic.utilisation <= 1.0 +. 1e-9)
       && ((not v2.Periodic.feasible) || v2.Periodic.utilisation <= 1.0 +. 1e-9))
 
-let test_pp () =
-  let pb = Periodic.problem [ mk_app ~seed:1 ~n_tasks:3 ~period:5000 ] pe_lib in
-  let s = Periodic.synthesize pb in
-  let str = Format.asprintf "%a" (fun f -> Periodic.pp_solution f pb) s in
-  check Alcotest.bool "prints" true (String.length str > 20)
-
 let () =
   Alcotest.run "codesign_periodic"
     [
@@ -178,7 +172,6 @@ let () =
             test_synthesize_cheap_when_loose;
           Alcotest.test_case "price scales with load" `Quick
             test_synthesize_scales_price_with_load;
-          Alcotest.test_case "pp" `Quick test_pp;
           QCheck_alcotest.to_alcotest prop_utilisation_bounded;
         ] );
     ]

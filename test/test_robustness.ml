@@ -27,9 +27,19 @@ let contains hay needle =
 (* VCD                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The dump after its header: the $dumpvars section and every change. *)
+let vcd_values vcd =
+  let doc = Vcd.dump vcd and mark = "$enddefinitions $end\n" in
+  let rec find i =
+    if String.sub doc i (String.length mark) = mark then i + String.length mark
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub doc i (String.length doc - i)
+
 let test_vcd_records_changes () =
   let k = K.create () in
-  let s = S.create ~name:"data" k 0 in
+  let s = S.create ~name:"data" 0 in
   let vcd = Vcd.create k in
   Vcd.watch vcd ~width:8 s;
   K.spawn k (fun () ->
@@ -38,17 +48,14 @@ let test_vcd_records_changes () =
       K.wait 5;
       S.write s 255);
   ignore (K.run ~bound:K.Quiesce k);
-  check
-    (Alcotest.list
-       (Alcotest.triple Alcotest.int Alcotest.string Alcotest.int))
-    "changes"
-    [ (0, "data", 0); (5, "data", 3); (10, "data", 255) ]
-    (Vcd.changes vcd)
+  check Alcotest.string "changes"
+    "$dumpvars\nb00000000 !\n$end\n#5\nb00000011 !\n#10\nb11111111 !\n"
+    (vcd_values vcd)
 
 let test_vcd_dump_format () =
   let k = K.create () in
-  let req = S.create ~name:"req" k 0 in
-  let addr = S.create ~name:"addr" k 0 in
+  let req = S.create ~name:"req" 0 in
+  let addr = S.create ~name:"addr" 0 in
   let vcd = Vcd.create k in
   Vcd.watch vcd ~width:1 req;
   Vcd.watch vcd ~width:4 addr;
@@ -105,26 +112,23 @@ let test_vcd_watcher_quiescent_no_deadlock () =
      quiescent with watchers still blocked must not raise Deadlock even
      under the default Drain bound *)
   let k = K.create () in
-  let s = S.create ~name:"data" k 0 in
+  let s = S.create ~name:"data" 0 in
   let vcd = Vcd.create k in
   Vcd.watch vcd ~width:8 s;
   K.spawn k (fun () ->
       K.wait 5;
       S.write s 3);
   ignore (K.run k);
-  check
-    (Alcotest.list
-       (Alcotest.triple Alcotest.int Alcotest.string Alcotest.int))
-    "changes recorded" [ (0, "data", 0); (5, "data", 3) ]
-    (Vcd.changes vcd)
+  check Alcotest.string "changes recorded"
+    "$dumpvars\nb00000000 !\n$end\n#5\nb00000011 !\n" (vcd_values vcd)
 
 let test_vcd_dumpvars_initial_values () =
   (* regression: the dump carries a $dumpvars ... $end section with each
      signal's value at watch time, so viewers don't show 'x' until the
      first change *)
   let k = K.create () in
-  let req = S.create ~name:"req" k 1 in
-  let addr = S.create ~name:"addr" k 0b0110 in
+  let req = S.create ~name:"req" 1 in
+  let addr = S.create ~name:"addr" 0b0110 in
   let vcd = Vcd.create k in
   Vcd.watch vcd ~width:1 req;
   Vcd.watch vcd ~width:4 addr;
@@ -143,7 +147,7 @@ let test_vcd_wide_value_masked () =
   (* regression: a value wider than the declared width is masked to the
      width, not silently rendered wrong *)
   let k = K.create () in
-  let s = S.create ~name:"nib" k 0 in
+  let s = S.create ~name:"nib" 0 in
   let vcd = Vcd.create k in
   Vcd.watch vcd ~width:4 s;
   K.spawn k (fun () ->
@@ -314,13 +318,6 @@ let test_rng_deterministic () =
   let c = Rng.create 8 in
   let zs = List.init 50 (fun _ -> Rng.int c 1000) in
   check Alcotest.bool "different seed" true (xs <> zs)
-
-let test_rng_split_independent () =
-  let a = Rng.create 7 in
-  let b = Rng.split a in
-  let xs = List.init 20 (fun _ -> Rng.int a 1000) in
-  let ys = List.init 20 (fun _ -> Rng.int b 1000) in
-  check Alcotest.bool "split streams differ" true (xs <> ys)
 
 let prop_rng_bounds =
   QCheck.Test.make ~name:"rng stays in bounds" ~count:500
@@ -716,8 +713,6 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
-          Alcotest.test_case "split independent" `Quick
-            test_rng_split_independent;
           Alcotest.test_case "shuffle permutes" `Quick
             test_rng_shuffle_permutes;
           QCheck_alcotest.to_alcotest prop_rng_bounds;

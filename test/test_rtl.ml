@@ -363,7 +363,9 @@ let test_fsmd_gcd () =
   let r = F.run ~regs:[ ("a", 54); ("b", 24) ] m in
   check Alcotest.int "gcd" 6 (List.assoc "a" r.F.final_regs);
   check Alcotest.string "halt state" "done" r.F.halted_in;
-  check Alcotest.bool "took cycles" true (r.F.cycles > 5)
+  check Alcotest.bool "took cycles" true (r.F.cycles > 5);
+  check (Alcotest.list Alcotest.string) "registers" [ "a"; "b" ]
+    (F.registers m)
 
 let test_fsmd_parallel_actions () =
   (* swap must be simultaneous: RHS reads pre-cycle values *)
@@ -498,15 +500,6 @@ let test_fsmd_max_cycles () =
     fail "expected max_cycles trap"
   with Invalid_argument _ -> ()
 
-let test_fsmd_area_and_mix () =
-  let m = gcd_fsmd () in
-  check Alcotest.bool "area positive" true (F.area m > 0);
-  check (Alcotest.list Alcotest.string) "registers" [ "a"; "b" ]
-    (F.registers m);
-  let mix = F.op_mix m in
-  check Alcotest.bool "has sub" true (List.mem_assoc "sub" mix);
-  check Alcotest.bool "has eq" true (List.mem_assoc "eq" mix)
-
 let test_hdl_out_fsmd () =
   let s = Hdl_out.fsmd (gcd_fsmd ()) in
   check Alcotest.bool "has module" true (String.sub s 0 10 = "module gcd")
@@ -555,7 +548,6 @@ let () =
           Alcotest.test_case "channels" `Quick test_fsmd_channels;
           Alcotest.test_case "validation" `Quick test_fsmd_validation;
           Alcotest.test_case "max cycles" `Quick test_fsmd_max_cycles;
-          Alcotest.test_case "area and mix" `Quick test_fsmd_area_and_mix;
           Alcotest.test_case "hdl out" `Quick test_hdl_out_fsmd;
         ] );
     ]

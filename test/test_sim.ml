@@ -714,7 +714,7 @@ let gen_blocked_op =
 let run_blocked_model ops =
   let k = K.create () in
   let sigs =
-    Array.init 2 (fun i -> Signal.create ~name:(Printf.sprintf "s%d" i) k 0)
+    Array.init 2 (fun i -> Signal.create ~name:(Printf.sprintf "s%d" i) 0)
   in
   let chans = Array.init 2 (fun _ -> Channel.create ~depth:1 k ()) in
   let block_on t =
@@ -1106,27 +1106,33 @@ let test_in_place_two_domains () =
 
 let test_signal_write_wake () =
   let k = K.create () in
-  let s = Signal.create k 0 in
+  let s = Signal.create 0 in
   let seen = ref (-1) in
   K.spawn ~name:"reader" k (fun () -> seen := Signal.await_change s);
   K.spawn ~name:"writer" k (fun () ->
       K.wait 5;
       Signal.write s 99);
   ignore (K.run k);
-  check Alcotest.int "woken with value" 99 !seen;
-  check Alcotest.int "write count" 1 (Signal.write_count s)
+  check Alcotest.int "woken with value" 99 !seen
 
 let test_signal_no_wake_on_same_value () =
   let k = K.create () in
-  let s = Signal.create k 7 in
-  Signal.write s 7;
-  check Alcotest.int "no waking write" 0 (Signal.write_count s);
-  Signal.pulse s 7;
-  check Alcotest.int "pulse wakes" 1 (Signal.write_count s)
+  let s = Signal.create 7 in
+  let woken = ref [] in
+  K.spawn ~name:"waiter" k (fun () ->
+      ignore (Signal.await_change s);
+      woken := K.now k :: !woken);
+  K.spawn ~name:"writer" k (fun () ->
+      K.wait 1;
+      Signal.write s 7;
+      K.wait 1;
+      Signal.pulse s 7);
+  ignore (K.run k);
+  check (Alcotest.list Alcotest.int) "only the pulse wakes" [ 2 ] !woken
 
 let test_signal_await_predicate () =
   let k = K.create () in
-  let s = Signal.create k 0 in
+  let s = Signal.create 0 in
   let hit = ref 0 in
   K.spawn ~name:"waiter" k (fun () -> hit := Signal.await s (fun v -> v >= 3));
   K.spawn ~name:"writer" k (fun () ->
@@ -1139,35 +1145,15 @@ let test_signal_await_predicate () =
 
 let test_signal_await_immediate () =
   let k = K.create () in
-  let s = Signal.create k 10 in
+  let s = Signal.create 10 in
   let hit = ref 0 in
   K.spawn k (fun () -> hit := Signal.await s (fun v -> v = 10));
   ignore (K.run k);
   check Alcotest.int "immediate" 10 !hit
 
-let test_signal_posedge () =
-  let k = K.create () in
-  let clk = Signal.create k 0 in
-  let edges = ref [] in
-  K.spawn ~name:"sampler" k (fun () ->
-      for _ = 1 to 3 do
-        Signal.posedge clk;
-        edges := K.now k :: !edges
-      done);
-  K.spawn ~name:"clock" k (fun () ->
-      for _ = 1 to 4 do
-        K.wait 5;
-        Signal.write clk 1;
-        K.wait 5;
-        Signal.write clk 0
-      done);
-  ignore (K.run ~bound:K.Quiesce k);
-  check (Alcotest.list Alcotest.int) "posedges" [ 5; 15; 25 ]
-    (List.rev !edges)
-
 let test_signal_multiple_waiters () =
   let k = K.create () in
-  let s = Signal.create k 0 in
+  let s = Signal.create 0 in
   let order = ref [] in
   for i = 1 to 3 do
     K.spawn ~name:(Printf.sprintf "w%d" i) k (fun () ->
@@ -1311,8 +1297,8 @@ let prop_chan_transfers_preserve_order =
 let test_vcd_golden () =
   let k = K.create () in
   let vcd = Vcd.create k in
-  let clk = Signal.create ~name:"clk" k 0 in
-  let data = Signal.create ~name:"data" k 0 in
+  let clk = Signal.create ~name:"clk" 0 in
+  let data = Signal.create ~name:"data" 0 in
   Vcd.watch vcd ~width:1 clk;
   Vcd.watch vcd ~width:8 data;
   K.spawn k (fun () ->
@@ -1400,7 +1386,6 @@ let () =
             test_signal_await_predicate;
           Alcotest.test_case "await immediate" `Quick
             test_signal_await_immediate;
-          Alcotest.test_case "posedge" `Quick test_signal_posedge;
           Alcotest.test_case "multiple waiters fifo" `Quick
             test_signal_multiple_waiters;
         ] );

@@ -301,57 +301,6 @@ let test_view_relabels_upward_only () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* transactors                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_mailbox_bridges_channel_to_bus () =
-  let k = K.create () in
-  let chan : int Ch.t = Ch.create ~depth:2 ~name:"stream" k () in
-  let mb = T.Mailbox.create ~depth:2 k chan in
-  let map = M.create [ T.Mailbox.region ~name:"mb" ~base:0x40 mb ] in
-  let tr = T.tlm k map in
-  K.spawn ~name:"producer" k (fun () ->
-      for i = 1 to 5 do
-        K.wait 20;
-        Ch.send chan (i * 3)
-      done);
-  let got = ref [] in
-  K.spawn ~name:"master" k (fun () ->
-      for _ = 1 to 5 do
-        tr.T.wait_ready 0x40;
-        got := tr.T.read 0x41 :: !got
-      done);
-  ignore (K.run k);
-  check Alcotest.(list int) "a bus master consumed the message stream"
-    [ 3; 6; 9; 12; 15 ] (List.rev !got);
-  check Alcotest.int "pump accounted every word" 5 (T.Mailbox.delivered mb)
-
-let test_stream_to_channel_bridges_bus_to_channel () =
-  let k = K.create () in
-  let src =
-    Device.Stream_src.create ~depth:4 ~period:30 ~count:6
-      ~gen:(fun i -> 100 + i)
-      k ()
-  in
-  let map =
-    M.create [ Device.Stream_src.region ~name:"src" ~base:0x10 src ]
-  in
-  let tr = T.tlm k map in
-  let chan : int Ch.t = Ch.create ~depth:2 ~name:"words" k () in
-  T.stream_to_channel k tr ~base:0x10 ~count:6 chan;
-  let got = ref [] in
-  K.spawn ~name:"consumer" k (fun () ->
-      for _ = 1 to 6 do
-        got := Ch.recv chan :: !got
-      done);
-  ignore (K.run k);
-  check Alcotest.(list int) "message software consumed the bus stream"
-    [ 100; 101; 102; 103; 104; 105 ]
-    (List.rev !got);
-  check Alcotest.bool "the pump's polls and reads were bus traffic" true
-    (ops tr >= 6)
-
-(* ------------------------------------------------------------------ *)
 (* lookup-error satellites                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -435,13 +384,6 @@ let () =
             test_message_transport_binds_endpoints;
           Alcotest.test_case "view relabels upward only" `Quick
             test_view_relabels_upward_only;
-        ] );
-      ( "transactors",
-        [
-          Alcotest.test_case "mailbox: channel -> bus" `Quick
-            test_mailbox_bridges_channel_to_bus;
-          Alcotest.test_case "stream pump: bus -> channel" `Quick
-            test_stream_to_channel_bridges_bus_to_channel;
         ] );
       ( "lookup errors",
         [

@@ -6,24 +6,27 @@ Usage (from the repository root, after `dune build @check`):
     python3 tools/api_scan.py [--build _build/default]
                               [--allow tools/api_allowlist.txt]
 
-The scan reads compiler-resolved references, not names: for every
-`.cmt` under the build directory, `ocamlcmt -annot` prints each use of
-a value with the location of the declaration it resolves to, so module
-aliases, `open`s and shadowing are all accounted for.  A declaration in
-`lib/<dir>/<m>.mli` counts as used by production when a compilation
+The scan reads compiler-resolved references, not names.  The typedtree
+reader `tools/cmt_uses.ml` (built by this script through dune) prints,
+for every `.cmt` under the build directory, each value a unit uses,
+named by the location of the declaration it resolves to, so module
+aliases, `open`s and shadowing are all accounted for.  A declaration
+in `lib/<dir>/<m>.mli` counts as used by production when a compilation
 unit in `lib/`, `bin/`, `bench/`, `perfbench/` or `examples/`, other
 than `<m>.ml` itself, refers to it.  Tests (`test/`) do not count.
 
-Exit status 1 when an export has no production user and is not named
-in the allowlist, or when an allowlist line names no such export.  The
-allowlist holds one `Module.value — reason` line per kept test-only
-export, or `Module.value ?knob — reason` per optional parameter only
-tests pass; `#` starts a comment.
+The reader also prints the optional arguments each call writes out.
+An optional parameter (`?knob`) of a `lib/*/*.mli` value counts as
+passed when any production call of that value passes it, calls from
+its own module included.
 
-The script also prints, as a report that does not change the exit
-status, every optional parameter (`?name`) of a `lib/*/*.mli` value
-that no production source outside its module passes as `~name` or
-`?name`.  That part matches names only, so it is a lower bound.
+Exit status 1 when an export has no production user and is not named
+in the allowlist, when an optional parameter no production call passes
+is not named in the allowlist, or when an allowlist line names no such
+export or parameter.  The allowlist holds one `Module.value — reason`
+line per kept test-only export, or `Module.value ?knob — reason` per
+optional parameter only tests pass, whose reason must start with
+`guard:`, `bug:` or `reference:`; `#` starts a comment.
 """
 
 import argparse
@@ -34,6 +37,9 @@ import subprocess
 import sys
 
 PRODUCTION = ("lib/", "bin/", "bench/", "perfbench/", "examples/")
+
+# the reasons an unpassed optional parameter may stay (see the allowlist)
+KNOB_REASONS = ("guard:", "bug:", "reference:")
 
 
 def blank_comments(text):
@@ -105,40 +111,12 @@ def module_name(mli):
     return os.path.splitext(os.path.basename(mli))[0].capitalize()
 
 
-INT_REF = re.compile(r'^\s*int_ref \S+ "([^"]+\.mli)" \d+ \d+ (\d+) ')
-
-
-def references(build):
-    """{(mli path, offset): set(source files that refer to it)}"""
-    cmts, dirs = [], set()
-    for root, _, files in os.walk(build):
-        if os.path.basename(root) != "byte":
-            continue
-        for f in files:
-            if f.endswith(".cmt"):
-                cmts.append(os.path.join(root, f))
-                dirs.add(root)
-    refs = collections.defaultdict(set)
-    for cmt in sorted(cmts):
-        # each executable has its own `Dune__exe` alias module, so the
-        # unit's own directory must come first on the path
-        own = os.path.dirname(cmt)
-        inc = []
-        for d in [own] + sorted(dirs - {own}):
-            inc += ["-I", d]
-        out = subprocess.run(["ocamlcmt"] + inc + ["-annot", "-o", "-", cmt],
-                             capture_output=True, text=True)
-        if out.returncode != 0:
-            sys.exit("api_scan: ocamlcmt failed on %s:\n%s" % (cmt, out.stderr))
-        first = re.match(r'"([^"]+)"', out.stdout)
-        if not first:
-            continue
-        src = first.group(1)
-        for line in out.stdout.splitlines():
-            m = INT_REF.match(line)
-            if m:
-                refs[(m.group(1), int(m.group(2)))].add(src)
-    return refs
+def cmt_files(build):
+    """Every bytecode unit's .cmt under the build directory."""
+    return sorted(os.path.join(root, f)
+                  for root, _, files in os.walk(build)
+                  if os.path.basename(root) == "byte"
+                  for f in files if f.endswith(".cmt"))
 
 
 def read_allowlist(path):
@@ -154,27 +132,40 @@ def read_allowlist(path):
     return allow
 
 
-def knob_report(mlis):
-    """Optional parameters ("Module.value ?knob") that no production
-    source outside the declaring module passes by name."""
-    sources = {}
-    for top in PRODUCTION:
-        for root, _, files in os.walk(top):
-            if "_build" in root:
-                continue
-            for f in files:
-                if f.endswith(".ml"):
-                    p = os.path.join(root, f)
-                    sources[p] = blank_comments(open(p, encoding="latin-1").read())
-    unset = []
-    for mli in mlis:
-        own = mli[:-1]
-        for _, name, decl in mli_values(mli):
-            for knob in re.findall(r"\?([a-z_]\w*)\s*:", decl):
-                pat = re.compile(r"[~?]" + knob + r"\b")
-                if not any(pat.search(t) for p, t in sources.items() if p != own):
-                    unset.append("%s.%s ?%s" % (module_name(mli), name, knob))
-    return unset
+def uses(build, decls):
+    """({(declaration file, offset): set(source files that use it)},
+    {(qualified name, knob)} that production calls pass), read by
+    cmt_uses.exe.  [decls] maps (mli path, offset) to the qualified name
+    declared there."""
+    build_dir = os.path.dirname(os.path.normpath(build)) or "."
+    subprocess.run(["dune", "build", "--build-dir", build_dir,
+                    "./tools/cmt_uses.exe"], check=True)
+    out = subprocess.run(
+        [os.path.join(build, "tools", "cmt_uses.exe")] + cmt_files(build),
+        capture_output=True, text=True, check=True).stdout
+    refs, passed = collections.defaultdict(set), set()
+    src, defs = None, []
+    for line in out.splitlines():
+        kind, _, rest = line.partition(" ")
+        if kind == "unit":
+            src, defs = rest, []
+        elif kind == "def":
+            start, end, name = rest.split()
+            defs.append((int(start), int(end), name))
+        elif kind == "ref":
+            path, off = rest.split()
+            refs[(path, int(off))].add(src)
+        elif kind == "app" and src.startswith(PRODUCTION):
+            path, off, labels = rest.split()
+            off = int(off)
+            qual = decls.get((path, off))
+            if path == src:
+                # a call from the value's own module
+                qual = next(("%s.%s" % (module_name(src), n)
+                             for s, e, n in defs if s <= off < e), None)
+            if qual:
+                passed.update((qual, k) for k in labels.split(","))
+    return refs, passed
 
 
 def main():
@@ -186,16 +177,20 @@ def main():
     mlis = sorted(os.path.join("lib", d, f)
                   for d in os.listdir("lib") if os.path.isdir(os.path.join("lib", d))
                   for f in os.listdir(os.path.join("lib", d)) if f.endswith(".mli"))
-    refs = references(args.build)
+    values = {mli: mli_values(mli) for mli in mlis}
+    decls = {(mli, off): "%s.%s" % (module_name(mli), name)
+             for mli in mlis for off, name, _ in values[mli]}
+    refs, passed = uses(args.build, decls)
     allow = read_allowlist(args.allow)
 
     counts = collections.Counter()
-    failures, allowed = [], set()
+    failures, allowed, knobs = [], set(), []
     for mli in mlis:
         own = mli[:-1]
-        for off, name, _ in mli_values(mli):
+        for off, name, decl in values[mli]:
             users = refs.get((mli, off), set()) - {own}
-            qual = "%s.%s" % (module_name(mli), name)
+            qual = decls[(mli, off)]
+            knobs += [(qual, k) for k in re.findall(r"\?([a-z_]\w*)\s*:", decl)]
             prod = [u for u in users if u.startswith(PRODUCTION)]
             if prod:
                 counts["production"] += 1
@@ -209,27 +204,34 @@ def main():
             else:
                 counts["unused"] += 1
                 failures.append("%s: used by nothing outside %s" % (qual, own))
-    knobs = {k for k in allow if " ?" in k}
-    unset = knob_report(mlis)
-    stale = sorted(set(allow) - allowed - knobs) + sorted(knobs - set(unset))
+    unset = ["%s ?%s" % qk for qk in knobs if qk not in passed]
+    allowed_knobs = {k for k in allow if " ?" in k}
+    for k in unset:
+        if k not in allowed_knobs:
+            failures.append("%s: optional parameter no production call "
+                            "passes" % k)
+    for k in sorted(allowed_knobs):
+        if not allow[k].startswith(KNOB_REASONS):
+            failures.append("%s: allowlist reason must start with one of %s"
+                            % (k, ", ".join(KNOB_REASONS)))
+    stale = (sorted(set(allow) - allowed - allowed_knobs)
+             + sorted(allowed_knobs - set(unset)))
 
     total = sum(counts.values())
     print("api_scan: %d exported values in %d interfaces: %s"
           % (total, len(mlis), ", ".join("%d %s" % (v, k) for k, v in sorted(counts.items()))))
-    unlisted = [k for k in unset if k not in knobs]
-    print("api_scan: %d optional parameters that no production caller passes, "
-          "%d of them allowlisted (name match, report only):"
-          % (len(unset), len(unset) - len(unlisted)))
-    for k in unlisted:
-        print("  " + k)
+    print("api_scan: %d optional parameters, %d that no production call "
+          "passes, %d of those allowlisted"
+          % (len(knobs), len(unset), len(set(unset) & allowed_knobs)))
     for s in stale:
-        print("api_scan: allowlist entry %s names no such test-only export "
-              "or unpassed parameter" % s)
+        print("api_scan: allowlist entry %s names no test-only export and "
+              "no optional parameter that production leaves unpassed" % s)
     for f in failures:
         print("api_scan: " + f)
     if failures or stale:
-        print("api_scan: FAIL — delete the export, give it a production "
-              "caller, or allowlist it with a reason in %s" % args.allow)
+        print("api_scan: FAIL — delete the export or parameter, give it a "
+              "production caller, or allowlist it with a reason in %s"
+              % args.allow)
         return 1
     print("api_scan: ok")
     return 0
