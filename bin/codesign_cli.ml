@@ -138,7 +138,7 @@ let kernel_arg =
 (* An experiment past the wall deadline, or still raising after its
    retries, degrades (skipped / recorded) instead of aborting the run. *)
 let run_experiment ~budget ~max_retries ~quick ~jobs (e : Registry.entry) =
-  Resil.Supervisor.run ~max_retries ~budget ~restore:ignore (fun () ->
+  Resil.Supervisor.run ~max_retries ~budget (fun () ->
       Ok (e.Registry.run ~quick ~jobs ()))
   |> Result.map_error (fun { Obs.Degraded.error; attempts; _ } ->
          if attempts = 0 then error
@@ -610,10 +610,12 @@ let fault_cmd =
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Sweep engine: $(b,fork) (default) checkpoints each \
-             mechanism's world after its fault-free warm-up and forks \
-             every rate cell off the checkpoint; $(b,rerun) rebuilds the \
-             world from scratch per cell.  Both produce byte-identical \
-             reports — rerun is the reference fork is checked against.")
+             mechanism's world after its fault-free warm-up and rewinds \
+             every cell attempt to the checkpoint; $(b,rerun) builds and \
+             warms a fresh world per attempt.  Either way a cell's fuel \
+             window starts after the warm-up, so both produce \
+             byte-identical reports at every $(b,--cell-fuel) — rerun is \
+             the reference fork is checked against.")
   in
   let warmup =
     Arg.(
@@ -652,8 +654,9 @@ let fault_cmd =
       & opt (some (int_at_least 1)) None
       & info [ "cell-fuel" ] ~docv:"UNITS"
           ~doc:
-            "Simulated-time budget per sweep-cell attempt (default 200M \
-             units, the historic run bound).")
+            "Simulated-time budget of each sweep-cell attempt's injection \
+             window, which starts after the unfuelled warm-up (default \
+             200M units, the historic run bound).")
   in
   let run seed ops quick engine warmup jobs max_retries deadline_ms chaos
       cell_fuel json out =

@@ -8,8 +8,9 @@
     mechanism salvages.  The qualitative claim being measured: pin-level
     fails hard (faults surface only at the end-of-run audit), the
     transaction level recovers transients but loses persistent stuck-at
-    windows, and the token/OS level degrades gracefully — recovery rate
-    strictly improves up the ladder at every fault rate. *)
+    windows, and the token/OS level degrades gracefully — at every fault
+    rate pin recovers less than tlm, and token at least as much as tlm
+    and strictly more wherever tlm loses an op. *)
 
 open Codesign
 module Campaign = Codesign_fault.Campaign
@@ -76,13 +77,14 @@ let render (r : FR.t) =
 
 let run ?(quick = false) () = render (report ~quick ())
 
-(* invariants asserted by the test suite: at every swept fault rate the
-   recovery rate strictly improves up the interface ladder.  Defaults to
-   the full campaign: at quick size the 2% cell sees so few faults that
-   tlm recovers them all and ties token, breaking strictness — and the
-   full sweep still runs in tens of milliseconds. *)
-let shape_holds ?(quick = false) () =
-  let r = report ~quick () in
+(* The claim every report is held to, at every swept fault rate:
+   - pin recovers strictly less than tlm, and its mean detect latency
+     is strictly higher;
+   - tlm recovers no more than token, and strictly less wherever tlm
+     loses an op.  Where tlm loses none, both recover every faulted op:
+     a tie at 100% is the best token can do;
+   and every rate-0 cell keeps its checksum. *)
+let claim_holds (r : FR.t) =
   let cell mechanism rate =
     List.find_opt
       (fun (c : FR.cell) -> c.FR.mechanism = mechanism && c.FR.rate = rate)
@@ -93,10 +95,14 @@ let shape_holds ?(quick = false) () =
       match (cell "pin" rate, cell "tlm" rate, cell "token" rate) with
       | Some pin, Some tlm, Some token ->
           pin.FR.recovery_rate < tlm.FR.recovery_rate
-          && tlm.FR.recovery_rate < token.FR.recovery_rate
+          && tlm.FR.recovery_rate <= token.FR.recovery_rate
+          && (tlm.FR.lost_ops = 0
+             || tlm.FR.recovery_rate < token.FR.recovery_rate)
           && pin.FR.mean_detect_latency > tlm.FR.mean_detect_latency
       | _ -> false)
     r.FR.rates
   && List.for_all
        (fun (c : FR.cell) -> c.FR.rate > 0.0 || c.FR.checksum_ok)
        r.FR.cells
+
+let shape_holds ?(quick = false) () = claim_holds (report ~quick ())

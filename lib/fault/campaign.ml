@@ -29,6 +29,7 @@ let quick_ops = 96
 type engine = Rerun | Fork
 
 let default_warmup ops = ops / 2
+let ( let* ) = Result.bind
 
 (* Chaos harness faults: a sweep task whose master is sabotaged at its
    first windowed op, exercising the supervision path end to end. *)
@@ -37,7 +38,7 @@ type chaos = Chaos_trap | Chaos_hang
 let chaos_name = function Chaos_trap -> "trap" | Chaos_hang -> "hang"
 let chaos_label c = "chaos-" ^ chaos_name c
 
-(* The per-attempt fuel window of a supervised cell: the historic hard
+(* The fuel of a cell attempt's injection window: the historic hard
    K.run bound. *)
 let default_cell_fuel = 200_000_000
 
@@ -60,13 +61,13 @@ type level = L_pin | L_tlm | L_token
 let level_name = function L_pin -> "pin" | L_tlm -> "tlm" | L_token -> "token"
 
 (* The world one (mechanism, workload) pair runs in.  Both engines
-   build it identically; the fork engine additionally checkpoints it at
-   the warm-up boundary and rewinds it once per rate.  The source ROM
-   holds the [total]-word image from address 0 and the sink RAM starts
-   right after it, at [total], so the two never overlap at any size.
-   The injector is created inactive at rate 0 and {!Injector.reinit}'d
-   before every cell in both engines, so the two fault streams are
-   literally the same stream. *)
+   build and warm it identically; the fork engine additionally
+   checkpoints it at the warm-up boundary and rewinds it once per
+   attempt.  The source ROM holds the [total]-word image from address 0
+   and the sink RAM starts right after it, at [total], so the two never
+   overlap at any size.  The injector is created inactive at rate 0 and
+   {!Injector.reinit}'d before every window on both engines, so the two
+   fault streams are literally the same stream. *)
 type world = {
   k : K.t;
   inj : Injector.t;
@@ -106,7 +107,7 @@ let make_world ?chaos ~warmup ~ops mechanism : world =
   let wd = Watchdog.create k ~timeout:800 ~on_bite:(fun _ -> ()) in
   { k; inj; map; mechanism; fb_pin; fb_tlm; rel; wd; warmup; total; chaos }
 
-(* Per-cell accounting, fresh for every cell in both engines. *)
+(* Per-attempt accounting, fresh for every window (and the warm-up). *)
 type cell_state = {
   mutable retries : int;
   mutable give_ups : int;
@@ -172,32 +173,32 @@ let spawn_sink (w : world) =
           in
           loop ())
 
-(* Transfers [lo, hi): the warm-up run passes [finish:false] so the
-   watchdog generation and the token stream are left exactly where a
-   straight-through run would have them at the same point.  The
-   watchdog is kicked (and the injection window opened) only from
-   [warmup] on, so the warm-up schedules no timer events and the event
-   heap genuinely drains to empty at the checkpoint. *)
-let spawn_master (w : world) (st : cell_state) ~lo ~hi ~finish =
+(* Transfer [i] on the master's current rung. *)
+let transfer w st i =
+  match st.level with
+  | L_pin -> pin_op w (Option.get w.fb_pin) i
+  | L_tlm -> tlm_op w st (Option.get w.fb_tlm) i
+  | L_token -> token_op w st (Option.get w.rel) i
+
+(* The window master: transfers [warmup, total) with the injection
+   window open and the watchdog kicked before each, then the finish. *)
+let spawn_window (w : world) (st : cell_state) =
   K.spawn ~name:"campaign.master" w.k (fun () ->
-      for i = lo to hi - 1 do
-        (match w.chaos with
-        | Some Chaos_trap when i = w.warmup ->
-            failwith (Printf.sprintf "chaos: injected trap at op %d" i)
-        | Some Chaos_hang when i = w.warmup ->
-            (* spin in simulated time forever: only a fuel bound or the
-               wall deadline ends this attempt *)
-            while true do
-              K.wait 10_000
-            done
-        | _ -> ());
-        if i = w.warmup then Injector.set_active w.inj true;
-        if i >= w.warmup then Watchdog.kick w.wd;
+      (match w.chaos with
+      | Some Chaos_trap ->
+          failwith (Printf.sprintf "chaos: injected trap at op %d" w.warmup)
+      | Some Chaos_hang ->
+          (* spin in simulated time forever: only a fuel bound or the
+             wall deadline ends this attempt *)
+          while true do
+            K.wait 10_000
+          done
+      | None -> ());
+      Injector.set_active w.inj true;
+      for i = w.warmup to w.total - 1 do
+        Watchdog.kick w.wd;
         let before = Injector.injected w.inj in
-        (match st.level with
-        | L_pin -> pin_op w (Option.get w.fb_pin) i
-        | L_tlm -> tlm_op w st (Option.get w.fb_tlm) i
-        | L_token -> token_op w st (Option.get w.rel) i);
+        transfer w st i;
         if Injector.injected w.inj > before then st.faulted.(i) <- true;
         if w.mechanism = Degrade then begin
           if st.level = L_pin && Watchdog.bites w.wd >= bite_threshold then
@@ -206,11 +207,9 @@ let spawn_master (w : world) (st : cell_state) ~lo ~hi ~finish =
             st.level <- L_token
         end
       done;
-      if finish then begin
-        Watchdog.stop w.wd;
-        (match w.rel with Some rel -> Faulty_chan.close rel | None -> ());
-        st.done_at <- K.now w.k
-      end)
+      Watchdog.stop w.wd;
+      Option.iter Faulty_chan.close w.rel;
+      st.done_at <- K.now w.k)
 
 (* Audit a finished cell: compare the sink image with the expected one
    word by word over the whole range (warm-up transfers are fault-free,
@@ -299,25 +298,13 @@ let with_overhead ~baseline (c : FR.cell) =
     { c with FR.cycle_overhead = overhead }
 
 (* ------------------------------------------------------------------ *)
-(* the two engines                                                     *)
+(* the cell attempt and the two engines                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Start one cell on [w] from transfer [lo]: reseed the injector (both
-   engines draw the same fault stream, and a retry redraws it), take
-   fresh per-cell accounting, then spawn the sink and the master.  Sink
-   before master, as in a straight-through run: same-time start events
-   keep the same relative order on both engines. *)
-let start_cell (w : world) ~seed ~rate ~lo =
-  Injector.reinit w.inj ~rate ~seed;
-  let st = fresh_state w in
-  spawn_sink w;
-  spawn_master w st ~lo ~hi:w.total ~finish:true;
-  st
-
-(* Everything the fork engine rewinds between cells.  The injector is
-   not part of the checkpoint: it is reinitialised per cell (exactly as
-   the rerun engine does), which is what makes the two engines draw the
-   same fault stream. *)
+(* Everything the fork engine rewinds between attempts.  The injector is
+   not part of the checkpoint: every attempt reinitialises it, on both
+   engines, which is what makes the two engines draw the same fault
+   stream. *)
 type world_snap = {
   ws_k : K.snap;
   ws_map : M.snap;
@@ -354,20 +341,54 @@ let restore_world (w : world) (s : world_snap) =
   M.restore w.map s.ws_map;
   Watchdog.restore w.wd s.ws_wd
 
-(* One supervised sweep cell.  Every attempt takes its world from
-   [prepare run], starts the cell at transfer [lo] and runs it in a
-   fresh [cell_fuel] window under the sweep deadline; an attempt whose
-   master finished inside the window is complete.  A trapped or
-   exhausted attempt is rolled back with [restore] and retried up to
-   [max_retries] times, unless the deadline has passed.  [run] is the
-   attempt's budgeted kernel run, which [prepare] may use too (the fork
-   engine's warm-up), so a warm-up cut off by the deadline is an
-   ordinary failed attempt.  A cell that spends its restart intensity
-   becomes a [degraded] row, whose [elapsed] is the simulated time at
-   the last failure. *)
-let supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel ~label
-    (prepare, restore, lo) rate =
-  let elapsed = ref 0 in
+(* How every attempt of one sweep task gets its warmed world, the one
+   thing the engines differ in.  Warming builds a world and runs its
+   warm-up master, transfers [0, warmup), to quiescence with [run]: the
+   attempt's budgeted run, under the sweep deadline with no fuel, so a
+   drained warm-up leaves the clock exactly where an unbounded run
+   would, and one the deadline cuts off is an ordinary failed attempt.
+   The injector is inactive and the watchdog is never kicked, so the
+   warm-up draws no fault and leaves no timer event queued.  Rerun
+   warms a fresh world every time.  Fork warms once, inside the first
+   attempt that needs it, checkpoints, and rewinds every attempt to the
+   checkpoint; the rewind abandons the blocked sink, so it re-spawns
+   one (the kernel's fork discipline). *)
+let warmed_world ?chaos ~warmup ~ops engine mechanism =
+  let warm run =
+    let w = make_world ?chaos ~warmup ~ops mechanism in
+    let st = fresh_state w in
+    spawn_sink w;
+    K.spawn ~name:"campaign.master" w.k (fun () ->
+        for i = 0 to warmup - 1 do
+          transfer w st i
+        done);
+    Result.map (fun () -> w) (run w)
+  in
+  match engine with
+  | Rerun -> warm
+  | Fork ->
+      let checkpoint = ref None in
+      fun run ->
+        let* w, snap =
+          match !checkpoint with
+          | Some c -> Ok c
+          | None -> Result.map (fun w -> (w, snapshot_world w)) (warm run)
+        in
+        checkpoint := Some (w, snap);
+        restore_world w snap;
+        spawn_sink w;
+        Ok w
+
+(* One attempt at a cell, the one place its fuel window is defined.  On
+   a world from [warmed], reseed the injector (both engines draw the
+   same fault stream, and a retry redraws it), take fresh accounting,
+   spawn the window master and run it under a fresh [cell_fuel] window
+   that starts at the warm-up boundary.  The master's finish
+   ([done_at]), not an empty queue, completes the cell: the stopped
+   watchdog's pending expiry or an ARQ timer may still be queued,
+   inert, past the window.  [elapsed] is the simulated time at the end
+   of the latest run, the warm-up's included. *)
+let attempt ~seed ~budget ~cell_fuel ~elapsed warmed rate =
   let run (w : world) window =
     Fun.protect
       ~finally:(fun () -> elapsed := K.now w.k)
@@ -378,33 +399,41 @@ let supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel ~label
     | Budget.Exhausted e ->
         Error ("budget exhausted: " ^ Budget.exhausted_name e)
   in
-  let attempt () =
-    Result.bind
-      (prepare (fun w window -> finished (run w window)))
-      (fun w ->
-        let st = start_cell w ~seed ~rate ~lo in
-        match run w (Budget.with_fuel budget ~fuel:cell_fuel) with
-        (* the master's finish ([done_at]), not an empty queue, completes
-           a cell: the stopped watchdog's pending expiry or an ARQ timer
-           may still be queued, inert, past the window *)
-        | Budget.Exhausted Budget.Fuel when st.done_at > 0 ->
-            Ok (audit w st ~rate)
-        | outcome -> Result.map (fun () -> audit w st ~rate) (finished outcome))
-  in
-  match Supervisor.run ~max_retries ~budget ~restore attempt with
+  let* w = warmed (fun w -> finished (run w budget)) in
+  Injector.reinit w.inj ~rate ~seed;
+  let st = fresh_state w in
+  spawn_window w st;
+  match run w (Budget.with_fuel budget ~fuel:cell_fuel) with
+  | Budget.Exhausted Budget.Fuel when st.done_at > 0 -> Ok (audit w st ~rate)
+  | outcome -> Result.map (fun () -> audit w st ~rate) (finished outcome)
+
+(* One supervised sweep cell: a trapped or exhausted attempt is retried
+   up to [max_retries] times, unless the deadline has passed.  Every
+   attempt gets its own warmed world, so nothing is rolled back between
+   attempts.  A cell that spends its restart intensity becomes a
+   [degraded] row, whose [elapsed] is the simulated time at the last
+   failure. *)
+let supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel ~label warmed
+    rate =
+  let elapsed = ref 0 in
+  match
+    Supervisor.run ~max_retries ~budget (fun () ->
+        attempt ~seed ~budget ~cell_fuel ~elapsed warmed rate)
+  with
   | Ok cell -> cell
   | Error d ->
       degraded_cell ~label ~rate ~ops { d with Degraded.elapsed = !elapsed }
 
-(* The fuzz oracle's unsupervised reference: each point on a fresh
-   world, warm-up and window straight through. *)
+(* One unsupervised rerun-engine attempt per point. *)
 let run_cell ~seed ~ops ~rate mechanism =
-  let warmup = default_warmup ops in
+  let warmed = warmed_world ~warmup:(default_warmup ops) ~ops Rerun mechanism in
   let cell rate =
-    let w = make_world ~warmup ~ops mechanism in
-    let st = start_cell w ~seed ~rate ~lo:0 in
-    ignore (K.run ~bound:(K.Until default_cell_fuel) w.k);
-    audit w st ~rate
+    match
+      attempt ~seed ~budget:(Budget.create ()) ~cell_fuel:default_cell_fuel
+        ~elapsed:(ref 0) warmed rate
+    with
+    | Ok c -> c
+    | Error e -> failwith e
   in
   let baseline = cell 0.0 in
   with_overhead ~baseline (cell rate)
@@ -553,8 +582,7 @@ let drill_cpu ~seed : FR.drill list =
   in
   for _ = 1 to episodes do
     let before = Injector.injected inj in
-    (* every attempt builds a fresh CPU: there is nothing to restore *)
-    match Supervisor.run ~max_retries:4 ~budget ~restore:ignore episode with
+    match Supervisor.run ~max_retries:4 ~budget episode with
     | Ok () ->
         recovered_events := !recovered_events + (Injector.injected inj - before)
     | Error _ -> ()
@@ -632,17 +660,7 @@ let task_label = function
    world(s) from [seed] and touches nothing shared — so tasks are the
    unit of domain-parallelism: each pool worker constructs, warms up
    and (on the fork engine) checkpoints/rewinds its own private
-   snapshot copy.  The engines differ only in how an attempt gets its
-   world: rerun rebuilds it from zero (so there is nothing to rewind
-   between attempts), fork rewinds it to the warm-up checkpoint.  The
-   fork engine's first attempt takes that checkpoint: it builds the
-   world and runs the fault-free warm-up to quiescence under the sweep
-   deadline.  No fuel bounds the warm-up, so a drained one leaves the
-   clock exactly where an unbounded run would (the checkpoint time is
-   part of the byte-identity contract), and the inactive injector draws
-   nothing, so the faults landed in each forked window are a pure
-   function of (seed, rate, window ops) — byte-identical to the rerun
-   engine's. *)
+   snapshot copy. *)
 let task_cells ~seed ~warmup ~ops ~max_retries ~budget ~cell_fuel engine
     task
     : FR.cell list =
@@ -651,40 +669,10 @@ let task_cells ~seed ~warmup ~ops ~max_retries ~budget ~cell_fuel engine
     | T_mech m -> (None, m)
     | T_chaos c -> (Some c, Pin)
   in
-  let fresh () = make_world ?chaos ~warmup ~ops mechanism in
-  let world =
-    match engine with
-    | Rerun -> ((fun _run -> Ok (fresh ())), ignore, 0)
-    | Fork ->
-        let checkpoint = ref None in
-        let restore () =
-          Option.iter (fun (w, snap) -> restore_world w snap) !checkpoint
-        in
-        let prepare run =
-          let warmed =
-            match !checkpoint with
-            | Some (w, _) -> Ok w
-            | None ->
-                let w = fresh () in
-                spawn_sink w;
-                spawn_master w (fresh_state w) ~lo:0 ~hi:warmup ~finish:false;
-                Result.map
-                  (fun () ->
-                    checkpoint := Some (w, snapshot_world w);
-                    w)
-                  (run w budget)
-          in
-          Result.map
-            (fun w ->
-              restore ();
-              w)
-            warmed
-        in
-        (prepare, restore, warmup)
-  in
   let cell =
     supervised_cell ~seed ~ops ~max_retries ~budget ~cell_fuel
-      ~label:(task_label task) world
+      ~label:(task_label task)
+      (warmed_world ?chaos ~warmup ~ops engine mechanism)
   in
   let baseline = cell 0.0 in
   baseline

@@ -39,56 +39,51 @@
     stuck-at faults (every single stuck-at on a TMR replica gate vs the
     bare netlist, exhaustive over input vectors).
 
-    {b The engines.}  The warm-up + window structure exists so the
-    sweep can {e fork from a checkpoint}: the {!Fork} engine builds each
-    mechanism's world once, runs the warm-up to quiescence, snapshots
-    every stateful substrate (kernel, memory map, faulty buses, ARQ
-    channel, watchdog) and rewinds that checkpoint once per rate; the
-    {!Rerun} engine rebuilds the world and repeats the warm-up for
-    every cell.  Both run every cell through the same supervised cell
-    loop and differ only in how an attempt gets its world: the fork
-    engine takes its checkpoint inside the first supervised attempt
-    that needs one, so its warm-up fails, retries and degrades exactly
-    like the rerun engine's warm-up inside a cell.  Because the
-    inactive injector consumes no Rng draws during warm-up, and the
-    per-fork re-spawns preserve same-time event order, both engines
-    produce byte-identical reports — Rerun is kept as the reference the
-    fork path is checked against (in CI and in the property tests).
+    {b The cell window.}  Every attempt at a cell takes a warmed world,
+    whose fault-free warm-up has run to quiescence under the sweep
+    deadline with no fuel; only the injection window then runs, under a
+    fresh [cell_fuel] window of simulated time that starts at the
+    warm-up boundary.  The engines differ in how an attempt gets its
+    warmed world, and in nothing else: {!Rerun} builds and warms a
+    fresh one for every attempt; {!Fork} warms each mechanism's world
+    once, snapshots every stateful substrate (kernel, memory map,
+    faulty buses, ARQ channel, watchdog) and rewinds that checkpoint for
+    every attempt, re-spawning the sink process the rewind abandons.
+    Because the inactive injector consumes no Rng draws during warm-up,
+    and the re-spawn keeps same-time event order, both engines produce
+    byte-identical reports at every budget — Rerun is kept as the
+    reference the fork path is checked against (in CI, the tests and
+    the fuzzer's campaign oracle).
 
     {b Supervision.}  Every cell runs under a
     {!Codesign_resil.Supervisor}: an attempt that traps, deadlocks or
-    exhausts its [cell_fuel] window is rolled back (fork engine: rewind
-    to the warm-up checkpoint; rerun engine: rebuild from zero) and
-    retried up to [max_retries] times; a cell that spends its restart
+    exhausts its window is retried, on a freshly warmed or rewound
+    world, up to [max_retries] times; a cell that spends its restart
     intensity is emitted as a zeroed row carrying a
-    {!Codesign_obs.Degraded.t} record — the sweep {e completes} with
-    partial results instead of aborting.  [deadline_ms] adds a wall
-    deadline over the whole sweep: cells not yet started when it passes
-    degrade immediately with ["deadline exceeded"] and 0 attempts; an
-    attempt it cuts off (a fork warm-up included) degrades with
-    ["budget exhausted: deadline"] and is not retried, on both engines
-    alike.  [chaos] appends a
-    sabotaged fifth task (mechanism ["chaos-trap"] / ["chaos-hang"])
+    {!Codesign_obs.Degraded.t} record, whose [elapsed] is the simulated
+    time at the last failure — the sweep {e completes} with partial
+    results instead of aborting.  [deadline_ms] adds a wall deadline
+    over the whole sweep: cells not yet started when it passes degrade
+    immediately with ["deadline exceeded"] and 0 attempts; an attempt
+    it cuts off, in its warm-up or its window, degrades with
+    ["budget exhausted: deadline"] and is not retried.  [chaos] appends
+    a sabotaged fifth task (mechanism ["chaos-trap"] / ["chaos-hang"])
     whose master fails at its first windowed op — the supervision
     path's own fault-injection harness, used by the chaos CI smoke.
 
     Everything except wall-deadline cut-offs is a pure function of
     [seed] and the parameters: no wall clock anywhere, so equal seeds
-    give byte-identical reports — including degraded rows, whose
-    [elapsed] is simulated time.  The engine is deliberately {e not}
-    recorded in the report.  (The two engines may differ in a degraded
-    {e hang} cell's [elapsed]: the fork engine's fuel window starts at
-    the checkpoint time, the rerun engine's at zero.) *)
+    give byte-identical reports, degraded rows included.  The engine is
+    deliberately {e not} recorded in the report. *)
 
 type mechanism = Pin | Tlm | Token | Degrade
 
-val mechanism_name : mechanism -> string
 val mechanisms : mechanism list
 (** In ladder order: [Pin; Tlm; Token; Degrade]. *)
 
 type engine =
-  | Rerun  (** rebuild world + warm-up from scratch for every cell *)
-  | Fork  (** warm up once per mechanism, fork each cell off a checkpoint *)
+  | Rerun  (** build and warm a fresh world for every attempt *)
+  | Fork  (** warm up once per mechanism, rewind a checkpoint per attempt *)
 
 type chaos =
   | Chaos_trap  (** master raises at its first windowed op *)
@@ -101,9 +96,11 @@ val quick_ops : int
 val run_cell :
   seed:int -> ops:int -> rate:float -> mechanism ->
   Codesign_obs.Fault_report.cell
-(** One sweep point ([cycle_overhead] computed against an internal
-    rate-0 run of the same mechanism), on the reference (rerun)
-    engine, after a warm-up of [ops / 2] transfers. *)
+(** One sweep point ([cycle_overhead] computed against a rate-0 point
+    of the same mechanism): one unsupervised attempt per point on the
+    {!Rerun} engine, with a warm-up of [ops / 2] transfers, the default
+    [cell_fuel] and no deadline.
+    @raise Failure when an attempt fails. *)
 
 val sweep :
   ?seed:int -> ?ops:int -> ?warmup:int -> ?jobs:int ->
@@ -127,8 +124,9 @@ val sweep :
 
     [max_retries] (default 2) caps per-cell restarts, [cell_fuel]
     (default 200M units, the historic hard run bound) bounds each
-    attempt in simulated time, [deadline_ms] bounds the whole sweep in
-    wall time, [chaos] injects a deliberately failing task (see the header). *)
+    attempt's injection window in simulated time, [deadline_ms] bounds
+    the whole sweep in wall time, [chaos] injects a deliberately failing
+    task (see the header). *)
 
 val run :
   ?seed:int -> ?ops:int -> ?warmup:int ->

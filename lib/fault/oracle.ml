@@ -28,20 +28,45 @@ let cell_invariant (c : FR.cell) =
          c.FR.mechanism c.FR.lost_ops c.FR.checksum_ok)
   else None
 
+(* Fork = rerun at a random budget: both engines sweep one drawn grid
+   and must give equal cell lists, degraded cells included; every cell
+   that completed must satisfy [cell_invariant]. *)
 let check_campaign rng =
-  let mechanism = Rng.pick rng Campaign.mechanisms in
-  let rate = Rng.pick rng [ 0.0; 0.02; 0.08; 0.15 ] in
-  let cell_seed = Rng.int rng 1_000_000 in
-  let ops = 32 + Rng.int rng 32 in
-  let c1 = Campaign.run_cell ~seed:cell_seed ~ops ~rate mechanism in
-  let c2 = Campaign.run_cell ~seed:cell_seed ~ops ~rate mechanism in
-  if c1 <> c2 then
-    Some
-      (Printf.sprintf
-         "campaign cell not deterministic (mechanism=%s rate=%g seed=%d)"
-         (Campaign.mechanism_name mechanism)
-         rate cell_seed)
-  else cell_invariant c1
+  let seed = Rng.int rng 1_000_000 in
+  let ops = Rng.int_in rng 8 63 in
+  let warmup = Rng.int_in rng 0 63 in
+  let cell_fuel =
+    if Rng.bool rng then None else Some (Rng.int_in rng 200 4_999)
+  in
+  let max_retries = Rng.int_in rng 0 2 in
+  let chaos, chaos_name =
+    Rng.pick rng
+      [
+        (None, "none");
+        (Some Campaign.Chaos_trap, "trap");
+        (Some Campaign.Chaos_hang, "hang");
+      ]
+  in
+  let sweep engine =
+    Campaign.sweep ~seed ~ops ~warmup ~max_retries ?cell_fuel ?chaos engine
+  in
+  let fork = sweep Campaign.Fork in
+  match
+    List.find_opt
+      (fun (f, r) -> f <> r)
+      (List.combine fork (sweep Campaign.Rerun))
+  with
+  | Some ((c : FR.cell), _) ->
+      Some
+        (Printf.sprintf
+           "fork and rerun differ at %s rate %g (seed=%d ops=%d warmup=%d \
+            cell_fuel=%s max_retries=%d chaos=%s)"
+           c.FR.mechanism c.FR.rate seed ops warmup
+           (Option.fold ~none:"default" ~some:string_of_int cell_fuel)
+           max_retries chaos_name)
+  | None ->
+      List.find_map cell_invariant
+        (List.filter (fun (c : FR.cell) -> c.FR.degraded = None) fork)
 
 (* ------------------------------------------------------------------ *)
 (* fault-injected transport of a generated behaviour's output trace    *)

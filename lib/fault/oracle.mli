@@ -2,11 +2,15 @@
     [--fault] mode): properties of the fault machinery itself that must
     hold for {e every} seed.
 
-    {!check_campaign} re-runs one randomly chosen sweep cell twice and
-    checks (a) determinism — identical cells from identical seeds — and
-    (b) the accounting invariants every cell must satisfy (losses never
-    exceed faulted ops, faulted ops never exceed ops, a zero fault rate
-    is loss-free with a clean checksum, rates stay within [0, 1]).
+    {!check_campaign} draws a random sweep budget (seed, 8–63 ops, a
+    0–63-transfer warm-up, the default [cell_fuel] or 200–4,999 units,
+    0–2 retries, no chaos, a trap or a hang), sweeps it on both engines
+    and checks (a) fork = rerun — equal cell lists, degraded cells and
+    their [elapsed] included, a mismatch naming the first cell that
+    differs — and (b) the accounting invariants every completed cell
+    must satisfy (losses never exceed faulted ops, faulted ops never
+    exceed ops, a zero fault rate is loss-free with a clean checksum,
+    rates stay within [0, 1]).
 
     {!check_transport} is the shrinkable one: it runs a generated
     behaviour's output trace through the ARQ pipe of {!Faulty_chan}

@@ -136,8 +136,7 @@ let run ?(seed = 42) ?(count = 200) ?(fault = false) ?(jobs = 1)
       (Codesign_par.Domain_pool.map ~jobs
          (fun case_seed ->
            ( case_seed,
-             Codesign_resil.Supervisor.run ~max_retries ~budget
-               ~restore:ignore (fun () ->
+             Codesign_resil.Supervisor.run ~max_retries ~budget (fun () ->
                  Ok (run_case ?transform_asm ~fault case_seed)) ))
          cases)
   in

@@ -81,10 +81,9 @@ let scale_deadline g f =
   let cp = float_of_int (sw_critical_path g) in
   { g with deadline = int_of_float (cp *. f +. 0.5) }
 
-(* "period=0": a task graph is aperiodic (Periodic releases graphs) *)
 let pp fmt g =
   Format.fprintf fmt
-    "@[<v>task graph %s: %d tasks, %d edges, period=0 deadline=%d@,\
+    "@[<v>task graph %s: %d tasks, %d edges, deadline=%d@,\
      sw total=%d cycles, sw critical path=%d, hw area (standalone)=%d@]"
     g.name (n_tasks g) (List.length g.edges) g.deadline
     (total_sw_cycles g) (sw_critical_path g) (total_hw_area g)

@@ -8,8 +8,8 @@
     that deadline.  {!run_kernel} consumes
     it and returns {!outcome}: [Done] when the workload finished inside
     the budget, [Exhausted] when a bound was hit with work remaining —
-    the caller decides whether that means retry from a snapshot
-    ({!Supervisor}), a degraded report cell
+    the caller decides whether that means a retry ({!Supervisor}), a
+    degraded report cell
     ({!Codesign_obs.Degraded}), or an error.
 
     Determinism: fuel bounds are in simulated units, so fuel-exhausted

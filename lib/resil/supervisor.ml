@@ -1,6 +1,6 @@
 module Degraded = Codesign_obs.Degraded
 
-let run ~max_retries ~budget ~restore body =
+let run ~max_retries ~budget body =
   if max_retries < 0 then invalid_arg "Supervisor.run: negative max_retries";
   let give_up error attempts = Error { Degraded.error; attempts; elapsed = 0 } in
   (* [made] attempts have failed so far; the wall deadline is checked
@@ -12,7 +12,6 @@ let run ~max_retries ~budget ~restore body =
     | Error e -> failed (made + 1) e
     | exception exn -> failed (made + 1) (Printexc.to_string exn)
   and failed made e =
-    restore ();
     if made > max_retries || Budget.past_deadline budget then give_up e made
     else attempt made
   in

@@ -13,6 +13,61 @@ let non_empty name s =
 let test_run name f () = non_empty name (f ~quick:true ())
 let test_shape name f () = check Alcotest.bool (name ^ " shape") true (f ())
 
+module FR = Codesign_obs.Fault_report
+
+(* EXP-F's claim holds beyond the seed it was written at: on every seed
+   from 1 to 60.  A strict tlm < token at every rate would fail on 17 of
+   them, each time on a tie at 100% recovery. *)
+let test_fault_claim_seeds () =
+  for seed = 1 to 60 do
+    check Alcotest.bool
+      (Printf.sprintf "expF claim at seed %d" seed)
+      true
+      (Exp_fault.claim_holds (Exp_fault.report ~seed ()))
+  done
+
+(* ... and it can fail: a token rung that recovers exactly what tlm
+   does breaks it wherever tlm loses an op. *)
+let test_fault_claim_fails_on_token_as_tlm () =
+  let r = Exp_fault.report () in
+  let tlm rate =
+    List.find
+      (fun (c : FR.cell) -> c.FR.mechanism = "tlm" && c.FR.rate = rate)
+      r.FR.cells
+  in
+  let cells =
+    List.map
+      (fun (c : FR.cell) ->
+        if c.FR.mechanism = "token" then
+          { (tlm c.FR.rate) with FR.mechanism = "token" }
+        else c)
+      r.FR.cells
+  in
+  check Alcotest.bool "seed 42 holds" true (Exp_fault.claim_holds r);
+  check Alcotest.bool "token = tlm breaks the claim" false
+    (Exp_fault.claim_holds { r with FR.cells })
+
+(* EXP-5's exact-optimum check can fail: one feasible heuristic point
+   doctored 5% cheaper than sos breaks it. *)
+let test_exp5_beaten_optimum_fails () =
+  let points = Exp_fig5.sweep ~sizes:[ 5 ] ~seeds:[ 1; 2 ] in
+  check Alcotest.bool "the swept points hold" true
+    (Exp_fig5.exact_never_beaten points);
+  let doctored = ref false in
+  let beaten =
+    List.map
+      (fun (p : Exp_fig5.point) ->
+        if (not !doctored) && p.algorithm <> "sos" && p.feasible then begin
+          doctored := true;
+          { p with gap = -0.05 }
+        end
+        else p)
+      points
+  in
+  check Alcotest.bool "a feasible heuristic point to doctor" true !doctored;
+  check Alcotest.bool "a 5% cheaper heuristic breaks the check" false
+    (Exp_fig5.exact_never_beaten beaten)
+
 (* EXPERIMENTS.md quotes its tables verbatim from
    bench_tables_reference.txt in "```table EXP-..." blocks.  Run the
    harness's writer over copies of both files: it must leave the
@@ -107,6 +162,12 @@ let () =
           Alcotest.test_case "expF recovery strictly improves up the ladder"
             `Quick
             (test_shape "expF" (fun () -> Exp_fault.shape_holds ()));
+          Alcotest.test_case "expF claim holds on seeds 1-60" `Quick
+            test_fault_claim_seeds;
+          Alcotest.test_case "expF claim fails if token = tlm" `Quick
+            test_fault_claim_fails_on_token_as_tlm;
+          Alcotest.test_case "exp5 check fails on a beaten optimum" `Quick
+            test_exp5_beaten_optimum_fails;
         ] );
       ( "docs",
         [

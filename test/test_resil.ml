@@ -2,12 +2,12 @@
    and the graceful-degradation path through the fault campaign and the
    fuzz driver.  The central claims under test: backoff schedules are
    the historic ones; a budget-exhausted run leaves its world intact and
-   restorable; a supervisor gives up at its restart-intensity cap with
-   the world back at the checkpoint, and starts nothing past its
-   deadline, retries included; a campaign with a sabotaged (chaos) task
-   completes with that task degraded while every other cell — and the
-   whole report at any job count — stays byte-identical; and a wall
-   deadline degrades both campaign engines alike. *)
+   restorable; a supervisor gives up at its restart-intensity cap, and
+   starts nothing past its deadline, retries included; a campaign with
+   a sabotaged (chaos) task completes with that task degraded while
+   every other cell — and the whole report at any job count — stays
+   byte-identical; and both campaign engines agree at every budget,
+   under tight fuel and under a wall deadline alike. *)
 
 module Policy = Codesign_resil.Policy
 module Budget = Codesign_resil.Budget
@@ -158,11 +158,9 @@ let test_budget_with_fuel_shares_deadline () =
 (* ------------------------------------------------------------------ *)
 
 let test_supervisor_gives_up_at_cap () =
-  let restores = ref 0 and attempt = ref 0 in
+  let attempt = ref 0 in
   match
-    Supervisor.run ~max_retries:2 ~budget:no_deadline
-      ~restore:(fun () -> incr restores)
-      (fun () ->
+    Supervisor.run ~max_retries:2 ~budget:no_deadline (fun () ->
         incr attempt;
         failwith (Printf.sprintf "trap %d" !attempt))
   with
@@ -173,23 +171,19 @@ let test_supervisor_gives_up_at_cap () =
         (contains ~needle:"trap 3" d.Degraded.error);
       check Alcotest.int "elapsed is the caller's to fill in" 0
         d.Degraded.elapsed;
-      check Alcotest.int "restored after every failure, world at checkpoint" 3
-        !restores
+      check Alcotest.int "the body ran once per attempt" 3 !attempt
 
 let test_supervisor_recovers () =
-  let restores = ref 0 and attempts = ref 0 in
+  let attempts = ref 0 in
   match
-    Supervisor.run ~max_retries:3 ~budget:no_deadline
-      ~restore:(fun () -> incr restores)
-      (fun () ->
+    Supervisor.run ~max_retries:3 ~budget:no_deadline (fun () ->
         incr attempts;
         if !attempts < 3 then Error "not yet" else Ok (!attempts * 7))
   with
   | Error _ -> fail "expected recovery"
   | Ok value ->
       check Alcotest.int "value from the successful attempt" 21 value;
-      check Alcotest.int "attempts counted" 3 !attempts;
-      check Alcotest.int "restored only after failures" 2 !restores
+      check Alcotest.int "attempts counted" 3 !attempts
 
 let spin_past_deadline budget =
   while not (Budget.past_deadline budget) do
@@ -202,11 +196,9 @@ let spin_past_deadline budget =
 let test_supervisor_deadline_passed () =
   let budget = Budget.create ~deadline_ms:1 () in
   spin_past_deadline budget;
-  let ran = ref false and restores = ref 0 in
+  let ran = ref false in
   (match
-     Supervisor.run ~max_retries:2 ~budget
-       ~restore:(fun () -> incr restores)
-       (fun () ->
+     Supervisor.run ~max_retries:2 ~budget (fun () ->
          ran := true;
          Ok ())
    with
@@ -214,15 +206,12 @@ let test_supervisor_deadline_passed () =
   | Error d ->
       check Alcotest.string "error" "deadline exceeded" d.Degraded.error;
       check Alcotest.int "no attempt made" 0 d.Degraded.attempts;
-      check Alcotest.bool "body never ran" false !ran;
-      check Alcotest.int "nothing to restore" 0 !restores);
+      check Alcotest.bool "body never ran" false !ran);
   (* the deadline passes during the first attempt, which then fails *)
   let budget = Budget.create ~deadline_ms:100 () in
-  let runs = ref 0 and restores = ref 0 in
+  let runs = ref 0 in
   match
-    Supervisor.run ~max_retries:2 ~budget
-      ~restore:(fun () -> incr restores)
-      (fun () ->
+    Supervisor.run ~max_retries:2 ~budget (fun () ->
         incr runs;
         spin_past_deadline budget;
         Error "cut off")
@@ -232,8 +221,7 @@ let test_supervisor_deadline_passed () =
       check Alcotest.string "the attempt's own error" "cut off"
         d.Degraded.error;
       check Alcotest.int "no retry past the deadline" 1 d.Degraded.attempts;
-      check Alcotest.int "ran once" 1 !runs;
-      check Alcotest.int "restored once" 1 !restores
+      check Alcotest.int "ran once" 1 !runs
 
 (* ------------------------------------------------------------------ *)
 (* degraded campaigns                                                  *)
@@ -303,11 +291,20 @@ let test_chaos_leaves_other_cells_untouched () =
     (List.map cell_bytes
        (List.filter (fun c -> not (is_chaos c)) with_chaos.FR.cells))
 
+(* Fork and rerun sweeps of one grid are equal cell for cell, degraded
+   [elapsed] included; a failure names the first cell that differs. *)
+let check_engines_agree what fork rerun =
+  match List.find_opt (fun (f, r) -> f <> r) (List.combine fork rerun) with
+  | None -> ()
+  | Some ((c : FR.cell), _) ->
+      fail
+        (Printf.sprintf "%s: fork and rerun differ at %s at rate %g" what
+           c.FR.mechanism c.FR.rate)
+
 (* A hanging cell exhausts its (deterministic, simulated) fuel window
    and degrades with a fuel error instead of wedging the sweep, on both
-   engines.  The two sweeps agree except in a hang cell's [elapsed]: the
-   rerun engine's window starts at zero, the fork engine's at the
-   warm-up checkpoint, so they differ by that one checkpoint time. *)
+   engines.  Both windows start at the warm-up boundary, so the two
+   sweeps are equal cell for cell, the hang cells' [elapsed] included. *)
 let test_chaos_hang_exhausts_fuel () =
   let cell_fuel = 5_000_000 in
   let sweeps =
@@ -339,42 +336,37 @@ let test_chaos_hang_exhausts_fuel () =
         cells)
       engines
   in
-  let elapsed (c : FR.cell) =
-    match c.FR.degraded with
-    | Some d -> d.Codesign_obs.Degraded.elapsed
-    | None -> 0
-  in
-  let without_elapsed (c : FR.cell) =
-    match c.FR.degraded with
-    | Some d ->
-        let d = { d with Codesign_obs.Degraded.elapsed = 0 } in
-        { c with FR.degraded = Some d }
-    | None -> c
-  in
-  let fork = List.nth sweeps 0 and rerun = List.nth sweeps 1 in
-  check Alcotest.bool "engines agree on every cell but elapsed" true
-    (List.map without_elapsed fork = List.map without_elapsed rerun);
-  let hung_fork = List.filter is_chaos fork
-  and hung_rerun = List.filter is_chaos rerun in
+  check_engines_agree "hang" (List.nth sweeps 0) (List.nth sweeps 1)
+
+(* Fork = rerun at every budget: at fuel windows tight enough to cut
+   off some cells and not others, with and without retries, with and
+   without a hanging task, the two engines give equal cell lists, the
+   degraded cells' [elapsed] included. *)
+let test_engines_agree_at_tight_fuel () =
   List.iter
-    (fun c ->
-      check Alcotest.int "rerun: a fuel window from zero" cell_fuel (elapsed c))
-    hung_rerun;
-  match
-    List.sort_uniq compare
-      (List.map2 (fun f r -> elapsed f - elapsed r) hung_fork hung_rerun)
-  with
-  | [ checkpoint ] ->
-      check Alcotest.bool "fork: the window starts at the checkpoint" true
-        (checkpoint > 0)
-  | _ -> fail "fork and rerun elapsed differ by more than one checkpoint time"
+    (fun cell_fuel ->
+      List.iter
+        (fun max_retries ->
+          List.iter
+            (fun chaos ->
+              let sweep engine =
+                Campaign.sweep ~seed:42 ~ops:Campaign.quick_ops ~cell_fuel
+                  ~max_retries ?chaos engine
+              in
+              check_engines_agree
+                (Printf.sprintf "cell_fuel %d, max_retries %d%s" cell_fuel
+                   max_retries
+                   (if chaos = None then "" else ", chaos hang"))
+                (sweep Campaign.Fork) (sweep Campaign.Rerun))
+            [ None; Some Campaign.Chaos_hang ])
+        [ 0; 2 ])
+    [ 800; 1000; 1400; 2400 ]
 
 (* A wall deadline degrades both engines alike.  A 2M-transfer warm-up
-   cannot finish in 20 ms, so the first cell's attempt is cut off (on
-   the fork engine inside its warm-up, on the rerun engine inside the
-   cell run) and every later cell is work not started.  The two sweeps
-   agree on every cell except in [elapsed], which on a cut-off attempt
-   is wall-clock dependent. *)
+   cannot finish in 20 ms, so the first cell's attempt is cut off inside
+   its warm-up, on either engine, and every later cell is work not
+   started.  The two sweeps agree on every cell except in [elapsed],
+   which on a cut-off attempt is wall-clock dependent. *)
 let test_deadline_degrades_engines_alike () =
   let without_elapsed (c : FR.cell) =
     {
@@ -490,7 +482,7 @@ let () =
         [
           Alcotest.test_case "gives up at the restart-intensity cap" `Quick
             test_supervisor_gives_up_at_cap;
-          Alcotest.test_case "recovers after restores" `Quick
+          Alcotest.test_case "recovers after failed attempts" `Quick
             test_supervisor_recovers;
           Alcotest.test_case "passed deadline runs nothing" `Quick
             test_supervisor_deadline_passed;
@@ -503,6 +495,8 @@ let () =
             test_chaos_leaves_other_cells_untouched;
           Alcotest.test_case "hanging cell exhausts fuel" `Quick
             test_chaos_hang_exhausts_fuel;
+          Alcotest.test_case "fork = rerun at tight fuel" `Quick
+            test_engines_agree_at_tight_fuel;
           Alcotest.test_case "deadline degrades both engines alike" `Quick
             test_deadline_degrades_engines_alike;
           Alcotest.test_case "fuzz degrades on a raising harness" `Quick
