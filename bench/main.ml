@@ -121,6 +121,19 @@ let bench_queued_waits () =
   done;
   ignore (Codesign_sim.Kernel.run k)
 
+(* The same 48 tied loops as callback processes: each wake-up is a
+   queued thunk that calls the loop's continuation, with no effect and
+   no fiber to resume. *)
+let bench_queued_callbacks () =
+  let module K = Codesign_sim.Kernel in
+  let k = K.create () in
+  for _ = 1 to 48 do
+    K.spawn_cb k (fun self ->
+        let rec loop n = if n > 0 then K.wait_cb self 1 (fun () -> loop (n - 1)) in
+        loop 100)
+  done;
+  ignore (K.run k)
+
 (* [Behavior.run] over the 48 processes of the 4x8 mesh, outside the
    kernel: channel reads return 0 and writes are dropped, so the entry
    times the behaviour alone (about 11k statements a run). *)
@@ -365,6 +378,7 @@ let run_microbenchmarks () =
       [
         test "event-kernel/1k-wakeups" bench_event_kernel;
         test "event-kernel/48-queued-waits" bench_queued_waits;
+        test "event-kernel/48-queued-callbacks" bench_queued_callbacks;
         test "ir/behavior-mesh" bench_behavior_mesh;
         test "iss/fir-kernel" bench_iss;
         test "iss/fir-kernel-step" bench_iss_step;

@@ -66,6 +66,14 @@ module Mutex = struct
       K.suspend ~register:(fun resume -> Queue.push resume t.waiters)
     else t.held <- true
 
+  let acquire_cb t self k =
+    if t.held then
+      K.suspend_cb self ~register:(fun resume -> Queue.push resume t.waiters) k
+    else begin
+      t.held <- true;
+      k ()
+    end
+
   let release t =
     if Queue.is_empty t.waiters then t.held <- false
     else (Queue.pop t.waiters) ()
@@ -367,11 +375,7 @@ let run_echo_assignment ~levels ?(items = 16) ?(work = 8) ?(src_period = 200)
         in
         if quantum > 1 then flush_sw := flush;
         K.spawn ~name:"cpu" k (fun () ->
-            if quantum = 1 then
-              while Cpu.status cpu = Cpu.Running do
-                let cy = Cpu.step cpu in
-                if cy > 0 then K.wait cy
-              done
+            if quantum = 1 then Cpu_process.run cpu
             else
               while Cpu.status cpu = Cpu.Running do
                 (* run up to [quantum] cycles ahead on the block tier,
@@ -701,10 +705,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
           let c = Cpu.create ~env img.Asm.code in
           K.spawn ~name:proc.B.name my_k (fun () ->
               Mutex.acquire cpu_token;
-              while Cpu.status c = Cpu.Running do
-                let cy = Cpu.step c in
-                if cy > 0 then K.wait cy
-              done;
+              Cpu_process.run c;
               Mutex.release cpu_token;
               (* never raise from inside a kernel process: a trap is
                  recorded as data and the process ends cleanly, so the
@@ -727,32 +728,69 @@ let run_network ?hw_engines ?(cross_cost = 0) ?partition (net : Pn.t) =
           let est = Codesign_hls.Hls.estimate proc in
           hw_area := !hw_area + est.Codesign_hls.Hls.area;
           let stmt_cost = stmt_cycles_of est proc in
-          let token = token_of proc.B.name in
-          let io =
-            {
-              B.null_io with
-              B.recv =
-                (fun name ->
-                  Mutex.release token;
-                  let v = Ch.recv (fst (chan_named name)) in
-                  Mutex.acquire token;
-                  v);
-              send =
-                (fun name v ->
-                  let ch, cost = chan_named name in
-                  if cost > 0 then K.wait cost;
-                  Mutex.release token;
-                  Ch.send ch v;
-                  Mutex.acquire token);
-              port_out = (fun p v -> record_port p v);
-            }
+          (* Only a labelled engine can be held by another process, so
+             only its processes take a token; a process alone on its
+             engine would release and re-take it around every channel
+             operation with no one to hand it to. *)
+          let token =
+            match engine_of proc.B.name with
+            | Label _ -> Some (token_of proc.B.name)
+            | On_cpu | Own _ -> None
           in
-          K.spawn ~name:proc.B.name my_k (fun () ->
-              Mutex.acquire token;
-              ignore
-                (B.run ~io ~tick:(fun () -> K.wait stmt_cost) proc []);
-              Mutex.release token;
-              if K.now my_k > !my_end then my_end := K.now my_k))
+          K.spawn_cb ~name:proc.B.name my_k (fun self ->
+              (* the channel a statement names, looked up the first time
+                 the statement runs *)
+              let resolve name =
+                let found = ref None in
+                fun () ->
+                  match !found with
+                  | Some c -> c
+                  | None ->
+                      let c = chan_named name in
+                      found := Some c;
+                      c
+              in
+              let sched =
+                {
+                  B.tick = (fun k -> K.wait_cb self stmt_cost k);
+                  port_in = (fun _ -> 0);
+                  port_out = record_port;
+                  send =
+                    (fun name ->
+                      let chan = resolve name in
+                      let send ch v k =
+                        match token with
+                        | None -> Ch.send_cb ch self v k
+                        | Some t ->
+                            Mutex.release t;
+                            Ch.send_cb ch self v (fun () ->
+                                Mutex.acquire_cb t self k)
+                      in
+                      fun v k ->
+                        let ch, cost = chan () in
+                        if cost > 0 then
+                          K.wait_cb self cost (fun () -> send ch v k)
+                        else send ch v k);
+                  recv =
+                    (fun name ->
+                      let chan = resolve name in
+                      match token with
+                      | None -> fun k -> Ch.recv_cb (fst (chan ())) self k
+                      | Some t ->
+                          fun k ->
+                            Mutex.release t;
+                            Ch.recv_cb (fst (chan ())) self (fun v ->
+                                Mutex.acquire_cb t self (fun () -> k v)));
+                }
+              in
+              let run () =
+                B.run_cps sched proc [] (fun _ ->
+                    Option.iter Mutex.release token;
+                    if K.now my_k > !my_end then my_end := K.now my_k)
+              in
+              match token with
+              | Some t -> Mutex.acquire_cb t self run
+              | None -> run ()))
     net.Pn.procs;
   let st = Pdes.run plan in
   let merge cells =

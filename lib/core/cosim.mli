@@ -43,7 +43,17 @@
     run as timed behavioural threads whose per-statement cost comes from
     HLS estimation, optionally grouped onto a bounded number of hardware
     engines (one FSMD controller each — the multi-threaded co-processor
-    of §4.6).  Channels are the kernel's blocking FIFOs. *)
+    of §4.6).  Channels are the kernel's blocking FIFOs.
+
+    Cost.  A hardware process is a kernel callback process
+    ({!Codesign_sim.Kernel.spawn_cb}) running its behaviour through
+    {!Codesign_ir.Behavior.run_cps}, so a statement tick is a queued
+    callback rather than an effect round trip; only processes on a
+    labelled engine take that engine's token.  Every CPU at quantum 1
+    — the echo ISS and every software process — runs through
+    {!Cpu_process.run}, in block-tier bursts wherever its per-instruction
+    waits would all have run in place.  Neither changes an event, an
+    activation, a push or a result. *)
 
 type level = Codesign_bus.Transport.level =
   | Pin
@@ -129,7 +139,9 @@ val run_echo_assignment :
     ticks at {!Message} level, and any port access first flushes the
     accrued lead back into kernel time (sync-before-communication, the
     loosely-timed idiom).  [quantum = 1] is byte-identical to the
-    historic per-step/per-statement coupling; larger quanta preserve
+    historic per-step/per-statement coupling (its ISS runs through
+    {!Cpu_process.run}, which bursts on the block tier where that is
+    observably the same); larger quanta preserve
     [checksum] and [outcome] but trade event/activation counts (and
     exact interleaving) for speed.
     @raise Invalid_argument if [quantum < 1].

@@ -357,24 +357,40 @@ let vars_of p =
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
-(* Execution: compile once, then run closures                          *)
+(* Execution: compile once into continuation-passing closures          *)
 (* ------------------------------------------------------------------ *)
+
+type scheduler = {
+  tick : (unit -> unit) -> unit;
+  port_in : int -> int;
+  port_out : int -> int -> unit;
+  send : string -> int -> (unit -> unit) -> unit;
+  recv : string -> (int -> unit) -> unit;
+}
 
 let no_ext ext _ _ _ =
   invalid_arg
     (Printf.sprintf "Behavior.run: no evaluator for extension opcode %d" ext)
 
-(* [run] compiles the proc into closures over an [int array] holding
-   every scalar, so a statement reads and writes slots instead of
-   hashing names, and each array name is looked up once.  The closures
-   keep the tree-walker's order (operands left to right, the statement
-   tick before the statement, a loop tick per [While] iteration before
-   the body and per [For] iteration after it) and raise its errors at
-   the same points: an unbound array fails when its access runs, not
-   when it is compiled.  The tree-walker itself is kept as a test
-   oracle in test/reference. *)
-let run ?(io = null_io) ?(ext = no_ext) ?(tick = fun () -> ())
-    ?(fuel = 10_000_000) p bindings =
+(* [run_cps] compiles the proc into closures over an [int array]
+   holding every scalar, so a statement reads and writes slots instead
+   of hashing names, and each array name is looked up once.  Every
+   statement is compiled against the closure that runs after it, so
+   nothing is allocated per step; the only state a paused behaviour
+   keeps is in [env], the arrays, the fuel and the bounds of the [For]
+   loops in progress (one pair of cells per [For] statement: a
+   behaviour has no recursion, so no statement is ever active twice).
+   Every call to a continuation or a scheduler operation is a tail
+   call, so a behaviour whose scheduler continues at once runs in
+   constant stack.
+
+   The closures keep the tree-walker's order (operands left to right,
+   the statement tick before the statement, a loop tick per [While]
+   iteration before the body and per [For] iteration after it) and
+   raise its errors at the same points: an unbound array fails when its
+   access runs, not when it is compiled.  The tree-walker itself is
+   kept as a test oracle in test/reference. *)
+let run_cps ?(ext = no_ext) ?(fuel = 10_000_000) sched p bindings finish =
   let arrays : (string, int array) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun (name, len) ->
@@ -408,11 +424,17 @@ let run ?(io = null_io) ?(ext = no_ext) ?(tick = fun () -> ())
           | Some a -> a.(clamp_index (Array.length a) idx) <- v
           | None -> invalid_arg ("Behavior.run: unknown array " ^ name)))
     bindings;
-  let fuel = ref fuel in
-  let step () =
-    tick ();
-    decr fuel;
-    if !fuel < 0 then invalid_arg ("Behavior.run: fuel exhausted in " ^ p.name)
+  let fuel = ref fuel and tick = sched.tick in
+  (* [step k] ticks, then spends one unit of fuel and goes on to [k]:
+     the fuel check runs after the tick, as in the tree-walker *)
+  let step k =
+    let checked () =
+      decr fuel;
+      if !fuel < 0 then
+        invalid_arg ("Behavior.run: fuel exhausted in " ^ p.name);
+      k ()
+    in
+    fun () -> tick checked
   in
   let unbound a () = invalid_arg ("Behavior.run: unbound array " ^ a) in
   let rec expr = function
@@ -460,84 +482,104 @@ let run ?(io = null_io) ?(ext = no_ext) ?(tick = fun () -> ())
     | Eq -> fun () -> let x = a () in if x = b () then 1 else 0
     | Ne -> fun () -> let x = a () in if x <> b () then 1 else 0
   in
-  let rec stmt = function
+  (* [stmt s next]: the closure that runs [s] and then [next] *)
+  let rec stmt s next =
+    match s with
     | Assign (v, e) ->
         let s = slot v and e = expr e in
-        fun () ->
-          step ();
-          Array.unsafe_set env s (e ())
+        step (fun () ->
+            Array.unsafe_set env s (e ());
+            next ())
     | Store (a, i, e) -> (
         let i = expr i and e = expr e in
         match Hashtbl.find_opt arrays a with
-        | None ->
-            fun () ->
-              step ();
-              unbound a ()
+        | None -> step (unbound a)
         | Some arr ->
             let len = Array.length arr in
-            fun () ->
-              step ();
-              let idx = clamp_index len (i ()) in
-              Array.unsafe_set arr idx (e ()))
+            step (fun () ->
+                let idx = clamp_index len (i ()) in
+                Array.unsafe_set arr idx (e ());
+                next ()))
     | If (c, t, e) ->
-        let c = expr c and t = block t and e = block e in
-        fun () ->
-          step ();
-          if c () <> 0 then t () else e ()
+        let c = expr c and t = block t next and e = block e next in
+        step (fun () -> if c () <> 0 then t () else e ())
     | While (c, body, _) ->
-        let c = expr c and body = block body in
-        fun () ->
-          step ();
-          while c () <> 0 do
-            step ();
-            body ()
-          done
+        let c = expr c and again = ref next in
+        let body = step (block body (fun () -> !again ())) in
+        let test () = if c () <> 0 then body () else next () in
+        again := test;
+        step test
     | For (v, lo, hi, body) ->
         let s = slot v and lo = expr lo and hi = expr hi in
-        let body = block body in
-        fun () ->
-          step ();
-          let lo = lo () in
-          let hi = hi () in
-          let i = ref lo in
-          while !i < hi do
+        let i = ref 0 and limit = ref 0 and again = ref next in
+        let body =
+          block body (fun () ->
+              (* the body may move the induction variable, as in C *)
+              i := Array.unsafe_get env s + 1;
+              !again ())
+        in
+        let test () =
+          if !i < !limit then begin
             Array.unsafe_set env s !i;
-            body ();
-            (* the body may move the induction variable, as in C *)
-            i := Array.unsafe_get env s + 1;
-            step ()
-          done
+            body ()
+          end
+          else next ()
+        in
+        again := step test;
+        step (fun () ->
+            let l = lo () in
+            limit := hi ();
+            i := l;
+            test ())
     | PortOut (port, e) ->
-        let e = expr e and port_out = io.port_out in
-        fun () ->
-          step ();
-          port_out port (e ())
+        let e = expr e and port_out = sched.port_out in
+        step (fun () ->
+            port_out port (e ());
+            next ())
     | PortIn (v, port) ->
-        let s = slot v and port_in = io.port_in in
-        fun () ->
-          step ();
-          Array.unsafe_set env s (port_in port)
+        let s = slot v and port_in = sched.port_in in
+        step (fun () ->
+            Array.unsafe_set env s (port_in port);
+            next ())
     | Send (ch, e) ->
-        let e = expr e and send = io.send in
-        fun () ->
-          step ();
-          send ch (e ())
+        let e = expr e and send = sched.send ch in
+        step (fun () -> send (e ()) next)
     | Recv (v, ch) ->
-        let s = slot v and recv = io.recv in
-        fun () ->
-          step ();
-          Array.unsafe_set env s (recv ch)
-  and block = function
-    | [] -> ignore
-    | [ s ] -> stmt s
-    | s :: rest ->
-        let s = stmt s and rest = block rest in
-        fun () ->
-          s ();
-          rest ()
+        let s = slot v and recv = sched.recv ch in
+        let got x =
+          Array.unsafe_set env s x;
+          next ()
+        in
+        step (fun () -> recv got)
+  and block l next =
+    match l with [] -> next | s :: rest -> stmt s (block rest next)
   in
-  block p.body ();
-  List.map (fun v -> (v, env.(slot v))) p.results
+  block p.body (fun () ->
+      finish (List.map (fun v -> (v, env.(slot v))) p.results))
+    ()
+
+let run ?(io = null_io) ?ext ?tick ?fuel p bindings =
+  let results = ref [] in
+  run_cps ?ext ?fuel
+    {
+      tick =
+        (match tick with
+        | None -> fun k -> k ()
+        | Some tick ->
+            fun k ->
+              tick ();
+              k ());
+      port_in = io.port_in;
+      port_out = io.port_out;
+      send =
+        (fun ch v k ->
+          io.send ch v;
+          k ());
+      recv = (fun ch k -> k (io.recv ch));
+    }
+    p bindings
+    (fun r -> results := r);
+  !results
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printer                                                      *)

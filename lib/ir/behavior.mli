@@ -12,13 +12,17 @@
     framework's core correctness argument (see [test/test_ir.ml] and the
     fuzzer of [lib/fuzz]).
 
-    {!run} compiles the proc once per call into closures over an [int]
-    array that holds every scalar, so a statement costs a few closure
-    calls rather than a tree walk with string-keyed lookups.  The
-    tree-walking interpreter it replaced is kept in [test/reference]
-    ([Codesign_reference.Behavior_interp]); a QCheck property holds the
-    two to the same results, the same sequence of [tick] and [io]
-    calls, and the same errors at the same tick.
+    {!run_cps} compiles the proc once per call into continuation-passing
+    closures over an [int] array that holds every scalar, so a
+    statement costs a few closure calls rather than a tree walk with
+    string-keyed lookups, and a behaviour can pause at any tick or
+    channel operation and be resumed later by whoever holds its
+    continuation — a kernel callback process, say.  {!run} is its direct
+    adapter.  The tree-walking interpreter they replaced is kept in
+    [test/reference] ([Codesign_reference.Behavior_interp]); QCheck
+    properties hold both forms to it: the same results, the same
+    sequence of [tick] and [io] calls, and the same errors at the same
+    tick.
 
     Semantics: all values are boxed OCaml [int]s treated as 32-bit-ish
     integers (no overflow wrapping is performed; workloads stay in
@@ -115,7 +119,8 @@ val run :
   (string * int) list
 (** [run p bindings] executes [p] with [params] bound from [bindings]
     (missing params default to 0) and returns the [results] variables.
-    Bindings named ["a[i]"] pre-load array cells.  [ext] evaluates
+    Bindings named ["a[i]"] pre-load array cells.  It is {!run_cps}
+    with a scheduler that continues at once.  [ext] evaluates
     {!Ext} nodes as [ext op acc a b] (default: raises); [tick] is called
     once per executed statement and once per loop iteration (timed
     co-simulation hook); [fuel] bounds the number of ticks (default
@@ -123,6 +128,43 @@ val run :
     @raise Invalid_argument on an array of length <= 0, a binding to an
     unknown array, an access to an unbound array (when it runs) or
     exhausted fuel. *)
+
+(** What a {!run_cps} behaviour does at each point where it may pause.
+    Each operation is handed the rest of the behaviour as a
+    continuation, which it must call exactly once, at once or later. *)
+type scheduler = {
+  tick : (unit -> unit) -> unit;
+      (** once per executed statement and loop iteration, as {!run}'s
+          [tick] *)
+  port_in : int -> int;
+  port_out : int -> int -> unit;
+  send : string -> int -> (unit -> unit) -> unit;
+      (** applied to its channel name once per [Send] statement, when
+          the behaviour is compiled; the function that returns is
+          called, with the value and the continuation, each time the
+          statement runs — so a scheduler can resolve the name once,
+          when the statement first runs *)
+  recv : string -> (int -> unit) -> unit;
+      (** applied to its channel name once per [Recv] statement, as
+          [send] is *)
+}
+
+val run_cps :
+  ?ext:(int -> int -> int -> int -> int) ->
+  ?fuel:int ->
+  scheduler ->
+  proc ->
+  (string * int) list ->
+  ((string * int) list -> unit) ->
+  unit
+(** [run_cps sched p bindings finish] compiles [p] and runs it with
+    [sched], then passes the [results] variables to [finish].  It
+    returns when the behaviour ends or pauses in a scheduler operation
+    that keeps its continuation for later.  Bindings, [ext], [fuel],
+    evaluation order and errors are those of {!run}; an error raises
+    from whichever call is running the behaviour at that point.  Every
+    continuation and scheduler call is a tail call, so a scheduler that
+    continues at once runs any behaviour in constant stack. *)
 
 val elaborate : proc -> Cdfg.t
 (** Structural elaboration into a CDFG: every loop body and branch arm

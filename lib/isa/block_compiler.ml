@@ -126,11 +126,25 @@ let regs_ok = function
 
 let needs_step_fallback i = unsafe i || not (regs_ok i)
 
+(* Whether the block scan stops at this pc with an end record. *)
+let ends_block code pc count =
+  count >= max_block_instrs || pc >= Array.length code
+  || needs_step_fallback code.(pc)
+
+(* Records of the block at [pc]: straight-line instructions, then a
+   terminator or an end record. *)
+let rec block_records code pc count =
+  if ends_block code pc count then count + 1
+  else
+    match code.(pc) with
+    | Isa.B _ | Isa.J _ | Isa.Jal _ | Isa.Jr _ | Isa.Halt -> count + 1
+    | _ -> block_records code (pc + 1) (count + 1)
+
 let compile_block c entry_pc =
   let code = c.code in
-  let len = Array.length code in
-  (* worst case: max_block_instrs straight-line records + one end record *)
-  let buf = Array.make ((max_block_instrs + 1) * stride) 0 in
+  (* Sized exactly: a worst-case buffer (390 words) would be allocated
+     on the major heap for every block. *)
+  let buf = Array.make (block_records code entry_pc 0 * stride) 0 in
   let n = ref 0 in
   let emit op x y z lat pc =
     let base = !n * stride in
@@ -143,8 +157,7 @@ let compile_block c entry_pc =
     incr n
   in
   let rec scan pc count =
-    if count >= max_block_instrs || pc >= len || needs_step_fallback code.(pc)
-    then
+    if ends_block code pc count then
       (* resumption point for the dispatcher: the next pc, in both the
          operand and the pc slot *)
       emit uop_end pc 0 0 0 pc
@@ -180,13 +193,14 @@ let compile_block c entry_pc =
     end
   in
   scan entry_pc 0;
+  assert (!n * stride = Array.length buf);
   let full_instrs = ref 0 and full_cycles = ref 0 in
   for i = 0 to !n - 1 do
     if buf.(i * stride) <> uop_end then incr full_instrs;
     full_cycles := !full_cycles + buf.((i * stride) + 4)
   done;
   {
-    uops = Array.sub buf 0 (!n * stride);
+    uops = buf;
     n = !n;
     full_instrs = !full_instrs;
     full_cycles = !full_cycles;

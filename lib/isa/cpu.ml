@@ -569,30 +569,32 @@ and exec_chain t entries fuel_left acc fi cy pc =
     | _ -> acc
   else acc
 
+(* Only a CPU without a retire callback or memory hooks runs blocks:
+   per-instruction attribution must observe an up-to-date [cycles] at
+   every retirement, and a memory hook may trap the core or raise the
+   request line at any access. *)
+let block_tier t = Option.is_none t.retire_cb && t.plain_mem
+
+let block_cache t =
+  match t.blocks with
+  | Some c -> c
+  | None ->
+      let c = Bc.create t.code in
+      t.blocks <- Some c;
+      c
+
+let irq_pending t = t.irq_line && t.irq_enable && not t.in_isr
+
 let run_blocks t ~fuel =
-  if Option.is_some t.retire_cb || not t.plain_mem then
-    (* per-instruction attribution must observe an up-to-date [cycles]
-       at every retirement, and a memory hook may trap the core or raise
-       the request line at any access: both run on the step loop *)
-    step_loop t ~fuel
+  if not (block_tier t) then step_loop t ~fuel
   else begin
-    let cache =
-      match t.blocks with
-      | Some c -> c
-      | None ->
-          let c = Bc.create t.code in
-          t.blocks <- Some c;
-          c
-    in
+    let cache = block_cache t in
     let entries = Bc.entries cache in
     let code_len = Array.length t.code in
     let steps = ref 0 in
     while is_running t && !steps < fuel do
       let pc = t.pc and left = fuel - !steps in
-      if
-        pc < 0 || pc >= code_len
-        || (t.irq_line && t.irq_enable && not t.in_isr)
-      then begin
+      if pc < 0 || pc >= code_len || irq_pending t then begin
         (* out-of-range pc trap and interrupt entry go through [step]
            so their semantics (and fuel charge) are identical by
            construction *)
@@ -620,6 +622,30 @@ let run_blocks t ~fuel =
             ignore (Bc.get cache ~pc)
     done;
     !steps
+  end
+
+(* One block per dispatch: fuel 0 leaves [exec_chain] nothing to chain
+   with, so every block is checked against the budget here ([exec_fast]
+   itself never reads the fuel inside a block). *)
+let run_burst t ~cycles:budget =
+  if block_tier t then begin
+    let cache = block_cache t in
+    let entries = Bc.entries cache and code_len = Array.length t.code in
+    let start = t.cycles in
+    let going = ref true in
+    while !going && is_running t do
+      let pc = t.pc in
+      if pc < 0 || pc >= code_len || irq_pending t then going := false
+      else
+        match Array.unsafe_get entries pc with
+        | Some (Bc.Block blk)
+          when blk.Bc.full_cycles < budget - (t.cycles - start) ->
+            ignore
+              (exec_fast t entries 0 0 blk.Bc.uops blk.Bc.full_cycles
+                 blk.Bc.full_instrs 0)
+        | None -> ignore (Bc.get cache ~pc)
+        | Some _ -> going := false
+    done
   end
 
 let blocks_compiled t =

@@ -140,6 +140,20 @@ val run_blocks : t -> fuel:int -> int
     first dispatch, survives {!reset} and is never invalidated (the
     program is immutable). *)
 
+val run_burst : t -> cycles:int -> unit
+(** Run whole decoded blocks on the block tier, one at a time, while
+    each block's worst case — its cycles plus a taken-branch penalty —
+    fits in what is left of a budget of [cycles] for this call.  It
+    stops, leaving the rest to {!step}, at the first block that would
+    not fit, at an instruction the block tier steps (In/Out/Custom/Ei/
+    Di/Rti, or an out-of-range pc), at a pending interrupt, or when the
+    CPU halts or traps; a CPU with memory hooks or an {!on_retire}
+    callback runs nothing.  Each instruction it retires costs at least
+    one cycle, so a [step] loop over the same instructions would have
+    reported exactly [instret]'s increase in nonzero step cycles,
+    summing to [cycles]' increase — what a co-simulation at quantum 1
+    turns into kernel waits ({!Codesign_sim.Kernel.count_waits}). *)
+
 val run_compiled : ?fuel:int -> t -> status
 (** {!run} on the block-compiled tier: step until [Halted]/[Trapped]
     via {!run_blocks}; fuel exhaustion traps. *)

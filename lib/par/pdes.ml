@@ -26,14 +26,25 @@ module P = Codesign_sim.Partition
 (* Domain.cpu_relax iterations a waiting domain spins before it parks.
    Measured on a 2-core Xeon host, where one cpu_relax takes about 27 ns,
    with the perfbench cosim mesh (4x8, 512 items, 2 partitions, ~8,100
-   rounds; serial wheel 110-175 ms).  Three interleaved sweeps gave these
-   partitioned medians: 248-294 ms with no spinning (about 15 us of
-   park-and-wake per round), 132-187 ms at 128 spins, 88-144 ms at 512,
-   119-128 ms at 1,024, and no further gain at 4,096 (118-144 ms) or
-   16,384 (108-140 ms).  The 3x4 4-partition bench mesh flattened at the
-   same point (about 2 ms from 512 spins on, 2.6-3.5 ms with none).
-   1,024 spins last about 28 us, twice a park-and-wake, so a domain that
-   waits longer loses at most that much to spinning. *)
+   rounds; serial wheel 110-175 ms at the time).  Three interleaved
+   sweeps gave these partitioned medians: 248-294 ms with no spinning
+   (about 15 us of park-and-wake per round), 132-187 ms at 128 spins,
+   88-144 ms at 512, 119-128 ms at 1,024, and no further gain at 4,096
+   (118-144 ms) or 16,384 (108-140 ms).  The 3x4 4-partition bench mesh
+   flattened at the same point (about 2 ms from 512 spins on, 2.6-3.5 ms
+   with none).  1,024 spins last about 28 us, twice a park-and-wake, so
+   a domain that waits longer loses at most that much to spinning.
+
+   Since the mesh's hardware processes became kernel callback processes
+   the same mesh runs 8,103 rounds in 49-50 ms on 2 domains against
+   39-43 ms for the serial wheel and 50-52 ms for the same rounds on one
+   core ([taskset -c 0], which runs them in [Partition.run_serial]);
+   before, 114-123 ms against 82-87 ms and 91-95 ms.  Each round has two
+   waits (the helper's for the round, the coordinator's for the helper),
+   which spin 48-73 cpu_relax in all and park 0.001-0.004 times: about
+   2 us of the round's 6 us, so the constant still leaves parking rare
+   (medians of 15 runs each, two sets, an instrumented build counting
+   spins and parks; not re-tuned). *)
 let spin_limit = 1024
 
 type sync = {

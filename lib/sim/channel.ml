@@ -175,49 +175,63 @@ let send c v =
     c.sends <- c.sends + 1
   end
 
-let try_recv c =
-  if not (Queue.is_empty c.buffer) then begin
-    let v = Queue.pop c.buffer in
-    c.messages <- c.messages + 1;
-    refill c;
-    Some v
+let send_cb c self v k =
+  if try_send c v then k ()
+  else begin
+    c.blocked_sends <- c.blocked_sends + 1;
+    Kernel.suspend_cb self
+      ~register:(fun resume -> Queue.push (v, resume) c.waiting_senders)
+      (fun () ->
+        c.sends <- c.sends + 1;
+        k ())
   end
-  else if c.cap = 0 && not (Queue.is_empty c.waiting_senders) then begin
-    (* rendezvous hand-off from a blocked sender *)
-    let v, resume = Queue.pop c.waiting_senders in
-    c.messages <- c.messages + 1;
-    resume ();
-    Some v
-  end
-  else None
 
-let recv c =
-  (* The non-blocking paths mirror [try_recv] but skip its option
-     round-trip, so a receive that finds data ready allocates nothing. *)
+(* A receive finds a value ready in the buffer, or — on a rendezvous
+   channel — with a blocked sender. *)
+let ready c =
+  (not (Queue.is_empty c.buffer))
+  || (c.cap = 0 && not (Queue.is_empty c.waiting_senders))
+
+(* Take the ready value; [ready c] must hold. *)
+let take c =
   if not (Queue.is_empty c.buffer) then begin
     let v = Queue.pop c.buffer in
     c.messages <- c.messages + 1;
     refill c;
     v
   end
-  else if c.cap = 0 && not (Queue.is_empty c.waiting_senders) then begin
+  else begin
     (* rendezvous hand-off from a blocked sender *)
     let v, resume = Queue.pop c.waiting_senders in
     c.messages <- c.messages + 1;
     resume ();
     v
   end
+
+let try_recv c = if ready c then Some (take c) else None
+
+(* A receiver resumed without a direct hand-off finds the value a sender
+   refilled into the buffer while it was queued. *)
+let received c cell = match !cell with Some v -> v | None -> take c
+
+(* The paths that find a value ready skip [try_recv]'s option, so a
+   receive that does not block allocates nothing. *)
+let recv c =
+  if ready c then take c
   else begin
     c.recv_blocks <- c.recv_blocks + 1;
     let cell = ref None in
     Kernel.suspend ~register:(fun resume ->
         Queue.push (cell, resume) c.waiting_receivers);
-    match !cell with
-    | Some v -> v
-    | None -> (
-        (* Resumed without a direct hand-off: a sender refilled the
-           buffer while we were queued. *)
-        match try_recv c with
-        | Some v -> v
-        | None -> assert false)
+    received c cell
+  end
+
+let recv_cb c self k =
+  if ready c then k (take c)
+  else begin
+    c.recv_blocks <- c.recv_blocks + 1;
+    let cell = ref None in
+    Kernel.suspend_cb self
+      ~register:(fun resume -> Queue.push (cell, resume) c.waiting_receivers)
+      (fun () -> k (received c cell))
   end

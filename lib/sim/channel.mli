@@ -70,6 +70,16 @@ val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a
 (** Blocking receive. *)
 
+val send_cb : 'a t -> Kernel.process -> 'a -> (unit -> unit) -> unit
+(** [send_cb c self v k] is {!send} followed by [k ()] for a callback
+    process ({!Kernel.spawn_cb}): the same counters, the same wake-ups
+    and the same place in the channel's wait queue; when the send
+    blocks, [k] runs once a receiver has taken [v]. *)
+
+val recv_cb : 'a t -> Kernel.process -> ('a -> unit) -> unit
+(** [recv_cb c self k] is {!recv} followed by [k v], for a callback
+    process. *)
+
 val try_send : 'a t -> 'a -> bool
 (** Non-blocking send: true on success (room in buffer, a waiting
     receiver, or a latency channel — which always accepts). *)

@@ -270,9 +270,9 @@ let push_keyed t ~time ~key ~seq thunk =
   t.pushed <- t.pushed + 1;
   insert t ~time ~key ~seq thunk
 
-let count_push t =
-  t.next_seq <- t.next_seq + 1;
-  t.pushed <- t.pushed + 1
+let count_pushes t n =
+  t.next_seq <- t.next_seq + n;
+  t.pushed <- t.pushed + n
 
 let reserve t =
   let seq = t.next_seq in

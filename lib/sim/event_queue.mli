@@ -44,15 +44,16 @@ val push_keyed : t -> time:int -> key:int -> seq:int -> (unit -> unit) -> unit
     per-channel send counter).  @raise Invalid_argument on negative time
     or a key outside [0, max_int). *)
 
-val count_push : t -> unit
-(** Count an ordinary event that is dispatched at once instead of
+val count_pushes : t -> int -> unit
+(** Count [n] ordinary events that are dispatched at once instead of
     queued: advances the push total and the insertion sequence exactly
-    as {!push} would, so counters and snapshots cannot tell the two
-    apart.  {!Kernel.wait} uses it when it advances the clock in place. *)
+    as [n] {!push}es would, so counters and snapshots cannot tell the
+    two apart.  {!Kernel.wait} counts one when it advances the clock in
+    place, and {!Kernel.count_waits} a whole burst of them. *)
 
 val reserve : t -> int
 (** Take the next insertion sequence number and return it, queuing
-    nothing: the sequence advances as {!count_push} advances it, but no
+    nothing: the sequence advances as {!count_pushes} advances it, but no
     push is counted.  Events pushed afterwards get later numbers. *)
 
 val push_reserved : t -> time:int -> seq:int -> (unit -> unit) -> unit

@@ -14,9 +14,9 @@ type stats = {
   end_time : int;
 }
 
-(* A spawned process as the blocked set sees it, made once at [spawn]:
-   [slot] is its index in the kernel's [blocked] array while it sits in
-   {!suspend}, and -1 otherwise. *)
+(* A spawned process as the blocked set sees it, made once at [spawn]
+   or [spawn_cb]: [slot] is its index in the kernel's [blocked] array
+   while it sits in {!suspend} or {!suspend_cb}, and -1 otherwise. *)
 type proc = { name : string; daemon : bool; mutable slot : int }
 
 type t = {
@@ -36,6 +36,9 @@ type t = {
       (** bound of the stop-less dispatch loop in progress ([run] without
           [stop], or [run_horizon]); -1 when there is none *)
 }
+
+(* A callback process: its kernel and its blocked-set record. *)
+type process = { kernel : t; proc : proc }
 
 (* Cumulative per-domain counters across every kernel run in this domain.
    The bench harness runs one experiment per domain and reads the deltas,
@@ -143,6 +146,14 @@ let alloc_lane k =
 let wakes_next k n =
   n < Event_queue.min_time k.q - k.now && n <= k.bound - k.now
 
+(* Exactly what [waits] pushes, pops and dispatches of wake-ups whose
+   delays sum to [total] count, with the clock advanced to the last. *)
+let count_in_place k ~waits ~total =
+  k.now <- k.now + total;
+  k.events <- k.events + waits;
+  k.activations <- k.activations + waits;
+  Event_queue.count_pushes k.q waits
+
 (* The kernel whose dispatch loop is innermost on this domain, which
    [wait] reads to take the in-place path without performing an effect.
    With no loop in progress a domain names [idle]: a kernel that is
@@ -178,9 +189,27 @@ let unblock k p =
     k.n_blocked <- last
   end
 
-let spawn ?(name = "proc") ?(daemon = false) k fn =
+(* The accounting both process forms share: a spawn counts one process
+   and queues its first run at the current time; a wake-up counts one
+   activation when it runs; a suspension holds the process in the
+   blocked set until its one [resume], which queues [wake] at the then
+   current time. *)
+let new_proc k ~name ~daemon =
   k.spawned <- k.spawned + 1;
-  let p = { name; daemon; slot = -1 } in
+  { name; daemon; slot = -1 }
+
+let park k p register wake =
+  block k p;
+  let resumed = ref false in
+  register (fun () ->
+      if !resumed then
+        invalid_arg ("Kernel: process " ^ p.name ^ " resumed twice");
+      resumed := true;
+      unblock k p;
+      at k ~time:k.now wake)
+
+let spawn ?(name = "proc") ?(daemon = false) k fn =
+  let p = new_proc k ~name ~daemon in
   (* Every resume thunk below sets [running] just before its tail-call
      [continue].  They are written out rather than shared through a
      partially applied helper, which cost a few ns per queued wait. *)
@@ -211,18 +240,10 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
               Some
                 (fun (cont : (a, unit) continuation) ->
                   k.running <- false;
-                  block k p;
-                  let resumed = ref false in
-                  register (fun () ->
-                      if !resumed then
-                        invalid_arg
-                          ("Kernel: process " ^ name ^ " resumed twice");
-                      resumed := true;
-                      unblock k p;
-                      at k ~time:k.now (fun () ->
-                          k.activations <- k.activations + 1;
-                          k.running <- true;
-                          continue cont ())))
+                  park k p register (fun () ->
+                      k.activations <- k.activations + 1;
+                      k.running <- true;
+                      continue cont ()))
           | _ -> None);
     }
   in
@@ -238,16 +259,55 @@ let in_process f = try f () with Effect.Unhandled _ -> raise Not_in_process
    wait performs [Wait]. *)
 let wait n =
   let k = !(Domain.DLS.get innermost) in
-  if k.running && n >= 0 && wakes_next k n then begin
-    (* Exactly what a push, a pop and a dispatch count. *)
-    k.now <- k.now + n;
-    k.events <- k.events + 1;
-    k.activations <- k.activations + 1;
-    Event_queue.count_push k.q
-  end
+  if k.running && n >= 0 && wakes_next k n then
+    count_in_place k ~waits:1 ~total:n
   else try perform (Wait n) with Effect.Unhandled _ -> raise Not_in_process
 
 let suspend ~register = in_process (fun () -> perform (Suspend register))
+
+let in_place_budget () =
+  let k = !(Domain.DLS.get innermost) in
+  if k.running then min (Event_queue.min_time k.q - k.now - 1) (k.bound - k.now)
+  else -1
+
+let count_waits ~waits ~total =
+  let k = !(Domain.DLS.get innermost) in
+  if waits < 1 || total < 0 || total > in_place_budget () then
+    invalid_arg
+      (Printf.sprintf
+         "Kernel.count_waits: %d waits of %d cycles do not all wake next" waits
+         total);
+  count_in_place k ~waits ~total
+
+(* Callback processes.  Their code only ever runs inside an event of
+   their own kernel — the start event, a wake-up or a resume, each
+   dispatched by that kernel's loop — so a wait tests the in-place
+   conditions on the kernel it names, and an in-place wait calls its
+   continuation directly.  Every continuation call is a tail call, so a
+   chain of in-place waits runs in constant stack. *)
+let spawn_cb ?(name = "proc") k body =
+  let self = { kernel = k; proc = new_proc k ~name ~daemon:false } in
+  at k ~time:k.now (fun () ->
+      k.activations <- k.activations + 1;
+      body self)
+
+let wait_cb self n cont =
+  let k = self.kernel in
+  if n < 0 then invalid_arg "Kernel.wait_cb: negative delay"
+  else if wakes_next k n then begin
+    count_in_place k ~waits:1 ~total:n;
+    cont ()
+  end
+  else
+    at k ~time:(k.now + n) (fun () ->
+        k.activations <- k.activations + 1;
+        cont ())
+
+let suspend_cb self ~register cont =
+  let k = self.kernel in
+  park k self.proc register (fun () ->
+      k.activations <- k.activations + 1;
+      cont ())
 
 let stats k =
   {

@@ -19,6 +19,15 @@
     O(1) however many processes wake at the same time (about 88 ns an
     event with 48 processes tied in [wait 1] loops, on a 2-core host).
 
+    A process can also be written in continuation-passing style
+    ({!spawn_cb}): it blocks through {!wait_cb} / {!suspend_cb}, handing
+    over what it does next as a closure, so a queued wait costs a push,
+    a pop and a closure call, with no effect and no fiber.  Both forms
+    share one accounting — spawns, pushes, events, activations,
+    sequence numbers and the blocked set — so a callback process and a
+    fiber process that block the same way are indistinguishable to
+    {!stats}, snapshots and {!Deadlock}.
+
     The blocking primitives must only be called from within a process
     body spawned on some kernel; calling them elsewhere raises
     [Not_in_process]. *)
@@ -226,6 +235,23 @@ val wait : int -> unit
     whose wake-up time overflows makes the run raise
     [Invalid_argument]. *)
 
+val in_place_budget : unit -> int
+(** The largest total delay the calling process could now wait through
+    a chain of {!wait}s that all take the in-place path:
+    [min (next queued event - now - 1) (loop bound - now)], or a
+    negative number when its waits would be queued (it is not the
+    running process of a [stop]-less loop, or the loop's bound is
+    behind).  Nothing is counted. *)
+
+val count_waits : waits:int -> total:int -> unit
+(** Count, in one step, [waits] in-place {!wait}s whose delays sum to
+    [total]: the clock advances by [total], and events, activations,
+    scheduled pushes and the queue's insertion sequence by [waits],
+    exactly as the chain of waits would advance them.  A CPU at quantum
+    1 uses it for a burst of instructions run on the block tier.
+    @raise Invalid_argument unless [waits >= 1] and
+    [0 <= total <= in_place_budget ()]. *)
+
 val suspend : register:((unit -> unit) -> unit) -> unit
 (** The general blocking primitive: captures the continuation and passes
     a [resume] thunk to [register]; calling [resume] (exactly once, at
@@ -234,6 +260,37 @@ val suspend : register:((unit -> unit) -> unit) -> unit
     resumed twice"].  While suspended the process counts as blocked
     (see {!blocked_non_daemon}).  {!Signal} and {!Channel} are built on
     this. *)
+
+(** {2 Callback processes}
+
+    A callback process never performs an effect: each blocking call
+    takes the rest of the process as a continuation and returns, and
+    the kernel calls the continuation when the process wakes.  Its
+    body and every continuation must end in a tail call to one of these
+    primitives, to another continuation, or return (which ends the
+    process); the fiber primitives {!wait} / {!suspend} must not be
+    called from it. *)
+
+type process
+(** The handle a callback process's body receives. *)
+
+val spawn_cb : ?name:string -> t -> (process -> unit) -> unit
+(** {!spawn} of a non-daemon callback process: the same count, the
+    same start event and the same blocked-set record. *)
+
+val wait_cb : process -> int -> (unit -> unit) -> unit
+(** [wait_cb self n k] is {!wait}[ n] followed by [k ()]: under the
+    conditions of {!wait}'s in-place path (tested on [self]'s kernel)
+    it counts the wake-up at once and calls [k] directly; otherwise it
+    queues [k] as the wake-up event, which counts one activation.
+    @raise Invalid_argument on a negative [n]. *)
+
+val suspend_cb :
+  process -> register:((unit -> unit) -> unit) -> (unit -> unit) -> unit
+(** [suspend_cb self ~register k] is {!suspend} followed by [k ()]:
+    [self] counts as blocked until the [resume] handed to [register] is
+    called (once; twice raises as for {!suspend}), which queues [k] at
+    the then-current time. *)
 
 (** {2 Snapshot / restore}
 

@@ -584,6 +584,81 @@ let test_quantum_golden () =
     true
     (m64.Cosim.events < m1.Cosim.events)
 
+(* ------------------------------------------------------------------ *)
+(* quantum-1 bursts = the step loop                                    *)
+(* ------------------------------------------------------------------ *)
+
+module K = Codesign_sim.Kernel
+
+(* The loop [Cpu_process.run] must be indistinguishable from. *)
+let step_loop cpu =
+  while Cpu.status cpu = Cpu.Running do
+    let cy = Cpu.step cpu in
+    if cy > 0 then K.wait cy
+  done
+
+(* A compiled fuzz behaviour run as a kernel process by [drive], beside
+   a periodic process that samples the CPU's cycles and instret at every
+   wake-up, up to a 200,000-cycle bound reached in one run, in random
+   [Until] windows, under a [stop] that never fires, or with a [stop]
+   that cuts one run short.  One CPU in six has a memory hook and one
+   in six a retire callback, so they step all the way.  Everything the
+   run shows is returned: the kernel's stats and next sequence number,
+   the CPU's state, the samples and the port writes with their times. *)
+let quantum1_run ~seed drive =
+  let rng = Rng.create seed in
+  let items, _ = Codegen.compile (Gen.behavior rng) in
+  let k = K.create () in
+  let writes = ref [] in
+  let env =
+    {
+      Cpu.default_env with
+      Cpu.port_out = (fun port v -> writes := (K.now k, port, v) :: !writes);
+    }
+  in
+  let env =
+    if Rng.int rng 6 = 0 then { env with Cpu.mem_write = (fun _ _ -> false) }
+    else env
+  in
+  let cpu = Cpu.create ~env (Asm.assemble items).Asm.code in
+  if Rng.int rng 6 = 0 then Cpu.on_retire cpu (fun ~pc:_ ~cycles:_ -> ());
+  let period = Rng.int_in rng 1 60 and phase = Rng.int rng 60 in
+  let seen = ref [] in
+  K.spawn ~name:"cpu" k (fun () -> drive cpu);
+  K.spawn ~name:"sampler" k (fun () ->
+      K.wait phase;
+      while Cpu.status cpu = Cpu.Running do
+        seen := (K.now k, Cpu.cycles cpu, Cpu.instret cpu) :: !seen;
+        K.wait period
+      done);
+  let cap = 200_000 in
+  (match Rng.int rng 4 with
+  | 0 -> ignore (K.run ~bound:(K.Until cap) k)
+  | 1 ->
+      while K.now k < cap && K.has_pending_events k do
+        let window = K.now k + Rng.int_in rng 1 5000 in
+        ignore (K.run ~bound:(K.Until (min cap window)) k)
+      done
+  | 2 -> ignore (K.run ~bound:(K.Until cap) ~stop:(fun () -> false) k)
+  | _ ->
+      let t = Rng.int rng 20_000 in
+      ignore (K.run ~bound:(K.Until cap) ~stop:(fun () -> K.now k >= t) k);
+      ignore (K.run ~bound:(K.Until cap) k));
+  let regs = List.init Codesign_isa.Isa.n_regs (Cpu.reg cpu) in
+  ( K.stats k,
+    K.reserve k,
+    (Cpu.cycles cpu, Cpu.instret cpu, Cpu.pc cpu, regs, Cpu.status cpu),
+    !seen,
+    !writes )
+
+let quantum1_matches seed =
+  quantum1_run ~seed Codesign.Cpu_process.run = quantum1_run ~seed step_loop
+
+let prop_quantum1_bursts =
+  QCheck.Test.make ~name:"quantum-1 bursts = step loop" ~count:300
+    QCheck.(int_bound 1_000_000)
+    quantum1_matches
+
 let () =
   Alcotest.run "codesign_compiled"
     [
@@ -617,5 +692,6 @@ let () =
             test_quantum_preserves_checksum;
           Alcotest.test_case "pinned golden: pin:driver:tlm at quantum 64"
             `Quick test_quantum_golden;
+          QCheck_alcotest.to_alcotest prop_quantum1_bursts;
         ] );
     ]

@@ -415,6 +415,64 @@ let test_coproc_validation () =
 
 (* ------------------------------------------------------------------ *)
 
+(* With the stack limited to 8,192 words (64 KiB), anything that keeps
+   a frame per statement, tick, event or instruction overflows long
+   before these runs end: a 100,000-iteration behaviour run directly and
+   as a hardware process alone on its kernel (every tick an in-place
+   wait that calls its continuation at once), a 4,096-item hardware
+   mesh, and a 20,000-item echo whose CPU runs at quantum 1. *)
+let test_constant_stack () =
+  let limit = (Gc.get ()).Gc.stack_limit in
+  Fun.protect
+    ~finally:(fun () -> Gc.set { (Gc.get ()) with Gc.stack_limit = limit })
+    (fun () ->
+      Gc.set { (Gc.get ()) with Gc.stack_limit = 8192 };
+      let rec deep d = if d = 0 then 0 else 1 + deep (d - 1) in
+      (match deep 100_000 with
+      | _ -> fail "the stack limit does not bite"
+      | exception Stack_overflow -> ());
+      let n = 100_000 in
+      let long =
+        {
+          B.name = "long";
+          params = [];
+          arrays = [];
+          results = [ "s" ];
+          body =
+            [
+              B.For
+                ( "i",
+                  B.Int 0,
+                  B.Int n,
+                  [ B.Assign ("s", B.Bin (B.Add, B.Var "s", B.Var "i")) ] );
+              B.PortOut (1, B.Var "s");
+            ];
+        }
+      in
+      let sum = n * (n - 1) / 2 in
+      check Alcotest.int "direct" sum (List.assoc "s" (B.run long []));
+      let alone = Cosim.run_network (Pn.make [ (long, Pn.Hw) ] []) in
+      check
+        Alcotest.(list (triple string int int))
+        "hardware process" [ ("long", 1, sum) ] alone.Cosim.port_writes;
+      let count = 4096 and work = 2 and stages = 2 in
+      let mesh =
+        Cosim.run_network (Apps.mesh ~stages ~lanes:2 ~count ~work ())
+      in
+      let expected =
+        Apps.expected_pipeline_output ~count ~work ~stages
+      in
+      check Alcotest.(list int) "mesh" [ expected; expected ]
+        (List.filter_map
+           (fun (_, port, v) -> if port = 1 then Some v else None)
+           mesh.Cosim.port_writes);
+      let echo =
+        Cosim.run_echo_assignment ~levels:(Cosim.pure Cosim.Transaction)
+          ~items:20_000 ()
+      in
+      check Alcotest.bool "echo completes" true
+        (echo.Cosim.outcome = Cosim.Completed))
+
 let () =
   Alcotest.run "codesign_flows"
     [
@@ -465,6 +523,8 @@ let () =
             test_network_unknown_channel;
           Alcotest.test_case "hw stmt cycles" `Quick
             test_hw_stmt_cycles_sane;
+          Alcotest.test_case "long runs in constant stack" `Quick
+            test_constant_stack;
         ] );
       ( "coproc",
         [

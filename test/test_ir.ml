@@ -490,12 +490,48 @@ let observe run ?(ext = false) ?fuel p binds =
   in
   (List.rev !trace, outcome)
 
-(* the two implementations, with the labels [observe] passes *)
+(* the implementations, with the labels [observe] passes *)
 let compiled ~io ?ext ~tick ?fuel p binds = B.run ~io ?ext ~tick ?fuel p binds
 let reference ~io ?ext ~tick ?fuel p binds = Ref.run ~io ?ext ~tick ?fuel p binds
 
+(* The continuation-passing form under a scheduler that never continues
+   at once: every tick and channel operation queues its continuation,
+   and a loop calls them one at a time, as a kernel would.  A
+   behaviour that kept state on the stack across a pause, or continued
+   twice, would go wrong here while [run] stays right. *)
+let deferred ~(io : B.io) ?ext ~tick ?fuel p binds =
+  let later = Queue.create () and results = ref None in
+  B.run_cps ?ext ?fuel
+    {
+      B.tick =
+        (fun k ->
+          tick ();
+          Queue.push k later);
+      port_in = io.B.port_in;
+      port_out = io.B.port_out;
+      send =
+        (fun ch v k ->
+          io.B.send ch v;
+          Queue.push k later);
+      recv =
+        (fun ch k ->
+          let v = io.B.recv ch in
+          Queue.push (fun () -> k v) later);
+    }
+    p binds
+    (fun r -> results := Some r);
+  while not (Queue.is_empty later) do
+    if Queue.length later > 1 then failwith "two continuations pending";
+    (Queue.pop later) ()
+  done;
+  match !results with
+  | Some r -> r
+  | None -> failwith "the behaviour never finished"
+
 let same_as_reference ?ext ?fuel p binds =
-  observe compiled ?ext ?fuel p binds = observe reference ?ext ?fuel p binds
+  let expected = observe reference ?ext ?fuel p binds in
+  observe compiled ?ext ?fuel p binds = expected
+  && observe deferred ?ext ?fuel p binds = expected
 
 (* Gen.behavior draws no channels and no extension ops: [enrich] turns
    odd ports into channels and [Xor] into an extension op, so the
@@ -524,18 +560,19 @@ and enrich l = List.map enrich_stmt l
 
 (* 1,000 generated programs, plain or enriched, with or without an
    extension evaluator (without one, an [Ext] raises), under a fuel
-   bound that often runs out mid-program. *)
+   bound that often runs out mid-program, each run directly and
+   deferred. *)
+let run_matches_reference (seed, fuel) =
+  let p = Codesign_fuzz.Gen.behavior (Rng.create seed) in
+  let p = if seed land 1 = 1 then { p with B.body = enrich p.B.body } else p in
+  let ext = seed land 2 = 0 in
+  let fuel = if seed land 4 = 0 then 300_000 else fuel in
+  same_as_reference ~ext ~fuel p []
+
 let prop_run_matches_reference =
   QCheck.Test.make ~name:"compiled run = reference interpreter" ~count:1000
     QCheck.(pair (int_bound 1_000_000) (int_bound 5_000))
-    (fun (seed, fuel) ->
-      let p = Codesign_fuzz.Gen.behavior (Rng.create seed) in
-      let p =
-        if seed land 1 = 1 then { p with B.body = enrich p.B.body } else p
-      in
-      let ext = seed land 2 = 0 in
-      let fuel = if seed land 4 = 0 then 300_000 else fuel in
-      same_as_reference ~ext ~fuel p [])
+    run_matches_reference
 
 let test_run_reference_cases () =
   let proc ?(params = []) ?(arrays = []) ?(results = []) body =
@@ -656,7 +693,9 @@ let test_run_reference_cases () =
       let error = function Raised m -> m | Results _ -> "no error" in
       let expect m =
         check Alcotest.string what m
-          (error (snd (observe compiled ~ext ?fuel p binds)))
+          (error (snd (observe compiled ~ext ?fuel p binds)));
+        check Alcotest.string (what ^ ", deferred") m
+          (error (snd (observe deferred ~ext ?fuel p binds)))
       in
       match what with
       | "fuel runs out on a For iteration's tick"

@@ -442,6 +442,161 @@ let test_net_spec_sweep () =
       ]
   done
 
+(* ------------------------------------------------------------------ *)
+(* Callback hardware processes = the fiber oracle                      *)
+(* ------------------------------------------------------------------ *)
+
+module Fiber = Codesign_reference.Fiber_network
+
+(* A random all-hardware network with its run arguments.  Processes
+   share labelled engines at random; a partition map, when drawn, keeps
+   every labelled engine on one partition and gives every channel that
+   crosses partitions a latency of 1-3.  Each process runs rounds of
+   its channel operations in a random order, with filler statements and
+   port writes between them; round counts agree more often than not,
+   so some networks complete (maybe with messages left in flight) and
+   the rest deadlock.  One network in 25 sends or receives on a channel
+   no declaration names (built without [Pn.make]'s checks), which must
+   raise [Not_found] when that statement first runs; one in 40, never
+   partitioned, loops forever and runs out of fuel. *)
+let draw_network seed =
+  let rng = Rng.create seed in
+  let n = Rng.int_in rng 2 6 in
+  let name i = Printf.sprintf "p%d" i in
+  let label =
+    Array.init n (fun _ ->
+        if Rng.int rng 3 = 0 then Some (Rng.int_in rng (-1) 1) else None)
+  in
+  let bad = Rng.int rng 1000 in
+  let ghost = bad < 40 and forever = bad >= 40 && bad < 65 in
+  let part =
+    if forever || Rng.int rng 3 > 0 then None
+    else begin
+      let of_label = Array.init 3 (fun _ -> Rng.int rng 3) in
+      Some
+        (Array.map
+           (function Some l -> of_label.(l + 1) | None -> Rng.int rng 3)
+           label)
+    end
+  in
+  let channels =
+    List.init (Rng.int_in rng 1 (n + 2)) (fun c ->
+        let src = Rng.int rng n in
+        let dst = (src + Rng.int_in rng 1 (n - 1)) mod n in
+        let crosses =
+          match part with Some pt -> pt.(src) <> pt.(dst) | None -> false
+        in
+        {
+          Pn.cname = Printf.sprintf "c%d" c;
+          src = name src;
+          dst = name dst;
+          depth = Rng.int rng 3;
+          latency = (if crosses then Rng.int_in rng 1 3 else Rng.int rng 3);
+        })
+  in
+  let rounds = Rng.int_in rng 1 4 in
+  let procs =
+    List.init n (fun i ->
+        let me = name i in
+        let ops =
+          List.concat_map
+            (fun (c : Pn.channel) ->
+              (if c.Pn.dst = me then
+                 [
+                   [
+                     B.Recv ("x", c.Pn.cname);
+                     B.Assign ("acc", B.Bin (B.Add, B.Var "acc", B.Var "x"));
+                   ];
+                 ]
+               else [])
+              @
+              if c.Pn.src = me then
+                [
+                  [
+                    B.Send (c.Pn.cname, B.Bin (B.Add, B.Var "acc", B.Var "r"));
+                  ];
+                ]
+              else [])
+            channels
+          @ List.init (Rng.int rng 3) (fun _ ->
+                [
+                  B.Assign
+                    ("w", B.Bin (B.Mul, B.Var "w", B.Int (Rng.int_in rng 2 5)));
+                ])
+          @ if Rng.bool rng then [ [ B.PortOut (1, B.Var "acc") ] ] else []
+        in
+        let ops = Array.of_list ops in
+        Rng.shuffle rng ops;
+        let round = List.concat (Array.to_list ops) in
+        let r = if Rng.int rng 4 = 0 then Rng.int_in rng 0 4 else rounds in
+        let loop =
+          if Rng.bool rng then B.For ("r", B.Int 0, B.Int r, round)
+          else
+            B.While
+              ( B.Bin (B.Lt, B.Var "r", B.Int r),
+                round @ [ B.Assign ("r", B.Bin (B.Add, B.Var "r", B.Int 1)) ],
+                r )
+        in
+        let body =
+          [ B.Assign ("w", B.Int 1); loop; B.PortOut (2, B.Var "acc") ]
+        in
+        ({ B.name = me; params = []; arrays = []; results = []; body }, Pn.Hw))
+  in
+  let tweak k extra =
+    List.mapi
+      (fun i ((p : B.proc), m) ->
+        if i = k then ({ p with B.body = extra :: p.B.body }, m) else (p, m))
+      procs
+  in
+  let net =
+    if ghost then
+      let stray =
+        if Rng.bool rng then B.Send ("ghost", B.Int 1)
+        else B.Recv ("x", "ghost")
+      in
+      { Pn.name = "ghostly"; procs = tweak (Rng.int rng n) stray; channels }
+    else
+      Pn.make ~name:"random"
+        (if forever then
+           tweak (Rng.int rng n)
+             (B.While
+                ( B.Int 1,
+                  [ B.Assign ("w", B.Bin (B.Add, B.Var "w", B.Int 1)) ],
+                  1 ))
+         else procs)
+        channels
+  in
+  let hw_engines =
+    List.filter_map (fun i -> Option.map (fun l -> (name i, l)) label.(i))
+      (List.init n Fun.id)
+  in
+  let partition =
+    Option.map (fun pt -> List.init n (fun i -> (name i, pt.(i)))) part
+  in
+  let cross_cost = if Rng.bool rng then Some (Rng.int_in rng 1 3) else None in
+  (net, hw_engines, partition, cross_cost)
+
+let network_outcome
+    (run :
+      ?hw_engines:(string * int) list ->
+      ?cross_cost:int ->
+      ?partition:(string * int) list ->
+      Pn.t ->
+      Cosim.network_result) (net, hw_engines, partition, cross_cost) =
+  match run ~hw_engines ?cross_cost ?partition net with
+  | r -> Ok r
+  | exception e -> Error (Printexc.to_string e)
+
+let network_matches_oracle seed =
+  let drawn = draw_network seed in
+  network_outcome Cosim.run_network drawn
+  = network_outcome Fiber.run_network drawn
+
+let prop_network_matches_fiber_oracle =
+  QCheck.Test.make ~name:"run_network = fiber oracle" ~count:300
+    QCheck.(int_bound 1_000_000)
+    network_matches_oracle
+
 let () =
   Alcotest.run "partition"
     [
@@ -473,4 +628,6 @@ let () =
           Alcotest.test_case "collective deadlock across partitions" `Quick
             test_collective_deadlock;
         ] );
+      ( "callbacks",
+        [ QCheck_alcotest.to_alcotest prop_network_matches_fiber_oracle ] );
     ]

@@ -151,14 +151,14 @@ let same_snapshot a b = try compare a b = 0 with Invalid_argument _ -> false
 
 (* 10k pseudo-random operations against a sorted-list model of the
    (time, key, seq) order and against a twin queue: ordinary and keyed
-   pushes colliding on few timestamps, [count_push], [reserve] and a
+   pushes colliding on few timestamps, [count_pushes], [reserve] and a
    later [push_reserved] of any outstanding number, [pop_into] with
    random limits, over a backlog that outgrows the initial 64 entries.
    Now and then [q] alone is snapshotted, perturbed and restored; the
    twin never is, so only a canonical snapshot lets the two compare
-   equal.  The twin mirrors each [count_push] as a push and pop of an
-   event that precedes every queued one, which by the contract no
-   snapshot can tell apart.
+   equal.  The twin mirrors each [count_pushes q n] as [n] pushes and
+   pops of an event that precedes every queued one, which by the
+   contract no snapshot can tell apart.
 
    The model also places every event as the queue does, to check that
    the draws reach each case of the two-part queue: a [push] goes into
@@ -266,7 +266,7 @@ let test_q_interleaved_model () =
       | 1 ->
           Q.push_keyed q ~time:(draw_time ()) ~key:(next 4)
             ~seq:(20_000 + next 1000) (fun () -> fired := -1)
-      | 2 -> Q.count_push q
+      | 2 -> Q.count_pushes q (1 + next 3)
       | 3 -> ignore (Q.reserve q)
       | _ -> ignore (pop q)
     done
@@ -287,11 +287,14 @@ let test_q_interleaved_model () =
         Q.push_keyed q ~time ~key ~seq:s f;
         Q.push_keyed twin ~time ~key ~seq:s f
     | 10 ->
-        incr seq;
-        Q.count_push q;
-        Q.push twin ~time:0 ignore;
-        ignore (pop twin);
-        same "count_push = push and pop of the next event"
+        let n = 1 + next 3 in
+        seq := !seq + n;
+        Q.count_pushes q n;
+        for _ = 1 to n do
+          Q.push twin ~time:0 ignore;
+          ignore (pop twin)
+        done;
+        same "count_pushes n = n pushes and pops of the next event"
     | n when n < 19 -> (
         let limit = if n < 15 then next 200 else max_int in
         match !model with
